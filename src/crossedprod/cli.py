@@ -79,9 +79,10 @@ def _json_default(value):
 
 
 def _write_json(path: str, doc: dict):
-    _atomic_write(
-        path, json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(
+        doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False
     )
+    _atomic_write(path, text + "\n")
 
 
 def _emit(args, name: str, header, rows, summary: dict) -> None:
@@ -322,7 +323,13 @@ def _build_context(args) -> crossed.CrossedContext:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_trials(args) -> None:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+
+
 def cmd_sigma(args) -> int:
+    _check_trials(args)
     ctx = _build_context(args)
     xi = _parse_xi(ctx, args.xi)
     pair = sigma_mod.make_pair(ctx, xi)
@@ -384,6 +391,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_pi(args) -> int:
+    _check_trials(args)
     ctx = _build_context(args)
     xi = _parse_xi(ctx, args.xi)
     pair = sigma_mod.make_pair(ctx, xi)

@@ -191,13 +191,24 @@ class ExpectationSpec:
         return self._TARGET[self.kind]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """Apply the expectation to a d x d matrix or, over the last two
+        axes, to every matrix of an (..., d, d) stack."""
         x = np.asarray(x, dtype=complex)
-        d = x.shape[0]
+        d = x.shape[-1]
         if self.kind == "trace":
-            return (np.trace(x) / d) * np.eye(d, dtype=complex)
+            tr = np.trace(x, axis1=-2, axis2=-1) / d
+            return tr[..., None, None] * np.eye(d, dtype=complex)
         if self.kind == "diagonal":
-            return np.diag(np.diag(x))
+            return _keep_diagonal(x)
         return x.copy()
+
+
+def _keep_diagonal(x: np.ndarray) -> np.ndarray:
+    """Zero every off-diagonal entry of each matrix in a (..., d, d) stack."""
+    out = np.zeros_like(x)
+    k = np.arange(x.shape[-1])
+    out[..., k, k] = x[..., k, k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -291,13 +302,32 @@ class CrossedContext:
             self.action.perm(self.group.inverse(g), self.d) for g in self.window
         ]
 
+    @cached_property
+    def perm_index(self) -> np.ndarray:
+        """(n, d) gather indices of alpha_g, one row per window slot g."""
+        return _gather_index(self.perms)
+
+    @cached_property
+    def inv_perm_index(self) -> np.ndarray:
+        """(n, d) gather indices of alpha_{g^-1}, one row per window slot g."""
+        return _gather_index(self.inv_perms)
+
     def alpha(self, g: Element, r: np.ndarray) -> np.ndarray:
         """The automorphism alpha_g applied to a coefficient matrix."""
-        r = np.asarray(r, dtype=complex)
-        p = self.action.perm(g, self.d)
-        return _permute(r, p)
+        return self.alpha_by_perm(self.action.perm(g, self.d), r)
 
-    def alpha_by_perm(self, p: Tuple[int, ...], r: np.ndarray) -> np.ndarray:
+    def alpha_by_perm(
+        self, p: Union[Tuple[int, ...], np.ndarray], r: np.ndarray
+    ) -> np.ndarray:
+        """The automorphism of a permutation applied to coefficients.
+
+        p is a permutation tuple, or gather indices as in perm_index whose
+        leading axes broadcast against those of the (..., d, d) stack r: a
+        (d,) row acts on every matrix, an (m, d) array on an (m, d, d)
+        stack slot by slot, and on an (n, m, d, d) stack along axis 1.
+        """
+        if not isinstance(p, np.ndarray):
+            p = _gather_index([p])[0]
         return _permute(np.asarray(r, dtype=complex), p)
 
     def zero(self) -> "BlockMatrix":
@@ -312,14 +342,16 @@ class CrossedContext:
         return BlockMatrix(self.window, self.d, np.asarray(data, dtype=complex))
 
 
-def _permute(r: np.ndarray, p: Tuple[int, ...]) -> np.ndarray:
-    d = len(p)
-    if p == tuple(range(d)):
-        return r.copy()
-    pinv = [0] * d
-    for i, pi in enumerate(p):
-        pinv[pi] = i
-    return r[np.ix_(pinv, pinv)]
+def _gather_index(perms: Sequence[Tuple[int, ...]]) -> np.ndarray:
+    """Inverse permutations as rows: e_i -> e_{p[i]} moves entry
+    (pinv[a], pinv[b]) of a matrix to (a, b)."""
+    return np.argsort(np.asarray(perms, dtype=np.int64), axis=-1)
+
+
+def _permute(r: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """out[..., a, b] = r[..., pinv[..., a], pinv[..., b]] in one gather."""
+    lead = tuple(k[..., None, None] for k in np.ix_(*map(range, r.shape[:-2])))
+    return r[lead + (pinv[..., :, None], pinv[..., None, :])]
 
 
 def make_context(
@@ -434,11 +466,35 @@ class BlockMatrix:
         return BlockMatrix(window, d, flat.reshape(n, n))
 
 
+class BlockDiagonal(BlockMatrix):
+    """A BlockMatrix built with every off-diagonal block zero: Fourier
+    coefficients, embedded algebra elements, diagonal compressions.
+    Arithmetic on it returns a plain BlockMatrix."""
+
+
 def op_norm(x: BlockMatrix) -> float:
-    """Operator norm: sqrt of the top eigenvalue of x* x."""
-    m = x.data
-    eigs = np.linalg.eigvalsh(m.conj().T @ m)
-    return float(np.sqrt(max(0.0, float(eigs[-1]))))
+    """Operator norm: sqrt of the top eigenvalue of x* x.
+
+    For a BlockDiagonal whose off-diagonal blocks are all still exactly
+    zero, x* x is block diagonal with blocks b* b, so the top eigenvalue
+    is the largest over the (n, d, d) stack of diagonal blocks, taken from
+    one batched eigensolve.  Any other x takes the dense (nd)^2 path, even
+    when rounding leaves it block diagonal, so the path follows how x was
+    built rather than the last bits of its entries.
+    """
+    n = len(x.window)
+    diagonal = x.blocks()[np.arange(n), np.arange(n)]
+    # data written off the diagonal after construction sends x to the dense path
+    blockwise = isinstance(x, BlockDiagonal) and (
+        np.count_nonzero(diagonal) == np.count_nonzero(x.data)
+    )
+    if blockwise:
+        gram = diagonal.conj().swapaxes(-1, -2) @ diagonal
+        top = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
+    else:
+        m = x.data
+        top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+    return float(np.sqrt(max(0.0, top)))
 
 
 def left_translation(ctx: CrossedContext, g: Element) -> BlockMatrix:
@@ -458,18 +514,18 @@ def left_translation(ctx: CrossedContext, g: Element) -> BlockMatrix:
     return out
 
 
-def psi(ctx: CrossedContext, r) -> BlockMatrix:
+def psi(ctx: CrossedContext, r) -> BlockDiagonal:
     """Block-diagonal embedding of an algebra element: block (g,g) is
     the coefficient twisted by the inverse-element automorphism."""
     r = ctx.algebra.validate_member(r)
-    out = ctx.zero()
-    blocks = out.blocks()
-    for i in range(ctx.nwin):
-        blocks[i, i] = ctx.alpha_by_perm(ctx.inv_perms[i], r)
+    out = BlockDiagonal(ctx.window, ctx.d, ctx.zero().data)
+    slots = np.arange(ctx.nwin)
+    stack = np.broadcast_to(r, (ctx.nwin, ctx.d, ctx.d))
+    out.blocks()[slots, slots] = ctx.alpha_by_perm(ctx.inv_perm_index, stack)
     return out
 
 
-def diag(x: BlockMatrix) -> BlockMatrix:
+def diag(x: BlockMatrix) -> BlockDiagonal:
     """Keep the diagonal blocks, zero the rest."""
     n = len(x.window)
     d = x.block_dim
@@ -477,13 +533,15 @@ def diag(x: BlockMatrix) -> BlockMatrix:
     for i in range(n):
         s = slice(i * d, (i + 1) * d)
         out[s, s] = x.data[s, s]
-    return BlockMatrix(x.window, d, out)
+    return BlockDiagonal(x.window, d, out)
 
 
-def fourier_coefficient(ctx: CrossedContext, x: BlockMatrix, g: Element) -> BlockMatrix:
+def fourier_coefficient(
+    ctx: CrossedContext, x: BlockMatrix, g: Element
+) -> BlockDiagonal:
     """The diagonal operator Diag(L_g^* x); block (h,h) = x_{(gh, h)}."""
     ctx.group.validate(g)
-    out = ctx.zero()
+    out = BlockDiagonal(ctx.window, ctx.d, ctx.zero().data)
     oblocks = out.blocks()
     xblocks = x.blocks()
     idx = ctx.window.index_of
@@ -583,31 +641,36 @@ def phi_hom(
     exists (x is outside the crossed-product span) within tol.
     """
     n = ctx.nwin
-    d = ctx.d
     xblocks = x.blocks()
     mul = ctx.mul_table
-    coeffs = np.zeros((n, d, d), dtype=complex)
-    for ti in range(n):
-        r = xblocks[ti, 0].copy()
-        for j in range(1, n):
-            i = mul[ti, j]
-            if i < 0:
-                continue
-            cand = ctx.alpha_by_perm(ctx.perms[j], np.asarray(xblocks[i, j]))
-            defect = float(np.max(np.abs(cand - r)))
-            if defect > tol:
-                raise NotInCrossedProductError(
-                    f"coefficient at window slot {ti} inconsistent across the "
-                    f"diagonal (defect {defect:.3e})"
-                )
-        if not ctx.algebra.contains(r, tol):
+    slots = np.arange(n)
+    # slot t is read off column 0 (the identity) and must agree with
+    # alpha_{g_j}(x_{(t g_j, g_j)}) in every other column j
+    coeffs = xblocks[slots, 0]
+    cand = ctx.alpha_by_perm(ctx.perm_index, xblocks[mul, slots])
+    defect = np.max(np.abs(cand - coeffs[:, None]), axis=(-2, -1))
+    defect[(mul < 0) | (slots[None, :] == 0)] = 0.0
+    inconsistent = defect > tol
+    if ctx.algebra.kind == "diagonal":
+        off = np.abs(coeffs - _keep_diagonal(coeffs))
+        outside = ~(np.max(off, axis=(-2, -1), initial=0.0) <= tol)
+    else:
+        outside = np.zeros(n, dtype=bool)
+    bad = np.flatnonzero(inconsistent.any(axis=1) | outside)
+    if bad.size:
+        ti = int(bad[0])
+        if inconsistent[ti].any():
+            j = int(np.argmax(inconsistent[ti]))
             raise NotInCrossedProductError(
-                f"coefficient at window slot {ti} leaves the "
-                f"{ctx.algebra.kind} algebra"
+                f"coefficient at window slot {ti} inconsistent across the "
+                f"diagonal (defect {float(defect[ti, j]):.3e})"
             )
-        if ctx.algebra.kind == "diagonal":
-            r = np.diag(np.diag(r))
-        coeffs[ti] = r
+        raise NotInCrossedProductError(
+            f"coefficient at window slot {ti} leaves the "
+            f"{ctx.algebra.kind} algebra"
+        )
+    if ctx.algebra.kind == "diagonal":
+        coeffs = _keep_diagonal(coeffs)
     return coeffs
 
 
@@ -623,9 +686,9 @@ def theta_embed(
     """
     n = ctx.nwin
     d = ctx.d
-    out = ctx.zero()
-    oblocks = out.blocks()
     if isinstance(coeffs, dict):
+        out = ctx.zero()
+        oblocks = out.blocks()
         idx = ctx.window.index_of
         for t, r in coeffs.items():
             r = ctx.algebra.validate_member(r)
@@ -638,13 +701,9 @@ def theta_embed(
     if stack.shape != (n, d, d):
         raise SpecMismatchError(f"coefficient stack must be ({n},{d},{d})")
     rel = ctx.rel_table
-    for j in range(n):
-        pj = ctx.inv_perms[j]
-        for i in range(n):
-            t = rel[i, j]
-            if t >= 0:
-                oblocks[i, j] = ctx.alpha_by_perm(pj, stack[t])
-    return out
+    blocks = ctx.alpha_by_perm(ctx.inv_perm_index, stack[rel])
+    blocks[rel < 0] = 0.0
+    return ctx.wrap(blocks.swapaxes(1, 2).reshape(n * d, n * d))
 
 
 def hadamard_product(

@@ -81,18 +81,27 @@ def sigma_coefficients(
     """Coefficient stack of the averaged map, aligned with the window."""
     supp = _window_support(ctx, xi)
     _check_margin(ctx, supp)
-    rel = ctx.rel_table
-    xblocks = x.blocks()
-    pi = ctx.expectation.apply
-    coeffs = np.zeros((ctx.nwin, ctx.d, ctx.d), dtype=complex)
-    for i, ki in supp:
-        for j, kj in supp:
-            t = rel[i, j]
-            weight = ki.conjugate() * kj
-            coeffs[t] += weight * ctx.alpha_by_perm(
-                ctx.perms[j], pi(np.asarray(xblocks[i, j]))
-            )
+    slots, weights = _support_grid(supp)
+    rows, cols = slots[:, None], slots[None, :]
+    terms = weights * ctx.alpha_by_perm(
+        ctx.perm_index[slots], ctx.expectation.apply(x.blocks()[rows, cols])
+    )
+    d = ctx.d
+    coeffs = np.zeros((ctx.nwin, d, d), dtype=complex)
+    # unbuffered and in (i, j) order, as a loop over the pairs would add
+    np.add.at(coeffs, ctx.rel_table[rows, cols].ravel(), terms.reshape(-1, d, d))
     return coeffs
+
+
+def _support_grid(
+    supp: Sequence[Tuple[int, complex]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Window slots of the support, and the (s, s, 1, 1) weights
+    conj(k_i) k_j over pairs (i, j) of support entries."""
+    slots = np.array([i for i, _ in supp], dtype=np.int64)
+    k = np.array([v for _, v in supp], dtype=complex)
+    weights = k.conj()[:, None] * k[None, :]
+    return slots, weights[:, :, None, None]
 
 
 def sigma_xi(ctx: CrossedContext, xi: L2Vector, x: BlockMatrix) -> BlockMatrix:
@@ -112,20 +121,17 @@ def tau_u(ctx: CrossedContext, xi: L2Vector, u: Element, x: BlockMatrix) -> Bloc
     supp = _window_support(ctx, xi)
     idx = ctx.window.index_of
     uinv = ctx.group.inverse(u)
-    pu = ctx.action.perm(u, ctx.d)
-    pi = ctx.expectation.apply
-    xblocks = x.blocks()
+    slots, weights = _support_grid(supp)
+    # right translation by u^-1 permutes the window, so no two pairs collide
+    moved = np.array(
+        [idx[ctx.group.multiply(ctx.window[i], uinv)] for i in slots],
+        dtype=np.int64,
+    )
     out = ctx.zero()
-    oblocks = out.blocks()
-    for i, ki in supp:
-        a = idx[ctx.group.multiply(ctx.window[i], uinv)]
-        for j, kj in supp:
-            b = idx[ctx.group.multiply(ctx.window[j], uinv)]
-            oblocks[a, b] += (
-                ki.conjugate()
-                * kj
-                * ctx.alpha_by_perm(pu, pi(np.asarray(xblocks[i, j])))
-            )
+    out.blocks()[moved[:, None], moved[None, :]] = weights * ctx.alpha_by_perm(
+        ctx.action.perm(u, ctx.d),
+        ctx.expectation.apply(x.blocks()[slots[:, None], slots[None, :]]),
+    )
     return out
 
 

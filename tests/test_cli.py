@@ -6,7 +6,7 @@ import pytest
 
 from crossedprod import __version__
 from crossedprod._core import BACKEND
-from crossedprod.cli import main
+from crossedprod.cli import _write_json, main
 from crossedprod.groups import ORDERING_VERSION
 
 
@@ -154,6 +154,25 @@ def test_pi_sweep(tmp_path):
     assert doc["max_idempotency_defect"] <= 1e-10
     assert doc["max_span_identity_defect"] <= 1e-10
     assert doc["max_amplification"] >= 1.0
+
+
+@pytest.mark.parametrize(
+    "command, trials",
+    [("sigma", "0"), ("sigma", "-3"), ("pi", "0"), ("pi", "-3")],
+)
+def test_sweeps_reject_fewer_than_one_trial(tmp_path, capsys, command, trials):
+    code, out = run(tmp_path, command, "--group", "C4", "--trials", trials)
+    assert code == 2
+    assert "--trials must be >= 1" in capsys.readouterr().err
+    assert not (out / f"{command}.json").exists()
+
+
+def test_reports_refuse_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(str(tmp_path / "r.json"), {"margin": float("inf")})
+    with pytest.raises(ValueError):
+        _write_json(str(tmp_path / "r.json"), {"margin": float("nan")})
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cesaro_table(tmp_path):

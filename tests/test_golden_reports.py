@@ -1,0 +1,55 @@
+"""The sweep reports match reports recorded from the per-block reference
+kernels: every key, verdict, integer and string exactly, every float to
+FLOAT_TOL absolute."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from crossedprod.cli import main
+
+DATA = Path(__file__).parent / "data"
+FLOAT_TOL = 1e-12
+
+GOLDEN = [
+    (
+        "sigma",
+        ["sigma", "--group", "C4", "--algebra", "diagonal:2", "--action", "swap",
+         "--trials", "10", "--seed", "3"],
+    ),
+    ("pi", ["pi", "--group", "C5", "--xi", "geometric:0.7", "--trials", "10"]),
+]
+
+
+def assert_report_matches(got, want, path="report"):
+    if isinstance(want, float):
+        assert isinstance(got, float), f"{path}: {got!r} is not a float"
+        assert abs(got - want) <= FLOAT_TOL, f"{path}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_matches(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_sweep_report_matches_golden(tmp_path, name, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / f"{name}.json").read_text())
+    want = json.loads((DATA / f"golden_{name}.json").read_text())
+    assert_report_matches(got, want)
+
+
+def test_golden_comparison_catches_a_moved_float():
+    want = json.loads((DATA / "golden_pi.json").read_text())
+    moved = dict(want, max_amplification=want["max_amplification"] + 1e-9)
+    with pytest.raises(AssertionError):
+        assert_report_matches(moved, want)
+    with pytest.raises(AssertionError):
+        assert_report_matches(dict(want, verdict="Fail"), want)

@@ -1,0 +1,379 @@
+"""The stack kernels against per-block reference loops.
+
+Each reference below applies the automorphism, the expectation and the
+block gathers one d x d block at a time, the way the operator formulas
+read; the library kernels act on whole (..., d, d) stacks at once.
+"""
+
+import numpy as np
+import pytest
+
+from crossedprod.crossed import (
+    ActionSpec,
+    BlockMatrix,
+    CoeffAlgebra,
+    ExpectationSpec,
+    diag,
+    fourier_coefficient,
+    make_context,
+    op_norm,
+    phi_hom,
+    psi,
+    swap_action,
+    theta_embed,
+    translation_action,
+)
+from crossedprod.errors import NotInCrossedProductError
+from crossedprod.groups import Cyclic, FreeGroup, Integers, ball
+from crossedprod.posdef import L2Vector
+from crossedprod.sigma import sigma_coefficients, tau_u
+
+TOL = 1e-13
+
+
+def ref_alpha(p, r):
+    pinv = [0] * len(p)
+    for i, pi in enumerate(p):
+        pinv[pi] = i
+    return np.asarray(r, dtype=complex)[np.ix_(pinv, pinv)]
+
+
+def ref_expectation(spec, x):
+    x = np.asarray(x, dtype=complex)
+    d = x.shape[0]
+    if spec.kind == "trace":
+        return (np.trace(x) / d) * np.eye(d, dtype=complex)
+    if spec.kind == "diagonal":
+        return np.diag(np.diag(x))
+    return x.copy()
+
+
+def ref_theta_embed(ctx, stack):
+    out = ctx.zero()
+    oblocks = out.blocks()
+    rel = ctx.rel_table
+    for j in range(ctx.nwin):
+        pj = ctx.inv_perms[j]
+        for i in range(ctx.nwin):
+            t = rel[i, j]
+            if t >= 0:
+                oblocks[i, j] = ref_alpha(pj, stack[t])
+    return out
+
+
+def ref_phi_hom(ctx, x, tol=1e-10):
+    n, d = ctx.nwin, ctx.d
+    xblocks = x.blocks()
+    mul = ctx.mul_table
+    coeffs = np.zeros((n, d, d), dtype=complex)
+    for ti in range(n):
+        r = xblocks[ti, 0].copy()
+        for j in range(1, n):
+            i = mul[ti, j]
+            if i < 0:
+                continue
+            cand = ref_alpha(ctx.perms[j], xblocks[i, j])
+            defect = float(np.max(np.abs(cand - r)))
+            if defect > tol:
+                raise NotInCrossedProductError(
+                    f"coefficient at window slot {ti} inconsistent across the "
+                    f"diagonal (defect {defect:.3e})"
+                )
+        if not ctx.algebra.contains(r, tol):
+            raise NotInCrossedProductError(
+                f"coefficient at window slot {ti} leaves the "
+                f"{ctx.algebra.kind} algebra"
+            )
+        if ctx.algebra.kind == "diagonal":
+            r = np.diag(np.diag(r))
+        coeffs[ti] = r
+    return coeffs
+
+
+def ref_support(ctx, xi):
+    idx = ctx.window.index_of
+    return [(idx[g], complex(v)) for g, v in xi.entries.items() if v != 0]
+
+
+def ref_sigma_coefficients(ctx, xi, x):
+    rel = ctx.rel_table
+    xblocks = x.blocks()
+    coeffs = np.zeros((ctx.nwin, ctx.d, ctx.d), dtype=complex)
+    supp = ref_support(ctx, xi)
+    for i, ki in supp:
+        for j, kj in supp:
+            t = rel[i, j]
+            assert t >= 0
+            coeffs[t] += ki.conjugate() * kj * ref_alpha(
+                ctx.perms[j], ref_expectation(ctx.expectation, xblocks[i, j])
+            )
+    return coeffs
+
+
+def ref_tau_u(ctx, xi, u, x):
+    idx = ctx.window.index_of
+    uinv = ctx.group.inverse(u)
+    pu = ctx.action.perm(u, ctx.d)
+    xblocks = x.blocks()
+    out = ctx.zero()
+    oblocks = out.blocks()
+    supp = ref_support(ctx, xi)
+    for i, ki in supp:
+        a = idx[ctx.group.multiply(ctx.window[i], uinv)]
+        for j, kj in supp:
+            b = idx[ctx.group.multiply(ctx.window[j], uinv)]
+            oblocks[a, b] += ki.conjugate() * kj * ref_alpha(
+                pu, ref_expectation(ctx.expectation, xblocks[i, j])
+            )
+    return out
+
+
+def ref_psi(ctx, r):
+    out = ctx.zero()
+    blocks = out.blocks()
+    for i in range(ctx.nwin):
+        blocks[i, i] = ref_alpha(ctx.inv_perms[i], r)
+    return out
+
+
+def parity_action():
+    return ActionSpec.permutation(lambda g: (1, 0) if g % 2 else (0, 1))
+
+
+def word_parity_action():
+    return ActionSpec.permutation(lambda w: (1, 0) if len(w) % 2 else (0, 1))
+
+
+def finite_case(name):
+    if name == "C4-swap":
+        return make_context(
+            Cyclic(4), algebra=CoeffAlgebra.diagonal(2), action=swap_action(Cyclic(4))
+        )
+    if name == "C6-full6":
+        return make_context(Cyclic(6), algebra=CoeffAlgebra.full(6))
+    if name == "C5-scalars":
+        return make_context(Cyclic(5))
+    return make_context(
+        Cyclic(12),
+        algebra=CoeffAlgebra.diagonal(12),
+        action=translation_action(Cyclic(12)),
+    )
+
+
+def window_case(name):
+    """Windows of infinite groups with a margin-mode vector: support
+    products stay in the window, yet the tables hold -1 elsewhere."""
+    if name == "Z-r3":
+        ctx = make_context(
+            Integers(), radius=3, algebra=CoeffAlgebra.diagonal(2),
+            action=parity_action(),
+        )
+        xi = L2Vector.normalized({-1: 0.5, 0: 1.0, 1: 0.25})
+    else:
+        spec = FreeGroup(2)
+        ctx = make_context(
+            spec, radius=2, algebra=CoeffAlgebra.full(2), action=word_parity_action()
+        )
+        xi = L2Vector.normalized({(): 1.0, (1,): 0.5, (-2,): 0.75})
+    assert (ctx.rel_table < 0).any() and (ctx.mul_table < 0).any()
+    return ctx, xi
+
+
+FINITE = ["C4-swap", "C6-full6", "C12-translation", "C5-scalars"]
+WINDOWS = ["Z-r3", "F2-r2"]
+
+
+def random_stack(ctx, rng):
+    return np.stack([ctx.algebra.random_member(rng) for _ in range(ctx.nwin)])
+
+
+def random_operator(ctx, rng):
+    n = ctx.dim
+    return ctx.wrap(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def all_cases():
+    for name in FINITE:
+        ctx = finite_case(name)
+        weights = {g: 1.0 + 0.3 * i for i, g in enumerate(ctx.window)}
+        yield name, ctx, L2Vector.normalized(weights)
+    for name in WINDOWS:
+        ctx, xi = window_case(name)
+        yield name, ctx, xi
+
+
+CASES = list(all_cases())
+IDS = [name for name, _, _ in CASES]
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_theta_embed_matches_block_loop(name, ctx, xi):
+    rng = np.random.default_rng(1)
+    stack = random_stack(ctx, rng)
+    got = theta_embed(ctx, stack)
+    assert np.max(np.abs(got.data - ref_theta_embed(ctx, stack).data)) <= TOL
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_phi_hom_matches_block_loop(name, ctx, xi):
+    rng = np.random.default_rng(2)
+    x = ref_theta_embed(ctx, random_stack(ctx, rng))
+    got = phi_hom(ctx, x)
+    assert np.max(np.abs(got - ref_phi_hom(ctx, x))) <= TOL
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_sigma_coefficients_match_block_loop(name, ctx, xi):
+    rng = np.random.default_rng(3)
+    x = random_operator(ctx, rng)
+    got = sigma_coefficients(ctx, xi, x)
+    assert np.max(np.abs(got - ref_sigma_coefficients(ctx, xi, x))) <= TOL
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_psi_matches_block_loop(name, ctx, xi):
+    rng = np.random.default_rng(4)
+    r = ctx.algebra.random_member(rng)
+    assert np.max(np.abs(psi(ctx, r).data - ref_psi(ctx, r).data)) <= TOL
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES[: len(FINITE)], ids=FINITE)
+def test_tau_u_matches_block_loop(name, ctx, xi):
+    rng = np.random.default_rng(5)
+    x = random_operator(ctx, rng)
+    for u in ctx.window:
+        got = tau_u(ctx, xi, u, x)
+        assert np.max(np.abs(got.data - ref_tau_u(ctx, xi, u, x).data)) <= TOL
+
+
+@pytest.mark.parametrize("kind", ["trace", "diagonal", "identity"])
+def test_expectation_acts_on_the_last_two_axes(kind):
+    rng = np.random.default_rng(6)
+    d = 1 if kind == "trace" else 3
+    stack = rng.standard_normal((4, 5, d, d)) + 1j * rng.standard_normal((4, 5, d, d))
+    spec = ExpectationSpec(kind)
+    got = spec.apply(stack)
+    for i in range(4):
+        for j in range(5):
+            assert np.array_equal(got[i, j], ref_expectation(spec, stack[i, j]))
+
+
+def test_alpha_by_perm_slot_by_slot():
+    ctx = finite_case("C12-translation")
+    rng = np.random.default_rng(7)
+    stack = random_stack(ctx, rng) + rng.standard_normal((ctx.nwin, ctx.d, ctx.d))
+    got = ctx.alpha_by_perm(ctx.perm_index, stack)
+    inv = ctx.alpha_by_perm(ctx.inv_perm_index, stack)
+    for t in range(ctx.nwin):
+        assert np.array_equal(got[t], ref_alpha(ctx.perms[t], stack[t]))
+        assert np.array_equal(inv[t], ref_alpha(ctx.inv_perms[t], stack[t]))
+        single = ctx.alpha_by_perm(ctx.perms[t], stack)
+        assert np.array_equal(single[t], got[t])
+
+
+@pytest.mark.parametrize("name", FINITE + WINDOWS)
+def test_phi_hom_raises_at_the_same_first_slot(name):
+    ctx = finite_case(name) if name in FINITE else window_case(name)[0]
+    rng = np.random.default_rng(8)
+    x = ref_theta_embed(ctx, random_stack(ctx, rng))
+    blocks = x.blocks()
+    mul = ctx.mul_table
+    # break slots 3 and 1 off the identity column; slot 1 comes first
+    for ti in (3, 1):
+        j = int(np.flatnonzero((mul[ti] >= 0) & (np.arange(ctx.nwin) > 0))[-1])
+        blocks[mul[ti, j], j] += 0.5
+    with pytest.raises(NotInCrossedProductError) as want:
+        ref_phi_hom(ctx, x)
+    with pytest.raises(NotInCrossedProductError) as got:
+        phi_hom(ctx, x)
+    assert "window slot 1 inconsistent" in str(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_phi_hom_reports_the_first_slot_outside_the_algebra():
+    ctx = finite_case("C12-translation")
+    rng = np.random.default_rng(9)
+    stack = random_stack(ctx, rng)
+    for t in (4, 2):
+        stack[t, 0, 1] = 0.25
+    x = ref_theta_embed(ctx, stack)
+    with pytest.raises(NotInCrossedProductError) as want:
+        ref_phi_hom(ctx, x)
+    with pytest.raises(NotInCrossedProductError) as got:
+        phi_hom(ctx, x)
+    assert str(want.value) == "coefficient at window slot 2 leaves the diagonal algebra"
+    assert str(got.value) == str(want.value)
+
+
+def dense_norm(x):
+    m = x.data
+    return float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(m.conj().T @ m)[-1]))))
+
+
+def eigvalsh_arg_ndims(monkeypatch):
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.ndim(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_op_norm_block_diagonal_matches_dense(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    window = ball(FreeGroup(2), 1)
+    n = len(window)
+    for _ in range(5):
+        m = rng.standard_normal((n * d, n * d)) + 1j * rng.standard_normal((n * d, n * d))
+        x = diag(BlockMatrix(window, d, m))
+        want = dense_norm(x)
+        seen = eigvalsh_arg_ndims(monkeypatch)
+        assert abs(op_norm(x) - want) <= 1e-12
+        assert seen == [3]
+        monkeypatch.undo()
+
+
+def test_op_norm_fourier_coefficient_with_empty_blocks(monkeypatch):
+    ctx, _ = window_case("F2-r2")
+    rng = np.random.default_rng(12)
+    x = random_operator(ctx, rng)
+    for g in [(1,), (1, 2), (-2, -1)]:
+        coeff = fourier_coefficient(ctx, x, g)
+        blocks = coeff.blocks()
+        empty = [j for j in range(ctx.nwin) if not blocks[j, j].any()]
+        assert empty  # g h leaves the window for some h
+        want = dense_norm(coeff)
+        seen = eigvalsh_arg_ndims(monkeypatch)
+        assert abs(op_norm(coeff) - want) <= 1e-12
+        assert seen == [3]
+        monkeypatch.undo()
+
+
+def test_op_norm_one_off_diagonal_entry_takes_the_dense_path(monkeypatch):
+    window = ball(Integers(), 2)
+    n, d = len(window), 2
+    x = diag(BlockMatrix(window, d, np.eye(n * d, dtype=complex)))
+    x.data[0, d + 1] = 3.0
+    seen = eigvalsh_arg_ndims(monkeypatch)
+    got = op_norm(x)
+    assert seen == [2]
+    assert abs(got - dense_norm(x)) <= 1e-12
+    assert got > 1.5  # the largest diagonal block has norm 1
+
+
+def test_op_norm_path_follows_construction_not_values(monkeypatch):
+    """A difference of two block-diagonal operators is block diagonal or
+    exactly zero depending on rounding; it takes the dense path either way,
+    so the eigensolve sizes of a sweep do not depend on its seed."""
+    ctx = finite_case("C4-swap")
+    r = ctx.algebra.random_member(np.random.default_rng(13))
+    for x in (psi(ctx, r) - psi(ctx, 2 * r), psi(ctx, r) - psi(ctx, r)):
+        seen = eigvalsh_arg_ndims(monkeypatch)
+        got = op_norm(x)
+        assert seen == [2]
+        monkeypatch.undo()
+        assert abs(got - dense_norm(x)) <= 1e-12
