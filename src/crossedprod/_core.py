@@ -1,7 +1,4 @@
-"""Pure-Python free-group word kernels.
-
-Fallback backend for :mod:`crossedprod._core`; the compiled extension
-``_speedups`` implements the same three functions with identical semantics.
+"""Free-group word kernels.
 
 Words are freely reduced tuples of nonzero signed generator indices
 (``1..k`` for generators, ``-1..-k`` for inverses).  The letter order is
@@ -9,7 +6,10 @@ Words are freely reduced tuples of nonzero signed generator indices
 with respect to it.
 """
 
-from ..errors import ResourceCapError
+from .errors import ResourceCapError
+
+# Kernel path tag printed by ``--version`` and recorded in report provenance.
+BACKEND = "pure"
 
 
 def _letters(k):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -189,7 +190,10 @@ def _build_pdfunction(spec: GroupSpec, args) -> Tuple[posdef.PdFunction, dict]:
         S = _parse_set(spec, args.set)
         return posdef.chi_from_set(spec, S), {"set": args.set, "set_size": len(S)}
     if args.eps:
-        return posdef.haagerup(spec, float(args.eps)), {"eps": float(args.eps)}
+        eps = float(args.eps)
+        if not math.isfinite(eps):
+            raise ConfigError(f"--eps must be finite, got {args.eps}")
+        return posdef.haagerup(spec, eps), {"eps": eps}
     raise ConfigError("one of --set or --eps is required")
 
 

@@ -17,7 +17,6 @@ so serialized matrices can detect an ordering change.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
@@ -35,7 +34,9 @@ class GroupSpec:
 
     Subclasses provide the group law on canonical payloads, the word
     length for the standard symmetric generating set, and a canonical
-    geodesic word used as the length-lex sort key.
+    geodesic word used as the length-lex sort key.  Balls come from the
+    one generic search in ``_enumerate_ball``; only ``FreeGroup``, whose
+    word tree already emits length-lex order, overrides it.
     """
 
     label: str
@@ -78,7 +79,37 @@ class GroupSpec:
         return (len(k), k)
 
     def _enumerate_ball(self, n: int, cap: int) -> List[Element]:
-        raise NotImplementedError
+        """Sphere-by-sphere search over ``generating_set()``.
+
+        Each new sphere is sorted by ``sort_key``.  Since
+        ``len(_letter_key(a))`` is the word length of ``a``, the spheres
+        concatenate to the length-lex order.  Raises ResourceCapError as
+        soon as more than ``cap`` elements have been seen, so the work is
+        O(cap * |generating set|).
+        """
+        too_big = f"ball of {self.label} at radius {n} exceeds cap {cap}"
+        gens = self.generating_set()
+        frontier = [self.identity()]
+        seen = set(frontier)
+        if len(seen) > cap:
+            raise ResourceCapError(too_big)
+        out = list(frontier)
+        for _ in range(n):
+            nxt = []
+            for g in frontier:
+                for s in gens:
+                    h = self.multiply(g, s)
+                    if h not in seen:
+                        seen.add(h)
+                        if len(seen) > cap:
+                            raise ResourceCapError(too_big)
+                        nxt.append(h)
+            if not nxt:
+                break
+            nxt.sort(key=self.sort_key)
+            out.extend(nxt)
+            frontier = nxt
+        return out
 
     def parse_element(self, text: str) -> Element:
         raise NotImplementedError
@@ -127,15 +158,6 @@ class Integers(GroupSpec):
 
     def _letter_key(self, a):
         return (0,) * a if a >= 0 else (1,) * (-a)
-
-    def _enumerate_ball(self, n, cap):
-        if 2 * n + 1 > cap:
-            raise ResourceCapError(f"ball of Z at radius {n} exceeds cap {cap}")
-        out = [0]
-        for j in range(1, n + 1):
-            out.append(j)
-            out.append(-j)
-        return out
 
     def parse_element(self, text):
         return _as_int(text)
@@ -196,18 +218,6 @@ class IntegerLattice(GroupSpec):
         for i, x in enumerate(a):
             key.extend([2 * i if x >= 0 else 2 * i + 1] * abs(x))
         return tuple(key)
-
-    def _enumerate_ball(self, n, cap):
-        out = []
-        for v in itertools.product(range(-n, n + 1), repeat=self.d):
-            if sum(abs(x) for x in v) <= n:
-                out.append(v)
-                if len(out) > cap:
-                    raise ResourceCapError(
-                        f"ball of Z^{self.d} at radius {n} exceeds cap {cap}"
-                    )
-        out.sort(key=self.sort_key)
-        return out
 
     def parse_element(self, text):
         parts = _split_components(text)
@@ -272,13 +282,6 @@ class Cyclic(GroupSpec):
         if a <= self.n - a:
             return (0,) * a
         return (1,) * (self.n - a)
-
-    def _enumerate_ball(self, n, cap):
-        if self.n > cap:
-            raise ResourceCapError(f"C{self.n} exceeds cap {cap}")
-        out = [j for j in range(self.n) if self.word_length(j) <= n]
-        out.sort(key=self.sort_key)
-        return out
 
     def parse_element(self, text):
         return _as_int(text) % self.n
@@ -428,19 +431,6 @@ class ProductGroup(GroupSpec):
             offset += len(f.generating_set())
         return tuple(key)
 
-    def _enumerate_ball(self, n, cap):
-        factor_balls = [f._enumerate_ball(n, cap) for f in self.factors]
-        out = []
-        for combo in itertools.product(*factor_balls):
-            if self.word_length(combo) <= n:
-                out.append(combo)
-                if len(out) > cap:
-                    raise ResourceCapError(
-                        f"ball of {self.label} at radius {n} exceeds cap {cap}"
-                    )
-        out.sort(key=self.sort_key)
-        return out
-
     def parse_element(self, text):
         parts = _split_components(text)
         if len(parts) != len(self.factors):
@@ -537,18 +527,6 @@ def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Ball:
 
 def sphere(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> List[Element]:
     return [g for g in ball(spec, n, cap) if spec.word_length(g) == n]
-
-
-def multiply(spec: GroupSpec, a: Element, b: Element) -> Element:
-    return spec.multiply(a, b)
-
-
-def inverse(spec: GroupSpec, a: Element) -> Element:
-    return spec.inverse(a)
-
-
-def word_length(spec: GroupSpec, a: Element) -> int:
-    return spec.word_length(a)
 
 
 def whole_group_ball(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Ball:

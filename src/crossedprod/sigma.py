@@ -34,6 +34,7 @@ from .crossed import (
     theta_embed,
 )
 from .errors import (
+    ConfigError,
     MarginError,
     NotInDomainError,
     SpecMismatchError,
@@ -317,6 +318,9 @@ def cp_check(
     """
     if amplification < 1:
         raise ValueError("amplification must be >= 1")
+    if trials < 1:
+        # an empty sweep would report Pass with min_eigenvalue_seen = inf
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     n = ctx.dim
     m = amplification
@@ -379,6 +383,9 @@ def check_condition_ii(
     rng = np.random.default_rng(seed)
     if samples is None:
         samples = [random_window_operator(ctx, rng) for _ in range(trials)]
+    if len(samples) == 0:
+        # an empty sweep would report Pass with an infinite margin
+        raise ConfigError("no samples: give trials >= 1 or a non-empty samples list")
     margin = np.inf
     witness = None
     for si, x in enumerate(samples):

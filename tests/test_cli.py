@@ -42,6 +42,14 @@ def test_balls_infinite_group_table(tmp_path):
     assert csv_text.splitlines()[2] == "1,5,4,"
 
 
+def test_balls_of_a_large_cyclic_group(tmp_path):
+    # the cap counts ball elements, not the group order
+    code, out = run(tmp_path, "balls", "--group", "C10000000", "--radii", "2")
+    assert code == 0
+    csv_text, _ = read_outputs(out, "balls")
+    assert csv_text.splitlines()[1] == "2,5,2,"
+
+
 def test_chi_at_prints_exact_fraction(tmp_path, capsys):
     code, _ = run(
         tmp_path, "chi", "--group", "Z", "--set", "0..2", "--at", "1"
@@ -173,6 +181,14 @@ def test_reports_refuse_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         _write_json(str(tmp_path / "r.json"), {"margin": float("nan")})
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "1e400"])
+def test_psd_rejects_non_finite_eps(tmp_path, capsys, eps):
+    code, out = run(tmp_path, "psd", "--group", "F2", "--eps", eps, "--ball", "1")
+    assert code == 2
+    assert "--eps must be finite" in capsys.readouterr().err
+    assert not (out / "psd.json").exists()
 
 
 def test_cesaro_table(tmp_path):

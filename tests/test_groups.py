@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossedprod import groups
+from crossedprod._core import free_ball_words
 from crossedprod.errors import ConfigError, ResourceCapError, SpecMismatchError
 from crossedprod.groups import (
     Cyclic,
@@ -188,3 +193,98 @@ def test_finite_group_metadata():
     assert len(groups.whole_group_ball(P)) == 6
     with pytest.raises(SpecMismatchError):
         groups.whole_group_ball(Integers())
+
+
+def reference_ball(spec, n):
+    """The per-group scans that enumerated balls before the generic search:
+    a box scan for Z^d, a whole-group scan for C_n, a scan of the product of
+    the factor balls for products, then one global sort."""
+    if isinstance(spec, Integers):
+        return [0] + [v for j in range(1, n + 1) for v in (j, -j)]
+    if isinstance(spec, FreeGroup):
+        return free_ball_words(spec.k, n, 10**6)
+    if isinstance(spec, IntegerLattice):
+        box = itertools.product(range(-n, n + 1), repeat=spec.d)
+        out = [v for v in box if sum(abs(x) for x in v) <= n]
+    elif isinstance(spec, Cyclic):
+        out = [j for j in range(spec.n) if spec.word_length(j) <= n]
+    else:
+        combos = itertools.product(*(reference_ball(f, n) for f in spec.factors))
+        out = [c for c in combos if spec.word_length(c) <= n]
+    out.sort(key=spec.sort_key)
+    return out
+
+
+@pytest.mark.parametrize(
+    "label,radii",
+    [
+        ("Z", range(8)),
+        ("Z^1", range(6)),
+        ("Z^2", range(6)),
+        ("Z^3", range(5)),
+        ("Z^4", range(4)),
+        ("C1", range(3)),
+        ("C2", range(3)),
+        ("C5", range(5)),
+        ("C6", range(5)),
+        ("C32", range(0, 18, 3)),
+        ("F2", range(5)),
+        ("ZxC3", range(5)),
+        ("ZxF2", range(4)),
+        ("Z^2xC2", range(4)),
+        ("C4xC6", range(7)),
+        ("F2xF2", range(4)),
+    ],
+)
+def test_ball_order_matches_reference_scans(label, radii):
+    spec = parse_group(label)
+    for n in radii:
+        assert list(ball(spec, n).elements) == reference_ball(spec, n), (label, n)
+
+
+def _factor_specs():
+    return st.one_of(
+        st.just(Integers()),
+        st.integers(1, 3).map(IntegerLattice),
+        st.integers(1, 12).map(Cyclic),
+        st.integers(1, 3).map(FreeGroup),
+    )
+
+
+GROUP_SPECS = st.one_of(
+    _factor_specs(),
+    st.lists(_factor_specs(), min_size=2, max_size=3).map(
+        lambda fs: ProductGroup(tuple(fs))
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(spec=GROUP_SPECS, n=st.integers(0, 3))
+def test_ball_order_is_sorted_bfs(spec, n):
+    assert list(ball(spec, n).elements) == sorted(bfs_ball(spec, n), key=spec.sort_key)
+
+
+def test_cyclic_cap_counts_the_ball_not_the_group():
+    assert ball(Cyclic(10**7), 2).elements == (0, 1, 10**7 - 1, 2, 10**7 - 2)
+
+
+def test_large_lattice_ball_is_not_a_box_scan():
+    # the (2n+1)^12 box holds 244 million points
+    assert len(ball(IntegerLattice(12), 2)) == 313
+
+
+def test_cap_bounds_work(monkeypatch):
+    calls = []
+    multiply = IntegerLattice.multiply
+
+    def counted(self, a, b):
+        calls.append(1)
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(IntegerLattice, "multiply", counted)
+    spec = IntegerLattice(6)
+    cap = 200
+    with pytest.raises(ResourceCapError):
+        ball(spec, 4, cap=cap)
+    assert 0 < len(calls) <= (cap + 1) * len(spec.generating_set())

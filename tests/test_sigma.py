@@ -15,6 +15,7 @@ from crossedprod.crossed import (
     translation_action,
 )
 from crossedprod.errors import (
+    ConfigError,
     MarginError,
     NotInDomainError,
     SpecMismatchError,
@@ -302,6 +303,17 @@ def test_condition_ii_tight_on_translates():
     rep = check_condition_ii(pair, samples=samples)
     assert rep.verdict == "Pass"
     assert abs(rep.condition_ii_margin) <= 1e-12
+
+
+def test_sweeps_without_trials_do_not_pass():
+    ctx = ctx_scalars(3)
+    pair = make_pair(ctx, uniform_xi(ctx))
+    with pytest.raises(ConfigError):
+        cp_check(ctx, pair.apply, chi=pair.chi, trials=0)
+    with pytest.raises(ConfigError):
+        check_condition_ii(pair, trials=0)
+    with pytest.raises(ConfigError):
+        check_condition_ii(pair, samples=[])
 
 
 def test_pi_projection_fixes_span():
