@@ -261,16 +261,19 @@ class CrossedContext:
     def dim(self) -> int:
         return self.nwin * self.d
 
+    def left_index(self, g: Element) -> np.ndarray:
+        """(n,) window index of g h for each window slot h, or -1 where g h
+        leaves the window."""
+        idx = self.window.index_of
+        return np.array(
+            [idx.get(self.group.multiply(g, h), -1) for h in self.window],
+            dtype=np.int64,
+        )
+
     @cached_property
     def mul_table(self) -> np.ndarray:
         """index of g_i g_j in the window, or -1."""
-        n = self.nwin
-        out = np.full((n, n), -1, dtype=np.int64)
-        idx = self.window.index_of
-        for i, a in enumerate(self.window):
-            for j, b in enumerate(self.window):
-                out[i, j] = idx.get(self.group.multiply(a, b), -1)
-        return out
+        return np.stack([self.left_index(a) for a in self.window])
 
     @cached_property
     def inv_table(self) -> np.ndarray:
@@ -282,15 +285,12 @@ class CrossedContext:
 
     @cached_property
     def rel_table(self) -> np.ndarray:
-        """index of g_i g_j^-1 in the window, or -1."""
-        n = self.nwin
-        out = np.full((n, n), -1, dtype=np.int64)
-        idx = self.window.index_of
-        for j, b in enumerate(self.window):
-            binv = self.group.inverse(b)
-            for i, a in enumerate(self.window):
-                out[i, j] = idx.get(self.group.multiply(a, binv), -1)
-        return out
+        """index of g_i g_j^-1 in the window, or -1.
+
+        Balls are closed under inverses, so column j is column
+        inv_table[j] of mul_table.
+        """
+        return self.mul_table[:, self.inv_table]
 
     @cached_property
     def perms(self) -> List[Tuple[int, ...]]:
@@ -504,13 +504,9 @@ def left_translation(ctx: CrossedContext, g: Element) -> BlockMatrix:
     """
     ctx.group.validate(g)
     out = ctx.zero()
-    blocks = out.blocks()
-    eye = np.eye(ctx.d, dtype=complex)
-    idx = ctx.window.index_of
-    for j, b in enumerate(ctx.window):
-        i = idx.get(ctx.group.multiply(g, b))
-        if i is not None:
-            blocks[i, j] = eye
+    row = ctx.left_index(g)
+    cols = np.flatnonzero(row >= 0)
+    out.blocks()[row[cols], cols] = np.eye(ctx.d, dtype=complex)
     return out
 
 
@@ -527,13 +523,10 @@ def psi(ctx: CrossedContext, r) -> BlockDiagonal:
 
 def diag(x: BlockMatrix) -> BlockDiagonal:
     """Keep the diagonal blocks, zero the rest."""
-    n = len(x.window)
-    d = x.block_dim
-    out = np.zeros_like(x.data)
-    for i in range(n):
-        s = slice(i * d, (i + 1) * d)
-        out[s, s] = x.data[s, s]
-    return BlockDiagonal(x.window, d, out)
+    out = BlockDiagonal(x.window, x.block_dim, np.zeros_like(x.data))
+    slots = np.arange(len(x.window))
+    out.blocks()[slots, slots] = x.blocks()[slots, slots]
+    return out
 
 
 def fourier_coefficient(
@@ -542,13 +535,9 @@ def fourier_coefficient(
     """The diagonal operator Diag(L_g^* x); block (h,h) = x_{(gh, h)}."""
     ctx.group.validate(g)
     out = BlockDiagonal(ctx.window, ctx.d, ctx.zero().data)
-    oblocks = out.blocks()
-    xblocks = x.blocks()
-    idx = ctx.window.index_of
-    for j, b in enumerate(ctx.window):
-        i = idx.get(ctx.group.multiply(g, b))
-        if i is not None:
-            oblocks[j, j] = xblocks[i, j]
+    row = ctx.left_index(g)
+    cols = np.flatnonzero(row >= 0)
+    out.blocks()[cols, cols] = x.blocks()[row[cols], cols]
     return out
 
 
@@ -558,21 +547,17 @@ def reconstruct(
     """Sum of translates of the coefficient diagonals.
 
     Exact reproduction of x on finite groups; on windows it is a truncated
-    resummation and must be requested with approximate=True.
+    resummation and must be requested with approximate=True.  Block (i, j)
+    lies on the translate by g_i g_j^-1 alone, so the sum keeps exactly
+    the blocks whose rel_table entry is in the window.
     """
     if not ctx.group.is_finite() and not approximate:
         raise SpecMismatchError(
             "window reconstruction is approximate; pass approximate=True"
         )
     out = ctx.zero()
-    oblocks = out.blocks()
-    idx = ctx.window.index_of
-    for g in ctx.window:
-        coeff = fourier_coefficient(ctx, x, g).blocks()
-        for j, b in enumerate(ctx.window):
-            i = idx.get(ctx.group.multiply(g, b))
-            if i is not None:
-                oblocks[i, j] += coeff[j, j]
+    rows, cols = np.nonzero(ctx.rel_table >= 0)
+    out.blocks()[rows, cols] = x.blocks()[rows, cols]
     return out
 
 
@@ -590,25 +575,12 @@ def hadamard_multiplier(
     ctx: CrossedContext, chi: PdFunction, x: BlockMatrix
 ) -> BlockMatrix:
     """Scale block (g,h) by chi(g h^-1)."""
-    n = ctx.nwin
-    scale = np.empty((n, n), dtype=complex)
     rel = ctx.rel_table
-    cache: Dict[int, complex] = {}
-    for i in range(n):
-        for j in range(n):
-            t = rel[i, j]
-            if t >= 0:
-                val = cache.get(t)
-                if val is None:
-                    val = chi(ctx.window[t])
-                    cache[t] = val
-            else:
-                val = chi(
-                    ctx.group.multiply(
-                        ctx.window[i], ctx.group.inverse(ctx.window[j])
-                    )
-                )
-            scale[i, j] = val
+    scale = np.array([chi(g) for g in ctx.window], dtype=complex)[rel]
+    # g h^-1 off the window has no slot to look up, so it is multiplied out
+    group, window = ctx.group, ctx.window
+    for i, j in zip(*np.nonzero(rel < 0)):
+        scale[i, j] = chi(group.multiply(window[i], group.inverse(window[j])))
     full = np.kron(scale, np.ones((ctx.d, ctx.d)))
     return BlockMatrix(ctx.window, ctx.d, x.data * full)
 
@@ -689,13 +661,15 @@ def theta_embed(
     if isinstance(coeffs, dict):
         out = ctx.zero()
         oblocks = out.blocks()
-        idx = ctx.window.index_of
         for t, r in coeffs.items():
             r = ctx.algebra.validate_member(r)
-            for j, b in enumerate(ctx.window):
-                i = idx.get(ctx.group.multiply(t, b))
-                if i is not None:
-                    oblocks[i, j] += ctx.alpha_by_perm(ctx.inv_perms[j], r)
+            row = ctx.left_index(t)
+            # left multiplication by t is injective: no block is hit twice
+            cols = np.flatnonzero(row >= 0)
+            stack = np.broadcast_to(r, (cols.size, d, d))
+            oblocks[row[cols], cols] += ctx.alpha_by_perm(
+                ctx.inv_perm_index[cols], stack
+            )
         return out
     stack = np.asarray(coeffs, dtype=complex)
     if stack.shape != (n, d, d):

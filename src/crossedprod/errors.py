@@ -25,6 +25,10 @@ class NotInCrossedProductError(CrossedProdError):
     """A block matrix is not (numerically) in the span of translates L_g Psi(r)."""
 
 
+class NotUnitalError(CrossedProdError):
+    """An averaged map does not send the identity to the identity."""
+
+
 class NotInDomainError(CrossedProdError):
     """Idempotent projection undefined: an eigenvalue is below the underflow floor."""
 

@@ -384,22 +384,27 @@ class ProductGroup(GroupSpec):
     def identity(self):
         return tuple(f.identity() for f in self.factors)
 
+    # the factor methods validate their own components, so the product
+    # methods only check the tuple shape
     def multiply(self, a, b):
-        a = self.validate(a)
-        b = self.validate(b)
+        a = self._components(a)
+        b = self._components(b)
         return tuple(f.multiply(x, y) for f, x, y in zip(self.factors, a, b))
 
     def inverse(self, a):
-        return tuple(f.inverse(x) for f, x in zip(self.factors, self.validate(a)))
+        return tuple(f.inverse(x) for f, x in zip(self.factors, self._components(a)))
 
     def word_length(self, a):
-        return sum(f.word_length(x) for f, x in zip(self.factors, self.validate(a)))
+        return sum(f.word_length(x) for f, x in zip(self.factors, self._components(a)))
 
     def validate(self, a):
+        for f, x in zip(self.factors, self._components(a)):
+            f.validate(x)
+        return a
+
+    def _components(self, a):
         if not isinstance(a, tuple) or len(a) != len(self.factors):
             raise SpecMismatchError(f"not a {self.label} payload: {a!r}")
-        for f, x in zip(self.factors, a):
-            f.validate(x)
         return a
 
     def generating_set(self):

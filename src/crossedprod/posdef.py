@@ -299,8 +299,10 @@ def folner_overlap(spec: GroupSpec, n: int, t: Element) -> Fraction:
 
 
 def folner_defect(spec: GroupSpec, n: int, t: Element) -> Fraction:
-    """Exact |tF_n symdiff F_n| / |F_n|; equals 2(1 - overlap)."""
-    return 2 * (1 - folner_overlap(spec, n, t))
+    """Exact |tF_n symdiff F_n| / |F_n|, counted by set difference."""
+    F = folner_set(spec, n)
+    moved = {spec.multiply(t, h) for h in F}
+    return Fraction(len(moved.symmetric_difference(F)), len(F))
 
 
 def folner_eigenvalues(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
     ConfigError,
     MarginError,
     NotInDomainError,
+    NotUnitalError,
     SpecMismatchError,
 )
 from .groups import Cyclic, Element, FreeGroup, GroupSpec, IntegerLattice, Integers, ProductGroup
@@ -66,14 +68,12 @@ def _window_support(ctx: CrossedContext, xi: L2Vector) -> List[Tuple[int, comple
 def _check_margin(ctx: CrossedContext, supp: Sequence[Tuple[int, complex]]):
     if ctx.group.is_finite():
         return
-    rel = ctx.rel_table
-    for i, _ in supp:
-        for j, _ in supp:
-            if rel[i, j] < 0:
-                raise MarginError(
-                    "support products leave the window; enlarge the window "
-                    "or shrink the vector support"
-                )
+    slots = [i for i, _ in supp]
+    if (ctx.rel_table[np.ix_(slots, slots)] < 0).any():
+        raise MarginError(
+            "support products leave the window; enlarge the window "
+            "or shrink the vector support"
+        )
 
 
 def sigma_coefficients(
@@ -120,14 +120,9 @@ def tau_u(ctx: CrossedContext, xi: L2Vector, u: Element, x: BlockMatrix) -> Bloc
         raise SpecMismatchError("the translation decomposition needs a finite group")
     ctx.group.validate(u)
     supp = _window_support(ctx, xi)
-    idx = ctx.window.index_of
-    uinv = ctx.group.inverse(u)
     slots, weights = _support_grid(supp)
     # right translation by u^-1 permutes the window, so no two pairs collide
-    moved = np.array(
-        [idx[ctx.group.multiply(ctx.window[i], uinv)] for i in slots],
-        dtype=np.int64,
-    )
+    moved = ctx.rel_table[slots, ctx.window.index(u)]
     out = ctx.zero()
     out.blocks()[moved[:, None], moved[None, :]] = weights * ctx.alpha_by_perm(
         ctx.action.perm(u, ctx.d),
@@ -162,14 +157,13 @@ def phi_t(
             f"eigenvalue at {ctx.group.format_element(t)} vanishes"
         )
     supp = _window_support(ctx, xi)
-    idx = ctx.window.index_of
+    row = ctx.left_index(t)
     pi = ctx.expectation.apply
     xblocks = x.blocks()
     acc = np.zeros((ctx.d, ctx.d), dtype=complex)
     for j, kj in supp:
-        h = ctx.window[j]
-        i = idx.get(ctx.group.multiply(t, h))
-        if i is None:
+        i = int(row[j])
+        if i < 0:
             continue
         kth = xi.entries.get(ctx.window[i])
         if kth is None:
@@ -194,8 +188,13 @@ class ExpectationPair:
     def sigma(self, x: BlockMatrix) -> BlockMatrix:
         return self.apply(x)
 
+    @cached_property
     def chi_values(self) -> np.ndarray:
-        return np.array([complex(self.chi(g)).real for g in self.ctx.window])
+        """chi at every window slot, evaluated once per pair; read-only,
+        since every caller shares it."""
+        vals = np.array([self.chi(g) for g in self.ctx.window], dtype=complex)
+        vals.flags.writeable = False
+        return vals
 
 
 def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
@@ -215,20 +214,20 @@ def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
             )
     else:
         _check_margin(ctx, _window_support(ctx, xi))
-    chi = chi_of(ctx, xi)
-    for g in ctx.window:
-        val = complex(chi(g))
-        if not val.real > CHI_FLOOR or abs(val.imag) > UNITAL_TOL:
-            raise ValueError(
-                f"eigenvalue at {ctx.group.format_element(g)} is not "
-                f"strictly positive: {val}"
-            )
     pair = ExpectationPair(
-        ctx, chi, lambda x: sigma_xi(ctx, xi, x), xi=xi
+        ctx, chi_of(ctx, xi), lambda x: sigma_xi(ctx, xi, x), xi=xi
     )
+    vals = pair.chi_values
+    bad = np.flatnonzero(~(vals.real > CHI_FLOOR) | (np.abs(vals.imag) > UNITAL_TOL))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"eigenvalue at {ctx.group.format_element(ctx.window[i])} is not "
+            f"strictly positive: {complex(vals[i])}"
+        )
     defect = op_norm(pair.sigma(ctx.identity_matrix()) - ctx.identity_matrix())
     if defect > UNITAL_TOL:
-        raise AssertionError(f"map is not unital: defect {defect:.3e}")
+        raise NotUnitalError(f"map is not unital: defect {defect:.3e}")
     return pair
 
 
@@ -386,14 +385,15 @@ def check_condition_ii(
     if len(samples) == 0:
         # an empty sweep would report Pass with an infinite margin
         raise ConfigError("no samples: give trials >= 1 or a non-empty samples list")
+    chis = pair.chi_values.real
     margin = np.inf
     witness = None
     for si, x in enumerate(samples):
         sx = pair.sigma(x)
         xnorm = op_norm(x)
-        for g in ctx.window:
+        for g, chi in zip(ctx.window, chis):
             lhs = op_norm(fourier_coefficient(ctx, sx, g))
-            bound = complex(pair.chi(g)).real * xnorm
+            bound = float(chi) * xnorm
             gap = bound - lhs
             if gap < margin:
                 margin = gap
@@ -418,6 +418,18 @@ def check_condition_ii(
     )
 
 
+def _chi_divisors(pair: ExpectationPair) -> np.ndarray:
+    """pair.chi_values, or NotInDomainError at the first slot whose
+    eigenvalue is at or below the floor."""
+    low = np.flatnonzero(np.abs(pair.chi_values) <= CHI_FLOOR)
+    if low.size:
+        g = pair.ctx.window[int(low[0])]
+        raise NotInDomainError(
+            f"eigenvalue underflow at {pair.ctx.group.format_element(g)}"
+        )
+    return pair.chi_values
+
+
 def pi_projection(
     pair: ExpectationPair, x: BlockMatrix, tol: float = 1e-10
 ) -> BlockMatrix:
@@ -427,18 +439,8 @@ def pi_projection(
     mean the windowed inversion is meaningless; that is the finite-scale
     analogue of falling outside the domain.
     """
-    ctx = pair.ctx
-    sx = pair.sigma(x)
-    coeffs = phi_hom(ctx, sx, tol)
-    scaled = np.empty_like(coeffs)
-    for i, g in enumerate(ctx.window):
-        val = complex(pair.chi(g))
-        if abs(val) <= CHI_FLOOR:
-            raise NotInDomainError(
-                f"eigenvalue underflow at {ctx.group.format_element(g)}"
-            )
-        scaled[i] = coeffs[i] / val
-    return theta_embed(ctx, scaled)
+    coeffs = phi_hom(pair.ctx, pair.sigma(x), tol)
+    return theta_embed(pair.ctx, coeffs / _chi_divisors(pair)[:, None, None])
 
 
 def pi_amplification(pair: ExpectationPair, x: BlockMatrix, tol: float = 1e-10) -> float:
@@ -448,17 +450,10 @@ def pi_amplification(pair: ExpectationPair, x: BlockMatrix, tol: float = 1e-10) 
     boundedness of the idempotent is undecidable at a finite window, so
     the inflation factor is surfaced instead of a verdict.
     """
-    ctx = pair.ctx
-    coeffs = phi_hom(ctx, pair.sigma(x), tol)
+    coeffs = phi_hom(pair.ctx, pair.sigma(x), tol)
     worst = 0.0
-    for i, g in enumerate(ctx.window):
-        val = abs(complex(pair.chi(g)))
-        if val <= CHI_FLOOR:
-            raise NotInDomainError(
-                f"eigenvalue underflow at {ctx.group.format_element(g)}"
-            )
-        norm = float(np.linalg.norm(coeffs[i], 2))
-        worst = max(worst, norm / val)
+    for coeff, val in zip(coeffs, _chi_divisors(pair)):
+        worst = max(worst, float(np.linalg.norm(coeff, 2)) / abs(complex(val)))
     return worst
 
 

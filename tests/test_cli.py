@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from crossedprod import __version__
+from crossedprod import __version__, sigma, summation
 from crossedprod._core import BACKEND
 from crossedprod.cli import _write_json, main
 from crossedprod.groups import ORDERING_VERSION
@@ -321,3 +322,29 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("crossedprod ")
+
+
+def test_folner_mismatch_is_reported_not_raised(tmp_path, monkeypatch):
+    real = summation.folner_defect
+
+    def off_by_one(spec, n, t):
+        return real(spec, n, t) + Fraction(1, n + 1)
+
+    monkeypatch.setattr(summation, "folner_defect", off_by_one)
+    code, out = run(
+        tmp_path, "folner", "--group", "Z", "--t", "1", "--radii", "1..3"
+    )
+    assert code == 4
+    csv_text, doc = read_outputs(out, "folner")
+    assert doc["verdict"] == "Fail"
+    assert csv_text.splitlines()[1] == "1,3,2,1,2,Fail"
+
+
+def test_non_unital_map_is_a_check_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sigma, "sigma_xi", lambda ctx, xi, x: 2 * x)
+    code, _ = run(
+        tmp_path, "sigma", "--group", "C4", "--algebra", "diagonal:2",
+        "--action", "swap", "--trials", "2",
+    )
+    assert code == 4
+    assert "check failed: map is not unital: defect 1.000e+00" in capsys.readouterr().err

@@ -288,3 +288,40 @@ def test_cap_bounds_work(monkeypatch):
     with pytest.raises(ResourceCapError):
         ball(spec, 4, cap=cap)
     assert 0 < len(calls) <= (cap + 1) * len(spec.generating_set())
+
+
+def test_product_multiply_validates_each_component_once(monkeypatch):
+    seen = []
+    real = FreeGroup.validate
+
+    def spy(self, a):
+        seen.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(FreeGroup, "validate", spy)
+    spec = ProductGroup((FreeGroup(2), FreeGroup(2)))
+    a, b = ((1, 2), (-1,)), ((-2,), (2, 2))
+    assert spec.multiply(a, b) == ((1,), (-1, 2, 2))
+    assert sorted(seen) == sorted([(1, 2), (-1,), (-2,), (2, 2)])
+    seen.clear()
+    spec.inverse(a)
+    spec.word_length(a)
+    assert sorted(seen) == sorted([(1, 2), (-1,)] * 2)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [((1,),), ((1,), (2,), ()), [(1,), (2,)], ((1, -1), ()), ((), (3,)), ((), 1)],
+)
+def test_malformed_product_payload_raises(payload):
+    spec = ProductGroup((FreeGroup(2), FreeGroup(2)))
+    good = ((1,), (2,))
+    for call in (
+        lambda: spec.multiply(payload, good),
+        lambda: spec.multiply(good, payload),
+        lambda: spec.inverse(payload),
+        lambda: spec.word_length(payload),
+        lambda: spec.validate(payload),
+    ):
+        with pytest.raises(SpecMismatchError):
+            call()

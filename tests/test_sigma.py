@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crossedprod import sigma
 from crossedprod.crossed import (
     CoeffAlgebra,
     left_translation,
@@ -18,6 +19,7 @@ from crossedprod.errors import (
     ConfigError,
     MarginError,
     NotInDomainError,
+    NotUnitalError,
     SpecMismatchError,
 )
 from crossedprod.groups import Cyclic, FreeGroup, Integers, ProductGroup, ball
@@ -475,3 +477,11 @@ def test_cp_report_json_round_trip():
     assert d["condition_ii_margin"] == 0.5
     text = json.dumps(d, sort_keys=True)
     assert "NaN" not in text
+
+
+def test_make_pair_rejects_a_non_unital_map(monkeypatch):
+    ctx = ctx_scalars(3)
+    xi = L2Vector.normalized({0: 1.0, 1: 0.5, 2: 0.25})
+    monkeypatch.setattr(sigma, "sigma_xi", lambda ctx, xi, x: 2 * x)
+    with pytest.raises(NotUnitalError, match="map is not unital: defect 1.000e"):
+        make_pair(ctx, xi)
