@@ -1,8 +1,9 @@
 """Reproducible experiment driver.
 
-Every study is a subcommand that writes one CSV table and one JSON
-summary (atomic temp-then-rename, stable key order, no timestamps), so a
-fixed config and seed give byte-identical outputs.
+Every study is a subcommand that returns one table, one summary and
+whether its checks passed; main writes them as <command>.csv and
+<command>.json (atomic temp-then-rename, stable key order, no
+timestamps), so a fixed config and seed give byte-identical outputs.
 
 Exit codes: 0 all checks pass, 2 bad config or arguments, 3 resource cap
 exceeded, 4 a numerical check failed.
@@ -17,7 +18,9 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,10 +37,15 @@ from .groups import (
     DEFAULT_ELEMENT_CAP,
     ORDERING_VERSION,
     Cyclic,
+    FreeGroup,
     GroupSpec,
     ball,
     parse_group,
 )
+
+
+# (csv header, csv rows, json summary, all checks passed)
+Report = Tuple[Sequence[str], List[Sequence], dict, bool]
 
 
 def _fmt(value) -> str:
@@ -75,7 +83,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]):
 
 def _json_default(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _fmt(value)
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
@@ -86,12 +94,6 @@ def _write_json(path: str, doc: dict):
     _atomic_write(path, text + "\n")
 
 
-def _emit(args, name: str, header, rows, summary: dict) -> None:
-    base = os.path.join(args.out, name)
-    _write_csv(base + ".csv", header, rows)
-    _write_json(base + ".json", summary)
-
-
 def _parse_int_list(text: str) -> List[int]:
     """Accept '2..7' ranges and '2,3,5' lists."""
     text = text.strip()
@@ -99,8 +101,10 @@ def _parse_int_list(text: str) -> List[int]:
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, chunk.split("..", 1))
+            if hi < lo:
+                raise ConfigError(f"reversed range {chunk!r}")
+            out.extend(range(lo, hi + 1))
         elif chunk:
             out.append(int(chunk))
     if not out:
@@ -108,15 +112,20 @@ def _parse_int_list(text: str) -> List[int]:
     return out
 
 
-def _parse_set(spec: GroupSpec, text: str):
-    """A finite subset: 'ball:R' for any group, 'a..b' for the integers."""
+def _parse_set(spec: GroupSpec, text: str, cap: int):
+    """A finite subset: 'ball:R' for any group, 'a..b' for the integers.
+
+    Both forms hold at most cap elements."""
     text = text.strip()
     if text.startswith("ball:"):
-        return list(ball(spec, int(text[5:])))
+        return list(ball(spec, int(text[5:]), cap))
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        members = [spec.parse_element(str(j)) for j in range(int(lo), int(hi) + 1)]
-        return members
+        lo, hi = map(int, text.split("..", 1))
+        if hi - lo + 1 > cap:
+            raise ResourceCapError(
+                f"set {text} has {hi - lo + 1} elements, exceeds cap {cap}"
+            )
+        return [spec.parse_element(str(j)) for j in range(lo, hi + 1)]
     return [spec.parse_element(p) for p in text.split(";")]
 
 
@@ -159,35 +168,33 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
     raise ConfigError(f"unknown vector recipe {text!r} (uniform, geometric:q)")
 
 
-def cmd_balls(args) -> int:
+def cmd_balls(args) -> Report:
     spec = parse_group(args.group)
     radii = _parse_int_list(args.radii)
+    for n in radii:
+        if n < 0:
+            raise ConfigError(f"ball radius must be >= 0, got {n}")
+    # one enumeration at the largest radius; B_n is its prefix of lengths <= n
+    spheres = Counter(map(spec.word_length, ball(spec, max(radii), args.cap)))
+    sizes = list(accumulate(spheres[n] for n in range(max(radii) + 1)))
+    free = isinstance(spec, FreeGroup) and spec.k >= 2
     rows = []
     ok = True
     for n in radii:
-        b = ball(spec, n, args.cap)
-        sphere_count = sum(1 for g in b if spec.word_length(g) == n)
         closed = ""
-        if spec.label.startswith("F") and hasattr(spec, "k") and spec.k >= 2:
+        if free:
             closed = freecomb.ball_size(spec.k, n)
-            ok = ok and closed == len(b)
-        rows.append((n, len(b), sphere_count, closed))
-    summary = {
-        "command": "balls",
-        "group": spec.label,
-        "ordering": ORDERING_VERSION,
-        "radii": radii,
-        "verdict": "Pass" if ok else "Fail",
-    }
-    _emit(args, "balls", ("radius", "ball_size", "sphere_size", "closed_size"), rows, summary)
-    return 0 if ok else 4
+            ok = ok and closed == sizes[n]
+        rows.append((n, sizes[n], spheres[n], closed))
+    summary = {"group": spec.label, "ordering": ORDERING_VERSION, "radii": radii}
+    return ("radius", "ball_size", "sphere_size", "closed_size"), rows, summary, ok
 
 
 def _build_pdfunction(spec: GroupSpec, args) -> Tuple[posdef.PdFunction, dict]:
     if args.set and args.eps:
         raise ConfigError("choose one of --set and --eps")
     if args.set:
-        S = _parse_set(spec, args.set)
+        S = _parse_set(spec, args.set, args.cap)
         return posdef.chi_from_set(spec, S), {"set": args.set, "set_size": len(S)}
     if args.eps:
         eps = float(args.eps)
@@ -197,11 +204,13 @@ def _build_pdfunction(spec: GroupSpec, args) -> Tuple[posdef.PdFunction, dict]:
     raise ConfigError("one of --set or --eps is required")
 
 
-def cmd_chi(args) -> int:
+def cmd_chi(args) -> Report:
     spec = parse_group(args.group)
     f, recipe = _build_pdfunction(spec, args)
     if args.square:
         f = posdef.pointwise_product(f, f)
+    if args.at is not None and args.ball is not None:
+        raise ConfigError("choose one of --at and --ball")
     if args.at is None and args.ball is None:
         raise ConfigError("one of --at or --ball is required")
     points = (
@@ -225,18 +234,11 @@ def cmd_chi(args) -> int:
             shown_values.append(shown)
     if args.at is not None:
         print(shown_values[0], file=sys.stdout)
-    summary = {
-        "command": "chi",
-        "group": spec.label,
-        "recipe": recipe,
-        "points": len(rows),
-        "verdict": "Pass",
-    }
-    _emit(args, "chi", ("g", "value", "num", "den"), rows, summary)
-    return 0
+    summary = {"group": spec.label, "recipe": recipe, "points": len(rows)}
+    return ("g", "value", "num", "den"), rows, summary, True
 
 
-def cmd_psd(args) -> int:
+def cmd_psd(args) -> Report:
     spec = parse_group(args.group)
     f, recipe = _build_pdfunction(spec, args)
     if args.square:
@@ -252,24 +254,12 @@ def cmd_psd(args) -> int:
             report.verdict,
         )
     ]
-    summary = {
-        "command": "psd",
-        "group": spec.label,
-        "recipe": recipe,
-        "report": report.to_json(),
-        "verdict": report.verdict,
-    }
-    _emit(
-        args,
-        "psd",
-        ("ball_radius", "gram_dimension", "min_eigenvalue", "tolerance", "verdict"),
-        rows,
-        summary,
-    )
-    return 0 if report.passed() else 4
+    summary = {"group": spec.label, "recipe": recipe, "report": report.to_json()}
+    header = ("ball_radius", "gram_dimension", "min_eigenvalue", "tolerance", "verdict")
+    return header, rows, summary, report.passed()
 
 
-def cmd_freecount(args) -> int:
+def cmd_freecount(args) -> Report:
     radii = _parse_int_list(args.radii) if args.radii else None
     rows_data = freecomb.count_table(args.k, args.lmax, radii, args.cap)
     rows = [
@@ -287,32 +277,19 @@ def cmd_freecount(args) -> int:
         for r in rows_data
     ]
     ok = all(r.closed == r.brute for r in rows_data)
-    summary = {
-        "command": "freecount",
-        "k": args.k,
-        "lmax": args.lmax,
-        "rows": len(rows),
-        "all_equal": ok,
-        "verdict": "Pass" if ok else "Fail",
-    }
-    _emit(
-        args,
-        "freecount",
-        (
-            "k",
-            "ell",
-            "n",
-            "closed",
-            "brute",
-            "ratio_num",
-            "ratio_den",
-            "limit_num",
-            "limit_den",
-        ),
-        rows,
-        summary,
+    summary = {"k": args.k, "lmax": args.lmax, "rows": len(rows), "all_equal": ok}
+    header = (
+        "k",
+        "ell",
+        "n",
+        "closed",
+        "brute",
+        "ratio_num",
+        "ratio_den",
+        "limit_num",
+        "limit_den",
     )
-    return 0 if ok else 4
+    return header, rows, summary, ok
 
 
 def _build_context(args) -> crossed.CrossedContext:
@@ -332,7 +309,7 @@ def _check_trials(args) -> None:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
 
 
-def cmd_sigma(args) -> int:
+def cmd_sigma(args) -> Report:
     _check_trials(args)
     ctx = _build_context(args)
     xi = _parse_xi(ctx, args.xi)
@@ -381,20 +358,17 @@ def cmd_sigma(args) -> int:
         ("condition_ii_margin", cond.condition_ii_margin),
     ]
     summary = {
-        "command": "sigma",
         "group": ctx.group.label,
         "algebra": args.algebra,
         "action": args.action,
         "xi": args.xi,
         "seed": args.seed,
         "checks": checks,
-        "verdict": "Pass" if ok else "Fail",
     }
-    _emit(args, "sigma", ("metric", "value"), rows, summary)
-    return 0 if ok else 4
+    return ("metric", "value"), rows, summary, ok
 
 
-def cmd_pi(args) -> int:
+def cmd_pi(args) -> Report:
     _check_trials(args)
     ctx = _build_context(args)
     xi = _parse_xi(ctx, args.xi)
@@ -418,7 +392,6 @@ def cmd_pi(args) -> int:
         rows.append((trial, idem, span, amp))
     ok = worst_idem <= 1e-10 and worst_span <= 1e-10
     summary = {
-        "command": "pi",
         "group": ctx.group.label,
         "algebra": args.algebra,
         "action": args.action,
@@ -427,16 +400,9 @@ def cmd_pi(args) -> int:
         "max_idempotency_defect": worst_idem,
         "max_span_identity_defect": worst_span,
         "max_amplification": worst_amp,
-        "verdict": "Pass" if ok else "Fail",
     }
-    _emit(
-        args,
-        "pi",
-        ("trial", "idempotency_defect", "span_identity_defect", "amplification"),
-        rows,
-        summary,
-    )
-    return 0 if ok else 4
+    header = ("trial", "idempotency_defect", "span_identity_defect", "amplification")
+    return header, rows, summary, ok
 
 
 def _parse_coeffs(text: str) -> Dict[int, complex]:
@@ -452,12 +418,14 @@ def _parse_coeffs(text: str) -> Dict[int, complex]:
     return out
 
 
-def cmd_cesaro(args) -> int:
+def cmd_cesaro(args) -> Report:
     coeffs = _parse_coeffs(args.coeffs)
     f = summation.TrigPolynomial(coeffs)
     orders = _parse_int_list(args.orders)
     deg = f.degree()
-    grid = args.grid if args.grid else 8 * deg + 1
+    grid = args.grid if args.grid is not None else 8 * deg + 1
+    if grid < 4 * deg + 1:
+        raise ConfigError(f"--grid must be >= {4 * deg + 1} for degree {deg}, got {grid}")
     rows = []
     ok = True
     nonneg = all(
@@ -478,24 +446,15 @@ def cmd_cesaro(args) -> int:
         ok = ok and row_ok
         rows.append((n, err, predicted, gap, "Pass" if row_ok else "Fail"))
     summary = {
-        "command": "cesaro",
         "degree": deg,
         "orders": orders,
         "grid_points": grid,
         "nonnegative_coefficients": nonneg,
-        "verdict": "Pass" if ok else "Fail",
     }
-    _emit(
-        args,
-        "cesaro",
-        ("n", "grid_error", "predicted", "gap", "verdict"),
-        rows,
-        summary,
-    )
-    return 0 if ok else 4
+    return ("n", "grid_error", "predicted", "gap", "verdict"), rows, summary, ok
 
 
-def cmd_folner(args) -> int:
+def cmd_folner(args) -> Report:
     spec = parse_group(args.group)
     t = spec.parse_element(args.t)
     radii = _parse_int_list(args.radii)
@@ -515,21 +474,9 @@ def cmd_folner(args) -> int:
                 "Pass" if identity_ok else "Fail",
             )
         )
-    summary = {
-        "command": "folner",
-        "group": spec.label,
-        "t": spec.format_element(t),
-        "radii": radii,
-        "verdict": "Pass" if ok else "Fail",
-    }
-    _emit(
-        args,
-        "folner",
-        ("radius", "defect_num", "defect_den", "chi_num", "chi_den", "identity"),
-        rows,
-        summary,
-    )
-    return 0 if ok else 4
+    summary = {"group": spec.label, "t": spec.format_element(t), "radii": radii}
+    header = ("radius", "defect_num", "defect_den", "chi_num", "chi_den", "identity")
+    return header, rows, summary, ok
 
 
 def _read_config(path: str) -> List[Tuple[str, str]]:
@@ -657,7 +604,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _expand_config(list(argv))
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        header, rows, summary, ok = args.func(args)
+        base = os.path.join(args.out, args.command)
+        _write_csv(base + ".csv", header, rows)
+        verdict = "Pass" if ok else "Fail"
+        _write_json(base + ".json", dict(summary, command=args.command, verdict=verdict))
+        return 0 if ok else 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

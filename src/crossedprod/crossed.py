@@ -1,8 +1,8 @@
 """Truncated crossed products as dense block matrices.
 
 A CrossedContext fixes a group, a finite window ball, a coefficient
-algebra of d x d matrices, an action by coordinate permutations, and a
-conditional expectation onto the algebra.  Operators live on
+algebra of d x d matrices and an action by coordinate permutations; the
+algebra fixes the conditional expectation onto it.  Operators live on
 window x internal space and are stored dense (BlockMatrix).
 
 Translation operators drop transitions that leave the window, so on
@@ -34,7 +34,7 @@ from .groups import (
     parse_group,
     whole_group_ball,
 )
-from .posdef import PdFunction
+from .posdef import PdFunction, gram_matrix
 
 DEFAULT_TOL = 1e-10
 
@@ -176,19 +176,16 @@ class ExpectationSpec:
 
     kind: str
 
-    _TARGET = {"trace": "scalars", "diagonal": "diagonal", "identity": "full"}
+    # algebra kind -> the expectation onto it
+    _ONTO = {"scalars": "trace", "diagonal": "diagonal", "full": "identity"}
 
     def __post_init__(self):
-        if self.kind not in self._TARGET:
+        if self.kind not in self._ONTO.values():
             raise SpecMismatchError(f"unknown expectation kind {self.kind!r}")
 
     @staticmethod
     def default_for(algebra: CoeffAlgebra) -> "ExpectationSpec":
-        kind = {v: k for k, v in ExpectationSpec._TARGET.items()}[algebra.kind]
-        return ExpectationSpec(kind)
-
-    def target_kind(self) -> str:
-        return self._TARGET[self.kind]
+        return ExpectationSpec(ExpectationSpec._ONTO[algebra.kind])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the expectation to a d x d matrix or, over the last two
@@ -219,7 +216,6 @@ class CrossedContext:
     window: Ball
     algebra: CoeffAlgebra
     action: ActionSpec
-    expectation: ExpectationSpec
 
     def __post_init__(self):
         if self.window.spec != self.group:
@@ -229,11 +225,6 @@ class CrossedContext:
         if self.group.is_finite() and len(self.window) != self.group.order():
             raise SpecMismatchError(
                 "finite-group contexts need the whole group as window"
-            )
-        if self.expectation.target_kind() != self.algebra.kind:
-            raise SpecMismatchError(
-                f"expectation targets {self.expectation.target_kind()}, "
-                f"algebra is {self.algebra.kind}"
             )
         d = self.algebra.internal_dim
         ident = self.action.perm(self.group.identity(), d)
@@ -248,6 +239,12 @@ class CrossedContext:
                     raise SpecMismatchError(
                         f"action not multiplicative at ({s!r}, {h!r})"
                     )
+
+    @cached_property
+    def expectation(self) -> ExpectationSpec:
+        """The trace-preserving conditional expectation onto the algebra,
+        the only one for the scalar, diagonal and full algebras."""
+        return ExpectationSpec.default_for(self.algebra)
 
     @property
     def d(self) -> int:
@@ -359,7 +356,6 @@ def make_context(
     radius: Optional[int] = None,
     algebra: Optional[CoeffAlgebra] = None,
     action: Optional[ActionSpec] = None,
-    expectation: Optional[ExpectationSpec] = None,
 ) -> CrossedContext:
     """Assemble a context with sensible defaults.
 
@@ -370,15 +366,13 @@ def make_context(
         algebra = CoeffAlgebra.scalars()
     if action is None:
         action = ActionSpec.trivial()
-    if expectation is None:
-        expectation = ExpectationSpec.default_for(algebra)
     if group.is_finite():
         window = whole_group_ball(group)
     else:
         if radius is None:
             raise SpecMismatchError(f"{group.label} needs an explicit radius")
         window = ball(group, radius)
-    return CrossedContext(group, window, algebra, action, expectation)
+    return CrossedContext(group, window, algebra, action)
 
 
 @dataclass(frozen=True)
@@ -574,14 +568,9 @@ def schur_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
 def hadamard_multiplier(
     ctx: CrossedContext, chi: PdFunction, x: BlockMatrix
 ) -> BlockMatrix:
-    """Scale block (g,h) by chi(g h^-1)."""
-    rel = ctx.rel_table
-    scale = np.array([chi(g) for g in ctx.window], dtype=complex)[rel]
-    # g h^-1 off the window has no slot to look up, so it is multiplied out
-    group, window = ctx.group, ctx.window
-    for i, j in zip(*np.nonzero(rel < 0)):
-        scale[i, j] = chi(group.multiply(window[i], group.inverse(window[j])))
-    full = np.kron(scale, np.ones((ctx.d, ctx.d)))
+    """Scale block (g,h) by chi(g h^-1): the Schur product with the Gram
+    matrix of chi over the window."""
+    full = np.kron(gram_matrix(chi, ctx.window), np.ones((ctx.d, ctx.d)))
     return BlockMatrix(ctx.window, ctx.d, x.data * full)
 
 

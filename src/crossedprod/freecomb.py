@@ -20,8 +20,6 @@ from typing import List, Optional, Sequence
 from ._core import free_t_count
 from .groups import DEFAULT_ELEMENT_CAP, Element, FreeGroup, GroupSpec, ball
 
-RationalValue = Fraction
-
 
 def sphere_size(k: int, n: int) -> int:
     """Number of reduced words of length exactly n in F_k."""
@@ -141,14 +139,6 @@ class FreeCount:
     brute: int
     ratio: Fraction
     limit: Fraction
-
-    @property
-    def q(self) -> int:
-        return 2 * self.k - 1
-
-    @property
-    def m(self) -> int:
-        return self.ell // 2
 
 
 def representative_word(ell: int) -> tuple:

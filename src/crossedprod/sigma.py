@@ -156,24 +156,17 @@ def phi_t(
         raise NotInDomainError(
             f"eigenvalue at {ctx.group.format_element(t)} vanishes"
         )
-    supp = _window_support(ctx, xi)
-    row = ctx.left_index(t)
-    pi = ctx.expectation.apply
-    xblocks = x.blocks()
-    acc = np.zeros((ctx.d, ctx.d), dtype=complex)
-    for j, kj in supp:
-        i = int(row[j])
-        if i < 0:
-            continue
-        kth = xi.entries.get(ctx.window[i])
-        if kth is None:
-            continue
-        acc += (
-            complex(kth).conjugate()
-            * kj
-            * ctx.alpha_by_perm(ctx.perms[j], pi(np.asarray(xblocks[i, j])))
-        )
-    return acc / chival
+    slots, weights = _support_grid(_window_support(ctx, xi))
+    # support-grid pairs (a, b) with g_a = t g_b, in the order of b
+    b, a = np.nonzero(slots[None, :] == ctx.left_index(t)[slots][:, None])
+    i, j = slots[a], slots[b]
+    terms = weights[a, b] * ctx.alpha_by_perm(
+        ctx.perm_index[j], ctx.expectation.apply(x.blocks()[i, j])
+    )
+    acc = np.zeros((1, ctx.d, ctx.d), dtype=complex)
+    # unbuffered and in the order of b, as a loop over the support would add
+    np.add.at(acc, np.zeros(len(terms), dtype=np.int64), terms)
+    return acc[0] / chival
 
 
 @dataclass(frozen=True)

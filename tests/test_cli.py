@@ -8,7 +8,7 @@ import pytest
 from crossedprod import __version__, sigma, summation
 from crossedprod._core import BACKEND
 from crossedprod.cli import _write_json, main
-from crossedprod.groups import ORDERING_VERSION
+from crossedprod.groups import ORDERING_VERSION, ball, parse_group
 
 
 def run(tmp_path, *argv):
@@ -348,3 +348,73 @@ def test_non_unital_map_is_a_check_failure(tmp_path, monkeypatch, capsys):
     )
     assert code == 4
     assert "check failed: map is not unital: defect 1.000e+00" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "group, radii",
+    [("F2", "0..6"), ("Z^2", "3,0,2"), ("ZxC3", "0..3")],
+)
+def test_balls_rows_match_each_radius(tmp_path, group, radii):
+    code, out = run(tmp_path, "balls", "--group", group, "--radii", radii)
+    assert code == 0
+    csv_text, doc = read_outputs(out, "balls")
+    spec = parse_group(group)
+    want = []
+    for n in doc["radii"]:
+        b = ball(spec, n)
+        sphere_size = sum(1 for g in b if spec.word_length(g) == n)
+        want.append(f"{n},{len(b)},{sphere_size},")
+    got = [line[: line.rindex(",") + 1] for line in csv_text.splitlines()[1:]]
+    assert got == want
+
+
+@pytest.mark.parametrize("radii", ["2,-1", "-1", "0,3..1"])
+def test_balls_reject_negative_radii_and_reversed_ranges(tmp_path, radii):
+    code, out = run(tmp_path, "balls", "--group", "Z", f"--radii={radii}")
+    assert code == 2
+    assert not (out / "balls.csv").exists()
+
+
+def test_capped_balls_name_the_largest_radius(tmp_path, capsys):
+    code, _ = run(tmp_path, "balls", "--group", "F2", "--radii", "0..10", "--cap", "100")
+    assert code == 3
+    assert "at radius 10 exceeds cap 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "F2", "--set", "ball:3", "--at", "a"),
+        ("--group", "Z", "--set", "0..100000", "--at", "0"),
+    ],
+    ids=["ball", "range"],
+)
+def test_cap_bounds_the_set(tmp_path, argv):
+    code, _ = run(tmp_path, "chi", *argv, "--cap", "10")
+    assert code == 3
+
+
+def test_chi_rejects_at_with_ball(tmp_path, capsys):
+    code, out = run(
+        tmp_path, "chi", "--group", "Z", "--set", "0..2", "--at", "1", "--ball", "2"
+    )
+    assert code == 2
+    assert "choose one of --at and --ball" in capsys.readouterr().err
+    assert not (out / "chi.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "3", "4"])
+def test_cesaro_rejects_an_undersampled_grid(tmp_path, capsys, grid):
+    code, _ = run(
+        tmp_path, "cesaro", "--coeffs", "0:1,1:0.5", "--orders", "1..3", "--grid", grid
+    )
+    assert code == 2
+    assert f"--grid must be >= 5 for degree 1, got {grid}" in capsys.readouterr().err
+
+
+def test_cesaro_accepts_the_smallest_grid(tmp_path):
+    code, out = run(
+        tmp_path, "cesaro", "--coeffs", "0:1,1:0.5", "--orders", "1..3", "--grid", "5"
+    )
+    assert code == 0
+    assert read_outputs(out, "cesaro")[1]["grid_points"] == 5

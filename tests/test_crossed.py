@@ -444,12 +444,18 @@ def test_action_validation():
 def test_context_validation():
     with pytest.raises(SpecMismatchError):
         make_context(Integers())
-    with pytest.raises(SpecMismatchError):
-        make_context(
-            Cyclic(4),
-            algebra=CoeffAlgebra.diagonal(2),
-            expectation=ExpectationSpec("trace"),
-        )
+
+
+@pytest.mark.parametrize(
+    "algebra, kind",
+    [
+        (CoeffAlgebra.scalars(), "trace"),
+        (CoeffAlgebra.diagonal(2), "diagonal"),
+        (CoeffAlgebra.full(2), "identity"),
+    ],
+)
+def test_context_expectation_follows_the_algebra(algebra, kind):
+    assert make_context(Cyclic(4), algebra=algebra).expectation == ExpectationSpec(kind)
 
 
 def test_alpha_identity_and_composition():
