@@ -18,6 +18,7 @@ from .errors import (
     MarginError,
     NotInCrossedProductError,
     NotInDomainError,
+    NotPositiveError,
     ResourceCapError,
     SpecMismatchError,
     UndersampledGridError,
@@ -53,6 +54,7 @@ __all__ = [
     "MarginError",
     "NotInCrossedProductError",
     "NotInDomainError",
+    "NotPositiveError",
     "ORDERING_VERSION",
     "ProductGroup",
     "ResourceCapError",

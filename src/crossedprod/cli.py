@@ -616,7 +616,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except CrossedProdError as exc:
+    except (CrossedProdError, np.linalg.LinAlgError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -260,8 +260,17 @@ class CrossedContext:
 
     def left_index(self, g: Element) -> np.ndarray:
         """(n,) window index of g h for each window slot h, or -1 where g h
-        leaves the window."""
+        leaves the window.
+
+        For a window element g, once mul_table is built, this is a copy of
+        its row there.  The cache is read through ``__dict__`` so that
+        building mul_table, which calls this method, does not recurse.
+        """
+        self.group.validate(g)
         idx = self.window.index_of
+        table = self.__dict__.get("mul_table")
+        if table is not None and g in idx:
+            return table[idx[g]].copy()
         return np.array(
             [idx.get(self.group.multiply(g, h), -1) for h in self.window],
             dtype=np.int64,

@@ -29,6 +29,13 @@ class NotUnitalError(CrossedProdError):
     """An averaged map does not send the identity to the identity."""
 
 
+class NotPositiveError(CrossedProdError, ValueError):
+    """An eigenvalue function is not strictly positive on the window.
+
+    Also a ValueError, the type this check raised before it had its own.
+    """
+
+
 class NotInDomainError(CrossedProdError):
     """Idempotent projection undefined: an eigenvalue is below the underflow floor."""
 

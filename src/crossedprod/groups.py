@@ -18,7 +18,9 @@ so serialized matrices can detect an ordering change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from ._core import free_ball_words, free_mul
 from .errors import ConfigError, ResourceCapError, SpecMismatchError
@@ -55,6 +57,10 @@ class GroupSpec:
 
     def validate(self, a: Element) -> Element:
         """Return the payload if it is in canonical form, else raise."""
+        raise NotImplementedError
+
+    def quotient_lengths(self, elements: Sequence[Element]) -> np.ndarray:
+        """(n, n) table of word_length(g_i g_j^-1) in a small unsigned dtype."""
         raise NotImplementedError
 
     def generating_set(self) -> Tuple[Element, ...]:
@@ -153,6 +159,10 @@ class Integers(GroupSpec):
             raise SpecMismatchError(f"not an integer payload: {a!r}")
         return a
 
+    def quotient_lengths(self, elements):
+        x = np.array([self.validate(a) for a in elements], dtype=np.int64)
+        return _narrow(np.abs(np.subtract.outer(x, x)))
+
     def generating_set(self):
         return (1, -1)
 
@@ -202,6 +212,14 @@ class IntegerLattice(GroupSpec):
         ):
             raise SpecMismatchError(f"not a Z^{self.d} payload: {a!r}")
         return a
+
+    def quotient_lengths(self, elements):
+        x = np.array([self.validate(a) for a in elements], dtype=np.int64)
+        x = x.reshape(len(x), self.d)
+        out = np.zeros((len(x), len(x)), dtype=np.int64)
+        for col in x.T:
+            out += np.abs(np.subtract.outer(col, col))
+        return _narrow(out)
 
     def generating_set(self):
         gens = []
@@ -260,6 +278,11 @@ class Cyclic(GroupSpec):
         if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.n:
             raise SpecMismatchError(f"not a C{self.n} payload: {a!r}")
         return a
+
+    def quotient_lengths(self, elements):
+        x = np.array([self.validate(a) for a in elements], dtype=np.int64)
+        delta = np.subtract.outer(x, x) % self.n
+        return _narrow(np.minimum(delta, self.n - delta))
 
     def generating_set(self):
         if self.n == 1:
@@ -325,6 +348,29 @@ class FreeGroup(GroupSpec):
             if i and a[i - 1] == -v:
                 raise SpecMismatchError(f"word not reduced at position {i}: {a!r}")
         return a
+
+    def quotient_lengths(self, elements):
+        """|g| + |h| - 2 lcs(g, h): the common suffix of g and h cancels in
+        g h^-1 and nothing else does.  lcs is the number of suffix lengths s
+        at which both words have the same suffix, found by one equality of
+        integer suffix ids per s."""
+        words = [self.validate(a) for a in elements]
+        top = max(map(len, words), default=0)
+        lens = np.array([len(w) for w in words], dtype=np.min_scalar_type(2 * top))
+        out = np.add.outer(lens, lens)
+        common = np.zeros_like(out)
+        ids: Dict[tuple, int] = {}
+        for s in range(1, top + 1):
+            suffix = np.array(
+                [ids.setdefault(w[-s:], len(ids)) if len(w) >= s else -1 for w in words],
+                dtype=np.int64,
+            )
+            eq = np.equal.outer(suffix, suffix)
+            eq &= (suffix >= 0)[:, None]
+            common += eq
+        out -= common
+        out -= common
+        return out
 
     def generating_set(self):
         gens = []
@@ -402,6 +448,13 @@ class ProductGroup(GroupSpec):
             f.validate(x)
         return a
 
+    def quotient_lengths(self, elements):
+        parts = zip(*(self._components(a) for a in elements))
+        out = np.zeros((len(elements), len(elements)), dtype=np.int64)
+        for f, part in zip(self.factors, parts):
+            out += f.quotient_lengths(part)
+        return _narrow(out)
+
     def _components(self, a):
         if not isinstance(a, tuple) or len(a) != len(self.factors):
             raise SpecMismatchError(f"not a {self.label} payload: {a!r}")
@@ -444,6 +497,12 @@ class ProductGroup(GroupSpec):
 
     def format_element(self, a):
         return "(" + ",".join(f.format_element(x) for f, x in zip(self.factors, a)) + ")"
+
+
+def _narrow(table: np.ndarray) -> np.ndarray:
+    """A nonnegative integer table in the narrowest unsigned dtype holding it."""
+    top = int(table.max()) if table.size else 0
+    return table.astype(np.min_scalar_type(top))
 
 
 def _split_components(text: str) -> List[str]:

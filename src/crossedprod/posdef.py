@@ -6,6 +6,12 @@ certified at finite scale: build the Gram matrix [f(g h^-1)] over a ball
 and check its spectrum.  Constructors cover overlap functions chi_S,
 vector states chi_xi, and exponential length decay; products and convex
 combinations preserve the class.
+
+A function whose value provably depends only on word length is flagged
+``radial``.  Its Gram matrix comes from the group's table of quotient
+lengths l(g h^-1) over the window: the function is evaluated once per
+distinct length and the value is copied to every entry of that length.
+Every other function is evaluated once per entry.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .groups import (
     Ball,
     Cyclic,
     Element,
+    FreeGroup,
     GroupSpec,
     IntegerLattice,
     Integers,
@@ -36,14 +43,18 @@ class PdFunction:
     """A function on a group, normalized to 1 at the identity.
 
     ``support`` is a finite frozenset when the function provably vanishes
-    outside it, or None for full support.  Positive definiteness is a
-    *candidate* property here; check_positive_definite produces evidence.
+    outside it, or None for full support.  ``radial`` is True only when
+    the constructor has proved that the value depends on word length
+    alone; gram_matrix then reads the Gram off a length table.  Positive
+    definiteness is a *candidate* property here; check_positive_definite
+    produces evidence.
     """
 
     spec: GroupSpec
     evaluator: Callable[[Element], complex]
     support: Optional[frozenset] = None
     label: str = ""
+    radial: bool = False
 
     def __post_init__(self):
         e = self.spec.identity()
@@ -118,7 +129,10 @@ def chi_from_set(spec: GroupSpec, S: Sequence[Element]) -> PdFunction:
     """The overlap function g -> |S meet gS| / |S| for a finite nonempty S.
 
     Counting is exact integer arithmetic; the single division happens on
-    evaluation.  The support is contained in S S^-1.
+    evaluation.  The support is contained in S S^-1.  When S is a ball of
+    a free group the function is radial: |S meet gS| counts the vertices
+    of the Cayley tree within the radius of both e and g, and the tree's
+    automorphisms fixing e act transitively on each sphere.
     """
     members = list(S)
     if not members:
@@ -138,7 +152,27 @@ def chi_from_set(spec: GroupSpec, S: Sequence[Element]) -> PdFunction:
         count = sum(1 for s in sset if spec.multiply(ginv, s) in sset)
         return Fraction(count, size)
 
-    return PdFunction(spec, evaluate, support=support, label=f"chi_S(|S|={size})")
+    return PdFunction(
+        spec,
+        evaluate,
+        support=support,
+        label=f"chi_S(|S|={size})",
+        radial=_is_free_ball(spec, sset),
+    )
+
+
+def _is_free_ball(spec: GroupSpec, sset: frozenset) -> bool:
+    """True iff the set of valid words is a whole ball of a free group.
+
+    Every word is at most as long as the longest, so the set lies in that
+    ball and fills it exactly when the sizes agree.
+    """
+    if not isinstance(spec, FreeGroup):
+        return False
+    radius = max(map(len, sset))
+    k = spec.k
+    size = 1 + sum(2 * k * (2 * k - 1) ** (r - 1) for r in range(1, radius + 1))
+    return len(sset) == size
 
 
 def chi_from_set_exact(spec: GroupSpec, S: Sequence[Element], g: Element) -> Fraction:
@@ -182,6 +216,7 @@ def haagerup(spec: GroupSpec, eps: float) -> PdFunction:
         lambda t: math.exp(-eps * spec.word_length(t)),
         support=None,
         label=f"exp(-{eps}*l)",
+        radial=True,
     )
 
 
@@ -199,6 +234,7 @@ def pointwise_product(f: PdFunction, g: PdFunction) -> PdFunction:
         lambda t: f(t) * g(t),
         support=support,
         label=f"({f.label})*({g.label})",
+        radial=f.radial and g.radial,
     )
 
 
@@ -221,6 +257,7 @@ def convex_combination(terms: Sequence[Tuple[float, PdFunction]]) -> PdFunction:
         lambda t: sum(w * f(t) for w, f in terms),
         support=support,
         label="convex",
+        radial=all(f.radial for _, f in terms),
     )
 
 
@@ -233,11 +270,34 @@ def gram_matrix(f: PdFunction, window: Ball) -> np.ndarray:
         raise SpecMismatchError("function and window groups differ")
     n = len(window)
     out = np.empty((n, n), dtype=complex)
+    if f.radial:
+        _fill_by_length(f, window, out)
+        return out
     inverses = [spec.inverse(h) for h in window]
     for j, hinv in enumerate(inverses):
         for i, g in enumerate(window):
             out[i, j] = f(spec.multiply(g, hinv))
     return out
+
+
+def _fill_by_length(f: PdFunction, window: Ball, out: np.ndarray) -> None:
+    """Fill the Gram of a radial f from the window's quotient-length table.
+
+    f is called once per distinct length, at the first entry of that
+    length in the per-entry loop's column-major order, so each entry holds
+    the value that loop would have computed there.
+    """
+    spec = window.spec
+    lengths = spec.quotient_lengths(window.elements)
+    for ell in range(int(lengths.max()) + 1):
+        mask = lengths == ell
+        hit = mask.any(axis=0)
+        if not hit.any():
+            continue
+        j = int(np.argmax(hit))
+        i = int(np.argmax(mask[:, j]))
+        value = f(spec.multiply(window[i], spec.inverse(window[j])))
+        np.copyto(out, value, where=mask)
 
 
 def check_positive_definite(
@@ -248,8 +308,10 @@ def check_positive_definite(
     Default tolerance is 1e-8 * max(1, spectral norm), sized for dense
     double-precision Gram matrices up to a few thousand rows.
     """
-    gram = gram_matrix(f, window)
-    herm = (gram + gram.conj().T) / 2.0
+    # symmetrized in place: (G + G^*) / 2 with two n^2 arrays alive, not three
+    herm = gram_matrix(f, window)
+    herm += herm.conj().T
+    herm /= 2.0
     eigs = np.linalg.eigvalsh(herm)
     min_eig = float(eigs[0])
     if tolerance is None:

@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     MarginError,
     NotInDomainError,
+    NotPositiveError,
     NotUnitalError,
     SpecMismatchError,
 )
@@ -214,7 +215,7 @@ def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
     bad = np.flatnonzero(~(vals.real > CHI_FLOOR) | (np.abs(vals.imag) > UNITAL_TOL))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(
+        raise NotPositiveError(
             f"eigenvalue at {ctx.group.format_element(ctx.window[i])} is not "
             f"strictly positive: {complex(vals[i])}"
         )

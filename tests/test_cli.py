@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from crossedprod import __version__, sigma, summation
+import numpy as np
+
+from crossedprod import __version__, posdef, sigma, summation
 from crossedprod._core import BACKEND
 from crossedprod.cli import _write_json, main
 from crossedprod.groups import ORDERING_VERSION, ball, parse_group
@@ -348,6 +350,23 @@ def test_non_unital_map_is_a_check_failure(tmp_path, monkeypatch, capsys):
     )
     assert code == 4
     assert "check failed: map is not unital: defect 1.000e+00" in capsys.readouterr().err
+
+
+def test_non_positive_eigenvalues_are_a_check_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sigma, "CHI_FLOOR", 2.0)
+    code, _ = run(tmp_path, "sigma", "--group", "C4", "--trials", "2")
+    assert code == 4
+    assert "check failed: eigenvalue at 0 is not strictly positive" in capsys.readouterr().err
+
+
+def test_eigensolver_failure_is_a_check_failure(tmp_path, monkeypatch, capsys):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(posdef.np.linalg, "eigvalsh", no_convergence)
+    code, _ = run(tmp_path, "psd", "--group", "F2", "--eps", "0.5", "--ball", "1")
+    assert code == 4
+    assert "check failed: Eigenvalues did not converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

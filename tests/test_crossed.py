@@ -468,3 +468,25 @@ def test_alpha_identity_and_composition():
             lhs = ctx.alpha(g, ctx.alpha(h, r))
             rhs = ctx.alpha((g + h) % 6, r)
             assert np.allclose(lhs, rhs)
+
+
+def test_cached_rows_serve_window_elements_without_multiplying(monkeypatch):
+    ctx = ctx_swap(6)
+    x = random_operator(ctx, np.random.default_rng(5))
+    before = {g: fourier_coefficient(ctx, x, g).data for g in ctx.window}
+    ctx.mul_table
+    calls = []
+    real = Cyclic.multiply
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(Cyclic, "multiply", counted)
+    for g in ctx.window:
+        assert np.array_equal(fourier_coefficient(ctx, x, g).data, before[g])
+        assert np.array_equal(ctx.left_index(g), ctx.mul_table[ctx.window.index(g)])
+    assert calls == []
+    # the returned row is a copy: writing to it leaves the cache alone
+    ctx.left_index(1)[:] = -1
+    assert (ctx.mul_table[1] >= 0).all()

@@ -1,6 +1,7 @@
 """The sweep reports match reports recorded from the per-block reference
 kernels: every key, verdict, integer and string exactly, every float to
-FLOAT_TOL absolute."""
+FLOAT_TOL absolute.  The psd reports match reports recorded from the
+per-entry Gram loop byte for byte."""
 
 import json
 from pathlib import Path
@@ -44,6 +45,21 @@ def test_sweep_report_matches_golden(tmp_path, name, argv):
     got = json.loads((tmp_path / f"{name}.json").read_text())
     want = json.loads((DATA / f"golden_{name}.json").read_text())
     assert_report_matches(got, want)
+
+
+GOLDEN_PSD = [
+    ("f2_haagerup", ["--group", "F2", "--eps", "0.549306", "--ball", "4"]),
+    ("f2_ball_square", ["--group", "F2", "--set", "ball:2", "--ball", "3", "--square"]),
+    ("zxc3_haagerup", ["--group", "ZxC3", "--eps", "0.5", "--ball", "2"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_PSD, ids=[name for name, _ in GOLDEN_PSD])
+def test_psd_report_is_byte_identical(tmp_path, name, argv):
+    assert main(["psd"] + argv + ["--out", str(tmp_path)]) == 0
+    for ext in ("json", "csv"):
+        got = (tmp_path / f"psd.{ext}").read_bytes()
+        assert got == (DATA / f"golden_psd_{name}.{ext}").read_bytes(), ext
 
 
 def test_golden_comparison_catches_a_moved_float():

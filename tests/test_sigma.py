@@ -19,6 +19,7 @@ from crossedprod.errors import (
     ConfigError,
     MarginError,
     NotInDomainError,
+    NotPositiveError,
     NotUnitalError,
     SpecMismatchError,
 )
@@ -484,4 +485,11 @@ def test_make_pair_rejects_a_non_unital_map(monkeypatch):
     xi = L2Vector.normalized({0: 1.0, 1: 0.5, 2: 0.25})
     monkeypatch.setattr(sigma, "sigma_xi", lambda ctx, xi, x: 2 * x)
     with pytest.raises(NotUnitalError, match="map is not unital: defect 1.000e"):
+        make_pair(ctx, xi)
+
+
+def test_non_positive_eigenvalues_raise_a_typed_error():
+    ctx = make_context(Integers(), radius=4)
+    xi = L2Vector.normalized({0: 1.0, 1: 0.5, 2: 0.25})
+    with pytest.raises(NotPositiveError, match="is not strictly positive"):
         make_pair(ctx, xi)
