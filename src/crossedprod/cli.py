@@ -458,6 +458,9 @@ def cmd_folner(args) -> Report:
     spec = parse_group(args.group)
     t = spec.parse_element(args.t)
     radii = _parse_int_list(args.radii)
+    size = max(posdef.folner_size(spec, n) for n in radii)
+    if size > args.cap:
+        raise ResourceCapError(f"averaging set of {size} elements exceeds cap {args.cap}")
     study = summation.folner_study(spec, t, radii)
     rows = []
     ok = True

@@ -249,7 +249,7 @@ class IntegerLattice(GroupSpec):
 
 @dataclass(frozen=True, repr=False)
 class Cyclic(GroupSpec):
-    """C_n = Z/nZ; payloads reduced to {0..n-1}, length min(j, n-j)."""
+    """C_n = Z/nZ; payloads in {0..n-1}, length min(j, n-j)."""
 
     n: int
 
@@ -307,7 +307,11 @@ class Cyclic(GroupSpec):
         return (1,) * (self.n - a)
 
     def parse_element(self, text):
-        return _as_int(text) % self.n
+        """An integer in -n < x < n; a negative x spells the inverse of -x."""
+        x = _as_int(text)
+        if not -self.n < x < self.n:
+            raise ConfigError(f"{x} is out of range for C{self.n}: need |x| < {self.n}")
+        return x % self.n
 
     def format_element(self, a):
         return str(a)

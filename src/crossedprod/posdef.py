@@ -352,19 +352,78 @@ def folner_set(spec: GroupSpec, n: int) -> List[Element]:
     raise SpecMismatchError(f"no averaging sequence for {spec.label}")
 
 
+def _folner_axes(spec: GroupSpec, n: int) -> List[int]:
+    """One entry per coordinate of F_n: 0 for a Z coordinate, which runs
+    over {0..n}, and m for a C_m factor, which F_n fills."""
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    if isinstance(spec, Integers):
+        return [0]
+    if isinstance(spec, IntegerLattice):
+        return [0] * spec.d
+    if isinstance(spec, Cyclic):
+        return [spec.n]
+    if isinstance(spec, ProductGroup):
+        return [m for f in spec.factors for m in _folner_axes(f, n)]
+    raise SpecMismatchError(f"no averaging sequence for {spec.label}")
+
+
+def _coordinates(spec: GroupSpec, t: Element) -> List[int]:
+    """The payload t as one integer per coordinate of _folner_axes."""
+    if isinstance(spec, IntegerLattice):
+        return list(t)
+    if isinstance(spec, ProductGroup):
+        return [x for f, part in zip(spec.factors, t) for x in _coordinates(f, part)]
+    return [t]
+
+
+def _folner_shift(spec: GroupSpec, n: int, t: Element) -> List[Tuple[int, int]]:
+    """(axis, coordinate of t) pairs for F_n and its translate tF_n."""
+    axes = _folner_axes(spec, n)
+    return list(zip(axes, _coordinates(spec, spec.validate(t))))
+
+
+def folner_size(spec: GroupSpec, n: int) -> int:
+    """|F_n|: n + 1 per Z coordinate times the order of each cyclic factor."""
+    return math.prod(m or n + 1 for m in _folner_axes(spec, n))
+
+
 def folner_overlap(spec: GroupSpec, n: int, t: Element) -> Fraction:
-    """Exact |F_n meet tF_n| / |F_n| for the built-in sequence."""
-    F = folner_set(spec, n)
-    members = set(F)
-    count = sum(1 for h in F if spec.multiply(t, h) in members)
-    return Fraction(count, len(F))
+    """Exact |F_n meet tF_n| / |F_n| for the built-in sequence.
+
+    A box meets its translate in a box: each Z coordinate keeps
+    max(0, n+1-|t_i|) of its n+1 values, and a cyclic factor, which F_n
+    fills, keeps all of them.
+    """
+    size = overlap = 1
+    for m, x in _folner_shift(spec, n, t):
+        size *= m or n + 1
+        overlap *= m or max(0, n + 1 - abs(x))
+    return Fraction(overlap, size)
 
 
 def folner_defect(spec: GroupSpec, n: int, t: Element) -> Fraction:
-    """Exact |tF_n symdiff F_n| / |F_n|, counted by set difference."""
-    F = folner_set(spec, n)
-    moved = {spec.multiply(t, h) for h in F}
-    return Fraction(len(moved.symmetric_difference(F)), len(F))
+    """Exact |tF_n symdiff F_n| / |F_n|, counted over enumerated elements.
+
+    Both sets are enumerated as mixed-radix int64 codes, one digit per
+    coordinate: a Z coordinate in the radix n+1+|t_i| after an offset that
+    makes both intervals nonnegative, a C_m coordinate as (x + t_i) mod m.
+    A Z shift past the box is cut to n+1, which keeps the intervals as
+    disjoint and the radices small.
+    """
+    moved = members = np.zeros(1, dtype=np.int64)
+    for m, x in _folner_shift(spec, n, t):
+        if m:
+            radix, digits = m, np.arange(m)
+            shifted = (digits + x) % m
+        else:
+            x = max(-(n + 1), min(x, n + 1))
+            radix, digits = n + 1 + abs(x), np.arange(n + 1) - min(x, 0)
+            shifted = digits + x
+        members = np.add.outer(members * radix, digits).ravel()
+        moved = np.add.outer(moved * radix, shifted).ravel()
+    differ = len(np.setxor1d(members, moved, assume_unique=True))
+    return Fraction(differ, len(members))
 
 
 def folner_eigenvalues(

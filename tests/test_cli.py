@@ -437,3 +437,46 @@ def test_cesaro_accepts_the_smallest_grid(tmp_path):
     )
     assert code == 0
     assert read_outputs(out, "cesaro")[1]["grid_points"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", "--group", "C5", "--set", "0;7", "--at", "2"),
+        ("chi", "--group", "C5", "--set", "0..7", "--at", "2"),
+        ("folner", "--group", "ZxC3", "--t", "(1,5)"),
+        ("folner", "--group", "C4", "--t", "-4"),
+    ],
+)
+def test_out_of_range_cyclic_elements_are_config_errors(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert "out of range for C" in capsys.readouterr().err
+    assert not (out / f"{argv[0]}.csv").exists()
+
+
+def test_negative_cyclic_element_spells_an_inverse(tmp_path):
+    code, out = run(tmp_path, "folner", "--group", "ZxC3", "--t", "(1,-1)", "--radii", "1..2")
+    assert code == 0
+    assert read_outputs(out, "folner")[1]["t"] == "(1,2)"
+
+
+def test_cap_bounds_the_folner_sets(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the study ran past the cap")
+
+    monkeypatch.setattr(summation, "folner_study", never)
+    code, out = run(tmp_path, "folner", "--group", "Z^3", "--t", "(0,1,0)", "--radii", "1..400")
+    assert code == 3
+    assert "averaging set of 64481201 elements exceeds cap 1000000" in capsys.readouterr().err
+    assert not (out / "folner.csv").exists()
+    code, _ = run(tmp_path, "folner", "--group", "ZxC3", "--t", "(1,2)", "--radii", "1..8", "--cap", "26")
+    assert code == 3
+
+
+def test_folner_set_at_the_cap_runs(tmp_path):
+    code, out = run(
+        tmp_path, "folner", "--group", "ZxC3", "--t", "(1,2)", "--radii", "8,1", "--cap", "27"
+    )
+    assert code == 0
+    assert read_outputs(out, "folner")[1]["radii"] == [8, 1]

@@ -69,3 +69,25 @@ def test_golden_comparison_catches_a_moved_float():
         assert_report_matches(moved, want)
     with pytest.raises(AssertionError):
         assert_report_matches(dict(want, verdict="Fail"), want)
+
+
+GOLDEN_SCALAR = [
+    ("folner_z3_neg_unit", ["folner", "--group", "Z^3", "--t", "(0,0,-1)", "--radii", "1..30"]),
+    ("folner_zxc3", ["folner", "--group", "ZxC3", "--t", "(-1,2)", "--radii", "1..300"]),
+    ("folner_z2_wide", ["folner", "--group", "Z^2", "--t", "(3,-2)", "--radii", "1..5"]),
+    (
+        "cesaro_grid2001",
+        ["cesaro", "--coeffs", "0:1,1:0.5,-1:0.5", "--orders", "5..200", "--grid", "2001"],
+    ),
+    ("cesaro_complex", ["cesaro", "--coeffs", "0:1,2:0.5j,-3:-0.25", "--orders", "0..40"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_SCALAR, ids=[name for name, _ in GOLDEN_SCALAR])
+def test_scalar_report_is_byte_identical(tmp_path, name, argv):
+    """Reports recorded from the set-based Folner counts and the per-point
+    Cesaro grid loop."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for ext in ("json", "csv"):
+        got = (tmp_path / f"{argv[0]}.{ext}").read_bytes()
+        assert got == (DATA / f"golden_{name}.{ext}").read_bytes(), ext

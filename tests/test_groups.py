@@ -325,3 +325,13 @@ def test_malformed_product_payload_raises(payload):
     ):
         with pytest.raises(SpecMismatchError):
             call()
+
+
+def test_cyclic_parse_rejects_out_of_range_integers():
+    C5 = Cyclic(5)
+    assert [C5.parse_element(str(x)) for x in range(-4, 5)] == [1, 2, 3, 4, 0, 1, 2, 3, 4]
+    for text in ("5", "7", "-5", "-12"):
+        with pytest.raises(ConfigError, match="out of range for C5"):
+            C5.parse_element(text)
+    with pytest.raises(ConfigError, match="out of range for C3"):
+        parse_group("ZxC3").parse_element("(1,5)")
