@@ -5,6 +5,13 @@ algebra of d x d matrices and an action by coordinate permutations; the
 algebra fixes the conditional expectation onto it.  Operators live on
 window x internal space and are stored dense (BlockMatrix).
 
+On a finite group the norm and spectrum of a crossed-product span element
+are read off its coefficient stack c instead (dual_blocks): conjugating
+by diag(U_h) turns it into the group convolution with blocks U_s c_s,
+which the characters gamma of the finite abelian group split into n
+blocks F_gamma = sum_s conj gamma(s) U_s c_s of size d x d.  Only
+general window operators take the dense eigensolve (op_norm).
+
 Translation operators drop transitions that leave the window, so on
 infinite groups most identities hold only for inputs with enough support
 margin; on finite groups (window = whole group) everything is exact.
@@ -13,6 +20,7 @@ margin; on finite groups (window = whole group) everything is exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -30,6 +38,7 @@ from .groups import (
     Cyclic,
     Element,
     GroupSpec,
+    ProductGroup,
     ball,
     parse_group,
     whole_group_ball,
@@ -318,6 +327,45 @@ class CrossedContext:
         """(n, d) gather indices of alpha_{g^-1}, one row per window slot g."""
         return _gather_index(self.inv_perms)
 
+    @cached_property
+    def phi_index(self) -> np.ndarray:
+        """(n, n, d, d) flat indices into a window operator's data: entry
+        (t, j) reads block (g_t g_j, g_j) through alpha_{g_j}, so column 0
+        is the coefficient stack.  Where g_t g_j leaves the window it reads
+        block (0, j), which the span checks mask."""
+        n, d = self.nwin, self.d
+        rows = np.maximum(self.mul_table, 0)[..., None] * d + self.perm_index
+        cols = np.arange(n)[:, None] * d + self.perm_index
+        return rows[..., :, None] * (n * d) + cols[:, None, :]
+
+    @cached_property
+    def theta_index(self) -> np.ndarray:
+        """(nd, nd) flat indices into a coefficient stack with one zero
+        appended: entry (i d + a, j d + b) of theta(c) is entry (a, b) of
+        alpha_{g_j^-1}(c at g_i g_j^-1), or the zero where g_i g_j^-1
+        leaves the window."""
+        n, d = self.nwin, self.d
+        q = self.inv_perm_index
+        inner = (q[:, :, None] * d + q[:, None, :])[None]
+        idx = np.where(
+            (self.rel_table < 0)[..., None, None],
+            n * d * d,
+            self.rel_table[..., None, None] * (d * d) + inner,
+        )
+        return idx.swapaxes(1, 2).reshape(n * d, n * d)
+
+    @cached_property
+    def dual_table(self) -> np.ndarray:
+        """(n, n) values conj gamma(g_s) of the characters of a finite
+        abelian group, one row per character.  The character of row k is
+        exp(2 pi i sum_f k_f x_f / n_f) over the cyclic coordinates, with
+        k the coordinates of window slot k."""
+        coords = [_cyclic_coordinates(self.group, g) for g in self.window]
+        x = np.array([[c for c, _ in row] for row in coords], dtype=np.int64)
+        orders = np.array([o for _, o in coords[0]], dtype=np.int64)
+        phase = ((x[:, None, :] * x[None, :, :]) % orders / orders).sum(axis=-1)
+        return np.exp(-2j * np.pi * phase)
+
     def alpha(self, g: Element, r: np.ndarray) -> np.ndarray:
         """The automorphism alpha_g applied to a coefficient matrix."""
         return self.alpha_by_perm(self.action.perm(g, self.d), r)
@@ -346,6 +394,14 @@ class CrossedContext:
 
     def wrap(self, data: np.ndarray) -> "BlockMatrix":
         return BlockMatrix(self.window, self.d, np.asarray(data, dtype=complex))
+
+
+def _cyclic_coordinates(spec: GroupSpec, g: Element) -> List[Tuple[int, int]]:
+    """(coordinate, order) of g in each cyclic factor of a finite group:
+    the finite groups here are C_n and products of them."""
+    if isinstance(spec, ProductGroup):
+        return [c for f, x in zip(spec.factors, g) for c in _cyclic_coordinates(f, x)]
+    return [(g, spec.n)]
 
 
 def _gather_index(perms: Sequence[Tuple[int, ...]]) -> np.ndarray:
@@ -610,38 +666,117 @@ def phi_hom(
     equal to the block-diagonal embedding of r.  Raises when no such r
     exists (x is outside the crossed-product span) within tol.
     """
-    n = ctx.nwin
-    xblocks = x.blocks()
-    mul = ctx.mul_table
-    slots = np.arange(n)
+    coeffs = _phi_batch(ctx, [x], tol)[0][0]
+    if ctx.algebra.kind == "diagonal":
+        return _keep_diagonal(coeffs)
+    return coeffs
+
+
+def _phi_batch(
+    ctx: CrossedContext, xs: Sequence[BlockMatrix], tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The checks of phi_hom on k operators at once.
+
+    Returns their (k, n, d, d) coefficient stacks, read off column 0 and
+    not yet compressed onto the algebra, and the squared Frobenius norm
+    of x - theta(c) over the blocks the window translates reach: every
+    block on a finite group.
+    """
+    cand = np.empty((len(xs),) + ctx.phi_index.shape, dtype=complex)
+    for c, x in zip(cand, xs):
+        np.take(x.data.astype(complex, copy=False), ctx.phi_index, out=c)
     # slot t is read off column 0 (the identity) and must agree with
     # alpha_{g_j}(x_{(t g_j, g_j)}) in every other column j
-    coeffs = xblocks[slots, 0]
-    cand = ctx.alpha_by_perm(ctx.perm_index, xblocks[mul, slots])
-    defect = np.max(np.abs(cand - coeffs[:, None]), axis=(-2, -1))
-    defect[(mul < 0) | (slots[None, :] == 0)] = 0.0
+    coeffs = cand[:, :, 0].copy()
+    cand -= coeffs[:, :, None]
+    gap = np.abs(cand)
+    if not ctx.group.is_finite():
+        gap[:, ctx.mul_table < 0] = 0.0
+    # (k, n) largest entry off the algebra, per coefficient
+    off = np.zeros(coeffs.shape[:2])
+    if ctx.algebra.kind == "diagonal":
+        off = np.max(np.abs(coeffs * (1.0 - np.eye(ctx.d))), axis=(-2, -1))
+    if np.max(gap) > tol or not np.max(off) <= tol:
+        _raise_outside_span(ctx, np.max(gap, axis=(-2, -1)), off, tol)
+    return coeffs, np.einsum("ktjab,ktjab->k", gap, gap)
+
+
+def _raise_outside_span(
+    ctx: CrossedContext, defect: np.ndarray, off: np.ndarray, tol: float
+):
+    """NotInCrossedProductError at the first slot of a batch whose (n,)
+    consistency defects exceed tol or whose coefficient leaves the
+    algebra by more than tol."""
     inconsistent = defect > tol
-    if ctx.algebra.kind == "diagonal":
-        off = np.abs(coeffs - _keep_diagonal(coeffs))
-        outside = ~(np.max(off, axis=(-2, -1), initial=0.0) <= tol)
-    else:
-        outside = np.zeros(n, dtype=bool)
-    bad = np.flatnonzero(inconsistent.any(axis=1) | outside)
-    if bad.size:
-        ti = int(bad[0])
-        if inconsistent[ti].any():
-            j = int(np.argmax(inconsistent[ti]))
-            raise NotInCrossedProductError(
-                f"coefficient at window slot {ti} inconsistent across the "
-                f"diagonal (defect {float(defect[ti, j]):.3e})"
-            )
+    bad = np.flatnonzero(inconsistent.any(axis=-1) | ~(off <= tol))
+    k, ti = divmod(int(bad[0]), ctx.nwin)
+    if inconsistent[k, ti].any():
+        j = int(np.argmax(inconsistent[k, ti]))
         raise NotInCrossedProductError(
-            f"coefficient at window slot {ti} leaves the "
-            f"{ctx.algebra.kind} algebra"
+            f"coefficient at window slot {ti} inconsistent across the "
+            f"diagonal (defect {float(defect[k, ti, j]):.3e})"
         )
-    if ctx.algebra.kind == "diagonal":
-        coeffs = _keep_diagonal(coeffs)
-    return coeffs
+    raise NotInCrossedProductError(
+        f"coefficient at window slot {ti} leaves the "
+        f"{ctx.algebra.kind} algebra"
+    )
+
+
+def dual_blocks(
+    ctx: CrossedContext, x: Union[BlockMatrix, Sequence[Sequence[BlockMatrix]]]
+) -> Tuple[np.ndarray, float]:
+    """The dual-group blocks of a span element, and its Frobenius residual.
+
+    x is a span element or an m x m grid of them, read as their
+    m-amplification.  Returns the (n, md, md) blocks F_gamma, whose
+    (p, q) parts are sum_s conj gamma(s) U_s c_s for the coefficient stack
+    c of x_pq, and the Frobenius norm of x - theta(c) over the grid.  The
+    amplified operator is unitarily equivalent to the direct sum of the
+    blocks up to that residual, so span_norms adds it and
+    span_min_eigenvalues subtracts it.  Raises NotInCrossedProductError
+    outside the span, as phi_hom does, and SpecMismatchError on an
+    infinite group.
+    """
+    if not ctx.group.is_finite():
+        raise SpecMismatchError("dual-group blocks need a finite group")
+    grid = [[x]] if isinstance(x, BlockMatrix) else x
+    n, d, m = ctx.nwin, ctx.d, len(grid)
+    flat = [xpq for row in grid for xpq in row]
+    coeffs, squares = _phi_batch(ctx, flat, DEFAULT_TOL)
+    # U_s c_s: row a of slot s is row perm_index[s, a] of c_s
+    shifted = coeffs[:, np.arange(n)[:, None], ctx.perm_index]
+    stack = shifted.reshape(m, m, n, d, d).transpose(2, 0, 3, 1, 4)
+    blocks = ctx.dual_table @ stack.reshape(n, -1)
+    return blocks.reshape(n, m * d, m * d), math.sqrt(squares.sum())
+
+
+def empty_blocks(
+    ctx: CrossedContext, k: int, m: int = 1
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Room for the dual_blocks of k elements, m-amplified, and their
+    residuals: one array per sweep, filled in place, keeps a sweep's
+    blocks from scattering over the heap between its dense temporaries."""
+    d = m * ctx.d
+    return np.empty((k, ctx.nwin, d, d), dtype=complex), np.empty(k)
+
+
+def span_norms(blocks: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """Operator norms of k elements from their stacked (k, n, md, md)
+    dual_blocks and (k,) residuals, in one batched eigensolve: the
+    largest block norm plus the residual, so never below the dense
+    op_norm of the element."""
+    gram = blocks.conj().swapaxes(-1, -2) @ blocks
+    top = np.max(np.linalg.eigvalsh(gram)[..., -1], axis=-1)
+    return np.sqrt(np.maximum(top, 0.0)) + residuals
+
+
+def span_min_eigenvalues(blocks: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of k elements, from
+    their stacked dual_blocks and residuals as in span_norms, in one
+    batched eigensolve, minus the residual, so never above the dense
+    value."""
+    herm = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+    return np.min(np.linalg.eigvalsh(herm)[..., 0], axis=-1) - residuals
 
 
 def theta_embed(
@@ -672,10 +807,7 @@ def theta_embed(
     stack = np.asarray(coeffs, dtype=complex)
     if stack.shape != (n, d, d):
         raise SpecMismatchError(f"coefficient stack must be ({n},{d},{d})")
-    rel = ctx.rel_table
-    blocks = ctx.alpha_by_perm(ctx.inv_perm_index, stack[rel])
-    blocks[rel < 0] = 0.0
-    return ctx.wrap(blocks.swapaxes(1, 2).reshape(n * d, n * d))
+    return ctx.wrap(np.append(stack.ravel(), 0.0)[ctx.theta_index])
 
 
 def hadamard_product(
