@@ -12,6 +12,7 @@ exceeded, 4 a numerical check failed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -41,6 +42,7 @@ from .groups import (
     GroupSpec,
     ball,
     parse_group,
+    whole_group_ball,
 )
 
 
@@ -70,7 +72,7 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]):
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     import io
 
     buf = io.StringIO()
@@ -78,7 +80,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]):
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _json_default(value):
@@ -87,11 +89,21 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
-def _write_json(path: str, doc: dict):
+def _json_text(doc: dict) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError."""
     text = json.dumps(
         doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False
     )
-    _atomic_write(path, text + "\n")
+    return text + "\n"
+
+
+def _write_json(path: str, doc: dict):
+    _atomic_write(path, _json_text(doc))
+
+
+def _check_finite_float(flag: str, value) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -161,9 +173,13 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
         return posdef.L2Vector.indicator(list(ctx.window))
     if text.startswith("geometric:"):
         q = float(text[len("geometric:") :])
+        _check_finite_float("--xi geometric ratio", q)
         if not 0 < q:
             raise ConfigError("geometric ratio must be positive")
-        weights = {g: q ** ctx.group.word_length(g) for g in ctx.window}
+        try:
+            weights = {g: q ** ctx.group.word_length(g) for g in ctx.window}
+        except OverflowError:
+            raise ConfigError(f"--xi geometric weights must be finite; {q} overflows")
         return posdef.L2Vector.normalized(weights)
     raise ConfigError(f"unknown vector recipe {text!r} (uniform, geometric:q)")
 
@@ -293,13 +309,15 @@ def cmd_freecount(args) -> Report:
 
 
 def _build_context(args) -> crossed.CrossedContext:
-    spec = parse_group(args.group)
-    if not spec.is_finite():
-        raise ConfigError(f"{spec.label} is infinite; sweeps need a finite group")
-    algebra = _parse_algebra(args.algebra)
-    action = _parse_action(spec, args.action)
+    """The sweep context: the whole group as window, under --cap."""
     try:
-        return crossed.make_context(spec, algebra=algebra, action=action)
+        spec = parse_group(args.group)
+        if not spec.is_finite():
+            raise ConfigError(f"{spec.label} is infinite; sweeps need a finite group")
+        algebra = _parse_algebra(args.algebra)
+        action = _parse_action(spec, args.action)
+        window = whole_group_ball(spec, args.cap)
+        return crossed.CrossedContext(spec, window, algebra, action)
     except SpecMismatchError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -345,9 +363,9 @@ def cmd_sigma(args) -> Report:
     ok = (
         cp.verdict == "Pass"
         and cond.condition_ii_margin >= -args.tol
-        and tau_dev <= 1e-10
-        and cp.max_bimodular_defect <= 1e-10
-        and cp.max_eigenrelation_defect <= 1e-10
+        and tau_dev <= args.tol
+        and cp.max_bimodular_defect <= args.tol
+        and cp.max_eigenrelation_defect <= args.tol
     )
     rows = [
         ("unital_defect", unital),
@@ -394,7 +412,7 @@ def cmd_pi(args) -> Report:
     worst_idem = max([0.0] + idems)
     worst_span = max([0.0] + spans)
     worst_amp = max([0.0] + amps)
-    ok = worst_idem <= 1e-10 and worst_span <= 1e-10
+    ok = worst_idem <= args.tol and worst_span <= args.tol
     summary = {
         "group": ctx.group.label,
         "algebra": args.algebra,
@@ -416,7 +434,10 @@ def _parse_coeffs(text: str) -> Dict[int, complex]:
         if not chunk:
             continue
         k, _, c = chunk.partition(":")
-        out[int(k)] = complex(c)
+        value = complex(c)
+        if not cmath.isfinite(value):
+            raise ConfigError(f"--coeffs value at {k} must be finite, got {c}")
+        out[int(k)] = value
     if not out:
         raise ConfigError(f"empty coefficient list: {text!r}")
     return out
@@ -611,11 +632,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _expand_config(list(argv))
         args = build_parser().parse_args(argv)
+        _check_finite_float("--tol", getattr(args, "tol", None))
         header, rows, summary, ok = args.func(args)
-        base = os.path.join(args.out, args.command)
-        _write_csv(base + ".csv", header, rows)
         verdict = "Pass" if ok else "Fail"
-        _write_json(base + ".json", dict(summary, command=args.command, verdict=verdict))
+        # serialize both before writing either, so a summary that is not
+        # strict JSON leaves no CSV behind
+        csv_text = _csv_text(header, rows)
+        json_text = _json_text(dict(summary, command=args.command, verdict=verdict))
+        base = os.path.join(args.out, args.command)
+        _atomic_write(base + ".csv", csv_text)
+        _atomic_write(base + ".json", json_text)
         return 0 if ok else 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,11 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    MarginError,
-    NotInCrossedProductError,
-    SpecMismatchError,
-)
+from .errors import NotInCrossedProductError, SpecMismatchError
 from .groups import (
     ORDERING_VERSION,
     Ball,
@@ -526,9 +522,10 @@ class BlockMatrix:
 
 
 class BlockDiagonal(BlockMatrix):
-    """A BlockMatrix built with every off-diagonal block zero: Fourier
-    coefficients, embedded algebra elements, diagonal compressions.
-    Arithmetic on it returns a plain BlockMatrix."""
+    """A BlockMatrix built with every off-diagonal block zero.  psi
+    (embedded algebra elements), fourier_coefficient and diag (diagonal
+    compressions) return it; arithmetic on it returns a plain
+    BlockMatrix."""
 
 
 def op_norm(x: BlockMatrix) -> float:
@@ -557,27 +554,20 @@ def op_norm(x: BlockMatrix) -> float:
 
 
 def left_translation(ctx: CrossedContext, g: Element) -> BlockMatrix:
-    """The translation operator: block (a, b) = I exactly when a = g b.
+    """The translation operator L_g = theta({g: I}): block (a, b) = I
+    exactly when a = g b.
 
     Unitary when the group is finite; a partial isometry on windows.
     """
-    ctx.group.validate(g)
-    out = ctx.zero()
-    row = ctx.left_index(g)
-    cols = np.flatnonzero(row >= 0)
-    out.blocks()[row[cols], cols] = np.eye(ctx.d, dtype=complex)
-    return out
+    return theta_embed(ctx, {g: ctx.algebra.identity()})
 
 
 def psi(ctx: CrossedContext, r) -> BlockDiagonal:
-    """Block-diagonal embedding of an algebra element: block (g,g) is
-    the coefficient twisted by the inverse-element automorphism."""
-    r = ctx.algebra.validate_member(r)
-    out = BlockDiagonal(ctx.window, ctx.d, ctx.zero().data)
-    slots = np.arange(ctx.nwin)
-    stack = np.broadcast_to(r, (ctx.nwin, ctx.d, ctx.d))
-    out.blocks()[slots, slots] = ctx.alpha_by_perm(ctx.inv_perm_index, stack)
-    return out
+    """Block-diagonal embedding of an algebra element, theta({e: r}):
+    block (g,g) is the coefficient twisted by the inverse-element
+    automorphism."""
+    out = theta_embed(ctx, {ctx.group.identity(): r})
+    return BlockDiagonal(out.window, out.block_dim, out.data)
 
 
 def diag(x: BlockMatrix) -> BlockDiagonal:
@@ -592,7 +582,6 @@ def fourier_coefficient(
     ctx: CrossedContext, x: BlockMatrix, g: Element
 ) -> BlockDiagonal:
     """The diagonal operator Diag(L_g^* x); block (h,h) = x_{(gh, h)}."""
-    ctx.group.validate(g)
     out = BlockDiagonal(ctx.window, ctx.d, ctx.zero().data)
     row = ctx.left_index(g)
     cols = np.flatnonzero(row >= 0)
@@ -657,23 +646,21 @@ def p_seminorm(x: BlockMatrix, xi: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-def phi_hom(
-    ctx: CrossedContext, x: BlockMatrix, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def phi_hom(ctx: CrossedContext, x: BlockMatrix) -> np.ndarray:
     """Coefficient extraction: stack of algebra elements, one per window slot.
 
     Slot t holds the unique r with translate-diagonal Diag(L_{t^-1} x)
     equal to the block-diagonal embedding of r.  Raises when no such r
-    exists (x is outside the crossed-product span) within tol.
+    exists (x is outside the crossed-product span) within DEFAULT_TOL.
     """
-    coeffs = _phi_batch(ctx, [x], tol)[0][0]
+    coeffs = _phi_batch(ctx, [x])[0][0]
     if ctx.algebra.kind == "diagonal":
         return _keep_diagonal(coeffs)
     return coeffs
 
 
 def _phi_batch(
-    ctx: CrossedContext, xs: Sequence[BlockMatrix], tol: float
+    ctx: CrossedContext, xs: Sequence[BlockMatrix]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The checks of phi_hom on k operators at once.
 
@@ -696,19 +683,17 @@ def _phi_batch(
     off = np.zeros(coeffs.shape[:2])
     if ctx.algebra.kind == "diagonal":
         off = np.max(np.abs(coeffs * (1.0 - np.eye(ctx.d))), axis=(-2, -1))
-    if np.max(gap) > tol or not np.max(off) <= tol:
-        _raise_outside_span(ctx, np.max(gap, axis=(-2, -1)), off, tol)
+    if np.max(gap) > DEFAULT_TOL or not np.max(off) <= DEFAULT_TOL:
+        _raise_outside_span(ctx, np.max(gap, axis=(-2, -1)), off)
     return coeffs, np.einsum("ktjab,ktjab->k", gap, gap)
 
 
-def _raise_outside_span(
-    ctx: CrossedContext, defect: np.ndarray, off: np.ndarray, tol: float
-):
+def _raise_outside_span(ctx: CrossedContext, defect: np.ndarray, off: np.ndarray):
     """NotInCrossedProductError at the first slot of a batch whose (n,)
-    consistency defects exceed tol or whose coefficient leaves the
-    algebra by more than tol."""
-    inconsistent = defect > tol
-    bad = np.flatnonzero(inconsistent.any(axis=-1) | ~(off <= tol))
+    consistency defects exceed DEFAULT_TOL or whose coefficient leaves
+    the algebra by more than DEFAULT_TOL."""
+    inconsistent = defect > DEFAULT_TOL
+    bad = np.flatnonzero(inconsistent.any(axis=-1) | ~(off <= DEFAULT_TOL))
     k, ti = divmod(int(bad[0]), ctx.nwin)
     if inconsistent[k, ti].any():
         j = int(np.argmax(inconsistent[k, ti]))
@@ -742,7 +727,7 @@ def dual_blocks(
     grid = [[x]] if isinstance(x, BlockMatrix) else x
     n, d, m = ctx.nwin, ctx.d, len(grid)
     flat = [xpq for row in grid for xpq in row]
-    coeffs, squares = _phi_batch(ctx, flat, DEFAULT_TOL)
+    coeffs, squares = _phi_batch(ctx, flat)
     # U_s c_s: row a of slot s is row perm_index[s, a] of c_s
     shifted = coeffs[:, np.arange(n)[:, None], ctx.perm_index]
     stack = shifted.reshape(m, m, n, d, d).transpose(2, 0, 3, 1, 4)
@@ -810,11 +795,9 @@ def theta_embed(
     return ctx.wrap(np.append(stack.ravel(), 0.0)[ctx.theta_index])
 
 
-def hadamard_product(
-    ctx: CrossedContext, x: BlockMatrix, y: BlockMatrix, tol: float = DEFAULT_TOL
-) -> BlockMatrix:
+def hadamard_product(ctx: CrossedContext, x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:
     """Coefficientwise product: the coefficient series multiply slotwise."""
-    cx = phi_hom(ctx, x, tol)
-    cy = phi_hom(ctx, y, tol)
+    cx = phi_hom(ctx, x)
+    cy = phi_hom(ctx, y)
     cz = np.einsum("tab,tbc->tac", cx, cy)
     return theta_embed(ctx, cz)

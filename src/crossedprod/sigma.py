@@ -52,9 +52,11 @@ UNITAL_TOL = 1e-12
 CHI_FLOOR = 1e-14
 
 
-def _window_support(ctx: CrossedContext, xi: L2Vector) -> List[Tuple[int, complex]]:
+def _support(ctx: CrossedContext, xi: L2Vector) -> Tuple[np.ndarray, np.ndarray]:
+    """Window slots of the nonzero entries k_i of xi, and the (s, s, 1, 1)
+    weights conj(k_i) k_j over pairs (i, j) of them."""
     idx = ctx.window.index_of
-    out = []
+    slots, k = [], []
     for g, v in xi.entries.items():
         v = complex(v)
         if v == 0:
@@ -65,14 +67,16 @@ def _window_support(ctx: CrossedContext, xi: L2Vector) -> List[Tuple[int, comple
                 f"vector entry at {ctx.group.format_element(g)} lies outside "
                 f"the window"
             )
-        out.append((i, v))
-    return out
+        slots.append(i)
+        k.append(v)
+    k = np.array(k, dtype=complex)
+    weights = k.conj()[:, None] * k[None, :]
+    return np.array(slots, dtype=np.int64), weights[:, :, None, None]
 
 
-def _check_margin(ctx: CrossedContext, supp: Sequence[Tuple[int, complex]]):
+def _check_margin(ctx: CrossedContext, slots: np.ndarray):
     if ctx.group.is_finite():
         return
-    slots = [i for i, _ in supp]
     if (ctx.rel_table[np.ix_(slots, slots)] < 0).any():
         raise MarginError(
             "support products leave the window; enlarge the window "
@@ -84,9 +88,8 @@ def sigma_coefficients(
     ctx: CrossedContext, xi: L2Vector, x: BlockMatrix
 ) -> np.ndarray:
     """Coefficient stack of the averaged map, aligned with the window."""
-    supp = _window_support(ctx, xi)
-    _check_margin(ctx, supp)
-    slots, weights = _support_grid(supp)
+    slots, weights = _support(ctx, xi)
+    _check_margin(ctx, slots)
     rows, cols = slots[:, None], slots[None, :]
     terms = weights * ctx.alpha_by_perm(
         ctx.perm_index[slots], ctx.expectation.apply(x.blocks()[rows, cols])
@@ -96,17 +99,6 @@ def sigma_coefficients(
     # unbuffered and in (i, j) order, as a loop over the pairs would add
     np.add.at(coeffs, ctx.rel_table[rows, cols].ravel(), terms.reshape(-1, d, d))
     return coeffs
-
-
-def _support_grid(
-    supp: Sequence[Tuple[int, complex]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Window slots of the support, and the (s, s, 1, 1) weights
-    conj(k_i) k_j over pairs (i, j) of support entries."""
-    slots = np.array([i for i, _ in supp], dtype=np.int64)
-    k = np.array([v for _, v in supp], dtype=complex)
-    weights = k.conj()[:, None] * k[None, :]
-    return slots, weights[:, :, None, None]
 
 
 def sigma_xi(ctx: CrossedContext, xi: L2Vector, x: BlockMatrix) -> BlockMatrix:
@@ -123,8 +115,7 @@ def tau_u(ctx: CrossedContext, xi: L2Vector, u: Element, x: BlockMatrix) -> Bloc
     if not ctx.group.is_finite():
         raise SpecMismatchError("the translation decomposition needs a finite group")
     ctx.group.validate(u)
-    supp = _window_support(ctx, xi)
-    slots, weights = _support_grid(supp)
+    slots, weights = _support(ctx, xi)
     # right translation by u^-1 permutes the window, so no two pairs collide
     moved = ctx.rel_table[slots, ctx.window.index(u)]
     out = ctx.zero()
@@ -160,7 +151,7 @@ def phi_t(
         raise NotInDomainError(
             f"eigenvalue at {ctx.group.format_element(t)} vanishes"
         )
-    slots, weights = _support_grid(_window_support(ctx, xi))
+    slots, weights = _support(ctx, xi)
     # support-grid pairs (a, b) with g_a = t g_b, in the order of b
     b, a = np.nonzero(slots[None, :] == ctx.left_index(t)[slots][:, None])
     i, j = slots[a], slots[b]
@@ -216,7 +207,7 @@ def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
                 "support must cover the whole group for a finite-group pair"
             )
     else:
-        _check_margin(ctx, _window_support(ctx, xi))
+        _check_margin(ctx, _support(ctx, xi)[0])
     pair = ExpectationPair(
         ctx, chi_of(ctx, xi), lambda x: sigma_xi(ctx, xi, x), xi=xi
     )
@@ -442,31 +433,27 @@ def _chi_divisors(pair: ExpectationPair) -> np.ndarray:
     return pair.chi_values
 
 
-def pi_projection(
-    pair: ExpectationPair, x: BlockMatrix, tol: float = 1e-10
-) -> BlockMatrix:
+def pi_projection(pair: ExpectationPair, x: BlockMatrix) -> BlockMatrix:
     """The idempotent: invert the eigenvalues on the coefficient series.
 
     Identity on the crossed-product span.  Eigenvalues below the floor
     mean the windowed inversion is meaningless; that is the finite-scale
     analogue of falling outside the domain.
     """
-    coeffs = phi_hom(pair.ctx, pair.sigma(x), tol)
+    coeffs = phi_hom(pair.ctx, pair.sigma(x))
     return theta_embed(pair.ctx, coeffs / _chi_divisors(pair)[:, None, None])
 
 
-def pi_amplification(pair: ExpectationPair, x: BlockMatrix, tol: float = 1e-10) -> float:
+def pi_amplification(pair: ExpectationPair, x: BlockMatrix) -> float:
     """Window-scale domain surrogate: the largest coefficient inflation.
 
     Reports max over window g of ||coefficient of sigma(x) at g|| / chi(g);
     boundedness of the idempotent is undecidable at a finite window, so
     the inflation factor is surfaced instead of a verdict.
     """
-    coeffs = phi_hom(pair.ctx, pair.sigma(x), tol)
-    worst = 0.0
-    for coeff, val in zip(coeffs, _chi_divisors(pair)):
-        worst = max(worst, float(np.linalg.norm(coeff, 2)) / abs(complex(val)))
-    return worst
+    coeffs = phi_hom(pair.ctx, pair.sigma(x))
+    norms = np.linalg.norm(coeffs, 2, axis=(-2, -1))
+    return float(np.max(norms / np.abs(_chi_divisors(pair)), initial=0.0))
 
 
 @dataclass(frozen=True)

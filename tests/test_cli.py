@@ -480,3 +480,76 @@ def test_folner_set_at_the_cap_runs(tmp_path):
     )
     assert code == 0
     assert read_outputs(out, "folner")[1]["radii"] == [8, 1]
+
+
+@pytest.mark.parametrize("command", ["sigma", "pi"])
+def test_cap_bounds_the_sweep_window(tmp_path, capsys, command):
+    code, out = run(tmp_path, command, "--group", "C50", "--cap", "10", "--trials", "1")
+    assert code == 3
+    assert "exceeds cap 10" in capsys.readouterr().err
+    assert not (out / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "C4", "--algebra", "diagonal:0"),
+        ("--group", "C4", "--algebra", "full:-2"),
+        ("--group", "C5", "--action", "swap", "--algebra", "diagonal:2"),
+    ],
+    ids=["diagonal-0", "full-negative", "swap-odd"],
+)
+def test_sweep_argument_errors_are_config_errors(tmp_path, capsys, argv):
+    code, out = run(tmp_path, "sigma", *argv, "--trials", "1")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (out / "sigma.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("psd", "--group", "F2", "--ball", "2", "--eps", "0.5", "--tol", "nan"), "--tol"),
+        (("sigma", "--group", "C4", "--tol", "nan"), "--tol"),
+        (("pi", "--group", "C4", "--trials", "1", "--tol", "inf"), "--tol"),
+        (("cesaro", "--orders", "1..2", "--tol", "nan"), "--tol"),
+        (("pi", "--group", "C4", "--trials", "1", "--xi", "geometric:inf"), "--xi"),
+        (("pi", "--group", "C50", "--trials", "1", "--xi", "geometric:1e13"), "--xi"),
+        (("cesaro", "--coeffs", "0:nan", "--orders", "1..2"), "--coeffs"),
+        (("cesaro", "--coeffs", "0:1,1:infj", "--orders", "1..2"), "--coeffs"),
+    ],
+    ids=[
+        "psd-tol", "sigma-tol", "pi-tol", "cesaro-tol", "xi", "xi-overflow", "coeffs",
+        "coeffs-imag",
+    ],
+)
+def test_non_finite_floats_are_config_errors(tmp_path, capsys, argv, flag):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}") and "must be finite" in err
+    assert list(out.iterdir()) == []
+
+
+def test_a_report_that_fails_to_serialize_writes_neither_file(tmp_path, monkeypatch):
+    from crossedprod import cli
+
+    monkeypatch.setattr(
+        cli, "cmd_balls", lambda args: (("a",), [(1,)], {"margin": float("nan")}, True)
+    )
+    code, out = run(tmp_path, "balls", "--group", "Z")
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("pi", "--group", "C5", "--trials", "3"), ("sigma", "--group", "C4", "--trials", "3")],
+    ids=["pi", "sigma"],
+)
+def test_sweep_tolerance_failure(tmp_path, argv):
+    # an impossible tolerance turns every rounding-level defect into a Fail
+    code, out = run(tmp_path, *argv, "--tol", "1e-30")
+    assert code == 4
+    _, doc = read_outputs(out, argv[0])
+    assert doc["verdict"] == "Fail"

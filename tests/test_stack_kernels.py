@@ -10,6 +10,7 @@ import pytest
 
 from crossedprod.crossed import (
     ActionSpec,
+    BlockDiagonal,
     BlockMatrix,
     CoeffAlgebra,
     ExpectationSpec,
@@ -377,3 +378,17 @@ def test_op_norm_path_follows_construction_not_values(monkeypatch):
         assert seen == [2]
         monkeypatch.undo()
         assert abs(got - dense_norm(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_psi_is_exactly_the_block_loop_and_blockwise(monkeypatch, name, ctx, xi):
+    r = ctx.algebra.random_member(np.random.default_rng(14))
+    got = psi(ctx, r)
+    assert isinstance(got, BlockDiagonal)
+    assert np.array_equal(got.data, ref_psi(ctx, r).data)
+    seen = eigvalsh_arg_ndims(monkeypatch)
+    norm = op_norm(got)
+    monkeypatch.undo()
+    assert seen == [3]
+    want = dense_norm(got)
+    assert abs(norm - want) <= 1e-12 * max(1.0, want)

@@ -13,6 +13,7 @@ import pytest
 
 from crossedprod.crossed import (
     ActionSpec,
+    BlockDiagonal,
     BlockMatrix,
     CoeffAlgebra,
     diag,
@@ -20,6 +21,8 @@ from crossedprod.crossed import (
     hadamard_multiplier,
     left_translation,
     make_context,
+    phi_hom,
+    psi,
     reconstruct,
     swap_action,
     theta_embed,
@@ -28,7 +31,7 @@ from crossedprod.crossed import (
 from crossedprod.errors import NotInDomainError
 from crossedprod.groups import Cyclic, FreeGroup, Integers, ProductGroup
 from crossedprod.posdef import L2Vector, chi_from_vector, haagerup
-from crossedprod.sigma import make_pair, phi_t, pi_projection, tau_u
+from crossedprod.sigma import make_pair, phi_t, pi_amplification, pi_projection, tau_u
 
 
 def ref_mul_table(ctx):
@@ -100,6 +103,14 @@ def ref_theta_embed_dict(ctx, coeffs):
             if i is not None:
                 oblocks[i, j] += ctx.alpha_by_perm(ctx.inv_perms[j], r)
     return out
+
+
+def ref_pi_amplification(pair, x):
+    coeffs = phi_hom(pair.ctx, pair.sigma(x))
+    worst = 0.0
+    for coeff, val in zip(coeffs, pair.chi_values):
+        worst = max(worst, float(np.linalg.norm(coeff, 2)) / abs(complex(val)))
+    return worst
 
 
 def ref_hadamard_multiplier(ctx, chi, x):
@@ -348,3 +359,21 @@ def test_pi_projection_reports_the_first_slot_below_the_floor():
     low = dataclasses.replace(pair, chi=lambda g: 0.0 if g in (3, 2) else 1.0)
     with pytest.raises(NotInDomainError, match="^eigenvalue underflow at 3$"):
         pi_projection(low, ctx.identity_matrix())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_psi_is_theta_at_the_identity(name):
+    ctx, _ = make_case(name)
+    r = ctx.algebra.random_member(np.random.default_rng(8))
+    got = psi(ctx, r)
+    assert isinstance(got, BlockDiagonal)
+    assert same(got, ref_theta_embed_dict(ctx, {ctx.group.identity(): r}))
+
+
+@pytest.mark.parametrize("name", FINITE + ["Z-r2"])
+def test_pi_amplification_matches_the_slot_loop(name):
+    pair = pair_case(name)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        x = random_operator(pair.ctx, rng)
+        assert pi_amplification(pair, x) == ref_pi_amplification(pair, x)
