@@ -42,7 +42,6 @@ from .groups import (
     GroupSpec,
     ball,
     parse_group,
-    whole_group_ball,
 )
 
 
@@ -180,6 +179,8 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
             weights = {g: q ** ctx.group.word_length(g) for g in ctx.window}
         except OverflowError:
             raise ConfigError(f"--xi geometric weights must be finite; {q} overflows")
+        if min(weights.values()) == 0:
+            raise ConfigError(f"--xi geometric weights must be positive; {q} underflows to 0")
         return posdef.L2Vector.normalized(weights)
     raise ConfigError(f"unknown vector recipe {text!r} (uniform, geometric:q)")
 
@@ -316,8 +317,7 @@ def _build_context(args) -> crossed.CrossedContext:
             raise ConfigError(f"{spec.label} is infinite; sweeps need a finite group")
         algebra = _parse_algebra(args.algebra)
         action = _parse_action(spec, args.action)
-        window = whole_group_ball(spec, args.cap)
-        return crossed.CrossedContext(spec, window, algebra, action)
+        return crossed.make_context(spec, algebra=algebra, action=action, cap=args.cap)
     except SpecMismatchError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -341,15 +341,13 @@ def cmd_sigma(args) -> Report:
         tol=args.tol,
         seed=args.seed,
     )
-    cond = sigma_mod.check_condition_ii(
-        pair, trials=args.trials, tol=args.tol, seed=args.seed
-    )
     rng = np.random.default_rng(args.seed)
+    samples = [sigma_mod.random_window_operator(ctx, rng) for _ in range(args.trials)]
+    cond = sigma_mod.check_condition_ii(pair, samples=samples, tol=args.tol)
     # make_pair already raised NotUnitalError above UNITAL_TOL
     unital = pair.unital_defect
     tau_dev = 0.0
-    for _ in range(min(5, args.trials)):
-        x = sigma_mod.random_window_operator(ctx, rng)
+    for x in samples[:5]:
         total = ctx.zero()
         for u in ctx.window:
             total = total + sigma_mod.tau_u(ctx, xi, u, x)
@@ -448,6 +446,13 @@ def cmd_cesaro(args) -> Report:
     f = summation.TrigPolynomial(coeffs)
     orders = _parse_int_list(args.orders)
     deg = f.degree()
+    # (deg + 4) sum |c_k| bounds every number the table holds
+    try:
+        scale = (deg + 4) * sum(abs(c) for c in coeffs.values())
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ConfigError("--coeffs are too large: (degree + 4) * sum |c_k| overflows")
     grid = args.grid if args.grid is not None else 8 * deg + 1
     if grid < 4 * deg + 1:
         raise ConfigError(f"--grid must be >= {4 * deg + 1} for degree {deg}, got {grid}")
@@ -632,7 +637,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _expand_config(list(argv))
         args = build_parser().parse_args(argv)
-        _check_finite_float("--tol", getattr(args, "tol", None))
+        tol = getattr(args, "tol", None)
+        _check_finite_float("--tol", tol)
+        if tol is not None and tol < 0:
+            raise ConfigError(f"--tol must be >= 0, got {tol}")
         header, rows, summary, ok = args.func(args)
         verdict = "Pass" if ok else "Fail"
         # serialize both before writing either, so a summary that is not

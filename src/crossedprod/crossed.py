@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import NotInCrossedProductError, SpecMismatchError
 from .groups import (
+    DEFAULT_ELEMENT_CAP,
     ORDERING_VERSION,
     Ball,
     Cyclic,
     Element,
     GroupSpec,
-    ProductGroup,
     ball,
     parse_group,
     whole_group_ball,
@@ -356,9 +356,8 @@ class CrossedContext:
         abelian group, one row per character.  The character of row k is
         exp(2 pi i sum_f k_f x_f / n_f) over the cyclic coordinates, with
         k the coordinates of window slot k."""
-        coords = [_cyclic_coordinates(self.group, g) for g in self.window]
-        x = np.array([[c for c, _ in row] for row in coords], dtype=np.int64)
-        orders = np.array([o for _, o in coords[0]], dtype=np.int64)
+        x = np.array([self.group.coordinates(g) for g in self.window], dtype=np.int64)
+        orders = np.array(self.group.axes(), dtype=np.int64)
         phase = ((x[:, None, :] * x[None, :, :]) % orders / orders).sum(axis=-1)
         return np.exp(-2j * np.pi * phase)
 
@@ -392,14 +391,6 @@ class CrossedContext:
         return BlockMatrix(self.window, self.d, np.asarray(data, dtype=complex))
 
 
-def _cyclic_coordinates(spec: GroupSpec, g: Element) -> List[Tuple[int, int]]:
-    """(coordinate, order) of g in each cyclic factor of a finite group:
-    the finite groups here are C_n and products of them."""
-    if isinstance(spec, ProductGroup):
-        return [c for f, x in zip(spec.factors, g) for c in _cyclic_coordinates(f, x)]
-    return [(g, spec.n)]
-
-
 def _gather_index(perms: Sequence[Tuple[int, ...]]) -> np.ndarray:
     """Inverse permutations as rows: e_i -> e_{p[i]} moves entry
     (pinv[a], pinv[b]) of a matrix to (a, b)."""
@@ -417,22 +408,24 @@ def make_context(
     radius: Optional[int] = None,
     algebra: Optional[CoeffAlgebra] = None,
     action: Optional[ActionSpec] = None,
+    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> CrossedContext:
     """Assemble a context with sensible defaults.
 
     Finite groups take the whole group as window (radius ignored);
-    infinite groups require a radius.
+    infinite groups require a radius.  cap bounds the window's
+    enumeration.
     """
     if algebra is None:
         algebra = CoeffAlgebra.scalars()
     if action is None:
         action = ActionSpec.trivial()
     if group.is_finite():
-        window = whole_group_ball(group)
+        window = whole_group_ball(group, cap)
     else:
         if radius is None:
             raise SpecMismatchError(f"{group.label} needs an explicit radius")
-        window = ball(group, radius)
+        window = ball(group, radius, cap)
     return CrossedContext(group, window, algebra, action)
 
 

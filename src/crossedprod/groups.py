@@ -1,14 +1,18 @@
 """Group engines: canonical normal forms, word length, deterministic balls.
 
-Supported groups: the integers Z, lattices Z^d, cyclic groups C_n, free
-groups F_k, and finite direct products of these.  Elements are plain Python
-payloads in canonical normal form:
+Supported groups: the integers Z, cyclic groups C_n, free groups F_k, and
+finite direct products of these; the lattice Z^d is the product of d
+copies of Z under its own label.  Elements are plain Python payloads in
+canonical normal form:
 
 * ``Z`` and ``C_n``: ``int`` (``C_n`` reduced mod n),
-* ``Z^d``: tuple of d ints,
 * ``F_k``: tuple of nonzero signed generator indices, freely reduced
   (``1..k`` generators, negative for inverses),
-* products: tuple of factor payloads.
+* products, ``Z^d`` among them: tuple of factor payloads.
+
+Z, C_n and their products are abelian: ``axes()`` gives the order of each
+cyclic coordinate (0 for a Z axis) and ``coordinates(a)`` the payload as
+one int per axis.
 
 Ball enumeration is length-lexicographic under the fixed generator order
 a1 < a1^-1 < a2 < a2^-1 < ...  The scheme is versioned (ORDERING_VERSION)
@@ -17,7 +21,7 @@ so serialized matrices can detect an ordering change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,6 +70,14 @@ class GroupSpec:
     def generating_set(self) -> Tuple[Element, ...]:
         """Standard symmetric generators in the fixed enumeration order."""
         raise NotImplementedError
+
+    def axes(self) -> Tuple[int, ...]:
+        """The order of each abelian coordinate, 0 for a Z axis."""
+        raise SpecMismatchError(f"no averaging sequence for {self.label}")
+
+    def coordinates(self, a: Element) -> Tuple[int, ...]:
+        """The validated payload as one int per entry of axes()."""
+        raise SpecMismatchError(f"no averaging sequence for {self.label}")
 
     def is_finite(self) -> bool:
         return False
@@ -166,6 +178,12 @@ class Integers(GroupSpec):
     def generating_set(self):
         return (1, -1)
 
+    def axes(self):
+        return (0,)
+
+    def coordinates(self, a):
+        return (self.validate(a),)
+
     def _letter_key(self, a):
         return (0,) * a if a >= 0 else (1,) * (-a)
 
@@ -174,77 +192,6 @@ class Integers(GroupSpec):
 
     def format_element(self, a):
         return str(a)
-
-
-@dataclass(frozen=True, repr=False)
-class IntegerLattice(GroupSpec):
-    """Z^d with the standard generators, word length = l1 norm."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ConfigError(f"lattice dimension must be >= 1, got {self.d}")
-
-    @property
-    def label(self):
-        return f"Z^{self.d}"
-
-    def identity(self):
-        return (0,) * self.d
-
-    def multiply(self, a, b):
-        a = self.validate(a)
-        b = self.validate(b)
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inverse(self, a):
-        return tuple(-x for x in self.validate(a))
-
-    def word_length(self, a):
-        return sum(abs(x) for x in self.validate(a))
-
-    def validate(self, a):
-        if (
-            not isinstance(a, tuple)
-            or len(a) != self.d
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in a)
-        ):
-            raise SpecMismatchError(f"not a Z^{self.d} payload: {a!r}")
-        return a
-
-    def quotient_lengths(self, elements):
-        x = np.array([self.validate(a) for a in elements], dtype=np.int64)
-        x = x.reshape(len(x), self.d)
-        out = np.zeros((len(x), len(x)), dtype=np.int64)
-        for col in x.T:
-            out += np.abs(np.subtract.outer(col, col))
-        return _narrow(out)
-
-    def generating_set(self):
-        gens = []
-        for i in range(self.d):
-            e = [0] * self.d
-            e[i] = 1
-            gens.append(tuple(e))
-            e[i] = -1
-            gens.append(tuple(e))
-        return tuple(gens)
-
-    def _letter_key(self, a):
-        key = []
-        for i, x in enumerate(a):
-            key.extend([2 * i if x >= 0 else 2 * i + 1] * abs(x))
-        return tuple(key)
-
-    def parse_element(self, text):
-        parts = _split_components(text)
-        if len(parts) != self.d:
-            raise ConfigError(f"expected {self.d} coordinates, got {text!r}")
-        return tuple(_as_int(p) for p in parts)
-
-    def format_element(self, a):
-        return "(" + ",".join(str(x) for x in a) + ")"
 
 
 @dataclass(frozen=True, repr=False)
@@ -299,6 +246,12 @@ class Cyclic(GroupSpec):
 
     def diameter(self):
         return self.n // 2
+
+    def axes(self):
+        return (self.n,)
+
+    def coordinates(self, a):
+        return (self.validate(a),)
 
     def _letter_key(self, a):
         # ties (n even, a = n/2) resolve to the positive word
@@ -473,6 +426,13 @@ class ProductGroup(GroupSpec):
                 gens.append(tuple(e))
         return tuple(gens)
 
+    def axes(self):
+        return tuple(m for f in self.factors for m in f.axes())
+
+    def coordinates(self, a):
+        parts = zip(self.factors, self._components(a))
+        return tuple(x for f, part in parts for x in f.coordinates(part))
+
     def is_finite(self):
         return all(f.is_finite() for f in self.factors)
 
@@ -501,6 +461,24 @@ class ProductGroup(GroupSpec):
 
     def format_element(self, a):
         return "(" + ",".join(f.format_element(x) for f, x in zip(self.factors, a)) + ")"
+
+
+@dataclass(frozen=True, repr=False)
+class IntegerLattice(ProductGroup):
+    """Z^d as the product of d copies of Z: tuples of d ints, word length
+    the l1 norm, generators +-e_1 < +-e_2 < ... in the product's order."""
+
+    factors: Tuple[GroupSpec, ...] = field(init=False)
+    d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ConfigError(f"lattice dimension must be >= 1, got {self.d}")
+        object.__setattr__(self, "factors", (Integers(),) * self.d)
+
+    @property
+    def label(self):
+        return f"Z^{self.d}"
 
 
 def _narrow(table: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ from .groups import (
     Element,
     FreeGroup,
     GroupSpec,
-    IntegerLattice,
     Integers,
     ProductGroup,
 )
@@ -336,11 +335,6 @@ def folner_set(spec: GroupSpec, n: int) -> List[Element]:
         raise ValueError(f"index must be >= 0, got {n}")
     if isinstance(spec, Integers):
         return list(range(n + 1))
-    if isinstance(spec, IntegerLattice):
-        out = [()]
-        for _ in range(spec.d):
-            out = [v + (j,) for v in out for j in range(n + 1)]
-        return out
     if isinstance(spec, Cyclic):
         return list(range(spec.n))
     if isinstance(spec, ProductGroup):
@@ -352,40 +346,20 @@ def folner_set(spec: GroupSpec, n: int) -> List[Element]:
     raise SpecMismatchError(f"no averaging sequence for {spec.label}")
 
 
-def _folner_axes(spec: GroupSpec, n: int) -> List[int]:
-    """One entry per coordinate of F_n: 0 for a Z coordinate, which runs
-    over {0..n}, and m for a C_m factor, which F_n fills."""
+def _folner_shift(spec: GroupSpec, n: int, t: Element) -> List[Tuple[int, int]]:
+    """(axis, coordinate of t) pairs for F_n and its translate tF_n: an
+    axis is 0 for a Z coordinate, which runs over {0..n}, and m for a C_m
+    factor, which F_n fills."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if isinstance(spec, Integers):
-        return [0]
-    if isinstance(spec, IntegerLattice):
-        return [0] * spec.d
-    if isinstance(spec, Cyclic):
-        return [spec.n]
-    if isinstance(spec, ProductGroup):
-        return [m for f in spec.factors for m in _folner_axes(f, n)]
-    raise SpecMismatchError(f"no averaging sequence for {spec.label}")
-
-
-def _coordinates(spec: GroupSpec, t: Element) -> List[int]:
-    """The payload t as one integer per coordinate of _folner_axes."""
-    if isinstance(spec, IntegerLattice):
-        return list(t)
-    if isinstance(spec, ProductGroup):
-        return [x for f, part in zip(spec.factors, t) for x in _coordinates(f, part)]
-    return [t]
-
-
-def _folner_shift(spec: GroupSpec, n: int, t: Element) -> List[Tuple[int, int]]:
-    """(axis, coordinate of t) pairs for F_n and its translate tF_n."""
-    axes = _folner_axes(spec, n)
-    return list(zip(axes, _coordinates(spec, spec.validate(t))))
+    return list(zip(spec.axes(), spec.coordinates(t)))
 
 
 def folner_size(spec: GroupSpec, n: int) -> int:
     """|F_n|: n + 1 per Z coordinate times the order of each cyclic factor."""
-    return math.prod(m or n + 1 for m in _folner_axes(spec, n))
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    return math.prod(m or n + 1 for m in spec.axes())
 
 
 def folner_overlap(spec: GroupSpec, n: int, t: Element) -> Fraction:

@@ -45,7 +45,7 @@ from .errors import (
     NotUnitalError,
     SpecMismatchError,
 )
-from .groups import Cyclic, Element, FreeGroup, GroupSpec, IntegerLattice, Integers, ProductGroup
+from .groups import Element, FreeGroup, GroupSpec
 from .posdef import L2Vector, PdFunction, chi_from_vector, folner_overlap
 
 UNITAL_TOL = 1e-12
@@ -494,31 +494,23 @@ def sequence_limit_study(
     For each target translate t and each radius n the table holds the
     overlap eigenvalue chi_n(t), the limit value (1 on amenable groups,
     the even/odd closed form on free groups), and the distance to it.
+    Any other group raises SpecMismatchError at the first target.
     """
-    amenable = _is_amenable(spec)
-    if not amenable and not isinstance(spec, FreeGroup):
-        raise SpecMismatchError(f"no limit study for {spec.label}")
+    free = isinstance(spec, FreeGroup)
     rows = []
     monotone: Dict[str, bool] = {}
     for t in targets:
         spec.validate(t)
         label = spec.format_element(t)
-        if amenable:
-            limit = Fraction(1)
-            values = [folner_overlap(spec, n, t) for n in ball_radii]
-        else:
+        if free:
             limit = freecomb.chi_limit_free(spec.k, spec.word_length(t))
             values = [freecomb.chi_ratio(spec.k, t, n) for n in ball_radii]
+        else:
+            limit = Fraction(1)
+            values = [folner_overlap(spec, n, t) for n in ball_radii]
         errors = [abs(v - limit) for v in values]
         monotone[label] = all(b < a for a, b in zip(errors, errors[1:]))
         for n, v, err in zip(ball_radii, values, errors):
             rows.append(StudyRow(n, label, v, limit, err))
     return StudyTable(tuple(rows), monotone)
 
-
-def _is_amenable(spec: GroupSpec) -> bool:
-    if isinstance(spec, (Integers, IntegerLattice, Cyclic)):
-        return True
-    if isinstance(spec, ProductGroup):
-        return all(_is_amenable(f) for f in spec.factors)
-    return False

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -553,3 +554,73 @@ def test_sweep_tolerance_failure(tmp_path, argv):
     assert code == 4
     _, doc = read_outputs(out, argv[0])
     assert doc["verdict"] == "Fail"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("psd", "--group", "F2", "--ball", "2", "--eps", "0.5"),
+        ("sigma", "--group", "C4", "--trials", "2"),
+        ("pi", "--group", "C4", "--trials", "1"),
+        ("cesaro", "--orders", "1..2"),
+    ],
+    ids=["psd", "sigma", "pi", "cesaro"],
+)
+@pytest.mark.parametrize("tol", ["-1", "-1e-30"])
+def test_negative_tolerance_is_a_config_error(tmp_path, capsys, argv, tol):
+    code, out = run(tmp_path, *argv, f"--tol={tol}")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: --tol must be >= 0")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "coeffs, orders",
+    [
+        ("0:1e308,1:1e308", "1..2"),  # the grid sums overflow
+        ("0:1,5:1e308", "5..6"),  # only the predicted bound overflows
+        ("0:1.7e308+1.7e308j", "1..2"),  # |c_0| itself overflows
+    ],
+    ids=["grid", "predicted", "modulus"],
+)
+def test_overflowing_coefficients_are_config_errors(tmp_path, capsys, coeffs, orders):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "cesaro", "--coeffs", coeffs, "--orders", orders)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: --coeffs")
+    assert list(out.iterdir()) == []
+    assert [str(w.message) for w in seen] == []
+
+
+def test_largest_printable_coefficients_still_run(tmp_path):
+    # (deg + 4) sum |c_k| is just below the float limit
+    code, out = run(tmp_path, "cesaro", "--coeffs", "0:1e307,1:1e307", "--orders", "1..2")
+    assert code in (0, 4)
+    csv_text, _ = read_outputs(out, "cesaro")
+    assert "inf" not in csv_text and "nan" not in csv_text
+
+
+def test_underflowing_geometric_weights_are_named(tmp_path, capsys):
+    argv = ("pi", "--group", "C50", "--xi", "geometric:1e-300", "--trials", "1")
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --xi geometric weights") and "underflows to 0" in err
+    assert list(out.iterdir()) == []
+
+
+def test_sigma_draws_its_sweep_operators_once(tmp_path, monkeypatch):
+    # the condition-(ii) sweep and the tau-sum check share one draw of
+    # --trials operators; cp_check draws trials // 4 for bimodularity
+    calls = []
+    real = sigma.random_window_operator
+
+    def counted(ctx, rng):
+        calls.append(1)
+        return real(ctx, rng)
+
+    monkeypatch.setattr(sigma, "random_window_operator", counted)
+    code, _ = run(tmp_path, "sigma", "--group", "C4", "--trials", "8")
+    assert code == 0
+    assert len(calls) == 8 + 8 // 4

@@ -51,6 +51,7 @@ GOLDEN_PSD = [
     ("f2_haagerup", ["--group", "F2", "--eps", "0.549306", "--ball", "4"]),
     ("f2_ball_square", ["--group", "F2", "--set", "ball:2", "--ball", "3", "--square"]),
     ("zxc3_haagerup", ["--group", "ZxC3", "--eps", "0.5", "--ball", "2"]),
+    ("z2_haagerup", ["--group", "Z^2", "--eps", "0.5", "--ball", "4"]),
 ]
 
 
@@ -72,6 +73,8 @@ def test_golden_comparison_catches_a_moved_float():
 
 
 GOLDEN_SCALAR = [
+    ("balls_z7", ["balls", "--group", "Z^7", "--radii", "0..3"]),
+    ("balls_z2xc3", ["balls", "--group", "Z^2xC3", "--radii", "0..4"]),
     ("folner_z3_neg_unit", ["folner", "--group", "Z^3", "--t", "(0,0,-1)", "--radii", "1..30"]),
     ("folner_zxc3", ["folner", "--group", "ZxC3", "--t", "(-1,2)", "--radii", "1..300"]),
     ("folner_z2_wide", ["folner", "--group", "Z^2", "--t", "(3,-2)", "--radii", "1..5"]),
@@ -85,8 +88,8 @@ GOLDEN_SCALAR = [
 
 @pytest.mark.parametrize("name, argv", GOLDEN_SCALAR, ids=[name for name, _ in GOLDEN_SCALAR])
 def test_scalar_report_is_byte_identical(tmp_path, name, argv):
-    """Reports recorded from the set-based Folner counts and the per-point
-    Cesaro grid loop."""
+    """Reports recorded from the set-based Folner counts, the per-point
+    Cesaro grid loop and the Z^d lattice that had its own group law."""
     assert main(argv + ["--out", str(tmp_path)]) == 0
     for ext in ("json", "csv"):
         got = (tmp_path / f"{argv[0]}.{ext}").read_bytes()
