@@ -6,7 +6,7 @@ whether its checks passed; main writes them as <command>.csv and
 timestamps), so a fixed config and seed give byte-identical outputs.
 
 Exit codes: 0 all checks pass, 2 bad config or arguments, 3 resource cap
-exceeded, 4 a numerical check failed.
+exceeded or memory exhausted, 4 a numerical check failed.
 """
 
 from __future__ import annotations
@@ -191,8 +191,10 @@ def cmd_balls(args) -> Report:
     for n in radii:
         if n < 0:
             raise ConfigError(f"ball radius must be >= 0, got {n}")
-    # one enumeration at the largest radius; B_n is its prefix of lengths <= n
-    spheres = Counter(map(spec.word_length, ball(spec, max(radii), args.cap)))
+    # one enumeration at the largest radius; B_n is its prefix of lengths <= n.
+    # A free-group word is a reduced tuple, so its length is its word length.
+    length = len if isinstance(spec, FreeGroup) else spec.word_length
+    spheres = Counter(map(length, ball(spec, max(radii), args.cap)))
     sizes = list(accumulate(spheres[n] for n in range(max(radii) + 1)))
     free = isinstance(spec, FreeGroup) and spec.k >= 2
     rows = []
@@ -277,7 +279,12 @@ def cmd_psd(args) -> Report:
 
 
 def cmd_freecount(args) -> Report:
+    if args.lmax < 0:
+        raise ConfigError(f"--lmax must be >= 0, got {args.lmax}")
     radii = _parse_int_list(args.radii) if args.radii else None
+    for n in radii or ():
+        if n < 0:
+            raise ConfigError(f"--radii entries must be >= 0, got {n}")
     rows_data = freecomb.count_table(args.k, args.lmax, radii, args.cap)
     rows = [
         (
@@ -656,6 +663,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"resource cap: out of memory{detail}", file=sys.stderr)
         return 3
     except (CrossedProdError, np.linalg.LinAlgError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ so serialized matrices can detect an ordering change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -535,13 +536,17 @@ def parse_group(text: str) -> GroupSpec:
 class Ball:
     """All elements of word length <= radius, in the fixed length-lex order.
 
-    elements[0] is always the identity; index_of inverts positional lookup.
+    elements[0] is always the identity; index_of inverts positional lookup
+    and is built on first use.
     """
 
     spec: GroupSpec
     radius: int
     elements: Tuple[Element, ...]
-    index_of: Dict[Element, int]
+
+    @cached_property
+    def index_of(self) -> Dict[Element, int]:
+        return {g: i for i, g in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -568,7 +573,7 @@ def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Ball:
     if n < 0:
         raise ConfigError(f"ball radius must be >= 0, got {n}")
     elems = tuple(spec._enumerate_ball(n, cap))
-    return Ball(spec, n, elems, {g: i for i, g in enumerate(elems)})
+    return Ball(spec, n, elems)
 
 
 def sphere(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> List[Element]:

@@ -11,7 +11,7 @@ import numpy as np
 from crossedprod import __version__, posdef, sigma, summation
 from crossedprod._core import BACKEND
 from crossedprod.cli import _write_json, main
-from crossedprod.groups import ORDERING_VERSION, ball, parse_group
+from crossedprod.groups import ORDERING_VERSION, FreeGroup, ball, parse_group
 
 
 def run(tmp_path, *argv):
@@ -624,3 +624,78 @@ def test_sigma_draws_its_sweep_operators_once(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "sigma", "--group", "C4", "--trials", "8")
     assert code == 0
     assert len(calls) == 8 + 8 // 4
+
+
+def test_capped_freecount_names_the_radius_and_writes_nothing(tmp_path, capsys):
+    code, out = run(
+        tmp_path, "freecount", "--k", "2", "--lmax", "3", "--radii", "0..9", "--cap", "1000"
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "resource cap: ball of F_2 at radius 6 exceeds cap 1000\n"
+    assert list(out.iterdir()) == []
+
+
+def test_capped_freecount_names_the_first_radius_it_reaches(tmp_path, capsys):
+    code, _ = run(tmp_path, "freecount", "--k", "2", "--lmax", "2", "--radii", "5,3", "--cap", "200")
+    assert code == 3
+    assert capsys.readouterr().err == "resource cap: ball of F_2 at radius 5 exceeds cap 200\n"
+
+
+@pytest.mark.parametrize("cap, code", [(53, 0), (52, 3)])
+def test_freecount_cap_is_the_ball_size(tmp_path, capsys, cap, code):
+    # |B_3(F2)| = 53
+    got, _ = run(tmp_path, "freecount", "--k", "2", "--lmax", "1", "--radii", "0..3", "--cap", str(cap))
+    assert got == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "resource cap: ball of F_2 at radius 3 exceeds cap 52\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--lmax", "-1"), "config error: --lmax must be >= 0, got -1\n"),
+        (("--lmax", "2", "--radii=-3..-1"), "config error: --radii entries must be >= 0, got -3\n"),
+        (("--lmax", "1", "--radii", "4,-2"), "config error: --radii entries must be >= 0, got -2\n"),
+    ],
+    ids=["lmax", "radii-range", "radii-list"],
+)
+def test_freecount_rejects_negative_lengths_and_radii(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, "freecount", "--k", "2", *argv)
+    assert code == 2
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "exc", [MemoryError(), MemoryError("Unable to allocate 640. GiB")], ids=["bare", "numpy"]
+)
+def test_memory_error_is_a_resource_exit(tmp_path, capsys, monkeypatch, exc):
+    from crossedprod import cli
+
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_sigma", exhausted)
+    code, out = run(tmp_path, "sigma", "--group", "C2")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "resource cap: out of memory" + (f": {exc}" if str(exc) else "") + "\n"
+    assert list(out.iterdir()) == []
+
+
+def test_balls_sphere_sizes_come_from_each_words_length(tmp_path, monkeypatch):
+    # file the length-2 word (1, 1) in place of the first length-3 word:
+    # the F2 sphere column must see it as a second word of length 2
+    real = FreeGroup._enumerate_ball
+
+    def misfiled(self, n, cap):
+        words = real(self, n, cap)
+        words[words.index((1, 1, 1))] = (1, 1)
+        return words
+
+    monkeypatch.setattr(FreeGroup, "_enumerate_ball", misfiled)
+    code, out = run(tmp_path, "balls", "--group", "F2", "--radii", "0..3")
+    assert code == 4
+    csv_text, doc = read_outputs(out, "balls")
+    assert csv_text.splitlines()[3:] == ["2,18,13,17", "3,53,35,53"]
+    assert doc["verdict"] == "Fail"

@@ -1,9 +1,14 @@
+from functools import reduce
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossedprod
 from crossedprod import _core
 from crossedprod.errors import ResourceCapError
-from crossedprod.freecomb import t_count_closed
+from crossedprod.freecomb import ball_size, t_count_closed
 from crossedprod.groups import FreeGroup, GroupSpec
 
 
@@ -43,3 +48,73 @@ def test_word_multiplication_reduces():
     assert _core.free_mul((1, 2), (-2, -1)) == ()
     assert _core.free_mul((1, 2), (-2, 1)) == (1, 1)
     assert _core.free_mul((), (3,)) == (3,)
+
+
+def dfs_t_count(k, t, n, cap):
+    """Reference |T_n(t)|: a depth-first walk of the word tree, one stack
+    entry per reduced word, raising once it has visited more than cap."""
+    letters = _core._letters(k)
+    ell = len(t)
+    tail = [-t[ell - 1 - m] for m in range(ell)]
+    count = 0
+    visited = 0
+    # stack entries: (word_last, depth, matched, still_matching)
+    stack = [(0, 0, 0, True)]
+    while stack:
+        last, depth, matched, matching = stack.pop()
+        visited += 1
+        if visited > cap:
+            raise ResourceCapError(f"ball of F_{k} at radius {n} exceeds cap {cap}")
+        if ell + depth - 2 * matched <= n:
+            count += 1
+        if depth == n:
+            continue
+        for v in reversed(letters):
+            if v == -last:
+                continue
+            if matching and depth < ell and v == tail[depth]:
+                stack.append((v, depth + 1, matched + 1, True))
+            else:
+                stack.append((v, depth + 1, matched, False))
+    return count
+
+
+def outcome(count, *args):
+    try:
+        return count(*args)
+    except ResourceCapError as exc:
+        return str(exc)
+
+
+@st.composite
+def reduced_words(draw, k, max_len):
+    letters = draw(st.lists(st.sampled_from(_core._letters(k)), max_size=max_len))
+    return reduce(lambda w, v: _core.free_mul(w, (v,)), letters, ())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), n=st.integers(0, 6))
+def test_t_count_matches_the_depth_first_reference(data, k, n):
+    t = data.draw(reduced_words(k, 5), label="t")
+    cap = data.draw(st.one_of(st.just(10**6), st.integers(1, 3000)), label="cap")
+    assert outcome(_core.free_t_count, k, t, n, cap) == outcome(dfs_t_count, k, t, n, cap)
+
+
+def test_t_count_checks_the_cap_before_building_a_level(monkeypatch):
+    # |B_5(F2)| = 485 and |B_6(F2)| = 1457: at cap 1456 the 972 words of
+    # length 6 must never be allocated
+    sizes = []
+    real = np.repeat
+
+    def spy(a, repeats, *args, **kwargs):
+        out = real(a, repeats, *args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "repeat", spy)
+    with pytest.raises(ResourceCapError, match="ball of F_2 at radius 6 exceeds cap 1456"):
+        _core.free_t_count(2, (1, 2), 6, ball_size(2, 6) - 1)
+    assert sizes and max(sizes) == 324
+    sizes.clear()
+    assert _core.free_t_count(2, (1, 2), 6, ball_size(2, 6)) == t_count_closed(2, 2, 6)
+    assert max(sizes) == 972

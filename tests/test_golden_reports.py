@@ -94,3 +94,20 @@ def test_scalar_report_is_byte_identical(tmp_path, name, argv):
     for ext in ("json", "csv"):
         got = (tmp_path / f"{argv[0]}.{ext}").read_bytes()
         assert got == (DATA / f"golden_{name}.{ext}").read_bytes(), ext
+
+
+GOLDEN_FREE = [
+    ("freecount_k3_l4", ["freecount", "--k", "3", "--lmax", "4", "--radii", "0..8"]),
+    ("freecount_k2_l4", ["freecount", "--k", "2", "--lmax", "4", "--radii", "0..11"]),
+    ("balls_f2", ["balls", "--group", "F2", "--radii", "0..10"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_FREE, ids=[name for name, _ in GOLDEN_FREE])
+def test_free_word_report_is_byte_identical(tmp_path, name, argv):
+    """Reports recorded from the depth-first |T_n(t)| count and from sphere
+    sizes read through FreeGroup.word_length."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for ext in ("json", "csv"):
+        got = (tmp_path / f"{argv[0]}.{ext}").read_bytes()
+        assert got == (DATA / f"golden_{name}.{ext}").read_bytes(), ext

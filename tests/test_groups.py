@@ -335,3 +335,17 @@ def test_cyclic_parse_rejects_out_of_range_integers():
             C5.parse_element(text)
     with pytest.raises(ConfigError, match="out of range for C3"):
         parse_group("ZxC3").parse_element("(1,5)")
+
+
+def test_ball_index_is_built_on_first_use():
+    b = ball(FreeGroup(2), 2)
+    assert "index_of" not in vars(b)
+    assert len(b) == 17 and b[3] == (2,)
+    assert "index_of" not in vars(b)
+    assert (1, -2) in b and (1, 1, 1) not in b
+    table = vars(b)["index_of"]
+    assert b.index((2,)) == 3 and b.index(()) == 0
+    assert b.index_of is table
+    with pytest.raises(SpecMismatchError, match=r"outside radius-2 ball"):
+        b.index((1, 1, 1))
+    assert ball(FreeGroup(2), 2) == b
