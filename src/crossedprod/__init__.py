@@ -19,9 +19,11 @@ from .errors import (
     NotInCrossedProductError,
     NotInDomainError,
     NotPositiveError,
+    PartialSupportError,
     ResourceCapError,
     SpecMismatchError,
     UndersampledGridError,
+    VectorNotPositiveError,
 )
 from .groups import (
     DEFAULT_ELEMENT_CAP,
@@ -56,10 +58,12 @@ __all__ = [
     "NotInDomainError",
     "NotPositiveError",
     "ORDERING_VERSION",
+    "PartialSupportError",
     "ProductGroup",
     "ResourceCapError",
     "SpecMismatchError",
     "UndersampledGridError",
+    "VectorNotPositiveError",
     "ball",
     "parse_group",
     "sphere",

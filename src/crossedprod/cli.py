@@ -402,15 +402,17 @@ def cmd_pi(args) -> Report:
     amps = []
     for t in range(args.trials):
         x = sigma_mod.random_window_operator(ctx, rng)
+        # the coefficients of sigma(x) serve both p1 and the amplification
+        coeffs = crossed.phi_hom(ctx, pair.sigma(x))
         # sigma is applied to the dense p1, so idempotency is not true by construction
-        p1 = sigma_mod.pi_projection(pair, x)
+        p1 = sigma_mod.pi_projection(pair, x, coeffs=coeffs)
         p2 = sigma_mod.pi_projection(pair, p1)
         idem_blocks[t], idem_res[t] = crossed.dual_blocks(ctx, p2 - p1)
         y = sigma_mod.random_crossed_element(ctx, rng)
         span_blocks[t], span_res[t] = crossed.dual_blocks(
             ctx, sigma_mod.pi_projection(pair, y) - y
         )
-        amps.append(sigma_mod.pi_amplification(pair, x))
+        amps.append(sigma_mod.pi_amplification(pair, x, coeffs=coeffs))
     idems = crossed.span_norms(idem_blocks, idem_res).tolist()
     spans = crossed.span_norms(span_blocks, span_res).tolist()
     rows = list(zip(range(args.trials), idems, spans, amps))

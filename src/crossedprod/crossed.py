@@ -177,6 +177,12 @@ class ExpectationSpec:
     trace: x -> (tr x / d) I (scalars target); diagonal: keep the diagonal;
     identity: the full algebra, no compression.  All three are unital,
     idempotent, and bimodular over the target algebra.
+
+    The sweep kernels of sigma read from each block only what the
+    expectation keeps: the d diagonal entries for diagonal, straight from
+    the operator's data without calling apply; every entry, through
+    apply, for trace (1 x 1 blocks, where the trace is the entry itself)
+    and identity.
     """
 
     kind: str

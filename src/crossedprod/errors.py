@@ -36,6 +36,21 @@ class NotPositiveError(CrossedProdError, ValueError):
     """
 
 
+class VectorNotPositiveError(CrossedProdError, ValueError):
+    """A vector meant to build an expectation pair has an entry that is not
+    strictly positive.
+
+    Also a ValueError, the type this check raised before it had its own.
+    """
+
+
+class PartialSupportError(CrossedProdError, ValueError):
+    """A finite-group pair's vector does not cover the whole group.
+
+    Also a ValueError, the type this check raised before it had its own.
+    """
+
+
 class NotInDomainError(CrossedProdError):
     """Idempotent projection undefined: an eigenvalue is below the underflow floor."""
 

@@ -154,14 +154,16 @@ def count_table(
 ) -> List[FreeCount]:
     """Closed-form vs brute-force |T_n(t)| rows for ell in 0..lmax.
 
-    Default radii per ell: n in {2*ell .. min(2*ell + 2, 7)}.
+    Default radii per ell: n in {2*ell .. min(2*ell + 2, 7)}.  A row needs
+    n >= 2*ell, so ell stops at half the largest radius.
     """
     _check_rank(k)
+    top = 7 if radii is None else max(radii, default=-1)
     rows = []
-    for ell in range(lmax + 1):
+    for ell in range(min(lmax, top // 2) + 1):
         t = representative_word(ell)
         if radii is None:
-            ns = range(2 * ell, min(2 * ell + 2, 7) + 1)
+            ns = range(2 * ell, min(2 * ell + 2, top) + 1)
         else:
             ns = [n for n in radii if n >= 2 * ell]
         for n in ns:

@@ -43,7 +43,9 @@ from .errors import (
     NotInDomainError,
     NotPositiveError,
     NotUnitalError,
+    PartialSupportError,
     SpecMismatchError,
+    VectorNotPositiveError,
 )
 from .groups import Element, FreeGroup, GroupSpec
 from .posdef import L2Vector, PdFunction, chi_from_vector, folner_overlap
@@ -53,7 +55,7 @@ CHI_FLOOR = 1e-14
 
 
 def _support(ctx: CrossedContext, xi: L2Vector) -> Tuple[np.ndarray, np.ndarray]:
-    """Window slots of the nonzero entries k_i of xi, and the (s, s, 1, 1)
+    """Window slots of the nonzero entries k_i of xi, and the (s, s)
     weights conj(k_i) k_j over pairs (i, j) of them."""
     idx = ctx.window.index_of
     slots, k = [], []
@@ -70,8 +72,7 @@ def _support(ctx: CrossedContext, xi: L2Vector) -> Tuple[np.ndarray, np.ndarray]
         slots.append(i)
         k.append(v)
     k = np.array(k, dtype=complex)
-    weights = k.conj()[:, None] * k[None, :]
-    return np.array(slots, dtype=np.int64), weights[:, :, None, None]
+    return np.array(slots, dtype=np.int64), k.conj()[:, None] * k[None, :]
 
 
 def _check_margin(ctx: CrossedContext, slots: np.ndarray):
@@ -84,21 +85,63 @@ def _check_margin(ctx: CrossedContext, slots: np.ndarray):
         )
 
 
+def _expected_terms(
+    ctx: CrossedContext,
+    x: BlockMatrix,
+    i: np.ndarray,
+    j: np.ndarray,
+    pinv: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """weights * alpha(E(x_{(i, j)})) over the block pairs (i, j).
+
+    i, j and weights broadcast against each other; pinv holds the gather
+    indices of alpha, one (d,) row per pair or one for all, as in
+    alpha_by_perm.  Only the entries the expectation keeps are read: for
+    a diagonal algebra the (..., d) diagonals, entry a of pair (i, j)
+    being x.data[i d + pinv[a], j d + pinv[a]] (indexing by rows and
+    columns reads a strided view without copying it); for the scalar and
+    full algebras every entry, as (..., d, d) blocks gathered, compressed
+    by ExpectationSpec.apply and permuted by alpha_by_perm.
+    """
+    if ctx.algebra.kind == "diagonal":
+        d = ctx.d
+        rows = (i * d)[..., None] + pinv
+        cols = (j * d)[..., None] + pinv
+        return weights[..., None] * x.data[rows, cols]
+    blocks = ctx.alpha_by_perm(pinv, ctx.expectation.apply(x.blocks()[i, j]))
+    return weights[..., None, None] * blocks
+
+
+def _as_blocks(ctx: CrossedContext, kept: np.ndarray) -> np.ndarray:
+    """The (..., d, d) blocks of sums of _expected_terms: a diagonal
+    algebra's (..., d) diagonals written onto zero blocks."""
+    if ctx.algebra.kind != "diagonal":
+        return kept
+    out = np.zeros(kept.shape + (ctx.d,), dtype=complex)
+    k = np.arange(ctx.d)
+    out[..., k, k] = kept
+    return out
+
+
 def sigma_coefficients(
     ctx: CrossedContext, xi: L2Vector, x: BlockMatrix
 ) -> np.ndarray:
-    """Coefficient stack of the averaged map, aligned with the window."""
+    """Coefficient stack of the averaged map, aligned with the window.
+
+    Reads from x only the entries the expectation keeps: the d diagonal
+    entries of each support block for a diagonal algebra, every entry of
+    it for the scalar and full algebras (see _expected_terms).
+    """
     slots, weights = _support(ctx, xi)
     _check_margin(ctx, slots)
     rows, cols = slots[:, None], slots[None, :]
-    terms = weights * ctx.alpha_by_perm(
-        ctx.perm_index[slots], ctx.expectation.apply(x.blocks()[rows, cols])
-    )
-    d = ctx.d
-    coeffs = np.zeros((ctx.nwin, d, d), dtype=complex)
+    terms = _expected_terms(ctx, x, rows, cols, ctx.perm_index[slots], weights)
+    inner = terms.shape[2:]
+    coeffs = np.zeros((ctx.nwin,) + inner, dtype=complex)
     # unbuffered and in (i, j) order, as a loop over the pairs would add
-    np.add.at(coeffs, ctx.rel_table[rows, cols].ravel(), terms.reshape(-1, d, d))
-    return coeffs
+    np.add.at(coeffs, ctx.rel_table[rows, cols].ravel(), terms.reshape((-1,) + inner))
+    return _as_blocks(ctx, coeffs)
 
 
 def sigma_xi(ctx: CrossedContext, xi: L2Vector, x: BlockMatrix) -> BlockMatrix:
@@ -116,13 +159,18 @@ def tau_u(ctx: CrossedContext, xi: L2Vector, u: Element, x: BlockMatrix) -> Bloc
         raise SpecMismatchError("the translation decomposition needs a finite group")
     ctx.group.validate(u)
     slots, weights = _support(ctx, xi)
+    ui = ctx.window.index(u)
     # right translation by u^-1 permutes the window, so no two pairs collide
-    moved = ctx.rel_table[slots, ctx.window.index(u)]
-    out = ctx.zero()
-    out.blocks()[moved[:, None], moved[None, :]] = weights * ctx.alpha_by_perm(
-        ctx.action.perm(u, ctx.d),
-        ctx.expectation.apply(x.blocks()[slots[:, None], slots[None, :]]),
+    moved = ctx.rel_table[slots, ui]
+    terms = _expected_terms(
+        ctx, x, slots[:, None], slots[None, :], ctx.perm_index[ui], weights
     )
+    out = ctx.zero()
+    if ctx.algebra.kind == "diagonal":
+        d, k = ctx.d, np.arange(ctx.d)
+        out.data[moved[:, None, None] * d + k, moved[None, :, None] * d + k] = terms
+    else:
+        out.blocks()[moved[:, None], moved[None, :]] = terms
     return out
 
 
@@ -155,13 +203,11 @@ def phi_t(
     # support-grid pairs (a, b) with g_a = t g_b, in the order of b
     b, a = np.nonzero(slots[None, :] == ctx.left_index(t)[slots][:, None])
     i, j = slots[a], slots[b]
-    terms = weights[a, b] * ctx.alpha_by_perm(
-        ctx.perm_index[j], ctx.expectation.apply(x.blocks()[i, j])
-    )
-    acc = np.zeros((1, ctx.d, ctx.d), dtype=complex)
+    terms = _expected_terms(ctx, x, i, j, ctx.perm_index[j], weights[a, b])
+    acc = np.zeros((1,) + terms.shape[1:], dtype=complex)
     # unbuffered and in the order of b, as a loop over the support would add
     np.add.at(acc, np.zeros(len(terms), dtype=np.int64), terms)
-    return acc[0] / chival
+    return _as_blocks(ctx, acc)[0] / chival
 
 
 @dataclass(frozen=True)
@@ -199,11 +245,11 @@ def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
     window, and the eigenvalue function must be strictly positive there.
     """
     if not xi.is_strictly_positive():
-        raise ValueError("vector entries must be strictly positive")
+        raise VectorNotPositiveError("vector entries must be strictly positive")
     supp = xi.support()
     if ctx.group.is_finite():
         if supp != frozenset(ctx.window.elements):
-            raise ValueError(
+            raise PartialSupportError(
                 "support must cover the whole group for a finite-group pair"
             )
     else:
@@ -433,25 +479,33 @@ def _chi_divisors(pair: ExpectationPair) -> np.ndarray:
     return pair.chi_values
 
 
-def pi_projection(pair: ExpectationPair, x: BlockMatrix) -> BlockMatrix:
+def pi_projection(
+    pair: ExpectationPair, x: BlockMatrix, *, coeffs: Optional[np.ndarray] = None
+) -> BlockMatrix:
     """The idempotent: invert the eigenvalues on the coefficient series.
 
     Identity on the crossed-product span.  Eigenvalues below the floor
     mean the windowed inversion is meaningless; that is the finite-scale
-    analogue of falling outside the domain.
+    analogue of falling outside the domain.  coeffs, when given, is
+    phi_hom(pair.ctx, pair.sigma(x)), already computed by the caller.
     """
-    coeffs = phi_hom(pair.ctx, pair.sigma(x))
+    if coeffs is None:
+        coeffs = phi_hom(pair.ctx, pair.sigma(x))
     return theta_embed(pair.ctx, coeffs / _chi_divisors(pair)[:, None, None])
 
 
-def pi_amplification(pair: ExpectationPair, x: BlockMatrix) -> float:
+def pi_amplification(
+    pair: ExpectationPair, x: BlockMatrix, *, coeffs: Optional[np.ndarray] = None
+) -> float:
     """Window-scale domain surrogate: the largest coefficient inflation.
 
     Reports max over window g of ||coefficient of sigma(x) at g|| / chi(g);
     boundedness of the idempotent is undecidable at a finite window, so
-    the inflation factor is surfaced instead of a verdict.
+    the inflation factor is surfaced instead of a verdict.  coeffs is as
+    in pi_projection.
     """
-    coeffs = phi_hom(pair.ctx, pair.sigma(x))
+    if coeffs is None:
+        coeffs = phi_hom(pair.ctx, pair.sigma(x))
     norms = np.linalg.norm(coeffs, 2, axis=(-2, -1))
     return float(np.max(norms / np.abs(_chi_divisors(pair)), initial=0.0))
 

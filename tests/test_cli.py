@@ -168,6 +168,21 @@ def test_pi_sweep(tmp_path):
     assert doc["max_amplification"] >= 1.0
 
 
+def test_pi_applies_sigma_three_times_per_trial(tmp_path, monkeypatch):
+    calls = []
+    real = sigma.sigma_xi
+
+    def spy(ctx, xi, x):
+        calls.append(x)
+        return real(ctx, xi, x)
+
+    monkeypatch.setattr(sigma, "sigma_xi", spy)
+    code, _ = run(tmp_path, "pi", "--group", "C5", "--xi", "geometric:0.7", "--trials", "4")
+    assert code == 0
+    # one for make_pair's unital check, then x, p1 and y in each trial
+    assert len(calls) == 1 + 3 * 4
+
+
 @pytest.mark.parametrize(
     "command, trials",
     [("sigma", "0"), ("sigma", "-3"), ("pi", "0"), ("pi", "-3")],

@@ -184,6 +184,26 @@ def test_count_table_rows():
         assert r.limit == chi_limit_free(r.k, r.ell)
 
 
+@pytest.mark.parametrize(
+    "radii, last", [(None, 3), ([0, 3, 9], 4), ([3], 1), ([], -1)]
+)
+def test_count_table_stops_at_half_the_largest_radius(monkeypatch, radii, last):
+    """No row has n < 2 ell, so words past half the largest radius are
+    never built, however large lmax is."""
+    seen = []
+    real = freecomb.representative_word
+
+    def spy(ell):
+        seen.append(ell)
+        return real(ell)
+
+    monkeypatch.setattr(freecomb, "representative_word", spy)
+    rows = count_table(2, 20000, radii)
+    assert seen == list(range(last + 1))
+    assert {r.ell for r in rows} == set(range(last + 1))
+    assert all(r.n >= 2 * r.ell for r in rows)
+
+
 def test_representative_word():
     assert representative_word(0) == ()
     assert representative_word(1) == (1,)

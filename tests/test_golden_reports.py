@@ -63,6 +63,25 @@ def test_psd_report_is_byte_identical(tmp_path, name, argv):
         assert got == (DATA / f"golden_psd_{name}.{ext}").read_bytes(), ext
 
 
+GOLDEN_TRANSLATION = [
+    (command, [command, "--group", "C6", "--algebra", "diagonal:6", "--action",
+               "translation", "--xi", "geometric:0.6", "--seed", "5", "--trials", "5"])
+    for command in ("sigma", "pi")
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv", GOLDEN_TRANSLATION, ids=[name for name, _ in GOLDEN_TRANSLATION]
+)
+def test_translation_sweep_report_is_byte_identical(tmp_path, name, argv):
+    """Reports recorded from the full-block sweep kernels, which gathered,
+    compressed and permuted every d x d block before summing it."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for ext in ("json", "csv"):
+        got = (tmp_path / f"{name}.{ext}").read_bytes()
+        assert got == (DATA / f"golden_{name}_c6_translation.{ext}").read_bytes(), ext
+
+
 def test_golden_comparison_catches_a_moved_float():
     want = json.loads((DATA / "golden_pi.json").read_text())
     moved = dict(want, max_amplification=want["max_amplification"] + 1e-9)

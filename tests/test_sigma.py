@@ -17,11 +17,14 @@ from crossedprod.crossed import (
 )
 from crossedprod.errors import (
     ConfigError,
+    CrossedProdError,
     MarginError,
     NotInDomainError,
     NotPositiveError,
     NotUnitalError,
+    PartialSupportError,
     SpecMismatchError,
+    VectorNotPositiveError,
 )
 from crossedprod.groups import Cyclic, FreeGroup, Integers, ProductGroup, ball
 from crossedprod.posdef import L2Vector, folner_overlap
@@ -241,6 +244,32 @@ def test_make_pair_validation():
     bad = L2Vector.normalized({0: 1.0, 1: 1.0j, 2: 1.0, 3: 1.0})
     with pytest.raises(ValueError):
         make_pair(ctx, bad)
+
+
+def test_non_positive_vector_raises_a_typed_error():
+    ctx = ctx_scalars(4)
+    with pytest.raises(VectorNotPositiveError, match="strictly positive") as err:
+        make_pair(ctx, L2Vector({0: 0.5, 1: 0.5, 2: -0.5, 3: 0.5}))
+    assert isinstance(err.value, CrossedProdError)
+    assert isinstance(err.value, ValueError)
+
+
+def test_partial_support_raises_a_typed_error():
+    ctx = ctx_scalars(4)
+    with pytest.raises(PartialSupportError, match="cover the whole group") as err:
+        make_pair(ctx, L2Vector({0: 1.0 + 0j}))
+    assert isinstance(err.value, CrossedProdError)
+    assert isinstance(err.value, ValueError)
+
+
+def test_pi_reuses_given_sigma_coefficients():
+    ctx = ctx_translation(4)
+    pair = make_pair(ctx, positive_xi(ctx, seed=31))
+    x = random_window_operator(ctx, np.random.default_rng(32))
+    coeffs = phi_hom(ctx, pair.sigma(x))
+    got = pi_projection(pair, x, coeffs=coeffs)
+    assert np.array_equal(got.data, pi_projection(pair, x).data)
+    assert pi_amplification(pair, x, coeffs=coeffs) == pi_amplification(pair, x)
 
 
 def test_pair_convex_combination():

@@ -24,10 +24,14 @@ from crossedprod.crossed import (
     theta_embed,
     translation_action,
 )
-from crossedprod.errors import NotInCrossedProductError
+from crossedprod.errors import (
+    NotInCrossedProductError,
+    NotInDomainError,
+    SpecMismatchError,
+)
 from crossedprod.groups import Cyclic, FreeGroup, Integers, ball
 from crossedprod.posdef import L2Vector
-from crossedprod.sigma import sigma_coefficients, tau_u
+from crossedprod.sigma import chi_of, phi_t, sigma_coefficients, tau_u
 
 TOL = 1e-13
 
@@ -245,6 +249,107 @@ def test_tau_u_matches_block_loop(name, ctx, xi):
     for u in ctx.window:
         got = tau_u(ctx, xi, u, x)
         assert np.max(np.abs(got.data - ref_tau_u(ctx, xi, u, x).data)) <= TOL
+
+
+def full_stack_support(ctx, xi):
+    idx = ctx.window.index_of
+    pairs = [(idx[g], complex(v)) for g, v in xi.entries.items() if complex(v) != 0]
+    slots = np.array([i for i, _ in pairs], dtype=np.int64)
+    k = np.array([v for _, v in pairs], dtype=complex)
+    return slots, (k.conj()[:, None] * k[None, :])[:, :, None, None]
+
+
+def full_stack_sigma_coefficients(ctx, xi, x):
+    """The full-block stack formula: gather every (i, j) block, compress
+    it, permute it and sum it in (i, j) order, off-diagonal zeros too."""
+    slots, weights = full_stack_support(ctx, xi)
+    rows, cols = slots[:, None], slots[None, :]
+    terms = weights * ctx.alpha_by_perm(
+        ctx.perm_index[slots], ctx.expectation.apply(x.blocks()[rows, cols])
+    )
+    d = ctx.d
+    coeffs = np.zeros((ctx.nwin, d, d), dtype=complex)
+    np.add.at(coeffs, ctx.rel_table[rows, cols].ravel(), terms.reshape(-1, d, d))
+    return coeffs
+
+
+def full_stack_tau_u(ctx, xi, u, x):
+    if not ctx.group.is_finite():
+        raise SpecMismatchError("the translation decomposition needs a finite group")
+    slots, weights = full_stack_support(ctx, xi)
+    moved = ctx.rel_table[slots, ctx.window.index(u)]
+    out = ctx.zero()
+    out.blocks()[moved[:, None], moved[None, :]] = weights * ctx.alpha_by_perm(
+        ctx.action.perm(u, ctx.d),
+        ctx.expectation.apply(x.blocks()[slots[:, None], slots[None, :]]),
+    )
+    return out
+
+
+def full_stack_phi_t(ctx, xi, t, x):
+    chival = complex(chi_of(ctx, xi)(t))
+    if abs(chival) <= 1e-14:
+        raise NotInDomainError("eigenvalue vanishes")
+    slots, weights = full_stack_support(ctx, xi)
+    b, a = np.nonzero(slots[None, :] == ctx.left_index(t)[slots][:, None])
+    i, j = slots[a], slots[b]
+    terms = weights[a, b] * ctx.alpha_by_perm(
+        ctx.perm_index[j], ctx.expectation.apply(x.blocks()[i, j])
+    )
+    acc = np.zeros((1, ctx.d, ctx.d), dtype=complex)
+    np.add.at(acc, np.zeros(len(terms), dtype=np.int64), terms)
+    return acc[0] / chival
+
+
+def strided_operator(ctx, rng):
+    """A window operator whose data is a non-contiguous view, as the
+    amplified sweep of cp_check passes them."""
+    n = ctx.dim
+    z = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    x = ctx.wrap(z[n:, :n])
+    assert not x.data.flags.c_contiguous
+    return x
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_sigma_coefficients_equal_the_full_stack_formula(name, ctx, xi):
+    rng = np.random.default_rng(15)
+    for x in (random_operator(ctx, rng), strided_operator(ctx, rng)):
+        got = sigma_coefficients(ctx, xi, x)
+        assert np.array_equal(got, full_stack_sigma_coefficients(ctx, xi, x))
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_tau_u_equals_the_full_stack_formula(name, ctx, xi):
+    rng = np.random.default_rng(16)
+    for x in (random_operator(ctx, rng), strided_operator(ctx, rng)):
+        for u in ctx.window:
+            if not ctx.group.is_finite():
+                with pytest.raises(SpecMismatchError):
+                    full_stack_tau_u(ctx, xi, u, x)
+                with pytest.raises(SpecMismatchError):
+                    tau_u(ctx, xi, u, x)
+                continue
+            got = tau_u(ctx, xi, u, x)
+            assert np.array_equal(got.data, full_stack_tau_u(ctx, xi, u, x).data)
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_phi_t_equals_the_full_stack_formula(name, ctx, xi):
+    rng = np.random.default_rng(17)
+    chi = chi_of(ctx, xi)
+    reached = 0
+    for x in (random_operator(ctx, rng), strided_operator(ctx, rng)):
+        for t in ctx.window:
+            try:
+                want = full_stack_phi_t(ctx, xi, t, x)
+            except NotInDomainError:
+                with pytest.raises(NotInDomainError):
+                    phi_t(ctx, xi, t, x, chi)
+                continue
+            assert np.array_equal(phi_t(ctx, xi, t, x, chi), want)
+            reached += 1
+    assert reached >= 2
 
 
 @pytest.mark.parametrize("kind", ["trace", "diagonal", "identity"])
