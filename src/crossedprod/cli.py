@@ -357,7 +357,7 @@ def cmd_sigma(args) -> Report:
     for x in samples[:5]:
         total = ctx.zero()
         for u in ctx.window:
-            total = total + sigma_mod.tau_u(ctx, xi, u, x)
+            total = total + sigma_mod.tau_u(ctx, pair.support, u, x)
         tau_dev = max(tau_dev, crossed.op_norm(total - pair.sigma(x)))
     checks = {
         "unital_defect": unital,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -182,7 +182,10 @@ class ExpectationSpec:
     expectation keeps: the d diagonal entries for diagonal, straight from
     the operator's data without calling apply; every entry, through
     apply, for trace (1 x 1 blocks, where the trace is the entry itself)
-    and identity.
+    and identity.  For diagonal, entry (r, c) of a window operator is
+    read only when r = c mod d: the classes are the d residues mod d, one
+    per diagonal position, and sigma.cp_check draws its inputs pinched
+    onto them.  trace and identity read every entry, as one class.
     """
 
     kind: str
@@ -403,10 +406,21 @@ def _gather_index(perms: Sequence[Tuple[int, ...]]) -> np.ndarray:
     return np.argsort(np.asarray(perms, dtype=np.int64), axis=-1)
 
 
+@lru_cache(maxsize=64)
+def _lead_index(shape: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
+    """Read-only aranges over the leading axes of a stack, axis i shaped
+    to broadcast along axis i of shape plus the two matrix axes."""
+    out = []
+    for i, size in enumerate(shape):
+        k = np.arange(size).reshape((size,) + (1,) * (len(shape) - i + 1))
+        k.flags.writeable = False
+        out.append(k)
+    return tuple(out)
+
+
 def _permute(r: np.ndarray, pinv: np.ndarray) -> np.ndarray:
     """out[..., a, b] = r[..., pinv[..., a], pinv[..., b]] in one gather."""
-    lead = tuple(k[..., None, None] for k in np.ix_(*map(range, r.shape[:-2])))
-    return r[lead + (pinv[..., :, None], pinv[..., None, :])]
+    return r[_lead_index(r.shape[:-2]) + (pinv[..., :, None], pinv[..., None, :])]
 
 
 def make_context(

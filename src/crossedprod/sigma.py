@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,9 +54,18 @@ UNITAL_TOL = 1e-12
 CHI_FLOOR = 1e-14
 
 
-def _support(ctx: CrossedContext, xi: L2Vector) -> Tuple[np.ndarray, np.ndarray]:
-    """Window slots of the nonzero entries k_i of xi, and the (s, s)
-    weights conj(k_i) k_j over pairs (i, j) of them."""
+class Support(NamedTuple):
+    """Window slots of the nonzero entries k_i of a vector xi, and the
+    (s, s) weights conj(k_i) k_j over pairs (i, j) of them."""
+
+    slots: np.ndarray
+    weights: np.ndarray
+
+
+def _support(ctx: CrossedContext, xi: Union[L2Vector, Support]) -> Support:
+    """The Support of xi on the window; a Support is returned as it is."""
+    if isinstance(xi, Support):
+        return xi
     idx = ctx.window.index_of
     slots, k = [], []
     for g, v in xi.entries.items():
@@ -72,7 +81,7 @@ def _support(ctx: CrossedContext, xi: L2Vector) -> Tuple[np.ndarray, np.ndarray]
         slots.append(i)
         k.append(v)
     k = np.array(k, dtype=complex)
-    return np.array(slots, dtype=np.int64), k.conj()[:, None] * k[None, :]
+    return Support(np.array(slots, dtype=np.int64), k.conj()[:, None] * k[None, :])
 
 
 def _check_margin(ctx: CrossedContext, slots: np.ndarray):
@@ -125,13 +134,15 @@ def _as_blocks(ctx: CrossedContext, kept: np.ndarray) -> np.ndarray:
 
 
 def sigma_coefficients(
-    ctx: CrossedContext, xi: L2Vector, x: BlockMatrix
+    ctx: CrossedContext, xi: Union[L2Vector, Support], x: BlockMatrix
 ) -> np.ndarray:
     """Coefficient stack of the averaged map, aligned with the window.
 
-    Reads from x only the entries the expectation keeps: the d diagonal
-    entries of each support block for a diagonal algebra, every entry of
-    it for the scalar and full algebras (see _expected_terms).
+    xi is the vector or its Support on ctx's window, as an
+    ExpectationPair holds it.  Reads from x only the entries the
+    expectation keeps: the d diagonal entries of each support block for
+    a diagonal algebra, every entry of it for the scalar and full
+    algebras (see _expected_terms).
     """
     slots, weights = _support(ctx, xi)
     _check_margin(ctx, slots)
@@ -144,16 +155,22 @@ def sigma_coefficients(
     return _as_blocks(ctx, coeffs)
 
 
-def sigma_xi(ctx: CrossedContext, xi: L2Vector, x: BlockMatrix) -> BlockMatrix:
-    """Apply the averaged map; the result lies in the crossed-product span."""
+def sigma_xi(
+    ctx: CrossedContext, xi: Union[L2Vector, Support], x: BlockMatrix
+) -> BlockMatrix:
+    """Apply the averaged map; the result lies in the crossed-product span.
+    xi is as in sigma_coefficients."""
     return theta_embed(ctx, sigma_coefficients(ctx, xi, x))
 
 
-def tau_u(ctx: CrossedContext, xi: L2Vector, u: Element, x: BlockMatrix) -> BlockMatrix:
+def tau_u(
+    ctx: CrossedContext, xi: Union[L2Vector, Support], u: Element, x: BlockMatrix
+) -> BlockMatrix:
     """One term of the translation decomposition of the averaged map.
 
     Places conj(k_g) k_h alpha_u(pi(x_{(g,h)})) at block (g u^-1, h u^-1);
     summing over the whole group recovers sigma_xi.  Finite groups only.
+    xi is as in sigma_coefficients.
     """
     if not ctx.group.is_finite():
         raise SpecMismatchError("the translation decomposition needs a finite group")
@@ -231,6 +248,16 @@ class ExpectationPair:
         return vals
 
     @cached_property
+    def support(self) -> Support:
+        """The Support of xi on the window, built once per pair; read-only,
+        since every application of the map shares it.  Pairs from
+        make_pair only."""
+        support = _support(self.ctx, self.xi)
+        for a in support:
+            a.flags.writeable = False
+        return support
+
+    @cached_property
     def unital_defect(self) -> float:
         """op_norm(sigma(I) - I), measured once per pair."""
         ident = self.ctx.identity_matrix()
@@ -252,11 +279,12 @@ def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
             raise PartialSupportError(
                 "support must cover the whole group for a finite-group pair"
             )
-    else:
-        _check_margin(ctx, _support(ctx, xi)[0])
+    # the map reads the support the pair holds, built on first use
     pair = ExpectationPair(
-        ctx, chi_of(ctx, xi), lambda x: sigma_xi(ctx, xi, x), xi=xi
+        ctx, chi_of(ctx, xi), lambda x: sigma_xi(ctx, pair.support, x), xi=xi
     )
+    if not ctx.group.is_finite():
+        _check_margin(ctx, pair.support.slots)
     vals = pair.chi_values
     bad = np.flatnonzero(~(vals.real > CHI_FLOOR) | (np.abs(vals.imag) > UNITAL_TOL))
     if bad.size:
@@ -321,9 +349,32 @@ class CpReport:
         }
 
 
-def random_psd(rng: np.random.Generator, size: int) -> np.ndarray:
-    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    return a.conj().T @ a
+def random_psd(rng: np.random.Generator, size: int, classes: int = 1) -> np.ndarray:
+    """The Gram a* a of a (size, size) matrix a of standard complex normals,
+    pinched onto `classes` residue classes.
+
+    Column r of a belongs to class r mod classes.  Entry (r, c) of the
+    result is that of the full Gram when r = c mod classes and exactly 0
+    otherwise: the sum over the classes of (a P)^* (a P), P the
+    coordinate projection onto one class, so it is PSD.  One Gram per
+    class costs 1/classes of the full product; classes = 1 is the full
+    Gram.  The rng draws are the same for every classes.
+    """
+    if classes < 1 or size % classes:
+        raise SpecMismatchError(f"{size} columns do not split into {classes} classes")
+    k = size // classes
+    cols = np.empty((classes, size, k), dtype=complex)
+    # the real parts, then the imaginary parts, one (size, size) draw each;
+    # column r of a draw is column r // classes of class r % classes
+    for part in (cols.real, cols.imag):
+        part[...] = np.moveaxis(
+            rng.standard_normal((size, size)).reshape(size, k, classes), 2, 0
+        )
+    z = np.zeros((size, size), dtype=complex)
+    per_class = z.reshape(k, classes, k, classes)
+    for c in range(classes):
+        per_class[:, c, :, c] = cols[c].conj().T @ cols[c]
+    return z
 
 
 def random_window_operator(ctx: CrossedContext, rng: np.random.Generator) -> BlockMatrix:
@@ -351,13 +402,19 @@ def cp_check(
     """Positivity, bimodularity, and eigenrelation sweep for an averaged map.
 
     Applies the amplified map entrywise to random PSD inputs of the
-    amplified size and records the worst eigenvalue; bimodularity is
-    checked against random algebra sandwiches, and the eigenrelation
-    against every window translate when chi is supplied.  Every output
-    must lie in the crossed-product span (NotInCrossedProductError
-    otherwise): eigenvalues and norms come from its dual-group blocks,
-    one batched eigensolve per check.  A failing verdict names the trial
-    of the worst eigenvalue.
+    amplified size and records the worst eigenvalue.  The inputs are
+    drawn already pinched onto the classes the algebra's expectation
+    reads (random_psd; the d residues mod d for a diagonal algebra, one
+    class otherwise).  Every sigma_xi, and every convex combination or
+    negation of one, reads nothing else of its input, so the sweep is
+    the same test; a map that reads across classes sees the pinched
+    input, which is still PSD.  Bimodularity is checked against random
+    algebra sandwiches, and the eigenrelation against every window
+    translate when chi is supplied.  Every output must lie in the
+    crossed-product span (NotInCrossedProductError otherwise):
+    eigenvalues and norms come from its dual-group blocks, one batched
+    eigensolve per check.  A failing verdict names the trial of the
+    worst eigenvalue.
     """
     if amplification < 1:
         raise ValueError("amplification must be >= 1")
@@ -367,9 +424,11 @@ def cp_check(
     rng = np.random.default_rng(seed)
     n = ctx.dim
     m = amplification
+    # the classes the expectation reads, as _expected_terms tells them apart
+    classes = ctx.d if ctx.algebra.kind == "diagonal" else 1
     blocks, residuals = empty_blocks(ctx, trials, m)
     for t in range(trials):
-        z = random_psd(rng, m * n)
+        z = random_psd(rng, m * n, classes)
         grid = [
             [apply(ctx.wrap(z[p * n : (p + 1) * n, q * n : (q + 1) * n])) for q in range(m)]
             for p in range(m)

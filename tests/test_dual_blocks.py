@@ -288,3 +288,69 @@ def test_the_sigma_report_carries_make_pairs_unital_defect(tmp_path):
     ident = ctx.identity_matrix()
     assert doc["checks"]["unital_defect"] == pair.unital_defect
     assert pair.unital_defect == op_norm(pair.sigma(ident) - ident)
+
+
+# (size, classes) whose kept entries equal the full Gram's bit for bit:
+# k = size / classes columns per class, a multiple of 4, as in every sweep
+# the benchmark and the golden reports run
+BITWISE_DRAWS = [(16, 2), (32, 2), (72, 6), (288, 12), (512, 16)]
+# k = 6 and 18, where the product's edge tiles round in another order
+EDGE_DRAWS = [(36, 6), (72, 4)]
+
+
+def kept_entries(size, classes):
+    r = np.arange(size)
+    return r[:, None] % classes == r[None, :] % classes
+
+
+@pytest.mark.parametrize("size, classes", BITWISE_DRAWS + EDGE_DRAWS)
+def test_a_pinched_draw_keeps_the_full_grams_entries(size, classes):
+    full_rng, rng = np.random.default_rng(size), np.random.default_rng(size)
+    full = random_psd(full_rng, size)
+    z = random_psd(rng, size, classes)
+    keep = kept_entries(size, classes)
+    if (size, classes) in BITWISE_DRAWS:
+        assert np.array_equal(z[keep], full[keep])
+    else:
+        tol = 4 * np.finfo(float).eps * np.max(np.abs(full))
+        assert np.max(np.abs(z[keep] - full[keep])) <= tol
+    assert np.all(z[~keep] == 0)
+    assert np.linalg.eigvalsh(z)[0] > 0
+    # the same draws, so the sweep's later inputs do not move
+    assert rng.bit_generator.state == full_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [8, 36, 288])
+def test_one_class_is_the_full_gram(size):
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    assert np.array_equal(random_psd(np.random.default_rng(size), size), a.conj().T @ a)
+
+
+@pytest.mark.parametrize("size, classes", [(36, 5), (16, 0), (16, -2)])
+def test_columns_that_do_not_split_into_the_classes_raise(size, classes):
+    with pytest.raises(SpecMismatchError):
+        random_psd(np.random.default_rng(0), size, classes)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pinched_inputs_sweep_as_the_full_grams_do(m):
+    """cp_check draws pinched inputs and dense_trial_minima full Grams;
+    sigma reads the same entries of both."""
+    _, ctx = CONTEXTS[2]
+    pair = pair_of(ctx, 18)
+
+    def negated(x):
+        return -1.0 * pair.sigma(x)
+
+    for apply in (pair.sigma, negated):
+        rep = cp_check(ctx, apply, amplification=m, trials=4, seed=9)
+        lows = dense_trial_minima(ctx, apply, m, 4, 9)
+        worst = int(np.argmin(lows))
+        assert abs(rep.min_eigenvalue_seen - lows[worst]) <= REL_TOL * abs(lows[worst])
+        if apply is negated:
+            assert rep.verdict == (
+                f"Fail(trial={worst}, min_eigenvalue={rep.min_eigenvalue_seen:.3e})"
+            )
+        else:
+            assert rep.verdict == "Pass"

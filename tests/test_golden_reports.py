@@ -130,3 +130,15 @@ def test_free_word_report_is_byte_identical(tmp_path, name, argv):
     for ext in ("json", "csv"):
         got = (tmp_path / f"{argv[0]}.{ext}").read_bytes()
         assert got == (DATA / f"golden_{name}.{ext}").read_bytes(), ext
+
+
+def test_pinched_translation_sweep_report_is_byte_identical(tmp_path):
+    """A report recorded when cp_check drew the full Gram of each input;
+    it now draws them pinched onto the 12 classes the diagonal
+    expectation reads, 24 columns each at the default --amp 2."""
+    argv = ["sigma", "--group", "C12", "--algebra", "diagonal:12", "--action",
+            "translation", "--xi", "geometric:0.55", "--seed", "7", "--trials", "3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for ext in ("json", "csv"):
+        got = (tmp_path / f"sigma.{ext}").read_bytes()
+        assert got == (DATA / f"golden_sigma_c12_translation.{ext}").read_bytes(), ext

@@ -522,3 +522,39 @@ def test_non_positive_eigenvalues_raise_a_typed_error():
     xi = L2Vector.normalized({0: 1.0, 1: 0.5, 2: 0.25})
     with pytest.raises(NotPositiveError, match="is not strictly positive"):
         make_pair(ctx, xi)
+
+
+def test_a_pair_builds_its_support_once(monkeypatch):
+    built = []
+    real = sigma._support
+
+    def spy(ctx, xi):
+        if isinstance(xi, L2Vector):
+            built.append(xi)
+        return real(ctx, xi)
+
+    monkeypatch.setattr(sigma, "_support", spy)
+    ctx = ctx_swap(4)
+    pair = make_pair(ctx, uniform_xi(ctx))
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        pair.sigma(random_window_operator(ctx, rng))
+    assert len(built) == 1
+    assert pair.support is pair.support
+    assert not pair.support.slots.flags.writeable
+    assert not pair.support.weights.flags.writeable
+    x = random_window_operator(ctx, rng)
+    assert np.array_equal(pair.sigma(x).data, sigma_xi(ctx, pair.xi, x).data)
+
+
+def test_direct_callers_still_check_the_margin():
+    ctx = make_context(Integers(), radius=4)
+    x = ctx.identity_matrix()
+    outside = L2Vector.normalized({0: 1.0, 9: 1.0})
+    with pytest.raises(MarginError):
+        sigma_xi(ctx, outside, x)
+    wide = L2Vector.normalized({0: 1.0, 3: 1.0, -3: 1.0})
+    with pytest.raises(MarginError):
+        sigma_xi(ctx, wide, x)
+    with pytest.raises(MarginError):
+        sigma_xi(ctx, sigma._support(ctx, wide), x)

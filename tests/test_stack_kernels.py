@@ -23,6 +23,7 @@ from crossedprod.crossed import (
     swap_action,
     theta_embed,
     translation_action,
+    _permute,
 )
 from crossedprod.errors import (
     NotInCrossedProductError,
@@ -31,7 +32,7 @@ from crossedprod.errors import (
 )
 from crossedprod.groups import Cyclic, FreeGroup, Integers, ball
 from crossedprod.posdef import L2Vector
-from crossedprod.sigma import chi_of, phi_t, sigma_coefficients, tau_u
+from crossedprod.sigma import _support, chi_of, phi_t, sigma_coefficients, tau_u
 
 TOL = 1e-13
 
@@ -497,3 +498,40 @@ def test_psi_is_exactly_the_block_loop_and_blockwise(monkeypatch, name, ctx, xi)
     assert seen == [3]
     want = dense_norm(got)
     assert abs(norm - want) <= 1e-12 * max(1.0, want)
+
+
+def ix_permute(r, pinv):
+    """The gather as _permute wrote it with np.ix_ on every call."""
+    lead = tuple(k[..., None, None] for k in np.ix_(*map(range, r.shape[:-2])))
+    return r[lead + (pinv[..., :, None], pinv[..., None, :])]
+
+
+@pytest.mark.parametrize(
+    "lead, pinv_lead",
+    [((), ()), ((4, 4), ()), ((5,), (5,)), ((3, 5), (5,)), ((3, 5), (3, 5)), ((2, 3, 5), (3, 5))],
+)
+def test_permute_is_the_ix_gather(lead, pinv_lead):
+    """pinv of shape (d,), (m, d) and (n, m, d), as alpha_by_perm's callers
+    pass them, against stacks with as many or more leading axes."""
+    d = 4
+    rng = np.random.default_rng(len(lead) + 3 * len(pinv_lead))
+    r = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
+    pinv = np.argsort(rng.random(pinv_lead + (d,)), axis=-1)
+    for _ in range(2):  # the second call reads the cached leading index
+        assert np.array_equal(_permute(r, pinv), ix_permute(r, pinv))
+
+
+@pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
+def test_a_support_gives_the_vectors_stacks(name, ctx, xi):
+    """sigma_coefficients and tau_u read a precomputed Support as they
+    read the vector it came from."""
+    support = _support(ctx, xi)
+    rng = np.random.default_rng(19)
+    for x in (random_operator(ctx, rng), strided_operator(ctx, rng)):
+        want = sigma_coefficients(ctx, xi, x)
+        assert np.array_equal(sigma_coefficients(ctx, support, x), want)
+        if ctx.group.is_finite():
+            for u in ctx.window:
+                assert np.array_equal(
+                    tau_u(ctx, support, u, x).data, tau_u(ctx, xi, u, x).data
+                )
