@@ -123,6 +123,12 @@ def _parse_int_list(text: str) -> List[int]:
     return out
 
 
+def _check_nonnegative(flag: str, values: Sequence[int]) -> None:
+    for n in values:
+        if n < 0:
+            raise ConfigError(f"{flag} entries must be >= 0, got {n}")
+
+
 def _parse_set(spec: GroupSpec, text: str, cap: int):
     """A finite subset: 'ball:R' for any group, 'a..b' for the integers.
 
@@ -132,6 +138,8 @@ def _parse_set(spec: GroupSpec, text: str, cap: int):
         return list(ball(spec, int(text[5:]), cap))
     if ".." in text:
         lo, hi = map(int, text.split("..", 1))
+        if hi < lo:
+            raise ConfigError(f"reversed range {text!r}")
         if hi - lo + 1 > cap:
             raise ResourceCapError(
                 f"set {text} has {hi - lo + 1} elements, exceeds cap {cap}"
@@ -282,9 +290,7 @@ def cmd_freecount(args) -> Report:
     if args.lmax < 0:
         raise ConfigError(f"--lmax must be >= 0, got {args.lmax}")
     radii = _parse_int_list(args.radii) if args.radii else None
-    for n in radii or ():
-        if n < 0:
-            raise ConfigError(f"--radii entries must be >= 0, got {n}")
+    _check_nonnegative("--radii", radii or ())
     rows_data = freecomb.count_table(args.k, args.lmax, radii, args.cap)
     rows = [
         (
@@ -454,6 +460,7 @@ def cmd_cesaro(args) -> Report:
     coeffs = _parse_coeffs(args.coeffs)
     f = summation.TrigPolynomial(coeffs)
     orders = _parse_int_list(args.orders)
+    _check_nonnegative("--orders", orders)
     deg = f.degree()
     # (deg + 4) sum |c_k| bounds every number the table holds
     try:
@@ -465,6 +472,11 @@ def cmd_cesaro(args) -> Report:
     grid = args.grid if args.grid is not None else 8 * deg + 1
     if grid < 4 * deg + 1:
         raise ConfigError(f"--grid must be >= {4 * deg + 1} for degree {deg}, got {grid}")
+    # the grid tabulates one exponential row of grid points per coefficient
+    if grid * len(coeffs) > args.cap:
+        raise ResourceCapError(
+            f"--grid {grid} times {len(coeffs)} coefficients exceeds cap {args.cap}"
+        )
     rows = []
     ok = True
     nonneg = all(
@@ -497,7 +509,11 @@ def cmd_folner(args) -> Report:
     spec = parse_group(args.group)
     t = spec.parse_element(args.t)
     radii = _parse_int_list(args.radii)
-    size = max(posdef.folner_size(spec, n) for n in radii)
+    _check_nonnegative("--radii", radii)
+    try:
+        size = max(posdef.folner_size(spec, n) for n in radii)
+    except SpecMismatchError as exc:
+        raise ConfigError(str(exc)) from exc
     if size > args.cap:
         raise ResourceCapError(f"averaging set of {size} elements exceeds cap {args.cap}")
     study = summation.folner_study(spec, t, radii)

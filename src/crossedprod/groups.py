@@ -14,9 +14,12 @@ Z, C_n and their products are abelian: ``axes()`` gives the order of each
 cyclic coordinate (0 for a Z axis) and ``coordinates(a)`` the payload as
 one int per axis.
 
-Ball enumeration is length-lexicographic under the fixed generator order
-a1 < a1^-1 < a2 < a2^-1 < ...  The scheme is versioned (ORDERING_VERSION)
-so serialized matrices can detect an ordering change.
+A ball lists its elements by word length, then by least geodesic word,
+words compared letter by letter in the order of ``generating_set()``.  That
+order is the one declaration of the scheme: a1 < a1^-1 < a2 < a2^-1 < ...
+for free groups (``_core._letters``), +1 < -1 for Z, and the factors' orders
+in turn for products.  The scheme is versioned (ORDERING_VERSION) so
+serialized matrices can detect an ordering change.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._core import free_ball_words, free_mul
+from ._core import _letters, free_ball_words, free_mul
 from .errors import ConfigError, ResourceCapError, SpecMismatchError
 
 Element = Union[int, tuple]
@@ -40,10 +43,10 @@ class GroupSpec:
     """Base class for group descriptions.
 
     Subclasses provide the group law on canonical payloads, the word
-    length for the standard symmetric generating set, and a canonical
-    geodesic word used as the length-lex sort key.  Balls come from the
-    one generic search in ``_enumerate_ball``; only ``FreeGroup``, whose
-    word tree already emits length-lex order, overrides it.
+    length for the standard symmetric generating set, and that set in the
+    fixed order that orders every ball.  Balls come from the one generic
+    search in ``_enumerate_ball``; only ``FreeGroup``, whose word tree
+    already emits length-lex order, overrides it.
     """
 
     label: str
@@ -89,21 +92,19 @@ class GroupSpec:
     def diameter(self) -> int:
         raise SpecMismatchError(f"{self.label} is infinite")
 
-    def _letter_key(self, a: Element) -> Tuple[int, ...]:
-        """Canonical geodesic word of ``a`` as generator order indices."""
-        raise NotImplementedError
-
-    def sort_key(self, a: Element):
-        k = self._letter_key(a)
-        return (len(k), k)
-
     def _enumerate_ball(self, n: int, cap: int) -> List[Element]:
-        """Sphere-by-sphere search over ``generating_set()``.
+        """Sphere-by-sphere search over ``generating_set()``, which emits
+        each sphere already in length-lex order.
 
-        Each new sphere is sorted by ``sort_key``.  Since
-        ``len(_letter_key(a))`` is the word length of ``a``, the spheres
-        concatenate to the length-lex order.  Raises ResourceCapError as
-        soon as more than ``cap`` elements have been seen, so the work is
+        Least geodesic words are prefix-closed: if u s is the least
+        geodesic word of h, then u is the least geodesic word of h s^-1.
+        So the least word of an element h of sphere k+1 is the word of the
+        first element g of sphere k with g s = h, followed by the first
+        such generator s in ``generating_set()`` order.  The search visits
+        sphere k in order and each g's generators in order, and appends h
+        at exactly that first visit; by induction from {e}, every sphere
+        comes out sorted.  Raises ResourceCapError as soon as more than
+        ``cap`` elements have been seen, so the work is
         O(cap * |generating set|).
         """
         too_big = f"ball of {self.label} at radius {n} exceeds cap {cap}"
@@ -125,7 +126,6 @@ class GroupSpec:
                         nxt.append(h)
             if not nxt:
                 break
-            nxt.sort(key=self.sort_key)
             out.extend(nxt)
             frontier = nxt
         return out
@@ -184,9 +184,6 @@ class Integers(GroupSpec):
 
     def coordinates(self, a):
         return (self.validate(a),)
-
-    def _letter_key(self, a):
-        return (0,) * a if a >= 0 else (1,) * (-a)
 
     def parse_element(self, text):
         return _as_int(text)
@@ -253,12 +250,6 @@ class Cyclic(GroupSpec):
 
     def coordinates(self, a):
         return (self.validate(a),)
-
-    def _letter_key(self, a):
-        # ties (n even, a = n/2) resolve to the positive word
-        if a <= self.n - a:
-            return (0,) * a
-        return (1,) * (self.n - a)
 
     def parse_element(self, text):
         """An integer in -n < x < n; a negative x spells the inverse of -x."""
@@ -331,14 +322,7 @@ class FreeGroup(GroupSpec):
         return out
 
     def generating_set(self):
-        gens = []
-        for i in range(1, self.k + 1):
-            gens.append((i,))
-            gens.append((-i,))
-        return tuple(gens)
-
-    def _letter_key(self, a):
-        return tuple(2 * (abs(v) - 1) + (1 if v < 0 else 0) for v in a)
+        return tuple((v,) for v in _letters(self.k))
 
     def _enumerate_ball(self, n, cap):
         # free_ball_words already emits length-lex order
@@ -445,14 +429,6 @@ class ProductGroup(GroupSpec):
 
     def diameter(self):
         return sum(f.diameter() for f in self.factors)
-
-    def _letter_key(self, a):
-        key = []
-        offset = 0
-        for f, x in zip(self.factors, a):
-            key.extend(offset + i for i in f._letter_key(x))
-            offset += len(f.generating_set())
-        return tuple(key)
 
     def parse_element(self, text):
         parts = _split_components(text)

@@ -714,3 +714,68 @@ def test_balls_sphere_sizes_come_from_each_words_length(tmp_path, monkeypatch):
     csv_text, doc = read_outputs(out, "balls")
     assert csv_text.splitlines()[3:] == ["2,18,13,17", "3,53,35,53"]
     assert doc["verdict"] == "Fail"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "F2", "--t", "a", "--radii", "1..3"),
+        ("--group", "ZxF2", "--t", "(1,e)", "--radii", "1..2"),
+    ],
+    ids=["F2", "ZxF2"],
+)
+def test_folner_on_a_group_without_averaging_sets_is_a_config_error(tmp_path, capsys, argv):
+    code, out = run(tmp_path, "folner", *argv)
+    assert code == 2
+    assert capsys.readouterr().err == "config error: no averaging sequence for F2\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("folner", "--group", "Z", "--t", "1", "--radii=-1..2"),
+            "--radii entries must be >= 0, got -1",
+        ),
+        (("cesaro", "--orders=-1..3"), "--orders entries must be >= 0, got -1"),
+        (("chi", "--group", "Z", "--set", "3..1", "--at", "1"), "reversed range '3..1'"),
+    ],
+    ids=["folner-radii", "cesaro-orders", "chi-set"],
+)
+def test_config_errors_name_their_flag(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "grid, code, err",
+    [("500", 0, ""), ("501", 3, "resource cap: --grid 501 times 2 coefficients exceeds cap 1000\n")],
+)
+def test_cap_bounds_the_cesaro_grid(tmp_path, capsys, grid, code, err):
+    # 2 coefficients on 500 points are 1000 grid values, the cap
+    argv = ("--coeffs", "0:1,1:0.5", "--orders", "1..3", "--grid", grid, "--cap", "1000")
+    got, out = run(tmp_path, "cesaro", *argv)
+    assert got == code
+    assert capsys.readouterr().err == err
+    assert len(list(out.iterdir())) == (2 if code == 0 else 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--grid", "10000000000"), ("--coeffs", "100000000:1")],
+    ids=["grid", "default-grid-of-a-high-degree"],
+)
+def test_oversized_cesaro_grids_are_never_built(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(summation, "cesaro_mean", refuse)
+    monkeypatch.setattr(summation, "sup_norm_grid", refuse)
+    code, out = run(tmp_path, "cesaro", *argv)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: --grid ") and err.endswith(" exceeds cap 1000000\n")
+    assert list(out.iterdir()) == []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -195,10 +196,39 @@ def test_finite_group_metadata():
         groups.whole_group_ball(Integers())
 
 
+def llex_words(spec, elements):
+    """The least geodesic word of each element, as generator indices.
+
+    By the prefix recursion: word(e) = (), and word(a) is the least
+    word(a s_i^-1) + (i,) over the generator indices i with
+    |a s_i^-1| = |a| - 1, which is the least geodesic word of a because
+    every prefix of a geodesic word is geodesic.  It reads neither the
+    order a search visits the elements in nor any library sort key.
+    """
+    inverses = [spec.inverse(s) for s in spec.generating_set()]
+    words = {}
+    for a in sorted(elements, key=spec.word_length):
+        length = spec.word_length(a)
+        if length == 0:
+            words[a] = ()
+            continue
+        steps = [(i, spec.multiply(a, t)) for i, t in enumerate(inverses)]
+        words[a] = min(
+            words[b] + (i,) for i, b in steps if spec.word_length(b) == length - 1
+        )
+    return words
+
+
+def llex_sorted(spec, elements):
+    """The elements by length, then by least geodesic word."""
+    words = llex_words(spec, elements)
+    return sorted(elements, key=lambda a: (len(words[a]), words[a]))
+
+
 def reference_ball(spec, n):
     """The per-group scans that enumerated balls before the generic search:
     a box scan for Z^d, a whole-group scan for C_n, a scan of the product of
-    the factor balls for products, then one global sort."""
+    the factor balls for products, then one global llex sort."""
     if isinstance(spec, Integers):
         return [0] + [v for j in range(1, n + 1) for v in (j, -j)]
     if isinstance(spec, FreeGroup):
@@ -211,8 +241,7 @@ def reference_ball(spec, n):
     else:
         combos = itertools.product(*(reference_ball(f, n) for f in spec.factors))
         out = [c for c in combos if spec.word_length(c) <= n]
-    out.sort(key=spec.sort_key)
-    return out
+    return llex_sorted(spec, out)
 
 
 @pytest.mark.parametrize(
@@ -242,6 +271,40 @@ def test_ball_order_matches_reference_scans(label, radii):
         assert list(ball(spec, n).elements) == reference_ball(spec, n), (label, n)
 
 
+# sha256 of repr(ball.elements), recorded before the search stopped sorting
+# its spheres: every ball the benchmark studies enumerate and every sweep
+# window.  A radius of None is the whole finite group.
+BALL_DIGESTS = [
+    ("Z", 8, 17, "37f2f07b81da0aa70fa6f3fba254121576bc7d789763d49a706a13b2a3e2ef99"),
+    ("Z^3", 6, 377, "3ee92a23819ec4aab83c9cee495828ebb48ada4b6f581cd4b4651b7abb6a1880"),
+    ("Z^7", 3, 575, "ba277d3284a566a595ddad745989984bf8485ddbcc9e35b849285788c153d589"),
+    ("ZxC3", 20, 119, "9d8558f013c7eebb86ad1a2f51034ad018266a560bc3553fcf4e61074531e83e"),
+    ("Z^2xC3", 4, 91, "1aaae4d34a79131cc013b9f12ad038216c29ad15e54efb31bf48fe21e210428a"),
+    ("ZxF2", 5, 959, "5e7cdaea6a383a0759da81886174e2f9fb52264e47499eac8b6827bf39a33bac"),
+    ("F2", 5, 485, "43156e85400e1bcd192823082def74d4b798017de505cf0091800cc3e18f48b9"),
+    ("F2xF2", 3, 217, "3a55ba7b428c73910191914f7ea96904240f37d440b78464edd87c4bb7444040"),
+    ("C2xF3", 3, 224, "9650877bed11cc75fec0bd25cb9f881e8faf22f356aa3676cc41f7074f84487c"),
+    ("C4xC6", 7, 24, "60ef14e441a1731f4183fa7a1904e4d2a403d208dbf263d49740c293140b6167"),
+    ("C4", None, 4, "9df149b78089c8cb64f79ddfa4eadf3f428aa798a5f43c27a7ce72e468024fff"),
+    ("C5", None, 5, "dda5e560b9895b95d7d472e33ed645ced97047e86ca51dd8516d52fa5a2df570"),
+    ("C6", None, 6, "c230d570eb34b226a8bd8b2f4b49e0f0f634eef71c73713bbd81a6d5c60980d6"),
+    ("C8", None, 8, "f5001bb04d4031bd7eaa8ccdbf6578d056b8d68c5965d5e66c0984c25b11924e"),
+    ("C12", None, 12, "b59dce03171f70b25cc739e3c0b4933fa43797e58f1509ddb0e08482aa1b0ee0"),
+    ("C16", None, 16, "07b1a3742e46fb36228154222f3f5b0f6ff3e6b54486f92fedd22dfbd1d41f31"),
+    ("C32", None, 32, "6bfe9e6d1734863642df345abe20c1ff066e3ded6bb351b45864d06607b00feb"),
+]
+
+
+@pytest.mark.parametrize(
+    "label,radius,size,digest", BALL_DIGESTS, ids=[f"{r[0]}-{r[1]}" for r in BALL_DIGESTS]
+)
+def test_ball_order_is_pinned(label, radius, size, digest):
+    spec = parse_group(label)
+    b = groups.whole_group_ball(spec) if radius is None else ball(spec, radius)
+    assert len(b) == size
+    assert hashlib.sha256(repr(b.elements).encode()).hexdigest() == digest
+
+
 def _factor_specs():
     return st.one_of(
         st.just(Integers()),
@@ -262,7 +325,7 @@ GROUP_SPECS = st.one_of(
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(spec=GROUP_SPECS, n=st.integers(0, 3))
 def test_ball_order_is_sorted_bfs(spec, n):
-    assert list(ball(spec, n).elements) == sorted(bfs_ball(spec, n), key=spec.sort_key)
+    assert list(ball(spec, n).elements) == llex_sorted(spec, list(bfs_ball(spec, n)))
 
 
 def test_cyclic_cap_counts_the_ball_not_the_group():
