@@ -105,19 +105,26 @@ def _check_finite_float(flag: str, value) -> None:
         raise ConfigError(f"{flag} must be finite, got {value}")
 
 
-def _parse_int_list(text: str) -> List[int]:
+def _int(flag: str, text: str, what: str = "integers") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{flag} takes {what}, got {text.strip()!r}") from None
+
+
+def _parse_int_list(flag: str, text: str) -> List[int]:
     """Accept '2..7' ranges and '2,3,5' lists."""
     text = text.strip()
     out: List[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = map(int, chunk.split("..", 1))
+            lo, hi = (_int(flag, part) for part in chunk.split("..", 1))
             if hi < lo:
                 raise ConfigError(f"reversed range {chunk!r}")
             out.extend(range(lo, hi + 1))
         elif chunk:
-            out.append(int(chunk))
+            out.append(_int(flag, chunk))
     if not out:
         raise ConfigError(f"empty integer list: {text!r}")
     return out
@@ -135,9 +142,10 @@ def _parse_set(spec: GroupSpec, text: str, cap: int):
     Both forms hold at most cap elements."""
     text = text.strip()
     if text.startswith("ball:"):
-        return list(ball(spec, int(text[5:]), cap))
+        return list(ball(spec, _int("--set ball:R", text[5:], "an integer radius"), cap))
     if ".." in text:
-        lo, hi = map(int, text.split("..", 1))
+        what = "integers (the a..b form is for integer groups)"
+        lo, hi = (_int("--set", part, what) for part in text.split("..", 1))
         if hi < lo:
             raise ConfigError(f"reversed range {text!r}")
         if hi - lo + 1 > cap:
@@ -195,7 +203,7 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
 
 def cmd_balls(args) -> Report:
     spec = parse_group(args.group)
-    radii = _parse_int_list(args.radii)
+    radii = _parse_int_list("--radii", args.radii)
     for n in radii:
         if n < 0:
             raise ConfigError(f"ball radius must be >= 0, got {n}")
@@ -289,7 +297,7 @@ def cmd_psd(args) -> Report:
 def cmd_freecount(args) -> Report:
     if args.lmax < 0:
         raise ConfigError(f"--lmax must be >= 0, got {args.lmax}")
-    radii = _parse_int_list(args.radii) if args.radii else None
+    radii = _parse_int_list("--radii", args.radii) if args.radii else None
     _check_nonnegative("--radii", radii or ())
     rows_data = freecomb.count_table(args.k, args.lmax, radii, args.cap)
     rows = [
@@ -447,10 +455,14 @@ def _parse_coeffs(text: str) -> Dict[int, complex]:
         if not chunk:
             continue
         k, _, c = chunk.partition(":")
-        value = complex(c)
+        k = _int("--coeffs", k, "k:c entries with an integer k")
+        try:
+            value = complex(c)
+        except ValueError:
+            raise ConfigError(f"--coeffs value at {k} is not a number: {c!r}") from None
         if not cmath.isfinite(value):
             raise ConfigError(f"--coeffs value at {k} must be finite, got {c}")
-        out[int(k)] = value
+        out[k] = value
     if not out:
         raise ConfigError(f"empty coefficient list: {text!r}")
     return out
@@ -459,7 +471,7 @@ def _parse_coeffs(text: str) -> Dict[int, complex]:
 def cmd_cesaro(args) -> Report:
     coeffs = _parse_coeffs(args.coeffs)
     f = summation.TrigPolynomial(coeffs)
-    orders = _parse_int_list(args.orders)
+    orders = _parse_int_list("--orders", args.orders)
     _check_nonnegative("--orders", orders)
     deg = f.degree()
     # (deg + 4) sum |c_k| bounds every number the table holds
@@ -508,7 +520,7 @@ def cmd_cesaro(args) -> Report:
 def cmd_folner(args) -> Report:
     spec = parse_group(args.group)
     t = spec.parse_element(args.t)
-    radii = _parse_int_list(args.radii)
+    radii = _parse_int_list("--radii", args.radii)
     _check_nonnegative("--radii", radii)
     try:
         size = max(posdef.folner_size(spec, n) for n in radii)

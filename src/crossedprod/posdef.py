@@ -11,7 +11,8 @@ A function whose value provably depends only on word length is flagged
 ``radial``.  Its Gram matrix comes from the group's table of quotient
 lengths l(g h^-1) over the window: the function is evaluated once per
 distinct length and the value is copied to every entry of that length.
-Every other function is evaluated once per entry.
+Every other function is evaluated once per entry.  Either way the Gram is
+float64 when its values are real, and complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -261,42 +262,53 @@ def convex_combination(terms: Sequence[Tuple[float, PdFunction]]) -> PdFunction:
 
 
 def gram_matrix(f: PdFunction, window: Ball) -> np.ndarray:
-    """The matrix [f(g h^-1)] over the window, in window order."""
+    """The matrix [f(g h^-1)] over the window, in window order.
+
+    The dtype follows the values: float64 when every entry's imaginary
+    part is exactly 0, as for a real-valued f, and complex128 otherwise.
+    """
     if len(window) == 0:
         raise ValueError("window must be nonempty")
     spec = window.spec
     if f.spec != spec:
         raise SpecMismatchError("function and window groups differ")
+    if f.radial:
+        return _gram_by_length(f, window)
     n = len(window)
     out = np.empty((n, n), dtype=complex)
-    if f.radial:
-        _fill_by_length(f, window, out)
-        return out
     inverses = [spec.inverse(h) for h in window]
     for j, hinv in enumerate(inverses):
         for i, g in enumerate(window):
             out[i, j] = f(spec.multiply(g, hinv))
-    return out
+    return _real_if_exact(out)
 
 
-def _fill_by_length(f: PdFunction, window: Ball, out: np.ndarray) -> None:
-    """Fill the Gram of a radial f from the window's quotient-length table.
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a itself if any imaginary part is nonzero, else its real part as a
+    float64 copy, so the complex array can be freed."""
+    return a if a.imag.any() else a.real.copy()
+
+
+def _gram_by_length(f: PdFunction, window: Ball) -> np.ndarray:
+    """The Gram of a radial f, gathered from a table of its value per length.
 
     f is called once per distinct length, at the first entry of that
     length in the per-entry loop's column-major order, so each entry holds
-    the value that loop would have computed there.
+    the value that loop would have computed there.  The table is real
+    when every value is, and the Gram is one gather ``table[lengths]``.
     """
     spec = window.spec
     lengths = spec.quotient_lengths(window.elements)
-    for ell in range(int(lengths.max()) + 1):
+    values = [0j] * (int(lengths.max()) + 1)
+    for ell in range(len(values)):
         mask = lengths == ell
         hit = mask.any(axis=0)
         if not hit.any():
             continue
         j = int(np.argmax(hit))
         i = int(np.argmax(mask[:, j]))
-        value = f(spec.multiply(window[i], spec.inverse(window[j])))
-        np.copyto(out, value, where=mask)
+        values[ell] = f(spec.multiply(window[i], spec.inverse(window[j])))
+    return _real_if_exact(np.array(values, dtype=complex))[lengths]
 
 
 def check_positive_definite(
@@ -304,8 +316,11 @@ def check_positive_definite(
 ) -> PsdReport:
     """Eigenvalue witness: Pass iff min eig of the symmetrized Gram >= -tol.
 
-    Default tolerance is 1e-8 * max(1, spectral norm), sized for dense
-    double-precision Gram matrices up to a few thousand rows.
+    The Gram is float64 when f's values on the window are real, so the
+    real symmetric eigensolver runs; otherwise it is complex128 and the
+    Hermitian one runs.  Default tolerance is 1e-8 * max(1, spectral
+    norm), sized for dense double-precision Gram matrices up to a few
+    thousand rows.
     """
     # symmetrized in place: (G + G^*) / 2 with two n^2 arrays alive, not three
     herm = gram_matrix(f, window)

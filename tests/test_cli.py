@@ -751,6 +751,31 @@ def test_config_errors_name_their_flag(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("folner", "--group", "Z", "--t", "1", "--radii", "1..x"),
+            "--radii takes integers, got 'x'",
+        ),
+        (
+            ("cesaro", "--coeffs", "0:1,x:2"),
+            "--coeffs takes k:c entries with an integer k, got 'x'",
+        ),
+        (
+            ("chi", "--group", "F2", "--set", "a..b", "--at", "a"),
+            "--set takes integers (the a..b form is for integer groups), got 'a'",
+        ),
+    ],
+    ids=["folner-radii", "cesaro-coeffs", "chi-set"],
+)
+def test_integer_parse_errors_name_their_flag(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "grid, code, err",
     [("500", 0, ""), ("501", 3, "resource cap: --grid 501 times 2 coefficients exceeds cap 1000\n")],
 )
