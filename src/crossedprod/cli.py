@@ -40,6 +40,7 @@ from .groups import (
     Cyclic,
     FreeGroup,
     GroupSpec,
+    Integers,
     ball,
     parse_group,
 )
@@ -146,6 +147,11 @@ def _parse_set(spec: GroupSpec, text: str, cap: int):
     if ".." in text:
         what = "integers (the a..b form is for integer groups)"
         lo, hi = (_int("--set", part, what) for part in text.split("..", 1))
+        if not isinstance(spec, (Integers, Cyclic)):
+            raise ConfigError(
+                f"--set {text!r}: the a..b form is for integer groups (Z, Cn), "
+                f"not {spec.label}"
+            )
         if hi < lo:
             raise ConfigError(f"reversed range {text!r}")
         if hi - lo + 1 > cap:
@@ -165,7 +171,7 @@ def _parse_algebra(text: str) -> crossed.CoeffAlgebra:
         ("full:", crossed.CoeffAlgebra.full),
     ):
         if text.startswith(prefix):
-            return maker(int(text[len(prefix) :]))
+            return maker(_int("--algebra", text[len(prefix) :], "an integer dimension"))
     raise ConfigError(f"unknown algebra {text!r} (scalars, diagonal:d, full:d)")
 
 
@@ -187,7 +193,12 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
     if text == "uniform":
         return posdef.L2Vector.indicator(list(ctx.window))
     if text.startswith("geometric:"):
-        q = float(text[len("geometric:") :])
+        try:
+            q = float(text[len("geometric:") :])
+        except ValueError:
+            raise ConfigError(
+                f"--xi geometric:q takes a number, got {text[len('geometric:'):]!r}"
+            ) from None
         _check_finite_float("--xi geometric ratio", q)
         if not 0 < q:
             raise ConfigError("geometric ratio must be positive")

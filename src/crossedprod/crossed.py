@@ -3,7 +3,9 @@
 A CrossedContext fixes a group, a finite window ball, a coefficient
 algebra of d x d matrices and an action by coordinate permutations; the
 algebra fixes the conditional expectation onto it.  Operators live on
-window x internal space and are stored dense (BlockMatrix).
+window x internal space and are stored dense (BlockMatrix), except the
+span elements the sweeps produce, which keep their coefficient stack and
+build the dense matrix only when it is read (SpanElement).
 
 On a finite group the norm and spectrum of a crossed-product span element
 are read off its coefficient stack c instead (dual_blocks): conjugating
@@ -19,7 +21,6 @@ margin; on finite groups (window = whole group) everything is exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -30,13 +31,11 @@ import numpy as np
 from .errors import NotInCrossedProductError, SpecMismatchError
 from .groups import (
     DEFAULT_ELEMENT_CAP,
-    ORDERING_VERSION,
     Ball,
     Cyclic,
     Element,
     GroupSpec,
     ball,
-    parse_group,
     whole_group_ball,
 )
 from .posdef import PdFunction, gram_matrix
@@ -499,39 +498,49 @@ class BlockMatrix:
         self._check_compatible(other)
         return BlockMatrix(self.window, self.block_dim, self.data @ other.data)
 
-    def to_json(self) -> str:
-        pairs = [
-            [float(z.real), float(z.imag)] for z in self.data.ravel(order="C")
-        ]
-        return json.dumps(
-            {
-                "group": self.window.spec.label,
-                "radius": self.window.radius,
-                "ordering": ORDERING_VERSION,
-                "block_dim": self.block_dim,
-                "data": pairs,
-            },
-            sort_keys=True,
-        )
 
-    @staticmethod
-    def from_json(text: str) -> "BlockMatrix":
-        doc = json.loads(text)
-        if doc["ordering"] != ORDERING_VERSION:
-            raise SpecMismatchError(
-                f"serialized with ordering {doc['ordering']!r}, "
-                f"this build uses {ORDERING_VERSION!r}"
-            )
-        spec = parse_group(doc["group"])
-        window = ball(spec, doc["radius"])
-        d = doc["block_dim"]
-        n = len(window) * d
-        flat = np.array(
-            [complex(re, im) for re, im in doc["data"]], dtype=complex
-        )
-        if flat.size != n * n:
-            raise SpecMismatchError("serialized data size mismatch")
-        return BlockMatrix(window, d, flat.reshape(n, n))
+class SpanElement(BlockMatrix):
+    """theta(c) for a complex (n, d, d) stack c whose every slot is in the
+    algebra: what sigma_xi, pi_projection, random_crossed_element and
+    theta_embed's dict branch return.  The element keeps c, made
+    read-only, and phi_hom and dual_blocks read it as it is; data, the
+    dense theta(c), is gathered on first use and read-only too.  +, - and
+    scalar * with a span element of the same context act on the stacks,
+    which is the dense arithmetic entry for entry, since theta is a
+    gather."""
+
+    def __init__(self, ctx: "CrossedContext", coeffs: np.ndarray):
+        coeffs.flags.writeable = False
+        for name, value in (
+            ("window", ctx.window), ("block_dim", ctx.d), ("ctx", ctx), ("coeffs", coeffs)
+        ):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        out = _theta_gather(self.ctx, self.coeffs)
+        out.flags.writeable = False
+        return out
+
+    def _same_span(self, other) -> bool:
+        return isinstance(other, SpanElement) and other.ctx is self.ctx
+
+    def __add__(self, other):
+        if self._same_span(other):
+            return SpanElement(self.ctx, self.coeffs + other.coeffs)
+        return super().__add__(other)
+
+    def __sub__(self, other):
+        if self._same_span(other):
+            return SpanElement(self.ctx, self.coeffs - other.coeffs)
+        return super().__sub__(other)
+
+    def __mul__(self, scalar):
+        if np.ndim(scalar) == 0:
+            return SpanElement(self.ctx, self.coeffs * scalar)
+        return super().__mul__(scalar)
+
+    __rmul__ = __mul__
 
 
 class BlockDiagonal(BlockMatrix):
@@ -663,10 +672,16 @@ def phi_hom(ctx: CrossedContext, x: BlockMatrix) -> np.ndarray:
     """Coefficient extraction: stack of algebra elements, one per window slot.
 
     Slot t holds the unique r with translate-diagonal Diag(L_{t^-1} x)
-    equal to the block-diagonal embedding of r.  Raises when no such r
-    exists (x is outside the crossed-product span) within DEFAULT_TOL.
+    equal to the block-diagonal embedding of r.  A SpanElement of ctx
+    carries that stack, so it is read as it is.  Any other operator, such
+    as a plain BlockMatrix stand-in, is read off its dense data, and
+    raises when no such r exists (x is outside the crossed-product span)
+    within DEFAULT_TOL.
     """
-    coeffs = _phi_batch(ctx, [x])[0][0]
+    if isinstance(x, SpanElement) and x.ctx is ctx:
+        coeffs = x.coeffs
+    else:
+        coeffs = _phi_batch(ctx, [x])[0][0]
     if ctx.algebra.kind == "diagonal":
         return _keep_diagonal(coeffs)
     return coeffs
@@ -731,21 +746,27 @@ def dual_blocks(
     c of x_pq, and the Frobenius norm of x - theta(c) over the grid.  The
     amplified operator is unitarily equivalent to the direct sum of the
     blocks up to that residual, so span_norms adds it and
-    span_min_eigenvalues subtracts it.  Raises NotInCrossedProductError
-    outside the span, as phi_hom does, and SpecMismatchError on an
-    infinite group.
+    span_min_eigenvalues subtracts it.  A grid of SpanElements of ctx is
+    read off their stacks, with residual exactly 0.  A grid holding any
+    other operator, such as a plain BlockMatrix stand-in, takes the dense
+    span check of phi_hom and raises NotInCrossedProductError outside
+    the span.  Raises SpecMismatchError on an infinite group.
     """
     if not ctx.group.is_finite():
         raise SpecMismatchError("dual-group blocks need a finite group")
     grid = [[x]] if isinstance(x, BlockMatrix) else x
     n, d, m = ctx.nwin, ctx.d, len(grid)
     flat = [xpq for row in grid for xpq in row]
-    coeffs, squares = _phi_batch(ctx, flat)
+    if all(isinstance(xpq, SpanElement) and xpq.ctx is ctx for xpq in flat):
+        coeffs, residual = np.stack([xpq.coeffs for xpq in flat]), 0.0
+    else:
+        coeffs, squares = _phi_batch(ctx, flat)
+        residual = math.sqrt(squares.sum())
     # U_s c_s: row a of slot s is row perm_index[s, a] of c_s
     shifted = coeffs[:, np.arange(n)[:, None], ctx.perm_index]
     stack = shifted.reshape(m, m, n, d, d).transpose(2, 0, 3, 1, 4)
     blocks = ctx.dual_table @ stack.reshape(n, -1)
-    return blocks.reshape(n, m * d, m * d), math.sqrt(squares.sum())
+    return blocks.reshape(n, m * d, m * d), residual
 
 
 def empty_blocks(
@@ -785,15 +806,29 @@ def theta_embed(
 
     Entry (i, j) is the coefficient at g_i g_j^-1, twisted by the
     inverse-of-g_j automorphism.  Accepts a (n, d, d) stack aligned with
-    the window or a dict keyed by group elements.
+    the window, returned as a dense BlockMatrix whose slots need not lie
+    in the algebra, or a dict keyed by group elements whose values are
+    checked to be algebra members.  A dict whose keys all lie in the
+    window returns a SpanElement; one with a key off the window of an
+    infinite group returns a dense BlockMatrix holding the translates
+    that key still reaches.
     """
     n = ctx.nwin
     d = ctx.d
     if isinstance(coeffs, dict):
+        members = {}
+        for t, r in coeffs.items():
+            members[t] = ctx.algebra.validate_member(r)
+            ctx.group.validate(t)
+        idx = ctx.window.index_of
+        if all(t in idx for t in members):
+            stack = np.zeros((n, d, d), dtype=complex)
+            for t, r in members.items():
+                stack[idx[t]] = r
+            return SpanElement(ctx, stack)
         out = ctx.zero()
         oblocks = out.blocks()
-        for t, r in coeffs.items():
-            r = ctx.algebra.validate_member(r)
+        for t, r in members.items():
             row = ctx.left_index(t)
             # left multiplication by t is injective: no block is hit twice
             cols = np.flatnonzero(row >= 0)
@@ -805,7 +840,12 @@ def theta_embed(
     stack = np.asarray(coeffs, dtype=complex)
     if stack.shape != (n, d, d):
         raise SpecMismatchError(f"coefficient stack must be ({n},{d},{d})")
-    return ctx.wrap(np.append(stack.ravel(), 0.0)[ctx.theta_index])
+    return ctx.wrap(_theta_gather(ctx, stack))
+
+
+def _theta_gather(ctx: CrossedContext, stack: np.ndarray) -> np.ndarray:
+    """The dense (nd, nd) data of theta(stack), in one gather."""
+    return np.append(stack.ravel(), 0.0)[ctx.theta_index]
 
 
 def hadamard_product(ctx: CrossedContext, x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:

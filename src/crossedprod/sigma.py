@@ -27,6 +27,7 @@ from . import freecomb
 from .crossed import (
     BlockMatrix,
     CrossedContext,
+    SpanElement,
     dual_blocks,
     empty_blocks,
     fourier_coefficient,
@@ -157,10 +158,10 @@ def sigma_coefficients(
 
 def sigma_xi(
     ctx: CrossedContext, xi: Union[L2Vector, Support], x: BlockMatrix
-) -> BlockMatrix:
-    """Apply the averaged map; the result lies in the crossed-product span.
-    xi is as in sigma_coefficients."""
-    return theta_embed(ctx, sigma_coefficients(ctx, xi, x))
+) -> SpanElement:
+    """Apply the averaged map; the result lies in the crossed-product span,
+    and carries its sigma_coefficients.  xi is as in sigma_coefficients."""
+    return SpanElement(ctx, sigma_coefficients(ctx, xi, x))
 
 
 def tau_u(
@@ -382,12 +383,12 @@ def random_window_operator(ctx: CrossedContext, rng: np.random.Generator) -> Blo
     return ctx.wrap(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
-def random_crossed_element(ctx: CrossedContext, rng: np.random.Generator) -> BlockMatrix:
+def random_crossed_element(ctx: CrossedContext, rng: np.random.Generator) -> SpanElement:
     """A random element of the crossed-product span (via coefficients)."""
     coeffs = np.stack([
         ctx.algebra.random_member(rng) for _ in range(ctx.nwin)
     ])
-    return theta_embed(ctx, coeffs)
+    return SpanElement(ctx, coeffs)
 
 
 def cp_check(
@@ -411,10 +412,15 @@ def cp_check(
     input, which is still PSD.  Bimodularity is checked against random
     algebra sandwiches, and the eigenrelation against every window
     translate when chi is supplied.  Every output must lie in the
-    crossed-product span (NotInCrossedProductError otherwise):
-    eigenvalues and norms come from its dual-group blocks, one batched
-    eigensolve per check.  A failing verdict names the trial of the
-    worst eigenvalue.
+    crossed-product span: eigenvalues and norms come from its dual-group
+    blocks, one batched eigensolve per check.  A sigma_xi output is a
+    SpanElement, whose blocks are read off the stack it carries, so the
+    positivity grid and the eigenrelation loop never build a dense
+    sigma(x); only the sandwich pr sigma(x) ps of the bimodular check
+    does.  Any other output, such as a plain BlockMatrix from a stand-in
+    map, takes the dense span check (NotInCrossedProductError outside
+    the span).  A failing verdict names the trial of the worst
+    eigenvalue.
     """
     if amplification < 1:
         raise ValueError("amplification must be >= 1")
@@ -540,17 +546,18 @@ def _chi_divisors(pair: ExpectationPair) -> np.ndarray:
 
 def pi_projection(
     pair: ExpectationPair, x: BlockMatrix, *, coeffs: Optional[np.ndarray] = None
-) -> BlockMatrix:
+) -> SpanElement:
     """The idempotent: invert the eigenvalues on the coefficient series.
 
     Identity on the crossed-product span.  Eigenvalues below the floor
     mean the windowed inversion is meaningless; that is the finite-scale
     analogue of falling outside the domain.  coeffs, when given, is
     phi_hom(pair.ctx, pair.sigma(x)), already computed by the caller.
+    The result carries its coefficient stack.
     """
     if coeffs is None:
         coeffs = phi_hom(pair.ctx, pair.sigma(x))
-    return theta_embed(pair.ctx, coeffs / _chi_divisors(pair)[:, None, None])
+    return SpanElement(pair.ctx, coeffs / _chi_divisors(pair)[:, None, None])
 
 
 def pi_amplification(

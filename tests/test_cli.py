@@ -804,3 +804,55 @@ def test_oversized_cesaro_grids_are_never_built(tmp_path, capsys, monkeypatch, a
     err = capsys.readouterr().err
     assert err.startswith("resource cap: --grid ") and err.endswith(" exceeds cap 1000000\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("sigma", "--group", "C4", "--algebra", "diagonal:x"),
+            "--algebra takes an integer dimension, got 'x'",
+        ),
+        (
+            ("pi", "--group", "C4", "--algebra", "full:x"),
+            "--algebra takes an integer dimension, got 'x'",
+        ),
+        (
+            ("sigma", "--group", "C4", "--xi", "geometric:x"),
+            "--xi geometric:q takes a number, got 'x'",
+        ),
+    ],
+    ids=["sigma-diagonal", "pi-full", "sigma-geometric"],
+)
+def test_sweep_parse_errors_name_their_flag(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", "--group", "F2", "--set", "0..2", "--at", "a"),
+        ("psd", "--group", "F2", "--set", "0..1", "--ball", "1"),
+        ("chi", "--group", "ZxC3", "--set", "0..1", "--at", "(0,0)"),
+    ],
+    ids=["chi-F2", "psd-F2", "chi-ZxC3"],
+)
+def test_integer_set_ranges_need_an_integer_group(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    group, text = argv[2], argv[4]
+    assert capsys.readouterr().err == (
+        f"config error: --set '{text}': the a..b form is for integer groups "
+        f"(Z, Cn), not {group}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("group", ["Z", "C5"])
+def test_integer_set_ranges_still_work_on_integer_groups(tmp_path, capsys, group):
+    code, _ = run(tmp_path, "chi", "--group", group, "--set", "0..2", "--at", "1")
+    assert code == 0
+    assert capsys.readouterr().out == "2/3\n"

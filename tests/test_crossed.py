@@ -3,7 +3,6 @@ import pytest
 
 from crossedprod.crossed import (
     ActionSpec,
-    BlockMatrix,
     CoeffAlgebra,
     ExpectationSpec,
     diag,
@@ -354,24 +353,6 @@ def test_hadamard_product_unit():
     y = hadamard_product(ctx, ctx.identity_matrix(), x)
     want = theta_embed(ctx, np.concatenate([c[:1], np.zeros((4, 1, 1))]))
     assert np.allclose(y.data, want.data)
-
-
-def test_json_round_trip_is_bit_exact():
-    ctx = ctx_swap(4)
-    rng = np.random.default_rng(67)
-    x = random_operator(ctx, rng)
-    text = x.to_json()
-    y = BlockMatrix.from_json(text)
-    assert np.array_equal(x.data, y.data)
-    assert y.window.elements == x.window.elements
-    assert text == y.to_json()
-
-
-def test_json_rejects_other_ordering():
-    ctx = ctx_scalars(3)
-    text = ctx.identity_matrix().to_json()
-    with pytest.raises(SpecMismatchError):
-        BlockMatrix.from_json(text.replace("llex-1", "llex-0"))
 
 
 def test_op_norm_examples():

@@ -193,3 +193,15 @@ def test_pinched_translation_sweep_report_is_byte_identical(tmp_path):
     for ext in ("json", "csv"):
         got = (tmp_path / f"sigma.{ext}").read_bytes()
         assert got == (DATA / f"golden_sigma_c12_translation.{ext}").read_bytes(), ext
+
+
+def test_full_algebra_sweep_report_is_byte_identical(tmp_path):
+    """A report recorded when every sigma output was written out as its
+    dense theta(c) and read back through the dense span check: the
+    full:d sweep, where the expectation keeps every entry of a block."""
+    argv = ["sigma", "--group", "C6", "--algebra", "full:6", "--xi", "geometric:0.5",
+            "--seed", "9", "--trials", "5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for ext in ("json", "csv"):
+        got = (tmp_path / f"sigma.{ext}").read_bytes()
+        assert got == (DATA / f"golden_sigma_c6_full.{ext}").read_bytes(), ext

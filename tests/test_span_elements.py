@@ -1,0 +1,221 @@
+"""Sweep outputs that carry their coefficient stacks.
+
+sigma_xi, pi_projection, random_crossed_element and theta_embed's dict
+branch return SpanElements: theta(c) held as c, with the dense data
+gathered on first use.  Every reading of one must equal the reading of
+the same dense matrix as a plain BlockMatrix, bit for bit, since theta is
+a gather; and the sweeps must read the stacks without building a dense
+sigma(x).
+"""
+
+import numpy as np
+import pytest
+
+from crossedprod import crossed, sigma
+from crossedprod.cli import main
+from crossedprod.crossed import (
+    BlockMatrix,
+    CoeffAlgebra,
+    SpanElement,
+    dual_blocks,
+    make_context,
+    phi_hom,
+    swap_action,
+    theta_embed,
+    translation_action,
+)
+from crossedprod.groups import Cyclic, Integers
+from crossedprod.posdef import L2Vector
+from crossedprod.sigma import cp_check, make_pair, pi_projection, random_crossed_element
+
+CONTEXTS = [
+    ("C5/scalars", make_context(Cyclic(5))),
+    (
+        "C6/diagonal6",
+        make_context(
+            Cyclic(6), algebra=CoeffAlgebra.diagonal(6), action=translation_action(Cyclic(6))
+        ),
+    ),
+    ("C4/full3", make_context(Cyclic(4), algebra=CoeffAlgebra.full(3))),
+]
+IDS = [label for label, _ in CONTEXTS]
+
+
+def bits(a):
+    """The raw float64 words of an array, so that 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+
+def dense(x):
+    return x.ctx.wrap(x.data.copy())
+
+
+def pair_of(ctx, seed=0):
+    rng = np.random.default_rng(seed)
+    return make_pair(ctx, L2Vector.normalized({g: 0.2 + rng.random() for g in ctx.window}))
+
+
+def span_elements(ctx, rng):
+    """One SpanElement from each producer, and a negated one."""
+    pair = pair_of(ctx)
+    x = sigma.random_window_operator(ctx, rng)
+    r = ctx.algebra.random_member(rng)
+    out = [
+        pair.sigma(x),
+        pi_projection(pair, x),
+        random_crossed_element(ctx, rng),
+        theta_embed(ctx, {ctx.window[1]: r, ctx.window[-1]: 2 * r}),
+    ]
+    return out + [-1.0 * out[0]]
+
+
+@pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
+def test_each_producer_returns_a_span_element_of_its_context(label, ctx):
+    for x in span_elements(ctx, np.random.default_rng(1)):
+        assert isinstance(x, SpanElement) and x.ctx is ctx
+        assert x.coeffs.shape == (ctx.nwin, ctx.d, ctx.d)
+
+
+@pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
+def test_phi_hom_and_dual_blocks_read_the_stack_as_the_dense_check_does(label, ctx):
+    xs = span_elements(ctx, np.random.default_rng(2))
+    for x in xs:
+        assert same_bits(phi_hom(ctx, x), phi_hom(ctx, dense(x)))
+        blocks, res = dual_blocks(ctx, x)
+        want, want_res = dual_blocks(ctx, dense(x))
+        assert same_bits(blocks, want)
+        assert res == 0.0 and want_res == 0.0
+    grid = [[xs[0], xs[1]], [xs[2], xs[3]]]
+    blocks, res = dual_blocks(ctx, grid)
+    want, want_res = dual_blocks(ctx, [[dense(x) for x in row] for row in grid])
+    assert same_bits(blocks, want) and res == want_res == 0.0
+
+
+@pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
+def test_a_grid_with_one_plain_operator_takes_the_dense_check(label, ctx, monkeypatch):
+    a, b = span_elements(ctx, np.random.default_rng(3))[:2]
+    want, _ = dual_blocks(ctx, [[dense(a), dense(b)], [dense(b), dense(a)]])
+    real, batches = crossed._phi_batch, []
+    monkeypatch.setattr(
+        crossed, "_phi_batch", lambda c, xs: batches.append(len(xs)) or real(c, xs)
+    )
+    blocks, res = dual_blocks(ctx, [[a, dense(b)], [b, a]])
+    assert batches == [4]
+    assert same_bits(blocks, want) and res == 0.0
+
+
+@pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
+def test_arithmetic_on_stacks_is_the_dense_arithmetic(label, ctx):
+    a, b, *_ = span_elements(ctx, np.random.default_rng(4))
+    da, db = dense(a), dense(b)
+    for z in (-1.0, 0.75, 0.3 - 1.7j, np.float64(2.5)):
+        for got, want in ((a - b, da - db), (a + b, da + db), (z * a, z * da), (a * z, da * z)):
+            assert isinstance(got, SpanElement)
+            assert same_bits(got.data, want.data)
+
+
+def test_arithmetic_with_any_other_operator_is_dense():
+    _, ctx = CONTEXTS[1]
+    a = random_crossed_element(ctx, np.random.default_rng(5))
+    plain = sigma.random_window_operator(ctx, np.random.default_rng(6))
+    # the same window and algebra under another action is another theta
+    other = make_context(Cyclic(6), algebra=CoeffAlgebra.diagonal(6))
+    b = random_crossed_element(other, np.random.default_rng(7))
+    for got, want in (
+        (a - plain, a.data - plain.data),
+        (plain + a, plain.data + a.data),
+        (a - b, a.data - b.data),
+        (a @ a, a.data @ a.data),
+    ):
+        assert type(got) is BlockMatrix and np.array_equal(got.data, want)
+
+
+@pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
+def test_the_dense_data_is_read_only(label, ctx):
+    x = random_crossed_element(ctx, np.random.default_rng(8))
+    with pytest.raises(ValueError, match="read-only"):
+        x.data[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        x.blocks()[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        x.coeffs[0] = 0.0
+    # copies are plain writable matrices
+    y = x.adjoint()
+    y.data[0, 0] = 1.0
+
+
+def test_unvalidated_stacks_and_off_window_keys_stay_dense():
+    ctx = make_context(Cyclic(4), algebra=CoeffAlgebra.diagonal(2), action=swap_action(Cyclic(4)))
+    off = np.zeros((4, 2, 2), dtype=complex)
+    off[2, 0, 1] = 1.0
+    assert type(theta_embed(ctx, off)) is BlockMatrix
+    window = make_context(Integers(), radius=3)
+    assert isinstance(theta_embed(window, {1: 2.0}), SpanElement)
+    assert type(theta_embed(window, {5: 2.0})) is BlockMatrix
+
+
+def test_a_span_element_on_a_window_reads_back_its_stack():
+    ctx = make_context(Integers(), radius=3)
+    x = theta_embed(ctx, {0: 0.5, 2: 1.5j, -3: -2.0})
+    assert same_bits(phi_hom(ctx, x), phi_hom(ctx, dense(x)))
+
+
+def dense_builds(monkeypatch):
+    """Record every stack whose dense theta(c) is gathered; returns the
+    list of them and a test of whether an element's was."""
+    built = []
+    real = crossed._theta_gather
+
+    def spy(ctx, stack):
+        built.append(stack)
+        return real(ctx, stack)
+
+    monkeypatch.setattr(crossed, "_theta_gather", spy)
+    return built, lambda x: any(stack is x.coeffs for stack in built)
+
+
+def test_cp_check_builds_no_dense_sigma_in_positivity_or_eigenrelation(monkeypatch):
+    _, ctx = CONTEXTS[1]
+    pair = pair_of(ctx, 9)
+    outputs = []
+
+    def apply(x):
+        outputs.append(pair.sigma(x))
+        return outputs[-1]
+
+    _, was_built = dense_builds(monkeypatch)
+    trials, m = 4, 2
+    rep = cp_check(ctx, apply, chi=pair.chi, amplification=m, trials=trials, seed=3)
+    assert rep.verdict == "Pass"
+    positivity = outputs[: trials * m * m]
+    eigenrelation = outputs[-ctx.nwin:]
+    # one bimodular trial between them: its sandwich pr sigma(x) ps is dense
+    assert len(outputs) == trials * m * m + 2 + ctx.nwin
+    assert [x for x in positivity + eigenrelation if was_built(x)] == []
+    assert was_built(outputs[trials * m * m + 1])
+
+
+def test_pi_trials_build_no_dense_sigma(tmp_path, monkeypatch):
+    outputs = []
+    real_sigma_xi = sigma.sigma_xi
+
+    def recording(ctx, xi, x):
+        outputs.append(real_sigma_xi(ctx, xi, x))
+        return outputs[-1]
+
+    monkeypatch.setattr(sigma, "sigma_xi", recording)
+    built, was_built = dense_builds(monkeypatch)
+    argv = ["pi", "--group", "C6", "--algebra", "diagonal:6", "--action", "translation",
+            "--xi", "geometric:0.6", "--seed", "5", "--trials", "3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    # make_pair's sigma(I), then sigma of x, of p1 and of y in each trial
+    assert len(outputs) == 1 + 3 * 3
+    # only make_pair's unital defect, a dense norm, reads sigma(I) densely
+    assert [i for i, x in enumerate(outputs) if was_built(x)] == [0]
+    # besides it, sigma reads its two span inputs p1 and y in each trial;
+    # the differences p2 - p1 and pi(y) - y stay stacks
+    assert len(built) == 1 + 2 * 3
