@@ -381,8 +381,9 @@ def cmd_sigma(args) -> Report:
     tau_dev = 0.0
     for x in samples[:5]:
         total = ctx.zero()
+        acc = total.data
         for u in ctx.window:
-            total = total + sigma_mod.tau_u(ctx, pair.support, u, x)
+            acc += sigma_mod.tau_u(ctx, pair.support, u, x).data
         tau_dev = max(tau_dev, crossed.op_norm(total - pair.sigma(x)))
     checks = {
         "unital_defect": unital,

@@ -5,7 +5,9 @@ algebra of d x d matrices and an action by coordinate permutations; the
 algebra fixes the conditional expectation onto it.  Operators live on
 window x internal space and are stored dense (BlockMatrix), except the
 span elements the sweeps produce, which keep their coefficient stack and
-build the dense matrix only when it is read (SpanElement).
+build the dense matrix only when it is read (SpanElement), and the
+block-diagonal operators, which keep their stack of diagonal blocks and
+whose norm is read off it (BlockDiagonal).
 
 On a finite group the norm and spectrum of a crossed-product span element
 are read off its coefficient stack c instead (dual_blocks): conjugating
@@ -544,29 +546,54 @@ class SpanElement(BlockMatrix):
 
 
 class BlockDiagonal(BlockMatrix):
-    """A BlockMatrix built with every off-diagonal block zero.  psi
-    (embedded algebra elements), fourier_coefficient and diag (diagonal
-    compressions) return it; arithmetic on it returns a plain
+    """An operator whose off-diagonal blocks are zero by construction, held
+    as the (n, d, d) stack ``diagonal`` of its diagonal blocks, made
+    read-only.  psi, fourier_coefficient and diag return it.  data, the
+    dense operator, is built from the stack on first read; it is
+    read-only too, except diag's, which callers may write, so op_norm
+    reads diag's blocks back from data.  Arithmetic on it returns a plain
     BlockMatrix."""
+
+    def __init__(
+        self, window: Ball, block_dim: int, diagonal: np.ndarray, writable: bool = False
+    ):
+        diagonal.flags.writeable = False
+        for name, value in (
+            ("window", window),
+            ("block_dim", block_dim),
+            ("diagonal", diagonal),
+            ("writable", writable),
+        ):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        n, d = len(self.window), self.block_dim
+        out = np.zeros((n * d, n * d), dtype=self.diagonal.dtype)
+        slots = np.arange(n)
+        out.reshape(n, d, n, d)[slots, :, slots] = self.diagonal
+        out.flags.writeable = self.writable
+        return out
 
 
 def op_norm(x: BlockMatrix) -> float:
     """Operator norm: sqrt of the top eigenvalue of x* x.
 
-    For a BlockDiagonal whose off-diagonal blocks are all still exactly
-    zero, x* x is block diagonal with blocks b* b, so the top eigenvalue
-    is the largest over the (n, d, d) stack of diagonal blocks, taken from
-    one batched eigensolve.  Any other x takes the dense (nd)^2 path, even
-    when rounding leaves it block diagonal, so the path follows how x was
-    built rather than the last bits of its entries.
+    For a BlockDiagonal, x* x is block diagonal with blocks b* b, so the
+    top eigenvalue is the largest over its stack of diagonal blocks, taken
+    from one batched eigensolve.  A writable one (diag's) is read back
+    from its data, and takes the dense path if an entry off its diagonal
+    blocks has been written.  Any other x takes the dense (nd)^2 path,
+    even when rounding leaves it block diagonal, so the path follows how
+    x was built rather than the last bits of its entries.
     """
-    n = len(x.window)
-    diagonal = x.blocks()[np.arange(n), np.arange(n)]
-    # data written off the diagonal after construction sends x to the dense path
-    blockwise = isinstance(x, BlockDiagonal) and (
-        np.count_nonzero(diagonal) == np.count_nonzero(x.data)
-    )
-    if blockwise:
+    diagonal = x.diagonal if isinstance(x, BlockDiagonal) else None
+    if diagonal is not None and x.writable:
+        slots = np.arange(len(x.window))
+        diagonal = x.blocks()[slots, slots]
+        if np.count_nonzero(diagonal) != np.count_nonzero(x.data):
+            diagonal = None
+    if diagonal is not None:
         gram = diagonal.conj().swapaxes(-1, -2) @ diagonal
         top = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
     else:
@@ -588,27 +615,35 @@ def psi(ctx: CrossedContext, r) -> BlockDiagonal:
     """Block-diagonal embedding of an algebra element, theta({e: r}):
     block (g,g) is the coefficient twisted by the inverse-element
     automorphism."""
-    out = theta_embed(ctx, {ctx.group.identity(): r})
-    return BlockDiagonal(out.window, out.block_dim, out.data)
+    r = ctx.algebra.validate_member(r)
+    return BlockDiagonal(ctx.window, ctx.d, ctx.alpha_by_perm(ctx.inv_perm_index, r))
 
 
 def diag(x: BlockMatrix) -> BlockDiagonal:
-    """Keep the diagonal blocks, zero the rest."""
-    out = BlockDiagonal(x.window, x.block_dim, np.zeros_like(x.data))
+    """Keep the diagonal blocks, zero the rest; the result's data is
+    writable."""
     slots = np.arange(len(x.window))
-    out.blocks()[slots, slots] = x.blocks()[slots, slots]
-    return out
+    return BlockDiagonal(x.window, x.block_dim, x.blocks()[slots, slots], writable=True)
 
 
 def fourier_coefficient(
     ctx: CrossedContext, x: BlockMatrix, g: Element
 ) -> BlockDiagonal:
-    """The diagonal operator Diag(L_g^* x); block (h,h) = x_{(gh, h)}."""
-    out = BlockDiagonal(ctx.window, ctx.d, ctx.zero().data)
+    """The diagonal operator Diag(L_g^* x); block (h,h) = x_{(gh, h)}.
+
+    For a SpanElement theta(c) of ctx that block is alpha_{h^-1}(c_g),
+    read off the stack, and 0 for g off the window; any other x is read
+    off its dense data."""
     row = ctx.left_index(g)
     cols = np.flatnonzero(row >= 0)
-    out.blocks()[cols, cols] = x.blocks()[row[cols], cols]
-    return out
+    out = np.zeros((ctx.nwin, ctx.d, ctx.d), dtype=complex)
+    if isinstance(x, SpanElement) and x.ctx is ctx:
+        if g in ctx.window:
+            c = x.coeffs[ctx.window.index(g)]
+            out[cols] = ctx.alpha_by_perm(ctx.inv_perm_index[cols], c)
+    else:
+        out[cols] = x.blocks()[row[cols], cols]
+    return BlockDiagonal(ctx.window, ctx.d, out)
 
 
 def reconstruct(

@@ -13,6 +13,13 @@ lengths l(g h^-1) over the window: the function is evaluated once per
 distinct length and the value is copied to every entry of that length.
 Every other function is evaluated once per entry.  Either way the Gram is
 float64 when its values are real, and complex128 otherwise.
+
+On a ball of a free group the real Gram of a radial function commutes
+with the symmetries of the Cayley tree that fix the identity, so its
+spectrum is that of a few blocks of size at most radius + 1, each read
+off the Gram by sums over sphere and subtree index sets.  Every other
+Gram, and one whose blocks fail their dimension and Frobenius checks,
+goes to one dense eigensolve.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from .groups import (
 )
 
 IDENTITY_TOL = 1e-12
+# relative gap allowed between a Gram's squared Frobenius norm and the sum
+# of its squared tree-block eigenvalues
+FROBENIUS_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -318,15 +328,20 @@ def check_positive_definite(
 
     The Gram is float64 when f's values on the window are real, so the
     real symmetric eigensolver runs; otherwise it is complex128 and the
-    Hermitian one runs.  Default tolerance is 1e-8 * max(1, spectral
-    norm), sized for dense double-precision Gram matrices up to a few
-    thousand rows.
+    Hermitian one runs.  A real Gram of a radial f on a free-group ball
+    has its spectrum read off the tree blocks of _tree_spectrum, each of
+    size at most radius + 1; every other Gram, and one whose blocks fail
+    their checks, takes the dense n x n eigensolve.  Default tolerance is
+    1e-8 * max(1, spectral norm), sized for dense double-precision Gram
+    matrices up to a few thousand rows.
     """
     # symmetrized in place: (G + G^*) / 2 with two n^2 arrays alive, not three
     herm = gram_matrix(f, window)
     herm += herm.conj().T
     herm /= 2.0
-    eigs = np.linalg.eigvalsh(herm)
+    eigs = _tree_spectrum(f, window, herm)
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(herm)
     min_eig = float(eigs[0])
     if tolerance is None:
         tolerance = 1e-8 * max(1.0, float(np.max(np.abs(eigs))))
@@ -338,6 +353,98 @@ def check_positive_definite(
         tolerance=float(tolerance),
         verdict=verdict,
     )
+
+
+def _tree_spectrum(
+    f: PdFunction, window: Ball, herm: np.ndarray
+) -> Optional[np.ndarray]:
+    """The spectrum, ascending and with multiplicities, of the real
+    symmetrized Gram of a radial f on a ball B_R of F_k, read off its tree
+    blocks; None when f is not radial, the Gram is complex, the window is
+    not B_R in length order, or the blocks fail their checks.
+
+    Under d(g, h) = |g h^-1| the ball is a rooted tree whose vertex w has
+    as descendants the words that end in w, and a radial Gram commutes
+    with the tree automorphisms that fix e (Haagerup 1979;
+    Figa-Talamanca and Picardello 1983, ch. 3).  So l2(B_R) splits into
+    the radial functions and, for each vertex w at depth p < R, the
+    functions that depend only on the depth below each child of w, with
+    child weights summing to 0.  The Gram acts on the first as an
+    (R + 1)-square block, and on each of the others as one (R - p)-square
+    block, repeated |S_p| (c - 1) times for the c children of a depth-p
+    vertex.  Each block is the Gram compressed onto one orthonormal basis
+    of its piece: the normalized sphere indicators, and for p the
+    normalized differences of the depth-j descendants of two children
+    of one depth-p word.  Its entries are sums of Gram entries over
+    those index sets, never a BLAS product, so they do not depend on the
+    BLAS thread count.
+
+    The blocks are kept only if their sizes times multiplicities add up
+    to n and the squared Frobenius norm of the Gram equals the sum of the
+    squared eigenvalues, with multiplicity, to FROBENIUS_RTOL: a Gram
+    that is not radial fails the second check.
+    """
+    spec = window.spec
+    if not (f.radial and isinstance(spec, FreeGroup) and herm.dtype == np.float64):
+        return None
+    k, R, n = spec.k, window.radius, len(window)
+    q = 2 * k - 1
+    spheres = np.array([1] + [2 * k * q ** (j - 1) for j in range(1, R + 1)])
+    lengths = np.array([len(w) for w in window], dtype=np.int64)
+    if not np.array_equal(lengths, np.repeat(np.arange(R + 1), spheres)):
+        return None
+    # letters right-aligned, 0 on the left of a short word: a word ends in
+    # c exactly when its last len(c) columns equal c
+    letters = np.array([(0,) * (R - len(w)) + w for w in window], dtype=np.int64)
+    blocks = [(_compress(herm, spheres), 1)]
+    for p in range(R):
+        mult = int(spheres[p]) * ((2 * k if p == 0 else q) - 1)
+        if mult == 0:
+            continue
+        # two children of the depth-p word a^p: a^(p+1), and A (p = 0) or
+        # b a^p (p > 0); each has q^(j-p-1) descendants at depth j
+        tail = (1,) * p
+        ends = [_ends_in(letters, (c,) + tail) for c in (1, 2 if p else -1)]
+        sizes = q ** np.arange(R - p)
+        for e in ends:
+            below = np.bincount(lengths[e], minlength=R + 1)[p + 1 :]
+            if not np.array_equal(below, sizes):
+                return None
+        idx = np.concatenate(ends)
+        order = np.argsort(lengths[idx], kind="stable")
+        signs = np.repeat([1.0, -1.0], [len(e) for e in ends])[order]
+        blocks.append((_compress(herm, 2 * sizes, idx[order], signs), mult))
+    spectrum = np.concatenate(
+        [np.repeat(np.linalg.eigvalsh(block), mult) for block, mult in blocks]
+    )
+    if len(spectrum) != n:
+        return None
+    frob = float(np.vdot(herm, herm))
+    if not abs(float(np.dot(spectrum, spectrum)) - frob) <= FROBENIUS_RTOL * frob:
+        return None
+    return np.sort(spectrum)
+
+
+def _ends_in(letters: np.ndarray, c: Tuple[int, ...]) -> np.ndarray:
+    """Window indices of the words that end in c, in window order."""
+    return np.flatnonzero(np.all(letters[:, letters.shape[1] - len(c) :] == c, axis=1))
+
+
+def _compress(
+    herm: np.ndarray,
+    sizes: np.ndarray,
+    idx: Optional[np.ndarray] = None,
+    signs: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The Gram compressed onto the unit vectors v_u = sum of signs over
+    the u-th run of sizes[u] consecutive entries of idx (all of the window
+    when idx is None), over sqrt(sizes[u]): entry (u, v) is the signed sum
+    of the Gram over run u times run v, added by np.add.reduceat."""
+    sub = herm if idx is None else herm[np.ix_(idx, idx)] * np.outer(signs, signs)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    sums = np.add.reduceat(np.add.reduceat(sub, starts, axis=0), starts, axis=1)
+    norms = np.sqrt(sizes.astype(float))
+    return sums / np.outer(norms, norms)
 
 
 def folner_set(spec: GroupSpec, n: int) -> List[Element]:

@@ -18,7 +18,9 @@ from crossedprod.crossed import (
     CoeffAlgebra,
     SpanElement,
     dual_blocks,
+    fourier_coefficient,
     make_context,
+    op_norm,
     phi_hom,
     swap_action,
     theta_embed,
@@ -26,7 +28,13 @@ from crossedprod.crossed import (
 )
 from crossedprod.groups import Cyclic, Integers
 from crossedprod.posdef import L2Vector
-from crossedprod.sigma import cp_check, make_pair, pi_projection, random_crossed_element
+from crossedprod.sigma import (
+    check_condition_ii,
+    cp_check,
+    make_pair,
+    pi_projection,
+    random_crossed_element,
+)
 
 CONTEXTS = [
     ("C5/scalars", make_context(Cyclic(5))),
@@ -219,3 +227,56 @@ def test_pi_trials_build_no_dense_sigma(tmp_path, monkeypatch):
     # besides it, sigma reads its two span inputs p1 and y in each trial;
     # the differences p2 - p1 and pi(y) - y stay stacks
     assert len(built) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
+def test_fourier_coefficients_of_a_span_element_read_its_stack(label, ctx, monkeypatch):
+    xs = span_elements(ctx, np.random.default_rng(10))
+    _, was_built = dense_builds(monkeypatch)
+    got = [[fourier_coefficient(ctx, x, g) for g in ctx.window] for x in xs]
+    assert not any(was_built(x) for x in xs)
+    for x, row in zip(xs, got):
+        for g, coeff in zip(ctx.window, row):
+            want = fourier_coefficient(ctx, dense(x), g)
+            assert same_bits(coeff.diagonal, want.diagonal)
+            assert same_bits(coeff.data, want.data)
+
+
+def test_a_fourier_coefficient_off_the_window_of_a_span_element_is_zero():
+    ctx = make_context(Integers(), radius=3)
+    x = theta_embed(ctx, {0: 0.5, 2: 1.5j, -3: -2.0})
+    for g in (-7, -4, 2, 4, 5):
+        coeff = fourier_coefficient(ctx, x, g)
+        assert same_bits(coeff.data, fourier_coefficient(ctx, dense(x), g).data)
+    assert not fourier_coefficient(ctx, x, 5).diagonal.any()
+
+
+@pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
+def test_op_norm_of_a_fourier_coefficient_builds_no_dense_matrix(label, ctx):
+    x = random_crossed_element(ctx, np.random.default_rng(11))
+    for g in ctx.window:
+        coeff = fourier_coefficient(ctx, x, g)
+        norm = op_norm(coeff)
+        assert "data" not in coeff.__dict__
+        want = np.linalg.norm(coeff.data, 2)
+        assert abs(norm - want) <= 1e-12 * max(1.0, want)
+        with pytest.raises(ValueError, match="read-only"):
+            coeff.data[0, 0] = 1.0
+
+
+def test_condition_ii_builds_no_dense_sigma(monkeypatch):
+    _, ctx = CONTEXTS[1]
+    outputs = []
+    real_sigma_xi = sigma.sigma_xi
+
+    def recording(ctx, xi, x):
+        outputs.append(real_sigma_xi(ctx, xi, x))
+        return outputs[-1]
+
+    monkeypatch.setattr(sigma, "sigma_xi", recording)
+    pair = pair_of(ctx, 12)
+    del outputs[:]
+    _, was_built = dense_builds(monkeypatch)
+    rep = check_condition_ii(pair, trials=3, seed=4)
+    assert rep.verdict == "Pass" and len(outputs) == 3
+    assert not any(was_built(x) for x in outputs)
