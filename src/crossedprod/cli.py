@@ -97,10 +97,6 @@ def _json_text(doc: dict) -> str:
     return text + "\n"
 
 
-def _write_json(path: str, doc: dict):
-    _atomic_write(path, _json_text(doc))
-
-
 def _check_finite_float(flag: str, value) -> None:
     if value is not None and not math.isfinite(value):
         raise ConfigError(f"{flag} must be finite, got {value}")
@@ -354,15 +350,36 @@ def _build_context(args) -> crossed.CrossedContext:
         raise ConfigError(str(exc)) from exc
 
 
-def _check_trials(args) -> None:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+# The dense budget of a sweep, in complex128 entries per --cap element:
+# 64 M entries, about 1 GB, at the default cap.
+DENSE_ENTRIES_PER_CAP = 64
+
+
+def _check_dense_budget(args, ctx: crossed.CrossedContext, amp: int, per_trial: int):
+    """Refuse a sweep before it allocates when its largest dense operator,
+    of dimension amp n d, or the largest array it keeps across --trials,
+    of per_trial entries a trial, passes DENSE_ENTRIES_PER_CAP * --cap
+    entries."""
+    budget = DENSE_ENTRIES_PER_CAP * args.cap
+    over = f"over the dense budget {DENSE_ENTRIES_PER_CAP} x --cap = {budget}"
+    dim = amp * ctx.dim
+    if dim * dim > budget:
+        by = f" (--amp {amp})" if amp > 1 else ""
+        raise ResourceCapError(
+            f"a dense operator of dimension {dim}{by} has {dim * dim} entries, {over}"
+        )
+    if args.trials * per_trial > budget:
+        raise ResourceCapError(
+            f"--trials {args.trials} keep {args.trials * per_trial} dense entries, {over}"
+        )
 
 
 def cmd_sigma(args) -> Report:
-    _check_trials(args)
     ctx = _build_context(args)
     xi = _parse_xi(ctx, args.xi)
+    # kept per trial: cp_check's amplified dual blocks, and a condition (ii) sample
+    n, d, m = ctx.nwin, ctx.d, args.amp
+    _check_dense_budget(args, ctx, m, max(n * (m * d) ** 2, (n * d) ** 2))
     pair = sigma_mod.make_pair(ctx, xi)
     cp = sigma_mod.cp_check(
         ctx,
@@ -418,9 +435,10 @@ def cmd_sigma(args) -> Report:
 
 
 def cmd_pi(args) -> Report:
-    _check_trials(args)
     ctx = _build_context(args)
     xi = _parse_xi(ctx, args.xi)
+    # kept per trial: the dual blocks of each defect
+    _check_dense_budget(args, ctx, 1, ctx.nwin * ctx.d**2)
     pair = sigma_mod.make_pair(ctx, xi)
     rng = np.random.default_rng(args.seed)
     idem_blocks, idem_res = crossed.empty_blocks(ctx, args.trials)
@@ -690,6 +708,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         _check_finite_float("--tol", tol)
         if tol is not None and tol < 0:
             raise ConfigError(f"--tol must be >= 0, got {tol}")
+        for flag, low in (("cap", 1), ("trials", 1), ("seed", 0), ("amp", 1)):
+            value = getattr(args, flag, None)
+            if value is not None and value < low:
+                raise ConfigError(f"--{flag} must be >= {low}, got {value}")
         header, rows, summary, ok = args.func(args)
         verdict = "Pass" if ok else "Fail"
         # serialize both before writing either, so a summary that is not

@@ -6,8 +6,9 @@ algebra fixes the conditional expectation onto it.  Operators live on
 window x internal space and are stored dense (BlockMatrix), except the
 span elements the sweeps produce, which keep their coefficient stack and
 build the dense matrix only when it is read (SpanElement), and the
-block-diagonal operators, which keep their stack of diagonal blocks and
-whose norm is read off it (BlockDiagonal).
+block-diagonal operators that psi and fourier_coefficient return, which
+keep their stack of diagonal blocks and whose norm is read off it
+(BlockDiagonal).
 
 On a finite group the norm and spectrum of a crossed-product span element
 are read off its coefficient stack c instead (dual_blocks): conjugating
@@ -548,21 +549,14 @@ class SpanElement(BlockMatrix):
 class BlockDiagonal(BlockMatrix):
     """An operator whose off-diagonal blocks are zero by construction, held
     as the (n, d, d) stack ``diagonal`` of its diagonal blocks, made
-    read-only.  psi, fourier_coefficient and diag return it.  data, the
-    dense operator, is built from the stack on first read; it is
-    read-only too, except diag's, which callers may write, so op_norm
-    reads diag's blocks back from data.  Arithmetic on it returns a plain
-    BlockMatrix."""
+    read-only.  psi and fourier_coefficient return it.  data, the dense
+    operator, is built from the stack on first read and is read-only too.
+    Arithmetic on it returns a plain BlockMatrix."""
 
-    def __init__(
-        self, window: Ball, block_dim: int, diagonal: np.ndarray, writable: bool = False
-    ):
+    def __init__(self, window: Ball, block_dim: int, diagonal: np.ndarray):
         diagonal.flags.writeable = False
         for name, value in (
-            ("window", window),
-            ("block_dim", block_dim),
-            ("diagonal", diagonal),
-            ("writable", writable),
+            ("window", window), ("block_dim", block_dim), ("diagonal", diagonal)
         ):
             object.__setattr__(self, name, value)
 
@@ -572,7 +566,7 @@ class BlockDiagonal(BlockMatrix):
         out = np.zeros((n * d, n * d), dtype=self.diagonal.dtype)
         slots = np.arange(n)
         out.reshape(n, d, n, d)[slots, :, slots] = self.diagonal
-        out.flags.writeable = self.writable
+        out.flags.writeable = False
         return out
 
 
@@ -581,20 +575,12 @@ def op_norm(x: BlockMatrix) -> float:
 
     For a BlockDiagonal, x* x is block diagonal with blocks b* b, so the
     top eigenvalue is the largest over its stack of diagonal blocks, taken
-    from one batched eigensolve.  A writable one (diag's) is read back
-    from its data, and takes the dense path if an entry off its diagonal
-    blocks has been written.  Any other x takes the dense (nd)^2 path,
+    from one batched eigensolve.  Any other x takes the dense (nd)^2 path,
     even when rounding leaves it block diagonal, so the path follows how
     x was built rather than the last bits of its entries.
     """
-    diagonal = x.diagonal if isinstance(x, BlockDiagonal) else None
-    if diagonal is not None and x.writable:
-        slots = np.arange(len(x.window))
-        diagonal = x.blocks()[slots, slots]
-        if np.count_nonzero(diagonal) != np.count_nonzero(x.data):
-            diagonal = None
-    if diagonal is not None:
-        gram = diagonal.conj().swapaxes(-1, -2) @ diagonal
+    if isinstance(x, BlockDiagonal):
+        gram = x.diagonal.conj().swapaxes(-1, -2) @ x.diagonal
         top = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
     else:
         m = x.data
@@ -617,13 +603,6 @@ def psi(ctx: CrossedContext, r) -> BlockDiagonal:
     automorphism."""
     r = ctx.algebra.validate_member(r)
     return BlockDiagonal(ctx.window, ctx.d, ctx.alpha_by_perm(ctx.inv_perm_index, r))
-
-
-def diag(x: BlockMatrix) -> BlockDiagonal:
-    """Keep the diagonal blocks, zero the rest; the result's data is
-    writable."""
-    slots = np.arange(len(x.window))
-    return BlockDiagonal(x.window, x.block_dim, x.blocks()[slots, slots], writable=True)
 
 
 def fourier_coefficient(

@@ -185,12 +185,6 @@ def _is_free_ball(spec: GroupSpec, sset: frozenset) -> bool:
     return len(sset) == size
 
 
-def chi_from_set_exact(spec: GroupSpec, S: Sequence[Element], g: Element) -> Fraction:
-    """Exact rational value of chi_S at g."""
-    val = chi_from_set(spec, S).evaluator(g)
-    return val if isinstance(val, Fraction) else Fraction(val)
-
-
 def chi_from_vector(spec: GroupSpec, xi: L2Vector) -> PdFunction:
     """The matrix coefficient t -> <left-translate of xi by t, xi>.
 
@@ -520,11 +514,3 @@ def folner_defect(spec: GroupSpec, n: int, t: Element) -> Fraction:
         moved = np.add.outer(moved * radix, shifted).ravel()
     differ = len(np.setxor1d(members, moved, assume_unique=True))
     return Fraction(differ, len(members))
-
-
-def folner_eigenvalues(
-    spec: GroupSpec, ball_radii: Sequence[int], t: Element
-) -> List[Fraction]:
-    """Per-index overlap values chi_n(t), each an exact rational in [0,1]."""
-    spec.validate(t)
-    return [folner_overlap(spec, n, t) for n in ball_radii]

@@ -17,13 +17,11 @@ gives the idempotent pi_projection onto the crossed-product span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import freecomb
 from .crossed import (
     BlockMatrix,
     CrossedContext,
@@ -48,8 +46,8 @@ from .errors import (
     SpecMismatchError,
     VectorNotPositiveError,
 )
-from .groups import Element, FreeGroup, GroupSpec
-from .posdef import L2Vector, PdFunction, chi_from_vector, folner_overlap
+from .groups import Element
+from .posdef import L2Vector, PdFunction, chi_from_vector
 
 UNITAL_TOL = 1e-12
 CHI_FLOOR = 1e-14
@@ -230,15 +228,16 @@ def phi_t(
 
 @dataclass(frozen=True)
 class ExpectationPair:
-    """A strictly positive eigenvalue function with its averaged map."""
+    """A strictly positive eigenvalue function chi with its averaged map
+    sigma, both from the unit vector xi; make_pair builds and checks one."""
 
     ctx: CrossedContext
     chi: PdFunction
-    apply: Callable[[BlockMatrix], BlockMatrix]
-    xi: Optional[L2Vector] = None
+    xi: L2Vector
 
-    def sigma(self, x: BlockMatrix) -> BlockMatrix:
-        return self.apply(x)
+    def sigma(self, x: BlockMatrix) -> SpanElement:
+        """sigma_xi(x), reading the support the pair holds."""
+        return sigma_xi(self.ctx, self.support, x)
 
     @cached_property
     def chi_values(self) -> np.ndarray:
@@ -251,8 +250,7 @@ class ExpectationPair:
     @cached_property
     def support(self) -> Support:
         """The Support of xi on the window, built once per pair; read-only,
-        since every application of the map shares it.  Pairs from
-        make_pair only."""
+        since every application of the map shares it."""
         support = _support(self.ctx, self.xi)
         for a in support:
             a.flags.writeable = False
@@ -266,7 +264,8 @@ class ExpectationPair:
 
 
 def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
-    """Build an expectation pair from a strictly positive unit vector.
+    """Build an expectation pair from a strictly positive unit vector, and
+    check that its eigenvalues are strictly positive and its map unital.
 
     Finite groups require the support to cover the whole group.  Infinite
     groups run in margin mode: support products must stay inside the
@@ -280,10 +279,7 @@ def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
             raise PartialSupportError(
                 "support must cover the whole group for a finite-group pair"
             )
-    # the map reads the support the pair holds, built on first use
-    pair = ExpectationPair(
-        ctx, chi_of(ctx, xi), lambda x: sigma_xi(ctx, pair.support, x), xi=xi
-    )
+    pair = ExpectationPair(ctx, chi_of(ctx, xi), xi)
     if not ctx.group.is_finite():
         _check_margin(ctx, pair.support.slots)
     vals = pair.chi_values
@@ -298,29 +294,6 @@ def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
     if defect > UNITAL_TOL:
         raise NotUnitalError(f"map is not unital: defect {defect:.3e}")
     return pair
-
-
-def pair_convex(terms: Sequence[Tuple[float, ExpectationPair]]) -> ExpectationPair:
-    """Convex combination of expectation pairs over one context."""
-    if not terms:
-        raise ValueError("no terms")
-    weights = [w for w, _ in terms]
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > UNITAL_TOL:
-        raise ValueError(f"weights must be nonnegative and sum to 1: {weights}")
-    ctx = terms[0][1].ctx
-    if any(p.ctx is not ctx for _, p in terms):
-        raise SpecMismatchError("pairs live on different contexts")
-    from .posdef import convex_combination
-
-    chi = convex_combination([(w, p.chi) for w, p in terms])
-
-    def apply(x):
-        out = ctx.zero()
-        for w, p in terms:
-            out = out + w * p.sigma(x)
-        return out
-
-    return ExpectationPair(ctx, chi, apply, xi=None)
 
 
 @dataclass(frozen=True)
@@ -574,63 +547,3 @@ def pi_amplification(
         coeffs = phi_hom(pair.ctx, pair.sigma(x))
     norms = np.linalg.norm(coeffs, 2, axis=(-2, -1))
     return float(np.max(norms / np.abs(_chi_divisors(pair)), initial=0.0))
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    """One (radius, element) row of an eigenvalue convergence study."""
-
-    radius: int
-    label: str
-    value: Fraction
-    bound: Fraction
-    margin: Fraction
-
-    def to_csv_fields(self) -> List[str]:
-        return [
-            str(self.radius),
-            self.label,
-            repr(float(self.value)),
-            repr(float(self.bound)),
-            repr(float(self.margin)),
-        ]
-
-
-@dataclass(frozen=True)
-class StudyTable:
-    rows: Tuple[StudyRow, ...]
-    monotone: Dict[str, bool]
-
-    CSV_HEADER = ("radius", "g_label", "value", "bound", "margin")
-
-
-def sequence_limit_study(
-    spec: GroupSpec,
-    ball_radii: Sequence[int],
-    targets: Sequence[Element],
-) -> StudyTable:
-    """Exact ball-indicator eigenvalues against their analytic limits.
-
-    For each target translate t and each radius n the table holds the
-    overlap eigenvalue chi_n(t), the limit value (1 on amenable groups,
-    the even/odd closed form on free groups), and the distance to it.
-    Any other group raises SpecMismatchError at the first target.
-    """
-    free = isinstance(spec, FreeGroup)
-    rows = []
-    monotone: Dict[str, bool] = {}
-    for t in targets:
-        spec.validate(t)
-        label = spec.format_element(t)
-        if free:
-            limit = freecomb.chi_limit_free(spec.k, spec.word_length(t))
-            values = [freecomb.chi_ratio(spec.k, t, n) for n in ball_radii]
-        else:
-            limit = Fraction(1)
-            values = [folner_overlap(spec, n, t) for n in ball_radii]
-        errors = [abs(v - limit) for v in values]
-        monotone[label] = all(b < a for a, b in zip(errors, errors[1:]))
-        for n, v, err in zip(ball_radii, values, errors):
-            rows.append(StudyRow(n, label, v, limit, err))
-    return StudyTable(tuple(rows), monotone)
-

@@ -8,9 +8,9 @@ import pytest
 
 import numpy as np
 
-from crossedprod import __version__, posdef, sigma, summation
+from crossedprod import __version__, crossed, posdef, sigma, summation
 from crossedprod._core import BACKEND
-from crossedprod.cli import _write_json, main
+from crossedprod.cli import _json_text, main
 from crossedprod.groups import ORDERING_VERSION, FreeGroup, ball, parse_group
 
 
@@ -194,12 +194,11 @@ def test_sweeps_reject_fewer_than_one_trial(tmp_path, capsys, command, trials):
     assert not (out / f"{command}.json").exists()
 
 
-def test_reports_refuse_non_finite_values(tmp_path):
+def test_reports_refuse_non_finite_values():
     with pytest.raises(ValueError):
-        _write_json(str(tmp_path / "r.json"), {"margin": float("inf")})
+        _json_text({"margin": float("inf")})
     with pytest.raises(ValueError):
-        _write_json(str(tmp_path / "r.json"), {"margin": float("nan")})
-    assert not (tmp_path / "r.json").exists()
+        _json_text({"margin": float("nan")})
 
 
 @pytest.mark.parametrize("eps", ["inf", "nan", "1e400"])
@@ -504,6 +503,57 @@ def test_cap_bounds_the_sweep_window(tmp_path, capsys, command):
     assert code == 3
     assert "exceeds cap 10" in capsys.readouterr().err
     assert not (out / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sigma", "--group", "C2", "--algebra", "full:100000"), "dimension 400000 (--amp 2)"),
+        (("pi", "--group", "C3", "--algebra", "diagonal:1000000"), "dimension 3000000 "),
+        (("sigma", "--group", "C4", "--algebra", "diagonal:4", "--amp", "4096"),
+         "dimension 65536 (--amp 4096)"),
+        (("pi", "--group", "C4", "--trials", "100000000"), "--trials 100000000 keep"),
+    ],
+    ids=["sigma-full-d", "pi-diagonal-d", "amp", "trials"],
+)
+def test_dense_budget_refuses_before_allocating(tmp_path, capsys, monkeypatch, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense array was allocated")
+
+    monkeypatch.setattr(crossed.CrossedContext, "identity_matrix", refuse)
+    monkeypatch.setattr(sigma, "random_psd", refuse)
+    code, out = run(tmp_path, *argv)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert message in err and "64 x --cap = 64000000" in err
+    assert not (out / f"{argv[0]}.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, code", [((), 3), (("--amp", "1", "--trials", "1"), 0)], ids=["over", "at"]
+)
+def test_a_small_cap_bounds_the_dense_work(tmp_path, capsys, extra, code):
+    # (2 x 4 x 4)^2 = 1024 entries at the default --amp 2; 16^2 = 256 = 64 x 4 at --amp 1
+    argv = ("sigma", "--group", "C4", "--algebra", "diagonal:4", "--cap", "4", *extra)
+    assert run(tmp_path, *argv)[0] == code
+    assert ("--cap = 256" in capsys.readouterr().err) == (code == 3)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("balls", "--group", "F2", "--cap", "0"), "--cap must be >= 1, got 0"),
+        (("sigma", "--group", "C4", "--cap", "-5"), "--cap must be >= 1, got -5"),
+        (("pi", "--group", "C4", "--seed", "-1"), "--seed must be >= 0, got -1"),
+        (("sigma", "--group", "C4", "--amp", "0"), "--amp must be >= 1, got 0"),
+    ],
+    ids=["cap-0", "cap-negative", "seed", "amp"],
+)
+def test_out_of_range_flags_are_config_errors(tmp_path, capsys, argv, flag):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not (out / f"{argv[0]}.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ same quantities in another order, so the two agree to a tolerance set from
 the float64 epsilon, not bit for bit.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -264,9 +263,13 @@ def test_a_failing_cp_check_names_its_worst_trial():
 def test_a_failing_cp_check_exits_4_through_the_cli(tmp_path, monkeypatch):
     real = sigma.make_pair
 
+    class NegatedPair(sigma.ExpectationPair):
+        def sigma(self, x):
+            return -1.0 * super().sigma(x)
+
     def negated_pair(ctx, xi):
         pair = real(ctx, xi)
-        return dataclasses.replace(pair, apply=lambda x: -1.0 * pair.sigma(x))
+        return NegatedPair(pair.ctx, pair.chi, pair.xi)
 
     monkeypatch.setattr(sigma, "make_pair", negated_pair)
     code = main(["sigma", "--group", "C4", "--algebra", "diagonal:2", "--action", "swap",

@@ -96,6 +96,8 @@ def test_t_count_length_zero_is_ball():
 def test_chi_ratio_values():
     assert chi_ratio(2, (1,), 2) == Fraction(8, 17)
     assert chi_ratio(2, (1,), 3) == Fraction(26, 53)
+    assert chi_ratio(2, (1,), 4) == Fraction(80, 161)
+    assert chi_ratio(2, (1,), 5) == Fraction(242, 485)
     assert chi_ratio(2, (1, 1), 4) == Fraction(53, 161)
     assert chi_ratio(2, (1, 2, 1), 6) == Fraction(242, 1457)
 

@@ -10,12 +10,10 @@ from crossedprod.groups import Cyclic, FreeGroup, IntegerLattice, Integers, ball
 from crossedprod.posdef import (
     L2Vector,
     chi_from_set,
-    chi_from_set_exact,
     chi_from_vector,
     check_positive_definite,
     convex_combination,
     folner_defect,
-    folner_eigenvalues,
     folner_overlap,
     folner_set,
     gram_matrix,
@@ -34,17 +32,18 @@ def test_chi_singleton_is_delta():
 def test_chi_interval_on_integers():
     f = chi_from_set(Integers(), set(range(4)))
     # overlap of {0..3} with t+{0..3}
-    assert chi_from_set_exact(Integers(), set(range(4)), 1) == Fraction(3, 4)
-    assert chi_from_set_exact(Integers(), set(range(4)), 3) == Fraction(1, 4)
-    assert chi_from_set_exact(Integers(), set(range(4)), 4) == 0
+    assert f.evaluator(1) == Fraction(3, 4)
+    assert f.evaluator(3) == Fraction(1, 4)
+    assert f.evaluator(4) == 0
     assert f(2) == pytest.approx(0.5)
 
 
 def test_chi_ball_free_group():
     F2 = FreeGroup(2)
     S = set(ball(F2, 2))
-    assert chi_from_set_exact(F2, S, (1,)) == Fraction(8, 17)
-    assert chi_from_set_exact(F2, S, ()) == 1
+    f = chi_from_set(F2, S)
+    assert f.evaluator((1,)) == Fraction(8, 17)
+    assert f.evaluator(()) == 1
 
 
 def test_chi_from_set_support():
@@ -214,7 +213,12 @@ def test_folner_overlap_values():
     Z = Integers()
     for n in range(1, 12):
         assert folner_overlap(Z, n, 1) == Fraction(n, n + 1)
+        assert folner_overlap(Z, n, 2) == Fraction(max(n - 1, 0), n + 1)
     assert folner_overlap(Z, 4, 0) == 1
+    assert folner_overlap(Z, 3, 0) == 1
+    for t in ball(Z, 3):
+        assert 0 <= folner_overlap(Z, 4, t) <= 1
+        assert folner_overlap(Z, 4, t) == folner_overlap(Z, 4, -t)
     L = IntegerLattice(2)
     for n in range(1, 6):
         assert folner_overlap(L, n, (1, 0)) == Fraction(n, n + 1)
@@ -233,17 +237,6 @@ def test_folner_overlap_monotone():
     vals = [folner_overlap(L, n, (1, 1)) for n in range(1, 20)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 1 - Fraction(1, 10)
-
-
-def test_folner_eigenvalues_range():
-    Z = Integers()
-    vals = folner_eigenvalues(Z, range(1, 6), 2)
-    assert vals == [Fraction(max(n - 1, 0), n + 1) for n in range(1, 6)]
-    for t in ball(Z, 3):
-        for v in folner_eigenvalues(Z, [4], t):
-            assert 0 <= v <= 1
-        assert folner_eigenvalues(Z, [4], t) == folner_eigenvalues(Z, [4], -t)
-    assert folner_eigenvalues(Z, [3], 0) == [Fraction(1)]
 
 
 def test_cyclic_folner_is_whole_group():

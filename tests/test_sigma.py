@@ -26,21 +26,19 @@ from crossedprod.errors import (
     SpecMismatchError,
     VectorNotPositiveError,
 )
-from crossedprod.groups import Cyclic, FreeGroup, Integers, ProductGroup, ball
-from crossedprod.posdef import L2Vector, folner_overlap
+from crossedprod.groups import Cyclic, FreeGroup, Integers, ball
+from crossedprod.posdef import L2Vector
 from crossedprod.sigma import (
     CpReport,
     check_condition_ii,
     chi_of,
     cp_check,
     make_pair,
-    pair_convex,
     phi_t,
     pi_amplification,
     pi_projection,
     random_crossed_element,
     random_window_operator,
-    sequence_limit_study,
     sigma_xi,
     tau_u,
 )
@@ -272,27 +270,10 @@ def test_pi_reuses_given_sigma_coefficients():
     assert pi_amplification(pair, x, coeffs=coeffs) == pi_amplification(pair, x)
 
 
-def test_pair_convex_combination():
-    ctx = ctx_swap(4)
-    p1 = make_pair(ctx, positive_xi(ctx, seed=18))
-    p2 = make_pair(ctx, uniform_xi(ctx))
-    mix = pair_convex([(0.3, p1), (0.7, p2)])
-    rng = np.random.default_rng(19)
-    x = random_window_operator(ctx, rng)
-    want = 0.3 * p1.sigma(x).data + 0.7 * p2.sigma(x).data
-    assert np.allclose(mix.sigma(x).data, want)
-    for g in ctx.window:
-        r = ctx.algebra.random_member(rng)
-        y = left_translation(ctx, g) @ psi(ctx, r)
-        assert op_norm(mix.sigma(y) - complex(mix.chi(g)) * y) <= 1e-12
-    with pytest.raises(ValueError):
-        pair_convex([(0.5, p1), (0.2, p2)])
-
-
 def test_cp_check_report():
     ctx = ctx_swap(4)
     pair = make_pair(ctx, positive_xi(ctx, seed=20))
-    rep = cp_check(ctx, pair.apply, chi=pair.chi, amplification=2, trials=20)
+    rep = cp_check(ctx, pair.sigma, chi=pair.chi, amplification=2, trials=20)
     assert rep.verdict == "Pass"
     assert rep.min_eigenvalue_seen >= -1e-10
     assert rep.max_bimodular_defect <= 1e-12
@@ -302,14 +283,14 @@ def test_cp_check_report():
     assert d["condition_ii_margin"] is None  # not measured here
     assert json.dumps(d)  # serializable, no bare NaN
     with pytest.raises(ValueError):
-        cp_check(ctx, pair.apply, amplification=0)
+        cp_check(ctx, pair.sigma, amplification=0)
 
 
 def test_cp_check_amplified_levels():
     ctx = ctx_translation(3)
     pair = make_pair(ctx, positive_xi(ctx, seed=21))
     for m in (1, 2, 3):
-        rep = cp_check(ctx, pair.apply, amplification=m, trials=15, seed=m)
+        rep = cp_check(ctx, pair.sigma, amplification=m, trials=15, seed=m)
         assert rep.verdict == "Pass"
         assert rep.min_eigenvalue_seen >= -1e-10
 
@@ -341,7 +322,7 @@ def test_sweeps_without_trials_do_not_pass():
     ctx = ctx_scalars(3)
     pair = make_pair(ctx, uniform_xi(ctx))
     with pytest.raises(ConfigError):
-        cp_check(ctx, pair.apply, chi=pair.chi, trials=0)
+        cp_check(ctx, pair.sigma, chi=pair.chi, trials=0)
     with pytest.raises(ConfigError):
         check_condition_ii(pair, trials=0)
     with pytest.raises(ConfigError):
@@ -435,61 +416,6 @@ def test_sigma_delta_identity_vector():
     want = complex(x.data[0, 0]) * np.eye(3)
     assert np.allclose(out.data, want)
 
-
-def test_sequence_limit_study_free_group():
-    table = sequence_limit_study(FreeGroup(2), [2, 3, 4, 5], [(1,), (1, 1)])
-    from fractions import Fraction
-
-    by_key = {(r.label, r.radius): r for r in table.rows}
-    assert by_key[("a", 2)].value == Fraction(8, 17)
-    assert by_key[("a", 3)].value == Fraction(26, 53)
-    assert by_key[("a", 4)].value == Fraction(80, 161)
-    assert by_key[("a", 5)].value == Fraction(242, 485)
-    for r in table.rows:
-        if r.label == "a":
-            assert r.bound == Fraction(1, 2)
-        assert r.margin == abs(r.value - r.bound)
-    assert table.monotone == {"a": True, "aa": True}
-
-
-def test_sequence_limit_study_amenable():
-    from fractions import Fraction
-
-    table = sequence_limit_study(Integers(), [1, 2, 3], [1])
-    vals = [r.value for r in table.rows]
-    assert vals == [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
-    assert all(r.bound == 1 for r in table.rows)
-    assert table.monotone["1"] is True
-
-    cyc = sequence_limit_study(Cyclic(5), [1, 2], [2])
-    assert all(r.margin == 0 for r in cyc.rows)
-
-
-def test_sequence_limit_study_matches_folner():
-    table = sequence_limit_study(Integers(), [3], [2])
-    assert table.rows[0].value == folner_overlap(Integers(), 3, 2)
-
-
-def test_sequence_limit_study_unsupported():
-    mixed = ProductGroup((FreeGroup(2), Cyclic(2)))
-    with pytest.raises(SpecMismatchError):
-        sequence_limit_study(mixed, [1, 2], [((1,), 0)])
-
-
-def test_study_row_csv_fields():
-    table = sequence_limit_study(Integers(), [2], [1])
-    row = table.rows[0]
-    fields = row.to_csv_fields()
-    assert fields[0] == "2"
-    assert fields[1] == "1"
-    assert float(fields[2]) == pytest.approx(2 / 3)
-    assert tuple(t for t in table.CSV_HEADER) == (
-        "radius",
-        "g_label",
-        "value",
-        "bound",
-        "margin",
-    )
 
 
 def test_cp_report_json_round_trip():

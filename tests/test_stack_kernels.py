@@ -14,7 +14,6 @@ from crossedprod.crossed import (
     BlockMatrix,
     CoeffAlgebra,
     ExpectationSpec,
-    diag,
     fourier_coefficient,
     make_context,
     op_norm,
@@ -436,7 +435,8 @@ def test_op_norm_block_diagonal_matches_dense(monkeypatch, d):
     n = len(window)
     for _ in range(5):
         m = rng.standard_normal((n * d, n * d)) + 1j * rng.standard_normal((n * d, n * d))
-        x = diag(BlockMatrix(window, d, m))
+        slots = np.arange(n)
+        x = BlockDiagonal(window, d, BlockMatrix(window, d, m).blocks()[slots, slots])
         want = dense_norm(x)
         seen = eigvalsh_arg_ndims(monkeypatch)
         assert abs(op_norm(x) - want) <= 1e-12
@@ -458,18 +458,6 @@ def test_op_norm_fourier_coefficient_with_empty_blocks(monkeypatch):
         assert abs(op_norm(coeff) - want) <= 1e-12
         assert seen == [3]
         monkeypatch.undo()
-
-
-def test_op_norm_one_off_diagonal_entry_takes_the_dense_path(monkeypatch):
-    window = ball(Integers(), 2)
-    n, d = len(window), 2
-    x = diag(BlockMatrix(window, d, np.eye(n * d, dtype=complex)))
-    x.data[0, d + 1] = 3.0
-    seen = eigvalsh_arg_ndims(monkeypatch)
-    got = op_norm(x)
-    assert seen == [2]
-    assert abs(got - dense_norm(x)) <= 1e-12
-    assert got > 1.5  # the largest diagonal block has norm 1
 
 
 def test_op_norm_path_follows_construction_not_values(monkeypatch):

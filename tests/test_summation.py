@@ -6,7 +6,7 @@ import pytest
 
 from crossedprod.errors import SpecMismatchError, UndersampledGridError
 from crossedprod.groups import Cyclic, IntegerLattice, Integers
-from crossedprod.posdef import chi_from_set_exact
+from crossedprod.posdef import chi_from_set
 from crossedprod.summation import (
     FolnerRow,
     TrigPolynomial,
@@ -33,7 +33,7 @@ def test_cesaro_weight_is_interval_overlap():
     for n in range(6):
         S = set(range(n + 1))
         for j in range(-n - 1, n + 2):
-            assert cesaro_weight(n, j) == chi_from_set_exact(Z, S, j)
+            assert cesaro_weight(n, j) == chi_from_set(Z, S).evaluator(j)
 
 
 def test_trig_polynomial_basics():
