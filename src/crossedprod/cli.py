@@ -22,7 +22,7 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -337,14 +337,25 @@ def cmd_freecount(args) -> Report:
     return header, rows, summary, ok
 
 
-def _build_context(args) -> crossed.CrossedContext:
-    """The sweep context: the whole group as window, under --cap."""
+def _build_context(
+    args, amp: int, per_trial: Callable[[int, int], int]
+) -> crossed.CrossedContext:
+    """The sweep context: the whole group as window, under --cap.
+
+    The dense budget (_check_dense_budget) is checked first, from the
+    group order n and the algebra dimension d, so a refused sweep builds
+    no context; per_trial(n, d) is the number of entries it keeps a
+    trial.  A group larger than --cap fails its window enumeration
+    instead, with the cap's own message."""
     try:
         spec = parse_group(args.group)
         if not spec.is_finite():
             raise ConfigError(f"{spec.label} is infinite; sweeps need a finite group")
         algebra = _parse_algebra(args.algebra)
         action = _parse_action(spec, args.action)
+        n, d = spec.order(), algebra.internal_dim
+        if n <= args.cap:
+            _check_dense_budget(args, n * d, amp, per_trial(n, d))
         return crossed.make_context(spec, algebra=algebra, action=action, cap=args.cap)
     except SpecMismatchError as exc:
         raise ConfigError(str(exc)) from exc
@@ -355,14 +366,14 @@ def _build_context(args) -> crossed.CrossedContext:
 DENSE_ENTRIES_PER_CAP = 64
 
 
-def _check_dense_budget(args, ctx: crossed.CrossedContext, amp: int, per_trial: int):
+def _check_dense_budget(args, nd: int, amp: int, per_trial: int):
     """Refuse a sweep before it allocates when its largest dense operator,
     of dimension amp n d, or the largest array it keeps across --trials,
     of per_trial entries a trial, passes DENSE_ENTRIES_PER_CAP * --cap
     entries."""
     budget = DENSE_ENTRIES_PER_CAP * args.cap
     over = f"over the dense budget {DENSE_ENTRIES_PER_CAP} x --cap = {budget}"
-    dim = amp * ctx.dim
+    dim = amp * nd
     if dim * dim > budget:
         by = f" (--amp {amp})" if amp > 1 else ""
         raise ResourceCapError(
@@ -375,11 +386,10 @@ def _check_dense_budget(args, ctx: crossed.CrossedContext, amp: int, per_trial: 
 
 
 def cmd_sigma(args) -> Report:
-    ctx = _build_context(args)
-    xi = _parse_xi(ctx, args.xi)
+    m = args.amp
     # kept per trial: cp_check's amplified dual blocks, and a condition (ii) sample
-    n, d, m = ctx.nwin, ctx.d, args.amp
-    _check_dense_budget(args, ctx, m, max(n * (m * d) ** 2, (n * d) ** 2))
+    ctx = _build_context(args, m, lambda n, d: max(n * (m * d) ** 2, (n * d) ** 2))
+    xi = _parse_xi(ctx, args.xi)
     pair = sigma_mod.make_pair(ctx, xi)
     cp = sigma_mod.cp_check(
         ctx,
@@ -395,13 +405,18 @@ def cmd_sigma(args) -> Report:
     cond = sigma_mod.check_condition_ii(pair, samples=samples, tol=args.tol)
     # make_pair already raised NotUnitalError above UNITAL_TOL
     unital = pair.unital_defect
-    tau_dev = 0.0
-    for x in samples[:5]:
-        total = ctx.zero()
-        acc = total.data
+    # the tau terms of each sample summed into one reused accumulator, less
+    # sigma(x): a span element up to rounding, normed off its dual blocks
+    total = ctx.zero()
+    acc = total.data
+    tau_blocks, tau_res = crossed.empty_blocks(ctx, len(samples[:5]))
+    for t, x in enumerate(samples[:5]):
+        acc.fill(0)
         for u in ctx.window:
-            acc += sigma_mod.tau_u(ctx, pair.support, u, x).data
-        tau_dev = max(tau_dev, crossed.op_norm(total - pair.sigma(x)))
+            sigma_mod.tau_u(ctx, pair.support, u, x, out=total)
+        acc -= pair.sigma(x).data
+        tau_blocks[t], tau_res[t] = crossed.dual_blocks(ctx, total)
+    tau_dev = float(np.max(crossed.span_norms(tau_blocks, tau_res)))
     checks = {
         "unital_defect": unital,
         "tau_sum_defect": tau_dev,
@@ -435,10 +450,9 @@ def cmd_sigma(args) -> Report:
 
 
 def cmd_pi(args) -> Report:
-    ctx = _build_context(args)
-    xi = _parse_xi(ctx, args.xi)
     # kept per trial: the dual blocks of each defect
-    _check_dense_budget(args, ctx, 1, ctx.nwin * ctx.d**2)
+    ctx = _build_context(args, 1, lambda n, d: n * d**2)
+    xi = _parse_xi(ctx, args.xi)
     pair = sigma_mod.make_pair(ctx, xi)
     rng = np.random.default_rng(args.seed)
     idem_blocks, idem_res = crossed.empty_blocks(ctx, args.trials)

@@ -163,13 +163,20 @@ def sigma_xi(
 
 
 def tau_u(
-    ctx: CrossedContext, xi: Union[L2Vector, Support], u: Element, x: BlockMatrix
+    ctx: CrossedContext,
+    xi: Union[L2Vector, Support],
+    u: Element,
+    x: BlockMatrix,
+    out: Optional[BlockMatrix] = None,
 ) -> BlockMatrix:
     """One term of the translation decomposition of the averaged map.
 
-    Places conj(k_g) k_h alpha_u(pi(x_{(g,h)})) at block (g u^-1, h u^-1);
-    summing over the whole group recovers sigma_xi.  Finite groups only.
-    xi is as in sigma_coefficients.
+    Adds conj(k_g) k_h alpha_u(pi(x_{(g,h)})) into block (g u^-1, h u^-1)
+    of out, a fresh zero operator when out is None, and returns out;
+    summing over the whole group recovers sigma_xi, so a caller that
+    passes one accumulator to every u makes the same additions in the
+    same order as summing the separate terms.  Finite groups only.  xi
+    is as in sigma_coefficients.
     """
     if not ctx.group.is_finite():
         raise SpecMismatchError("the translation decomposition needs a finite group")
@@ -181,12 +188,13 @@ def tau_u(
     terms = _expected_terms(
         ctx, x, slots[:, None], slots[None, :], ctx.perm_index[ui], weights
     )
-    out = ctx.zero()
+    if out is None:
+        out = ctx.zero()
     if ctx.algebra.kind == "diagonal":
         d, k = ctx.d, np.arange(ctx.d)
-        out.data[moved[:, None, None] * d + k, moved[None, :, None] * d + k] = terms
+        out.data[moved[:, None, None] * d + k, moved[None, :, None] * d + k] += terms
     else:
-        out.blocks()[moved[:, None], moved[None, :]] = terms
+        out.blocks()[moved[:, None], moved[None, :]] += terms
     return out
 
 
@@ -258,9 +266,23 @@ class ExpectationPair:
 
     @cached_property
     def unital_defect(self) -> float:
-        """op_norm(sigma(I) - I), measured once per pair."""
-        ident = self.ctx.identity_matrix()
-        return op_norm(self.sigma(ident) - ident)
+        """||sigma(I) - I||, measured once per pair.
+
+        On a finite group I is theta({e: 1}), so the difference is a span
+        element and its norm is read off its dual-group blocks: the map's
+        output stack minus the unit's, residual 0.  An output that is not
+        a SpanElement of the context takes dual_blocks' dense span check.
+        A window of an infinite group has no dual group and keeps the
+        dense op_norm.
+        """
+        ctx = self.ctx
+        ident = ctx.identity_matrix()
+        out = self.sigma(ident)
+        if not ctx.group.is_finite():
+            return op_norm(out - ident)
+        unit = theta_embed(ctx, {ctx.group.identity(): ctx.algebra.identity()})
+        blocks, residual = dual_blocks(ctx, out - unit)
+        return float(span_norms(blocks[None], np.array([residual]))[0])
 
 
 def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
@@ -352,8 +374,13 @@ def random_psd(rng: np.random.Generator, size: int, classes: int = 1) -> np.ndar
 
 
 def random_window_operator(ctx: CrossedContext, rng: np.random.Generator) -> BlockMatrix:
+    """A window operator of standard complex normals: one (nd, nd) draw for
+    the real parts, then one for the imaginary parts."""
     n = ctx.dim
-    return ctx.wrap(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    data = np.empty((n, n), dtype=complex)
+    data.real = rng.standard_normal((n, n))
+    data.imag = rng.standard_normal((n, n))
+    return ctx.wrap(data)
 
 
 def random_crossed_element(ctx: CrossedContext, rng: np.random.Generator) -> SpanElement:
@@ -362,6 +389,27 @@ def random_crossed_element(ctx: CrossedContext, rng: np.random.Generator) -> Spa
         ctx.algebra.random_member(rng) for _ in range(ctx.nwin)
     ])
     return SpanElement(ctx, coeffs)
+
+
+def _sandwich(
+    ctx: CrossedContext, r: np.ndarray, x: BlockMatrix, s: np.ndarray
+) -> BlockMatrix:
+    """psi(r) x psi(s) for algebra elements r and s.
+
+    Slot g of psi(r)'s stack is alpha_{g^-1}(r).  For a SpanElement theta(c)
+    of ctx the product is the span element theta(c') with c'_t =
+    alpha_{t^-1}(r) c_t s, n products of d x d blocks.  Any other x is
+    formed block by block, block (i, j) being alpha_{g_i^-1}(r) x_ij
+    alpha_{g_j^-1}(s): n^2 products of d x d blocks, not two dense (nd)^3
+    ones.
+    """
+    pr = psi(ctx, r).diagonal
+    if isinstance(x, SpanElement) and x.ctx is ctx:
+        return SpanElement(ctx, pr @ x.coeffs @ s)
+    ps = psi(ctx, s).diagonal
+    n, d = ctx.nwin, ctx.d
+    blocks = pr[:, None] @ x.blocks() @ ps[None, :]
+    return ctx.wrap(blocks.swapaxes(1, 2).reshape(n * d, n * d))
 
 
 def cp_check(
@@ -387,13 +435,14 @@ def cp_check(
     translate when chi is supplied.  Every output must lie in the
     crossed-product span: eigenvalues and norms come from its dual-group
     blocks, one batched eigensolve per check.  A sigma_xi output is a
-    SpanElement, whose blocks are read off the stack it carries, so the
-    positivity grid and the eigenrelation loop never build a dense
-    sigma(x); only the sandwich pr sigma(x) ps of the bimodular check
-    does.  Any other output, such as a plain BlockMatrix from a stand-in
-    map, takes the dense span check (NotInCrossedProductError outside
-    the span).  A failing verdict names the trial of the worst
-    eigenvalue.
+    SpanElement, whose blocks are read off the stack it carries, so no
+    check builds a dense sigma(x): the bimodular sandwich psi(r) sigma(x)
+    psi(s) of one is the span element whose stack is psi(r)'s stack times
+    c times s, and its input psi(r) x psi(s) is formed block by block.
+    Any other output, such as a plain BlockMatrix from a stand-in map, is
+    sandwiched block by block as a dense operator and takes the dense
+    span check (NotInCrossedProductError outside the span).  A failing
+    verdict names the trial of the worst eigenvalue.
     """
     if amplification < 1:
         raise ValueError("amplification must be >= 1")
@@ -422,10 +471,8 @@ def cp_check(
         r = ctx.algebra.random_member(rng)
         s = ctx.algebra.random_member(rng)
         x = random_window_operator(ctx, rng)
-        pr = psi(ctx, r)
-        ps = psi(ctx, s)
-        lhs = apply(pr @ x @ ps)
-        rhs = pr @ apply(x) @ ps
+        lhs = apply(_sandwich(ctx, r, x, s))
+        rhs = _sandwich(ctx, r, apply(x), s)
         blocks[t], residuals[t] = dual_blocks(ctx, lhs - rhs)
     max_bimod = float(np.max(span_norms(blocks, residuals)))
 

@@ -505,23 +505,40 @@ def test_cap_bounds_the_sweep_window(tmp_path, capsys, command):
     assert not (out / f"{command}.json").exists()
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("sigma", "--group", "C2", "--algebra", "full:100000"), "dimension 400000 (--amp 2)"),
-        (("pi", "--group", "C3", "--algebra", "diagonal:1000000"), "dimension 3000000 "),
-        (("sigma", "--group", "C4", "--algebra", "diagonal:4", "--amp", "4096"),
-         "dimension 65536 (--amp 4096)"),
-        (("pi", "--group", "C4", "--trials", "100000000"), "--trials 100000000 keep"),
-    ],
-    ids=["sigma-full-d", "pi-diagonal-d", "amp", "trials"],
-)
+OVER_BUDGET = [
+    (("sigma", "--group", "C2", "--algebra", "full:100000"), "dimension 400000 (--amp 2)"),
+    (("pi", "--group", "C3", "--algebra", "diagonal:1000000"), "dimension 3000000 "),
+    (("sigma", "--group", "C4", "--algebra", "diagonal:4", "--amp", "4096"),
+     "dimension 65536 (--amp 4096)"),
+    (("pi", "--group", "C4", "--trials", "100000000"), "--trials 100000000 keep"),
+]
+OVER_BUDGET_IDS = ["sigma-full-d", "pi-diagonal-d", "amp", "trials"]
+
+
+@pytest.mark.parametrize("argv, message", OVER_BUDGET, ids=OVER_BUDGET_IDS)
 def test_dense_budget_refuses_before_allocating(tmp_path, capsys, monkeypatch, argv, message):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense array was allocated")
 
     monkeypatch.setattr(crossed.CrossedContext, "identity_matrix", refuse)
     monkeypatch.setattr(sigma, "random_psd", refuse)
+    code, out = run(tmp_path, *argv)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert message in err and "64 x --cap = 64000000" in err
+    assert not (out / f"{argv[0]}.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", OVER_BUDGET, ids=OVER_BUDGET_IDS)
+def test_dense_budget_refuses_before_building_the_context(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # n and d come from the group order and --algebra, so the context,
+    # whose action check walks d-tuples, is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a context was built")
+
+    monkeypatch.setattr(crossed, "make_context", refuse)
     code, out = run(tmp_path, *argv)
     assert code == 3
     err = capsys.readouterr().err
@@ -673,6 +690,23 @@ def test_underflowing_geometric_weights_are_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: --xi geometric weights") and "underflows to 0" in err
     assert list(out.iterdir()) == []
+
+
+def test_a_tau_sum_missing_one_term_fails(tmp_path, monkeypatch, capsys):
+    # every tau_u but the last adds its terms; what is left is no span element
+    real = sigma.tau_u
+
+    def all_but_the_last(ctx, xi, u, x, out=None):
+        return out if u == ctx.window[-1] else real(ctx, xi, u, x, out=out)
+
+    monkeypatch.setattr(sigma, "tau_u", all_but_the_last)
+    argv = ("sigma", "--group", "C4", "--algebra", "diagonal:2", "--action", "swap",
+            "--trials", "4")
+    code, out = run(tmp_path, *argv)
+    assert code == 4
+    assert capsys.readouterr().err.startswith("check failed: ")
+    monkeypatch.setattr(sigma, "tau_u", real)
+    assert run(tmp_path, *argv)[0] == 0
 
 
 def test_sigma_draws_its_sweep_operators_once(tmp_path, monkeypatch):

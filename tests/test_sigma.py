@@ -443,6 +443,37 @@ def test_make_pair_rejects_a_non_unital_map(monkeypatch):
         make_pair(ctx, xi)
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [ctx_scalars(3), ctx_swap(4), ctx_translation(5)],
+    ids=["C3/scalars", "C4/swap", "C5/translation"],
+)
+def test_a_non_unital_span_valued_map_is_rejected_off_its_stacks(ctx, monkeypatch):
+    """On a finite group sigma(I) - I is read off the dual blocks of the
+    stacks, and a map whose outputs are span elements still fails there."""
+    real = sigma.sigma_xi
+    monkeypatch.setattr(sigma, "sigma_xi", lambda c, xi, x: 2 * real(c, xi, x))
+    monkeypatch.setattr(sigma, "op_norm", None)
+    with pytest.raises(NotUnitalError, match="map is not unital: defect 1.000e"):
+        make_pair(ctx, positive_xi(ctx, seed=40))
+
+
+def test_margin_mode_keeps_the_dense_unital_defect(monkeypatch):
+    """A window of Z has no dual group: sigma(I) - I takes op_norm, and a
+    non-unital map raises there too."""
+    ctx = make_context(Integers(), radius=2)
+    xi = L2Vector.normalized({0: 1.0, 1: 0.5, 2: 0.25})
+    norms = []
+    real_norm = sigma.op_norm
+    monkeypatch.setattr(sigma, "op_norm", lambda x: norms.append(x) or real_norm(x))
+    assert make_pair(ctx, xi).unital_defect <= 1e-12 and len(norms) == 1
+    real = sigma.sigma_xi
+    monkeypatch.setattr(sigma, "sigma_xi", lambda c, xi, x: 2 * real(c, xi, x))
+    with pytest.raises(NotUnitalError, match="map is not unital: defect 1.000e"):
+        make_pair(ctx, xi)
+    assert len(norms) == 2
+
+
 def test_non_positive_eigenvalues_raise_a_typed_error():
     ctx = make_context(Integers(), radius=4)
     xi = L2Vector.normalized({0: 1.0, 1: 0.5, 2: 0.25})

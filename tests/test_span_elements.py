@@ -195,16 +195,17 @@ def test_cp_check_builds_no_dense_sigma_in_positivity_or_eigenrelation(monkeypat
         outputs.append(pair.sigma(x))
         return outputs[-1]
 
-    _, was_built = dense_builds(monkeypatch)
+    built, was_built = dense_builds(monkeypatch)
     trials, m = 4, 2
     rep = cp_check(ctx, apply, chi=pair.chi, amplification=m, trials=trials, seed=3)
-    assert rep.verdict == "Pass"
-    positivity = outputs[: trials * m * m]
-    eigenrelation = outputs[-ctx.nwin:]
-    # one bimodular trial between them: its sandwich pr sigma(x) ps is dense
+    assert rep.verdict == "Pass" and rep.max_bimodular_defect <= 1e-12
+    # one bimodular trial between the positivity grid and the eigenrelation
+    # loop: its sandwich psi(r) sigma(x) psi(s) stays a stack as well
     assert len(outputs) == trials * m * m + 2 + ctx.nwin
-    assert [x for x in positivity + eigenrelation if was_built(x)] == []
-    assert was_built(outputs[trials * m * m + 1])
+    assert [x for x in outputs if was_built(x)] == []
+    # the only dense theta(c) gathered are the eigenrelation inputs, which
+    # sigma reads as dense operators
+    assert len(built) == ctx.nwin
 
 
 def test_pi_trials_build_no_dense_sigma(tmp_path, monkeypatch):
@@ -222,11 +223,11 @@ def test_pi_trials_build_no_dense_sigma(tmp_path, monkeypatch):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     # make_pair's sigma(I), then sigma of x, of p1 and of y in each trial
     assert len(outputs) == 1 + 3 * 3
-    # only make_pair's unital defect, a dense norm, reads sigma(I) densely
-    assert [i for i, x in enumerate(outputs) if was_built(x)] == [0]
-    # besides it, sigma reads its two span inputs p1 and y in each trial;
-    # the differences p2 - p1 and pi(y) - y stay stacks
-    assert len(built) == 1 + 2 * 3
+    # make_pair's unital defect reads sigma(I) - I off the stacks too
+    assert [i for i, x in enumerate(outputs) if was_built(x)] == []
+    # sigma reads its two span inputs p1 and y in each trial as dense
+    # operators; the differences p2 - p1 and pi(y) - y stay stacks
+    assert len(built) == 2 * 3
 
 
 @pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
@@ -280,3 +281,84 @@ def test_condition_ii_builds_no_dense_sigma(monkeypatch):
     rep = check_condition_ii(pair, trials=3, seed=4)
     assert rep.verdict == "Pass" and len(outputs) == 3
     assert not any(was_built(x) for x in outputs)
+
+
+SANDWICH_CONTEXTS = [
+    (
+        "C4/swap/diagonal2",
+        make_context(Cyclic(4), algebra=CoeffAlgebra.diagonal(2), action=swap_action(Cyclic(4))),
+    ),
+    ("C6/full6", make_context(Cyclic(6), algebra=CoeffAlgebra.full(6))),
+    (
+        "C12/translation",
+        make_context(
+            Cyclic(12), algebra=CoeffAlgebra.diagonal(12), action=translation_action(Cyclic(12))
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "label, ctx", SANDWICH_CONTEXTS, ids=[label for label, _ in SANDWICH_CONTEXTS]
+)
+def test_the_stack_sandwich_is_the_dense_product(label, ctx, monkeypatch):
+    """psi(r) theta(c) psi(s) on stacks against the dense product of the
+    three operators, the computation cp_check made before; and the
+    blockwise sandwich of a plain operator against the same product."""
+    rng = np.random.default_rng(13)
+    _, was_built = dense_builds(monkeypatch)
+    for _ in range(3):
+        r, s = ctx.algebra.random_member(rng), ctx.algebra.random_member(rng)
+        pr, ps = crossed.psi(ctx, r), crossed.psi(ctx, s)
+        c = random_crossed_element(ctx, rng)
+        x = sigma.random_window_operator(ctx, rng)
+        got = sigma._sandwich(ctx, r, c, s)
+        assert isinstance(got, SpanElement) and got.ctx is ctx and not was_built(c)
+        for out, operand in ((got, c), (sigma._sandwich(ctx, r, x, s), x)):
+            want = pr.data @ operand.data @ ps.data
+            assert np.max(np.abs(out.data - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+        assert same_bits(phi_hom(ctx, got), phi_hom(ctx, dense(got)))
+
+
+def shifted_by_the_unit(pair):
+    """sigma plus theta({e: 1}): span-valued and positive, but neither
+    bimodular nor an eigenmap, since psi(r) 1 psi(s) is not 1."""
+    ctx = pair.ctx
+    unit = theta_embed(ctx, {ctx.group.identity(): ctx.algebra.identity()})
+    return lambda x: pair.sigma(x) + unit
+
+
+def times_a_fixed_matrix(pair):
+    """c -> c w slot by slot for a w that commutes with no random s:
+    linear and span-valued, but not right-bimodular over a full algebra."""
+    w = np.arange(pair.ctx.d**2, dtype=complex).reshape(pair.ctx.d, pair.ctx.d)
+    return lambda x: SpanElement(pair.ctx, pair.sigma(x).coeffs @ w)
+
+
+@pytest.mark.parametrize(
+    "label, ctx, make_map",
+    [
+        ("C4/swap/shifted", SANDWICH_CONTEXTS[0][1], shifted_by_the_unit),
+        ("C6/full6/times-w", SANDWICH_CONTEXTS[1][1], times_a_fixed_matrix),
+    ],
+    ids=["C4/swap/shifted", "C6/full6/times-w"],
+)
+def test_a_span_valued_map_that_is_not_bimodular_fails_through_the_stacks(
+    label, ctx, make_map, monkeypatch
+):
+    apply = make_map(pair_of(ctx, 14))
+    dense_sandwiches = []
+    real = sigma._sandwich
+
+    def spy(c, r, x, s):
+        out = real(c, r, x, s)
+        if not isinstance(x, SpanElement):
+            dense_sandwiches.append(out)
+        return out
+
+    monkeypatch.setattr(sigma, "_sandwich", spy)
+    trials = 8
+    rep = cp_check(ctx, apply, trials=trials, amplification=1, seed=15)
+    assert rep.max_bimodular_defect > 1e-10
+    # only the random inputs were sandwiched as dense operators
+    assert len(dense_sandwiches) == trials // 4
