@@ -4,18 +4,18 @@ A CrossedContext fixes a group, a finite window ball, a coefficient
 algebra of d x d matrices and an action by coordinate permutations; the
 algebra fixes the conditional expectation onto it.  Operators live on
 window x internal space and are stored dense (BlockMatrix), except the
-span elements the sweeps produce, which keep their coefficient stack and
-build the dense matrix only when it is read (SpanElement), and the
-block-diagonal operators that psi and fourier_coefficient return, which
-keep their stack of diagonal blocks and whose norm is read off it
-(BlockDiagonal).
+span elements, which keep their coefficient stack and build the dense
+matrix only when it is read (SpanElement), and the Fourier coefficients,
+which keep their stack of diagonal blocks and whose norm is read off it
+(BlockDiagonal).  The algebra sits in the span as psi(r) = theta({e: r}).
 
 On a finite group the norm and spectrum of a crossed-product span element
 are read off its coefficient stack c instead (dual_blocks): conjugating
 by diag(U_h) turns it into the group convolution with blocks U_s c_s,
 which the characters gamma of the finite abelian group split into n
 blocks F_gamma = sum_s conj gamma(s) U_s c_s of size d x d.  Only
-general window operators take the dense eigensolve (op_norm).
+general window operators, and span elements on windows of infinite
+groups, take the dense eigensolve (op_norm).
 
 Translation operators drop transitions that leave the window, so on
 infinite groups most identities hold only for inputs with enough support
@@ -48,24 +48,23 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CoeffAlgebra:
-    """The coefficient algebra: scalars, diagonal, or full d x d matrices."""
+    """The coefficient algebra: diagonal or full d x d matrices.  The
+    scalars are the full 1 x 1 matrices."""
 
     kind: str
     internal_dim: int = 1
 
-    _KINDS = ("scalars", "diagonal", "full")
+    _KINDS = ("diagonal", "full")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise SpecMismatchError(f"unknown algebra kind {self.kind!r}")
         if self.internal_dim < 1:
             raise SpecMismatchError("internal dimension must be >= 1")
-        if self.kind == "scalars" and self.internal_dim != 1:
-            raise SpecMismatchError("scalar algebra has internal dimension 1")
 
     @staticmethod
     def scalars() -> "CoeffAlgebra":
-        return CoeffAlgebra("scalars", 1)
+        return CoeffAlgebra.full(1)
 
     @staticmethod
     def diagonal(d: int) -> "CoeffAlgebra":
@@ -112,29 +111,23 @@ class ActionSpec:
     """Group action by permutations of the internal coordinates.
 
     perm_of maps a group element to a permutation tuple p, acting on basis
-    vectors by e_i -> e_{p[i]}.  Multiplicativity over the generating set
+    vectors by e_i -> e_{p[i]}; perm_of None is the trivial action, every
+    p the identity permutation.  Multiplicativity over the generating set
     is verified when a context is built.
     """
 
-    kind: str
     perm_of: Optional[Callable[[Element], Tuple[int, ...]]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("trivial", "permutation"):
-            raise SpecMismatchError(f"unknown action kind {self.kind!r}")
-        if self.kind == "permutation" and self.perm_of is None:
-            raise SpecMismatchError("permutation action needs perm_of")
 
     @staticmethod
     def trivial() -> "ActionSpec":
-        return ActionSpec("trivial")
+        return ActionSpec()
 
     @staticmethod
     def permutation(perm_of: Callable[[Element], Tuple[int, ...]]) -> "ActionSpec":
-        return ActionSpec("permutation", perm_of)
+        return ActionSpec(perm_of)
 
     def perm(self, g: Element, d: int) -> Tuple[int, ...]:
-        if self.kind == "trivial":
+        if self.perm_of is None:
             return tuple(range(d))
         p = tuple(self.perm_of(g))
         if sorted(p) != list(range(d)):
@@ -176,24 +169,23 @@ def translation_action(spec: Cyclic) -> ActionSpec:
 class ExpectationSpec:
     """Conditional expectation of the d x d matrices onto the algebra.
 
-    trace: x -> (tr x / d) I (scalars target); diagonal: keep the diagonal;
-    identity: the full algebra, no compression.  All three are unital,
-    idempotent, and bimodular over the target algebra.
+    diagonal: keep the diagonal; identity: the full algebra (the scalars
+    among them, at d = 1), no compression.  Both are unital, idempotent,
+    and bimodular over the target algebra.
 
     The sweep kernels of sigma read from each block only what the
     expectation keeps: the d diagonal entries for diagonal, straight from
     the operator's data without calling apply; every entry, through
-    apply, for trace (1 x 1 blocks, where the trace is the entry itself)
-    and identity.  For diagonal, entry (r, c) of a window operator is
-    read only when r = c mod d: the classes are the d residues mod d, one
-    per diagonal position, and sigma.cp_check draws its inputs pinched
-    onto them.  trace and identity read every entry, as one class.
+    apply, for identity.  For diagonal, entry (r, c) of a window operator
+    is read only when r = c mod d: the classes are the d residues mod d,
+    one per diagonal position, and sigma.cp_check draws its inputs
+    pinched onto them.  identity reads every entry, as one class.
     """
 
     kind: str
 
     # algebra kind -> the expectation onto it
-    _ONTO = {"scalars": "trace", "diagonal": "diagonal", "full": "identity"}
+    _ONTO = {"diagonal": "diagonal", "full": "identity"}
 
     def __post_init__(self):
         if self.kind not in self._ONTO.values():
@@ -207,10 +199,6 @@ class ExpectationSpec:
         """Apply the expectation to a d x d matrix or, over the last two
         axes, to every matrix of an (..., d, d) stack."""
         x = np.asarray(x, dtype=complex)
-        d = x.shape[-1]
-        if self.kind == "trace":
-            tr = np.trace(x, axis1=-2, axis2=-1) / d
-            return tr[..., None, None] * np.eye(d, dtype=complex)
         if self.kind == "diagonal":
             return _keep_diagonal(x)
         return x.copy()
@@ -259,7 +247,7 @@ class CrossedContext:
     @cached_property
     def expectation(self) -> ExpectationSpec:
         """The trace-preserving conditional expectation onto the algebra,
-        the only one for the scalar, diagonal and full algebras."""
+        the only one for the diagonal and full algebras."""
         return ExpectationSpec.default_for(self.algebra)
 
     @property
@@ -505,7 +493,7 @@ class BlockMatrix:
 class SpanElement(BlockMatrix):
     """theta(c) for a complex (n, d, d) stack c whose every slot is in the
     algebra: what sigma_xi, pi_projection, random_crossed_element and
-    theta_embed's dict branch return.  The element keeps c, made
+    theta_embed's dict branch, psi's among them, return.  The element keeps c, made
     read-only, and phi_hom and dual_blocks read it as it is; data, the
     dense theta(c), is gathered on first use and read-only too.  +, - and
     scalar * with a span element of the same context act on the stacks,
@@ -549,7 +537,7 @@ class SpanElement(BlockMatrix):
 class BlockDiagonal(BlockMatrix):
     """An operator whose off-diagonal blocks are zero by construction, held
     as the (n, d, d) stack ``diagonal`` of its diagonal blocks, made
-    read-only.  psi and fourier_coefficient return it.  data, the dense
+    read-only.  fourier_coefficient returns it.  data, the dense
     operator, is built from the stack on first read and is read-only too.
     Arithmetic on it returns a plain BlockMatrix."""
 
@@ -575,13 +563,19 @@ def op_norm(x: BlockMatrix) -> float:
 
     For a BlockDiagonal, x* x is block diagonal with blocks b* b, so the
     top eigenvalue is the largest over its stack of diagonal blocks, taken
-    from one batched eigensolve.  Any other x takes the dense (nd)^2 path,
-    even when rounding leaves it block diagonal, so the path follows how
-    x was built rather than the last bits of its entries.
+    from one batched eigensolve.  A SpanElement of a finite group is
+    normed off its dual_blocks (span_norms, residual 0).  Any other x,
+    a span element on a window of an infinite group included, takes the
+    dense (nd)^2 path, even when rounding leaves it block diagonal or in
+    the span, so the path follows how x was built rather than the last
+    bits of its entries.
     """
     if isinstance(x, BlockDiagonal):
         gram = x.diagonal.conj().swapaxes(-1, -2) @ x.diagonal
         top = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
+    elif isinstance(x, SpanElement) and x.ctx.group.is_finite():
+        blocks, residual = dual_blocks(x.ctx, x)
+        return float(span_norms(blocks[None], np.array([residual]))[0])
     else:
         m = x.data
         top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
@@ -597,12 +591,11 @@ def left_translation(ctx: CrossedContext, g: Element) -> BlockMatrix:
     return theta_embed(ctx, {g: ctx.algebra.identity()})
 
 
-def psi(ctx: CrossedContext, r) -> BlockDiagonal:
-    """Block-diagonal embedding of an algebra element, theta({e: r}):
+def psi(ctx: CrossedContext, r) -> SpanElement:
+    """The embedding of an algebra element, the span element theta({e: r}):
     block (g,g) is the coefficient twisted by the inverse-element
-    automorphism."""
-    r = ctx.algebra.validate_member(r)
-    return BlockDiagonal(ctx.window, ctx.d, ctx.alpha_by_perm(ctx.inv_perm_index, r))
+    automorphism, and every other block is zero."""
+    return theta_embed(ctx, {ctx.group.identity(): r})
 
 
 def fourier_coefficient(

@@ -31,7 +31,6 @@ from .crossed import (
     fourier_coefficient,
     op_norm,
     phi_hom,
-    psi,
     span_min_eigenvalues,
     span_norms,
     theta_embed,
@@ -268,21 +267,14 @@ class ExpectationPair:
     def unital_defect(self) -> float:
         """||sigma(I) - I||, measured once per pair.
 
-        On a finite group I is theta({e: 1}), so the difference is a span
-        element and its norm is read off its dual-group blocks: the map's
-        output stack minus the unit's, residual 0.  An output that is not
-        a SpanElement of the context takes dual_blocks' dense span check.
-        A window of an infinite group has no dual group and keeps the
-        dense op_norm.
+        I is the span element theta({e: 1}) on every window (theta is a
+        gather, so on a window of an infinite group its dense data is the
+        identity too), and op_norm reads the difference off its dual-group
+        blocks on a finite group and densely on a window.
         """
         ctx = self.ctx
-        ident = ctx.identity_matrix()
-        out = self.sigma(ident)
-        if not ctx.group.is_finite():
-            return op_norm(out - ident)
         unit = theta_embed(ctx, {ctx.group.identity(): ctx.algebra.identity()})
-        blocks, residual = dual_blocks(ctx, out - unit)
-        return float(span_norms(blocks[None], np.array([residual]))[0])
+        return op_norm(self.sigma(ctx.identity_matrix()) - unit)
 
 
 def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
@@ -396,17 +388,18 @@ def _sandwich(
 ) -> BlockMatrix:
     """psi(r) x psi(s) for algebra elements r and s.
 
-    Slot g of psi(r)'s stack is alpha_{g^-1}(r).  For a SpanElement theta(c)
-    of ctx the product is the span element theta(c') with c'_t =
-    alpha_{t^-1}(r) c_t s, n products of d x d blocks.  Any other x is
-    formed block by block, block (i, j) being alpha_{g_i^-1}(r) x_ij
-    alpha_{g_j^-1}(s): n^2 products of d x d blocks, not two dense (nd)^3
-    ones.
+    Diagonal block (g, g) of psi(r) = theta({e: r}) is alpha_{g^-1}(r),
+    taken for every window slot g in one alpha_by_perm gather, and every
+    other block is zero.  For a SpanElement theta(c) of ctx the product is
+    the span element theta(c') with c'_t = alpha_{t^-1}(r) c_t s, n
+    products of d x d blocks.  Any other x is formed block by block, block
+    (i, j) being alpha_{g_i^-1}(r) x_ij alpha_{g_j^-1}(s): n^2 products of
+    d x d blocks, not two dense (nd)^3 ones.
     """
-    pr = psi(ctx, r).diagonal
+    pr = ctx.alpha_by_perm(ctx.inv_perm_index, r)
     if isinstance(x, SpanElement) and x.ctx is ctx:
         return SpanElement(ctx, pr @ x.coeffs @ s)
-    ps = psi(ctx, s).diagonal
+    ps = ctx.alpha_by_perm(ctx.inv_perm_index, s)
     n, d = ctx.nwin, ctx.d
     blocks = pr[:, None] @ x.blocks() @ ps[None, :]
     return ctx.wrap(blocks.swapaxes(1, 2).reshape(n * d, n * d))
@@ -437,8 +430,8 @@ def cp_check(
     blocks, one batched eigensolve per check.  A sigma_xi output is a
     SpanElement, whose blocks are read off the stack it carries, so no
     check builds a dense sigma(x): the bimodular sandwich psi(r) sigma(x)
-    psi(s) of one is the span element whose stack is psi(r)'s stack times
-    c times s, and its input psi(r) x psi(s) is formed block by block.
+    psi(s) of one is the span element with stack alpha_{t^-1}(r) c_t s,
+    and its input psi(r) x psi(s) is formed block by block.
     Any other output, such as a plain BlockMatrix from a stand-in map, is
     sandwiched block by block as a dense operator and takes the dense
     span check (NotInCrossedProductError outside the span).  A failing

@@ -377,7 +377,7 @@ def test_op_norm_examples():
 
 def test_expectation_properties():
     rng = np.random.default_rng(71)
-    for kind, d in [("trace", 3), ("diagonal", 3), ("identity", 2)]:
+    for kind, d in [("diagonal", 3), ("identity", 2)]:
         e = ExpectationSpec(kind)
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert np.allclose(e.apply(e.apply(a)), e.apply(a))
@@ -394,8 +394,6 @@ def test_expectation_bimodular_over_target():
     r = np.diag(rng.standard_normal(d))
     s = np.diag(rng.standard_normal(d))
     assert np.allclose(e.apply(r @ a @ s), r @ e.apply(a) @ s)
-    t = ExpectationSpec("trace")
-    assert np.allclose(t.apply(2.5 * a), 2.5 * t.apply(a))
 
 
 def test_expectation_commutes_with_action():
@@ -442,7 +440,7 @@ def test_context_validation():
 @pytest.mark.parametrize(
     "algebra, kind",
     [
-        (CoeffAlgebra.scalars(), "trace"),
+        (CoeffAlgebra.scalars(), "identity"),
         (CoeffAlgebra.diagonal(2), "diagonal"),
         (CoeffAlgebra.full(2), "identity"),
     ],

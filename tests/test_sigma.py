@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from crossedprod import sigma
+from crossedprod import crossed, sigma
 from crossedprod.crossed import (
     CoeffAlgebra,
     left_translation,
@@ -449,13 +449,24 @@ def test_make_pair_rejects_a_non_unital_map(monkeypatch):
     ids=["C3/scalars", "C4/swap", "C5/translation"],
 )
 def test_a_non_unital_span_valued_map_is_rejected_off_its_stacks(ctx, monkeypatch):
-    """On a finite group sigma(I) - I is read off the dual blocks of the
-    stacks, and a map whose outputs are span elements still fails there."""
+    """On a finite group sigma(I) - I is a span element, and op_norm reads
+    it off the dual blocks of its stack: no dense theta is gathered and no
+    2-D eigensolve runs.  A map whose outputs are span elements still
+    fails there."""
     real = sigma.sigma_xi
     monkeypatch.setattr(sigma, "sigma_xi", lambda c, xi, x: 2 * real(c, xi, x))
-    monkeypatch.setattr(sigma, "op_norm", None)
+    gathers, ndims = [], []
+    real_gather = crossed._theta_gather
+    monkeypatch.setattr(
+        crossed, "_theta_gather", lambda *a: gathers.append(a) or real_gather(*a)
+    )
+    real_eig = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a, *r, **k: ndims.append(np.ndim(a)) or real_eig(a, *r, **k)
+    )
     with pytest.raises(NotUnitalError, match="map is not unital: defect 1.000e"):
         make_pair(ctx, positive_xi(ctx, seed=40))
+    assert gathers == [] and ndims == [4]
 
 
 def test_margin_mode_keeps_the_dense_unital_defect(monkeypatch):

@@ -19,6 +19,7 @@ from crossedprod.crossed import (
     op_norm,
     phi_hom,
     psi,
+    SpanElement,
     swap_action,
     theta_embed,
     translation_action,
@@ -46,8 +47,6 @@ def ref_alpha(p, r):
 def ref_expectation(spec, x):
     x = np.asarray(x, dtype=complex)
     d = x.shape[0]
-    if spec.kind == "trace":
-        return (np.trace(x) / d) * np.eye(d, dtype=complex)
     if spec.kind == "diagonal":
         return np.diag(np.diag(x))
     return x.copy()
@@ -352,10 +351,10 @@ def test_phi_t_equals_the_full_stack_formula(name, ctx, xi):
     assert reached >= 2
 
 
-@pytest.mark.parametrize("kind", ["trace", "diagonal", "identity"])
+@pytest.mark.parametrize("kind", ["diagonal", "identity"])
 def test_expectation_acts_on_the_last_two_axes(kind):
     rng = np.random.default_rng(6)
-    d = 1 if kind == "trace" else 3
+    d = 3
     stack = rng.standard_normal((4, 5, d, d)) + 1j * rng.standard_normal((4, 5, d, d))
     spec = ExpectationSpec(kind)
     got = spec.apply(stack)
@@ -461,29 +460,34 @@ def test_op_norm_fourier_coefficient_with_empty_blocks(monkeypatch):
 
 
 def test_op_norm_path_follows_construction_not_values(monkeypatch):
-    """A difference of two block-diagonal operators is block diagonal or
-    exactly zero depending on rounding; it takes the dense path either way,
-    so the eigensolve sizes of a sweep do not depend on its seed."""
+    """A difference of two psi images is a span element, exactly zero or
+    not depending on its values; on a finite group it is normed off its
+    dual blocks either way, so the eigensolve sizes of a sweep do not
+    depend on its seed.  The same operator as a plain BlockMatrix takes
+    the dense path."""
     ctx = finite_case("C4-swap")
     r = ctx.algebra.random_member(np.random.default_rng(13))
     for x in (psi(ctx, r) - psi(ctx, 2 * r), psi(ctx, r) - psi(ctx, r)):
-        seen = eigvalsh_arg_ndims(monkeypatch)
-        got = op_norm(x)
-        assert seen == [2]
-        monkeypatch.undo()
-        assert abs(got - dense_norm(x)) <= 1e-12
+        assert isinstance(x, SpanElement)
+        for y, ndims in ((x, [4]), (ctx.wrap(x.data), [2])):
+            seen = eigvalsh_arg_ndims(monkeypatch)
+            got = op_norm(y)
+            assert seen == ndims
+            monkeypatch.undo()
+            assert abs(got - dense_norm(x)) <= 1e-12
 
 
 @pytest.mark.parametrize("name, ctx, xi", CASES, ids=IDS)
 def test_psi_is_exactly_the_block_loop_and_blockwise(monkeypatch, name, ctx, xi):
     r = ctx.algebra.random_member(np.random.default_rng(14))
     got = psi(ctx, r)
-    assert isinstance(got, BlockDiagonal)
+    assert isinstance(got, SpanElement)
     assert np.array_equal(got.data, ref_psi(ctx, r).data)
     seen = eigvalsh_arg_ndims(monkeypatch)
     norm = op_norm(got)
     monkeypatch.undo()
-    assert seen == [3]
+    # dual blocks on a finite group, the dense data on a window
+    assert seen == ([4] if ctx.group.is_finite() else [2])
     want = dense_norm(got)
     assert abs(norm - want) <= 1e-12 * max(1.0, want)
 

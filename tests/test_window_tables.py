@@ -13,7 +13,6 @@ import pytest
 
 from crossedprod.crossed import (
     ActionSpec,
-    BlockDiagonal,
     BlockMatrix,
     CoeffAlgebra,
     fourier_coefficient,
@@ -23,6 +22,7 @@ from crossedprod.crossed import (
     phi_hom,
     psi,
     reconstruct,
+    SpanElement,
     swap_action,
     theta_embed,
     translation_action,
@@ -365,7 +365,7 @@ def test_psi_is_theta_at_the_identity(name):
     ctx, _ = make_case(name)
     r = ctx.algebra.random_member(np.random.default_rng(8))
     got = psi(ctx, r)
-    assert isinstance(got, BlockDiagonal)
+    assert isinstance(got, SpanElement)
     assert same(got, ref_theta_embed_dict(ctx, {ctx.group.identity(): r}))
 
 
