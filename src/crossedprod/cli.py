@@ -286,6 +286,13 @@ def cmd_psd(args) -> Report:
     if args.square:
         f = posdef.pointwise_product(f, f)
     window = ball(spec, args.ball, args.cap)
+    n = len(window)
+    budget, over = _dense_budget(args.cap)
+    if n * n > budget:
+        raise ResourceCapError(
+            f"the Gram of the --ball {args.ball} window (n = {n}) has {n * n} "
+            f"entries, {over}"
+        )
     report = posdef.check_positive_definite(f, window, args.tol)
     rows = [
         (
@@ -361,9 +368,15 @@ def _build_context(
         raise ConfigError(str(exc)) from exc
 
 
-# The dense budget of a sweep, in complex128 entries per --cap element:
-# 64 M entries, about 1 GB, at the default cap.
+# The dense budget of a sweep or a Gram, in entries per --cap element:
+# 64 M entries, about 1 GB of complex128, at the default cap.
 DENSE_ENTRIES_PER_CAP = 64
+
+
+def _dense_budget(cap: int) -> Tuple[int, str]:
+    """The dense budget at --cap, and the words that name it."""
+    budget = DENSE_ENTRIES_PER_CAP * cap
+    return budget, f"over the dense budget {DENSE_ENTRIES_PER_CAP} x --cap = {budget}"
 
 
 def _check_dense_budget(args, nd: int, amp: int, per_trial: int):
@@ -371,8 +384,7 @@ def _check_dense_budget(args, nd: int, amp: int, per_trial: int):
     of dimension amp n d, or the largest array it keeps across --trials,
     of per_trial entries a trial, passes DENSE_ENTRIES_PER_CAP * --cap
     entries."""
-    budget = DENSE_ENTRIES_PER_CAP * args.cap
-    over = f"over the dense budget {DENSE_ENTRIES_PER_CAP} x --cap = {budget}"
+    budget, over = _dense_budget(args.cap)
     dim = amp * nd
     if dim * dim > budget:
         by = f" (--amp {amp})" if amp > 1 else ""
@@ -415,7 +427,8 @@ def cmd_sigma(args) -> Report:
         for u in ctx.window:
             sigma_mod.tau_u(ctx, pair.support, u, x, out=total)
         acc -= pair.sigma(x).data
-        tau_blocks[t], tau_res[t] = crossed.dual_blocks(ctx, total)
+        with crossed.span_check(f"tau-sum of sample {t}"):
+            tau_blocks[t], tau_res[t] = crossed.dual_blocks(ctx, total)
     tau_dev = float(np.max(crossed.span_norms(tau_blocks, tau_res)))
     checks = {
         "unital_defect": unital,
@@ -465,11 +478,12 @@ def cmd_pi(args) -> Report:
         # sigma is applied to the dense p1, so idempotency is not true by construction
         p1 = sigma_mod.pi_projection(pair, x, coeffs=coeffs)
         p2 = sigma_mod.pi_projection(pair, p1)
-        idem_blocks[t], idem_res[t] = crossed.dual_blocks(ctx, p2 - p1)
+        with crossed.span_check(f"idempotency trial {t}"):
+            idem_blocks[t], idem_res[t] = crossed.dual_blocks(ctx, p2 - p1)
         y = sigma_mod.random_crossed_element(ctx, rng)
-        span_blocks[t], span_res[t] = crossed.dual_blocks(
-            ctx, sigma_mod.pi_projection(pair, y) - y
-        )
+        span_defect = sigma_mod.pi_projection(pair, y) - y
+        with crossed.span_check(f"span-identity trial {t}"):
+            span_blocks[t], span_res[t] = crossed.dual_blocks(ctx, span_defect)
         amps.append(sigma_mod.pi_amplification(pair, x, coeffs=coeffs))
     idems = crossed.span_norms(idem_blocks, idem_res).tolist()
     spans = crossed.span_norms(span_blocks, span_res).tolist()

@@ -25,6 +25,7 @@ margin; on finite groups (window = whole group) everything is exact.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -774,6 +775,17 @@ def dual_blocks(
     stack = shifted.reshape(m, m, n, d, d).transpose(2, 0, 3, 1, 4)
     blocks = ctx.dual_table @ stack.reshape(n, -1)
     return blocks.reshape(n, m * d, m * d), residual
+
+
+@contextmanager
+def span_check(witness: str):
+    """Prefix a NotInCrossedProductError raised inside with the check and
+    witness it failed, such as "tau-sum of sample 3"; the span check's own
+    message stays as the suffix."""
+    try:
+        yield
+    except NotInCrossedProductError as exc:
+        raise NotInCrossedProductError(f"{witness}: {exc}") from exc
 
 
 def empty_blocks(

@@ -31,6 +31,7 @@ from .crossed import (
     fourier_coefficient,
     op_norm,
     phi_hom,
+    span_check,
     span_min_eigenvalues,
     span_norms,
     theta_embed,
@@ -107,9 +108,10 @@ def _expected_terms(
     alpha_by_perm.  Only the entries the expectation keeps are read: for
     a diagonal algebra the (..., d) diagonals, entry a of pair (i, j)
     being x.data[i d + pinv[a], j d + pinv[a]] (indexing by rows and
-    columns reads a strided view without copying it); for the scalar and
-    full algebras every entry, as (..., d, d) blocks gathered, compressed
-    by ExpectationSpec.apply and permuted by alpha_by_perm.
+    columns reads a strided view without copying it); for a full algebra,
+    the scalars (d = 1) among them, every entry, as (..., d, d) blocks
+    gathered, compressed by ExpectationSpec.apply and permuted by
+    alpha_by_perm.
     """
     if ctx.algebra.kind == "diagonal":
         d = ctx.d
@@ -139,8 +141,8 @@ def sigma_coefficients(
     xi is the vector or its Support on ctx's window, as an
     ExpectationPair holds it.  Reads from x only the entries the
     expectation keeps: the d diagonal entries of each support block for
-    a diagonal algebra, every entry of it for the scalar and full
-    algebras (see _expected_terms).
+    a diagonal algebra, every entry of it for a full algebra, the scalars
+    among them (see _expected_terms).
     """
     slots, weights = _support(ctx, xi)
     _check_margin(ctx, slots)
@@ -434,8 +436,9 @@ def cp_check(
     and its input psi(r) x psi(s) is formed block by block.
     Any other output, such as a plain BlockMatrix from a stand-in map, is
     sandwiched block by block as a dense operator and takes the dense
-    span check (NotInCrossedProductError outside the span).  A failing
-    verdict names the trial of the worst eigenvalue.
+    span check (NotInCrossedProductError outside the span, naming the
+    check and its trial or g first).  A failing verdict names the trial
+    of the worst eigenvalue.
     """
     if amplification < 1:
         raise ValueError("amplification must be >= 1")
@@ -454,7 +457,8 @@ def cp_check(
             [apply(ctx.wrap(z[p * n : (p + 1) * n, q * n : (q + 1) * n])) for q in range(m)]
             for p in range(m)
         ]
-        blocks[t], residuals[t] = dual_blocks(ctx, grid)
+        with span_check(f"positivity trial {t}"):
+            blocks[t], residuals[t] = dual_blocks(ctx, grid)
     lows = span_min_eigenvalues(blocks, residuals)
     worst = int(np.argmin(lows))
     min_eig = float(lows[worst])
@@ -466,7 +470,8 @@ def cp_check(
         x = random_window_operator(ctx, rng)
         lhs = apply(_sandwich(ctx, r, x, s))
         rhs = _sandwich(ctx, r, apply(x), s)
-        blocks[t], residuals[t] = dual_blocks(ctx, lhs - rhs)
+        with span_check(f"bimodularity trial {t}"):
+            blocks[t], residuals[t] = dual_blocks(ctx, lhs - rhs)
     max_bimod = float(np.max(span_norms(blocks, residuals)))
 
     max_eigrel = 0.0
@@ -475,7 +480,9 @@ def cp_check(
         for t, g in enumerate(ctx.window):
             r = ctx.algebra.random_member(rng)
             xg = theta_embed(ctx, {g: r})
-            blocks[t], residuals[t] = dual_blocks(ctx, apply(xg) - complex(chi(g)) * xg)
+            defect = apply(xg) - complex(chi(g)) * xg
+            with span_check(f"eigenrelation at g = {ctx.group.format_element(g)}"):
+                blocks[t], residuals[t] = dual_blocks(ctx, defect)
         max_eigrel = float(np.max(span_norms(blocks, residuals)))
 
     verdict = "Pass"

@@ -557,6 +557,37 @@ def test_a_small_cap_bounds_the_dense_work(tmp_path, capsys, extra, code):
 
 
 @pytest.mark.parametrize(
+    "group, radius, n",
+    [("Z", "20000", 40001), ("Z^2", "300", 180601)],
+    ids=["Z", "Z^2"],
+)
+def test_psd_refuses_an_over_budget_gram_before_building_it(
+    tmp_path, capsys, monkeypatch, group, radius, n
+):
+    # n^2 float64 entries would be 12.8 GB on Z and 261 GB on Z^2
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gram was built")
+
+    monkeypatch.setattr(posdef, "gram_matrix", refuse)
+    code, out = run(tmp_path, "psd", "--group", group, "--eps", "0.5", "--ball", radius)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"--ball {radius} window (n = {n}) has {n * n} entries" in err
+    assert "64 x --cap = 64000000" in err
+    assert not (out / "psd.json").exists()
+
+
+@pytest.mark.parametrize(
+    "radius, code", [("40", 3), ("31", 0)], ids=["over", "at"]
+)
+def test_a_small_cap_bounds_the_psd_gram(tmp_path, capsys, radius, code):
+    # 81^2 = 6561 entries pass 64 x 81 = 5184; 63^2 = 3969 fit
+    argv = ("psd", "--group", "Z", "--eps", "0.5", "--ball", radius, "--cap", "81")
+    assert run(tmp_path, *argv)[0] == code
+    assert ("--cap = 5184" in capsys.readouterr().err) == (code == 3)
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (("balls", "--group", "F2", "--cap", "0"), "--cap must be >= 1, got 0"),
@@ -704,9 +735,53 @@ def test_a_tau_sum_missing_one_term_fails(tmp_path, monkeypatch, capsys):
             "--trials", "4")
     code, out = run(tmp_path, *argv)
     assert code == 4
-    assert capsys.readouterr().err.startswith("check failed: ")
+    err = capsys.readouterr().err
+    # the check and its sample come first, the span check's own words after
+    assert err.startswith("check failed: tau-sum of sample 0: coefficient at window slot ")
+    assert "inconsistent across the diagonal" in err
     monkeypatch.setattr(sigma, "tau_u", real)
     assert run(tmp_path, *argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "call, witness",
+    [(1, "idempotency trial 0"), (5, "span-identity trial 1")],
+    ids=["idempotency", "span-identity"],
+)
+def test_each_span_check_of_pi_names_its_trial(tmp_path, monkeypatch, capsys, call, witness):
+    # pi_projection runs three times a trial: p1, p2 = pi(p1), and pi(y)
+    real = sigma.pi_projection
+    calls = []
+
+    def one_off_span(pair, x, **kwargs):
+        calls.append(x)
+        out = real(pair, x, **kwargs)
+        if len(calls) - 1 != call:
+            return out
+        bump = np.zeros_like(out.data)
+        bump[0, -1] = 1.0
+        return pair.ctx.wrap(out.data + bump)
+
+    monkeypatch.setattr(sigma, "pi_projection", one_off_span)
+    code, _ = run(tmp_path, "pi", "--group", "C5", "--trials", "3")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"check failed: {witness}: coefficient at window slot ")
+
+
+@pytest.mark.parametrize("command", ["sigma", "pi"])
+def test_scalars_are_the_full_one_by_one_algebra(tmp_path, command):
+    # one algebra under two names: the reports differ only where they name it
+    reports = {}
+    for algebra in ("scalars", "full:1"):
+        code, out = run(tmp_path, command, "--group", "C5", "--algebra", algebra,
+                        "--xi", "geometric:0.7", "--trials", "10")
+        assert code == 0
+        reports[algebra] = read_outputs(out, command)
+    (csv_scalars, doc_scalars), (csv_full, doc_full) = reports.values()
+    assert csv_scalars == csv_full
+    assert doc_scalars.pop("algebra") == "scalars" and doc_full.pop("algebra") == "full:1"
+    assert doc_scalars == doc_full
 
 
 def test_sigma_draws_its_sweep_operators_once(tmp_path, monkeypatch):

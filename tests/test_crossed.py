@@ -414,8 +414,28 @@ def test_algebra_validation():
     with pytest.raises(SpecMismatchError):
         alg.validate_member(np.ones((3, 3)))
     with pytest.raises(SpecMismatchError):
-        CoeffAlgebra("scalars", 2)
+        CoeffAlgebra("scalars", 1)
     assert CoeffAlgebra.scalars().identity().shape == (1, 1)
+
+
+def test_scalars_are_the_full_one_by_one_matrices():
+    assert CoeffAlgebra._KINDS == ("diagonal", "full")
+    assert CoeffAlgebra.scalars() == CoeffAlgebra.full(1)
+    assert ExpectationSpec.default_for(CoeffAlgebra.scalars()) == ExpectationSpec("identity")
+    with pytest.raises(SpecMismatchError, match="unknown expectation kind 'trace'"):
+        ExpectationSpec("trace")
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_trivial_action_is_the_identity_permutation(d):
+    algebra = CoeffAlgebra.full(d)
+    trivial = make_context(Cyclic(4), algebra=algebra, action=ActionSpec.trivial())
+    identity = make_context(
+        Cyclic(4), algebra=algebra, action=ActionSpec.permutation(lambda g: tuple(range(d)))
+    )
+    assert ActionSpec.trivial() == ActionSpec()
+    assert np.array_equal(trivial.perm_index, identity.perm_index)
+    assert np.array_equal(trivial.inv_perm_index, identity.inv_perm_index)
 
 
 def test_action_validation():

@@ -226,7 +226,8 @@ def test_an_off_span_map_exits_4_through_the_cli(tmp_path, monkeypatch, capsys):
     code = main(["sigma", "--group", "C4", "--algebra", "diagonal:2", "--action", "swap",
                  "--trials", "2", "--out", str(tmp_path)])
     assert code == 4
-    assert "check failed: coefficient at window slot" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "check failed: positivity trial 0: coefficient at window slot" in err
 
 
 def dense_trial_minima(ctx, apply, m, trials, seed):

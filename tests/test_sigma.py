@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from crossedprod.errors import (
     ConfigError,
     CrossedProdError,
     MarginError,
+    NotInCrossedProductError,
     NotInDomainError,
     NotPositiveError,
     NotUnitalError,
@@ -470,8 +472,8 @@ def test_a_non_unital_span_valued_map_is_rejected_off_its_stacks(ctx, monkeypatc
 
 
 def test_margin_mode_keeps_the_dense_unital_defect(monkeypatch):
-    """A window of Z has no dual group: sigma(I) - I takes op_norm, and a
-    non-unital map raises there too."""
+    """A window of Z has no dual group: op_norm takes sigma(I) - I densely,
+    and a non-unital map raises there too."""
     ctx = make_context(Integers(), radius=2)
     xi = L2Vector.normalized({0: 1.0, 1: 0.5, 2: 0.25})
     norms = []
@@ -526,3 +528,41 @@ def test_direct_callers_still_check_the_margin():
         sigma_xi(ctx, wide, x)
     with pytest.raises(MarginError):
         sigma_xi(ctx, sigma._support(ctx, wide), x)
+
+
+def off_span(x):
+    """x with one entry bumped off the consistency of its translates."""
+    bump = np.zeros_like(x.data)
+    bump[0, -1] = 1.0
+    return x.ctx.wrap(x.data + bump)
+
+
+@pytest.mark.parametrize(
+    "call, witness",
+    [
+        (1, "positivity trial 1"),
+        (4, "bimodularity trial 0"),
+        (5, "bimodularity trial 0"),
+        (8, "eigenrelation at g = {}"),
+    ],
+    ids=["positivity", "bimodular-lhs", "bimodular-rhs", "eigenrelation"],
+)
+def test_each_span_check_of_cp_check_names_its_witness(call, witness):
+    """With trials 4 at amplification 1, the map's calls are the four
+    positivity trials, one bimodular pair and then one per window slot;
+    one output off the span fails the check that reads it, by name."""
+    ctx = ctx_swap(4)
+    pair = make_pair(ctx, positive_xi(ctx, seed=40))
+    calls = []
+
+    def stand_in(x):
+        calls.append(x)
+        out = pair.sigma(x)
+        return off_span(out) if len(calls) - 1 == call else out
+
+    witness = witness.format(ctx.group.format_element(ctx.window[2]))
+    with pytest.raises(
+        NotInCrossedProductError,
+        match="^" + re.escape(witness) + ": coefficient at window slot ",
+    ):
+        cp_check(ctx, stand_in, chi=pair.chi, amplification=1, trials=4)
