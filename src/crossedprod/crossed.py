@@ -442,7 +442,11 @@ def make_context(
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """Dense operator on window x internal space; block (i,j) is d x d."""
+    """Dense operator on window x internal space; block (i,j) is d x d.
+
+    data is (nd, nd), or (..., nd, nd) for a stack of operators: the
+    leading axes (lead) index trials or an amplification grid, and every
+    method and operator acts on each operator of the stack."""
 
     window: Ball
     block_dim: int
@@ -450,24 +454,40 @@ class BlockMatrix:
 
     def __post_init__(self):
         n = len(self.window) * self.block_dim
-        if self.data.shape != (n, n):
+        if self.data.shape[-2:] != (n, n):
             raise SpecMismatchError(
                 f"data shape {self.data.shape} does not match window "
                 f"({len(self.window)} x {self.block_dim})"
             )
 
+    @property
+    def lead(self) -> Tuple[int, ...]:
+        """The leading axes of a stack; () for one operator."""
+        return self.data.shape[:-2]
+
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.block_dim
-        return self.data[i * d : (i + 1) * d, j * d : (j + 1) * d]
+        return self.data[..., i * d : (i + 1) * d, j * d : (j + 1) * d]
 
     def blocks(self) -> np.ndarray:
-        """(n, n, d, d) view of the data."""
+        """(..., n, n, d, d) view of the data."""
         n = len(self.window)
         d = self.block_dim
-        return self.data.reshape(n, d, n, d).swapaxes(1, 2)
+        return self.data.reshape(self.lead + (n, d, n, d)).swapaxes(-3, -2)
+
+    def __getitem__(self, index) -> "BlockMatrix":
+        """The operator, or the stack of them, at index of the leading axes."""
+        return BlockMatrix(self.window, self.block_dim, self.data[index])
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """data[..., rows, cols]: the entries at the broadcast index arrays
+        rows and cols, of every operator of a stack."""
+        return self.data[..., rows, cols]
 
     def adjoint(self) -> "BlockMatrix":
-        return BlockMatrix(self.window, self.block_dim, self.data.conj().T.copy())
+        return BlockMatrix(
+            self.window, self.block_dim, self.data.conj().swapaxes(-1, -2).copy()
+        )
 
     def _check_compatible(self, other: "BlockMatrix"):
         if self.window != other.window or self.block_dim != other.block_dim:
@@ -493,10 +513,11 @@ class BlockMatrix:
 
 class SpanElement(BlockMatrix):
     """theta(c) for a complex (n, d, d) stack c whose every slot is in the
-    algebra: what sigma_xi, pi_projection, random_crossed_element and
-    theta_embed's dict branch, psi's among them, return.  The element keeps c, made
-    read-only, and phi_hom and dual_blocks read it as it is; data, the
-    dense theta(c), is gathered on first use and read-only too.  +, - and
+    algebra, or a stack of them, c (..., n, d, d): what sigma_xi,
+    pi_projection, random_crossed_element and theta_embed's dict branch,
+    psi's among them, return.  The element keeps c, made read-only, and
+    phi_hom, dual_blocks and entries read it as it is; data, the dense
+    theta(c), is gathered on first use and read-only too.  +, - and
     scalar * with a span element of the same context act on the stacks,
     which is the dense arithmetic entry for entry, since theta is a
     gather."""
@@ -508,11 +529,23 @@ class SpanElement(BlockMatrix):
         ):
             object.__setattr__(self, name, value)
 
+    @property
+    def lead(self) -> Tuple[int, ...]:
+        return self.coeffs.shape[:-3]
+
     @cached_property
     def data(self) -> np.ndarray:
         out = _theta_gather(self.ctx, self.coeffs)
         out.flags.writeable = False
         return out
+
+    def __getitem__(self, index) -> "SpanElement":
+        return SpanElement(self.ctx, self.coeffs[index])
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The entries of theta(c) at rows and cols, gathered from c
+        through theta_index without building the dense operator."""
+        return _with_zero(self.coeffs)[..., self.ctx.theta_index[rows, cols]]
 
     def _same_span(self, other) -> bool:
         return isinstance(other, SpanElement) and other.ctx is self.ctx
@@ -684,118 +717,146 @@ def phi_hom(ctx: CrossedContext, x: BlockMatrix) -> np.ndarray:
     carries that stack, so it is read as it is.  Any other operator, such
     as a plain BlockMatrix stand-in, is read off its dense data, and
     raises when no such r exists (x is outside the crossed-product span)
-    within DEFAULT_TOL.
+    within DEFAULT_TOL.  A stack of operators gives a stack of stacks.
     """
-    if isinstance(x, SpanElement) and x.ctx is ctx:
-        coeffs = x.coeffs
-    else:
-        coeffs = _phi_batch(ctx, [x])[0][0]
+    coeffs = span_coefficients(ctx, x)[0]
     if ctx.algebra.kind == "diagonal":
         return _keep_diagonal(coeffs)
     return coeffs
 
 
-def _phi_batch(
-    ctx: CrossedContext, xs: Sequence[BlockMatrix]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The checks of phi_hom on k operators at once.
+def span_coefficients(ctx: CrossedContext, x: BlockMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """The coefficient stack of x and its squared residual, per operator of
+    a stack: (..., n, d, d) and (...) over x's leading axes.
 
-    Returns their (k, n, d, d) coefficient stacks, read off column 0 and
-    not yet compressed onto the algebra, and the squared Frobenius norm
-    of x - theta(c) over the blocks the window translates reach: every
-    block on a finite group.
+    A SpanElement of ctx gives the stack it carries, with residual
+    exactly 0.  Any other operator takes the dense span check of phi_hom
+    (_phi_batch), all of a stack in one batch: coefficients read off
+    column 0, not yet compressed onto the algebra, and the squared
+    Frobenius norm of x - theta(c) over the blocks the window translates
+    reach, every block on a finite group.
     """
-    cand = np.empty((len(xs),) + ctx.phi_index.shape, dtype=complex)
-    for c, x in zip(cand, xs):
-        np.take(x.data.astype(complex, copy=False), ctx.phi_index, out=c)
-    # slot t is read off column 0 (the identity) and must agree with
-    # alpha_{g_j}(x_{(t g_j, g_j)}) in every other column j
-    coeffs = cand[:, :, 0].copy()
-    cand -= coeffs[:, :, None]
-    gap = np.abs(cand)
-    if not ctx.group.is_finite():
-        gap[:, ctx.mul_table < 0] = 0.0
-    # (k, n) largest entry off the algebra, per coefficient
-    off = np.zeros(coeffs.shape[:2])
-    if ctx.algebra.kind == "diagonal":
-        off = np.max(np.abs(coeffs * (1.0 - np.eye(ctx.d))), axis=(-2, -1))
-    if np.max(gap) > DEFAULT_TOL or not np.max(off) <= DEFAULT_TOL:
-        _raise_outside_span(ctx, np.max(gap, axis=(-2, -1)), off)
-    return coeffs, np.einsum("ktjab,ktjab->k", gap, gap)
+    if isinstance(x, SpanElement) and x.ctx is ctx:
+        return x.coeffs, np.zeros(x.lead)
+    n = ctx.dim
+    coeffs, squares = _phi_batch(ctx, x.data.reshape((-1, n, n)))
+    return coeffs.reshape(x.lead + coeffs.shape[1:]), squares.reshape(x.lead)
 
 
-def _raise_outside_span(ctx: CrossedContext, defect: np.ndarray, off: np.ndarray):
-    """NotInCrossedProductError at the first slot of a batch whose (n,)
-    consistency defects exceed DEFAULT_TOL or whose coefficient leaves
-    the algebra by more than DEFAULT_TOL."""
+def _phi_batch(ctx: CrossedContext, data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The checks of phi_hom on the k operators of a (k, nd, nd) array.
+
+    Returns their (k, n, d, d) coefficient stacks and squared residuals,
+    as span_coefficients; NotInCrossedProductError outside the span, its
+    index the first of the k that fails.  The operators are checked one
+    at a time, so that no more than one (nd)^2 candidate array is held.
+    """
+    n, d = ctx.nwin, ctx.d
+    coeffs = np.empty((len(data), n, d, d), dtype=complex)
+    squares = np.empty(len(data))
+    for k, x in enumerate(data):
+        cand = np.take(x.astype(complex, copy=False), ctx.phi_index)
+        # slot t is read off column 0 (the identity) and must agree with
+        # alpha_{g_j}(x_{(t g_j, g_j)}) in every other column j
+        coeffs[k] = cand[:, 0]
+        cand -= coeffs[k][:, None]
+        gap = np.abs(cand)[None]
+        if not ctx.group.is_finite():
+            gap[:, ctx.mul_table < 0] = 0.0
+        # largest entry off the algebra, per coefficient
+        off = np.zeros(n)
+        if ctx.algebra.kind == "diagonal":
+            off = np.max(np.abs(coeffs[k] * (1.0 - np.eye(d))), axis=(-2, -1))
+        if np.max(gap) > DEFAULT_TOL or not np.max(off) <= DEFAULT_TOL:
+            _raise_outside_span(ctx, np.max(gap[0], axis=(-2, -1)), off, k)
+        squares[k] = np.einsum("ktjab,ktjab->k", gap, gap)[0]
+    return coeffs, squares
+
+
+def _raise_outside_span(ctx: CrossedContext, defect: np.ndarray, off: np.ndarray, k: int):
+    """NotInCrossedProductError for operator k of a batch, at its first
+    slot whose (n,) consistency defects exceed DEFAULT_TOL or whose
+    coefficient leaves the algebra by more than DEFAULT_TOL."""
     inconsistent = defect > DEFAULT_TOL
-    bad = np.flatnonzero(inconsistent.any(axis=-1) | ~(off <= DEFAULT_TOL))
-    k, ti = divmod(int(bad[0]), ctx.nwin)
-    if inconsistent[k, ti].any():
-        j = int(np.argmax(inconsistent[k, ti]))
-        raise NotInCrossedProductError(
+    ti = int(np.flatnonzero(inconsistent.any(axis=-1) | ~(off <= DEFAULT_TOL))[0])
+    if inconsistent[ti].any():
+        j = int(np.argmax(inconsistent[ti]))
+        exc = NotInCrossedProductError(
             f"coefficient at window slot {ti} inconsistent across the "
-            f"diagonal (defect {float(defect[k, ti, j]):.3e})"
+            f"diagonal (defect {float(defect[ti, j]):.3e})"
         )
-    raise NotInCrossedProductError(
-        f"coefficient at window slot {ti} leaves the "
-        f"{ctx.algebra.kind} algebra"
-    )
+    else:
+        exc = NotInCrossedProductError(
+            f"coefficient at window slot {ti} leaves the "
+            f"{ctx.algebra.kind} algebra"
+        )
+    exc.index = k
+    raise exc
 
 
 def dual_blocks(
     ctx: CrossedContext, x: Union[BlockMatrix, Sequence[Sequence[BlockMatrix]]]
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """The dual-group blocks of a span element, and its Frobenius residual.
 
-    x is a span element or an m x m grid of them, read as their
-    m-amplification.  Returns the (n, md, md) blocks F_gamma, whose
-    (p, q) parts are sum_s conj gamma(s) U_s c_s for the coefficient stack
-    c of x_pq, and the Frobenius norm of x - theta(c) over the grid.  The
-    amplified operator is unitarily equivalent to the direct sum of the
-    blocks up to that residual, so span_norms adds it and
-    span_min_eigenvalues subtracts it.  A grid of SpanElements of ctx is
-    read off their stacks, with residual exactly 0.  A grid holding any
-    other operator, such as a plain BlockMatrix stand-in, takes the dense
-    span check of phi_hom and raises NotInCrossedProductError outside
-    the span.  Raises SpecMismatchError on an infinite group.
+    x is a span element, a stack of them, or an m x m grid (nested
+    sequences) of them read as their m-amplification.  Returns the
+    (..., n, md, md) blocks F_gamma (grid_blocks) over the leading axes of
+    a stack, and the (...) Frobenius norms of x - theta(c), one over the
+    whole of a grid.  The (amplified) operator is unitarily equivalent to
+    the direct sum of the blocks up to that residual, so span_norms adds
+    it and span_min_eigenvalues subtracts it.  Span elements of ctx are
+    read off their stacks, with residual exactly 0.  A stack or grid
+    holding any other operator, such as a plain BlockMatrix stand-in,
+    takes the dense span check of phi_hom in one batch and raises
+    NotInCrossedProductError outside the span (span_coefficients).
+    Raises SpecMismatchError on an infinite group.
     """
     if not ctx.group.is_finite():
         raise SpecMismatchError("dual-group blocks need a finite group")
-    grid = [[x]] if isinstance(x, BlockMatrix) else x
-    n, d, m = ctx.nwin, ctx.d, len(grid)
-    flat = [xpq for row in grid for xpq in row]
+    if isinstance(x, BlockMatrix):
+        coeffs, squares = span_coefficients(ctx, x)
+        return grid_blocks(ctx, coeffs[..., None, None, :, :, :]), np.sqrt(squares)
+    m = len(x)
+    flat = [xpq for row in x for xpq in row]
     if all(isinstance(xpq, SpanElement) and xpq.ctx is ctx for xpq in flat):
-        coeffs, residual = np.stack([xpq.coeffs for xpq in flat]), 0.0
+        stack = SpanElement(ctx, np.stack([xpq.coeffs for xpq in flat]))
     else:
-        coeffs, squares = _phi_batch(ctx, flat)
-        residual = math.sqrt(squares.sum())
-    # U_s c_s: row a of slot s is row perm_index[s, a] of c_s
-    shifted = coeffs[:, np.arange(n)[:, None], ctx.perm_index]
-    stack = shifted.reshape(m, m, n, d, d).transpose(2, 0, 3, 1, 4)
-    blocks = ctx.dual_table @ stack.reshape(n, -1)
-    return blocks.reshape(n, m * d, m * d), residual
+        stack = ctx.wrap(np.stack([xpq.data for xpq in flat]))
+    coeffs, squares = span_coefficients(ctx, stack)
+    blocks = grid_blocks(ctx, coeffs.reshape((m, m) + coeffs.shape[1:]))
+    return blocks, math.sqrt(squares.sum())
+
+
+def grid_blocks(ctx: CrossedContext, coeffs: np.ndarray) -> np.ndarray:
+    """The (..., n, md, md) dual-group blocks of m-amplified span elements
+    from their (..., m, m, n, d, d) coefficient stacks: part (p, q) of
+    block gamma is sum_s conj gamma(s) U_s c_s for the stack c of entry
+    (p, q).  np.matmul makes one (n, n) @ (n, m m d d) product per element
+    of the leading axes, so an element's blocks do not depend on how many
+    are stacked with it."""
+    n, d = ctx.nwin, ctx.d
+    lead, m = coeffs.shape[:-5], coeffs.shape[-5]
+    # entry (s, p, a, q, b) of U_s c_s over the grid, in one gather: row a
+    # of slot s is row perm_index[s, a] of c_s
+    p, q, b = np.arange(m)[:, None, None, None], np.arange(m)[:, None], np.arange(d)
+    s, a = np.arange(n)[:, None, None, None, None], ctx.perm_index[:, None, :, None, None]
+    stack = coeffs[..., p, q, s, a, b]
+    blocks = np.matmul(ctx.dual_table, stack.reshape(lead + (n, -1)))
+    return blocks.reshape(lead + (n, m * d, m * d))
 
 
 @contextmanager
-def span_check(witness: str):
+def span_check(witness: Union[str, Callable[[int], str]]):
     """Prefix a NotInCrossedProductError raised inside with the check and
-    witness it failed, such as "tau-sum of sample 3"; the span check's own
-    message stays as the suffix."""
+    witness it failed, such as "tau-sum of sample 3", or, for a check of
+    a stack, with witness(index) of the first operator that fails; the
+    span check's own message stays as the suffix."""
     try:
         yield
     except NotInCrossedProductError as exc:
-        raise NotInCrossedProductError(f"{witness}: {exc}") from exc
-
-
-def empty_blocks(
-    ctx: CrossedContext, k: int, m: int = 1
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Room for the dual_blocks of k elements, m-amplified, and their
-    residuals: one array per sweep, filled in place, keeps a sweep's
-    blocks from scattering over the heap between its dense temporaries."""
-    d = m * ctx.d
-    return np.empty((k, ctx.nwin, d, d), dtype=complex), np.empty(k)
+        name = witness if isinstance(witness, str) else witness(exc.index)
+        raise NotInCrossedProductError(f"{name}: {exc}") from exc
 
 
 def span_norms(blocks: np.ndarray, residuals: np.ndarray) -> np.ndarray:
@@ -813,7 +874,9 @@ def span_min_eigenvalues(blocks: np.ndarray, residuals: np.ndarray) -> np.ndarra
     their stacked dual_blocks and residuals as in span_norms, in one
     batched eigensolve, minus the residual, so never above the dense
     value."""
-    herm = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+    # halved in place: one temporary of the blocks' size, not two
+    herm = blocks + blocks.conj().swapaxes(-1, -2)
+    herm /= 2.0
     return np.min(np.linalg.eigvalsh(herm)[..., 0], axis=-1) - residuals
 
 
@@ -863,8 +926,18 @@ def theta_embed(
 
 
 def _theta_gather(ctx: CrossedContext, stack: np.ndarray) -> np.ndarray:
-    """The dense (nd, nd) data of theta(stack), in one gather."""
-    return np.append(stack.ravel(), 0.0)[ctx.theta_index]
+    """The dense (..., nd, nd) data of theta of a (..., n, d, d) stack, in
+    one gather."""
+    return _with_zero(stack)[..., ctx.theta_index]
+
+
+def _with_zero(stack: np.ndarray) -> np.ndarray:
+    """A (..., n, d, d) coefficient stack flattened to (..., n d d + 1), a
+    zero appended to each: what theta_index reads."""
+    lead = stack.shape[:-3]
+    flat = np.zeros(lead + (math.prod(stack.shape[-3:]) + 1,), dtype=complex)
+    flat[..., :-1] = stack.reshape(lead + (-1,))
+    return flat
 
 
 def hadamard_product(ctx: CrossedContext, x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:

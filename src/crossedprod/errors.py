@@ -22,7 +22,12 @@ class MarginError(CrossedProdError):
 
 
 class NotInCrossedProductError(CrossedProdError):
-    """A block matrix is not (numerically) in the span of translates L_g Psi(r)."""
+    """A block matrix is not (numerically) in the span of translates L_g Psi(r).
+
+    index is the operator of a checked stack that failed, in C order over
+    its leading axes."""
+
+    index = 0
 
 
 class NotUnitalError(CrossedProdError):

@@ -16,9 +16,10 @@ gives the idempotent pi_projection onto the crossed-product span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,12 +27,12 @@ from .crossed import (
     BlockMatrix,
     CrossedContext,
     SpanElement,
-    dual_blocks,
-    empty_blocks,
     fourier_coefficient,
+    grid_blocks,
     op_norm,
     phi_hom,
     span_check,
+    span_coefficients,
     span_min_eigenvalues,
     span_norms,
     theta_embed,
@@ -51,6 +52,10 @@ from .posdef import L2Vector, PdFunction, chi_from_vector
 
 UNITAL_TOL = 1e-12
 CHI_FLOOR = 1e-14
+# the most entries sigma reads from a stack of operators at once (64 KiB of
+# complex terms), so that a stack of many operators costs no more memory
+# than applying the map to each in turn
+STACK_TERMS = 2**12
 
 
 class Support(NamedTuple):
@@ -101,24 +106,28 @@ def _expected_terms(
     pinv: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """weights * alpha(E(x_{(i, j)})) over the block pairs (i, j).
+    """weights * alpha(E(x_{(i, j)})) over the block pairs (i, j), for each
+    operator of a stack x: (..., pairs, d) or (..., pairs, d, d) over x's
+    leading axes.
 
     i, j and weights broadcast against each other; pinv holds the gather
     indices of alpha, one (d,) row per pair or one for all, as in
-    alpha_by_perm.  Only the entries the expectation keeps are read: for
-    a diagonal algebra the (..., d) diagonals, entry a of pair (i, j)
-    being x.data[i d + pinv[a], j d + pinv[a]] (indexing by rows and
-    columns reads a strided view without copying it); for a full algebra,
-    the scalars (d = 1) among them, every entry, as (..., d, d) blocks
-    gathered, compressed by ExpectationSpec.apply and permuted by
-    alpha_by_perm.
+    alpha_by_perm.  Only the entries the expectation keeps are read, by
+    x.entries, which reads a span element's off its stack: for a
+    diagonal algebra the (..., d) diagonals, entry a of pair (i, j) being
+    entry (i d + pinv[a], j d + pinv[a]); for a full algebra, the scalars
+    (d = 1) among them, every entry, as (..., d, d) blocks compressed by
+    ExpectationSpec.apply and permuted by alpha_by_perm.
     """
+    d = ctx.d
     if ctx.algebra.kind == "diagonal":
-        d = ctx.d
         rows = (i * d)[..., None] + pinv
         cols = (j * d)[..., None] + pinv
-        return weights[..., None] * x.data[rows, cols]
-    blocks = ctx.alpha_by_perm(pinv, ctx.expectation.apply(x.blocks()[i, j]))
+        return weights[..., None] * x.entries(rows, cols)
+    k = np.arange(d)
+    rows = (i * d)[..., None, None] + k[:, None]
+    cols = (j * d)[..., None, None] + k
+    blocks = ctx.alpha_by_perm(pinv, ctx.expectation.apply(x.entries(rows, cols)))
     return weights[..., None, None] * blocks
 
 
@@ -136,30 +145,42 @@ def _as_blocks(ctx: CrossedContext, kept: np.ndarray) -> np.ndarray:
 def sigma_coefficients(
     ctx: CrossedContext, xi: Union[L2Vector, Support], x: BlockMatrix
 ) -> np.ndarray:
-    """Coefficient stack of the averaged map, aligned with the window.
+    """Coefficient stack of the averaged map, aligned with the window; for
+    a stack of operators, (..., n, d, d) over its leading axes.
 
     xi is the vector or its Support on ctx's window, as an
     ExpectationPair holds it.  Reads from x only the entries the
     expectation keeps: the d diagonal entries of each support block for
     a diagonal algebra, every entry of it for a full algebra, the scalars
-    among them (see _expected_terms).
+    among them (see _expected_terms); a span element's are read off its
+    stack, so no dense theta(c) is built.  A stack is read in parts along
+    its first axis of at most STACK_TERMS entries each, or of one operator.
     """
     slots, weights = _support(ctx, xi)
     _check_margin(ctx, slots)
     rows, cols = slots[:, None], slots[None, :]
-    terms = _expected_terms(ctx, x, rows, cols, ctx.perm_index[slots], weights)
-    inner = terms.shape[2:]
-    coeffs = np.zeros((ctx.nwin,) + inner, dtype=complex)
-    # unbuffered and in (i, j) order, as a loop over the pairs would add
-    np.add.at(coeffs, ctx.rel_table[rows, cols].ravel(), terms.reshape((-1,) + inner))
+    pinv = ctx.perm_index[slots]
+    inner = (ctx.d,) if ctx.algebra.kind == "diagonal" else (ctx.d, ctx.d)
+    lead = x.lead
+    coeffs = np.zeros(lead + (ctx.nwin,) + inner, dtype=complex)
+    at = (slice(None),) * len(lead) + (ctx.rel_table[rows, cols].ravel(),)
+    per_part = slots.size**2 * math.prod(inner + lead[1:])
+    step = max(1, STACK_TERMS // per_part)
+    for a in range(0, lead[0], step) if lead else [None]:
+        part = x if a is None else x[a : a + step]
+        terms = _expected_terms(ctx, part, rows, cols, pinv, weights)
+        # unbuffered and in (i, j) order, as a loop over the pairs would add
+        out = coeffs if a is None else coeffs[a : a + step]
+        np.add.at(out, at, terms.reshape(part.lead + (-1,) + inner))
     return _as_blocks(ctx, coeffs)
 
 
 def sigma_xi(
     ctx: CrossedContext, xi: Union[L2Vector, Support], x: BlockMatrix
 ) -> SpanElement:
-    """Apply the averaged map; the result lies in the crossed-product span,
-    and carries its sigma_coefficients.  xi is as in sigma_coefficients."""
+    """Apply the averaged map to an operator or to each of a stack; the
+    result lies in the crossed-product span, and carries its
+    sigma_coefficients.  xi is as in sigma_coefficients."""
     return SpanElement(ctx, sigma_coefficients(ctx, xi, x))
 
 
@@ -176,8 +197,9 @@ def tau_u(
     of out, a fresh zero operator when out is None, and returns out;
     summing over the whole group recovers sigma_xi, so a caller that
     passes one accumulator to every u makes the same additions in the
-    same order as summing the separate terms.  Finite groups only.  xi
-    is as in sigma_coefficients.
+    same order as summing the separate terms.  For a stack x, out is a
+    stack of the same leading axes and each operator takes its own
+    terms.  Finite groups only.  xi is as in sigma_coefficients.
     """
     if not ctx.group.is_finite():
         raise SpecMismatchError("the translation decomposition needs a finite group")
@@ -190,12 +212,12 @@ def tau_u(
         ctx, x, slots[:, None], slots[None, :], ctx.perm_index[ui], weights
     )
     if out is None:
-        out = ctx.zero()
+        out = ctx.wrap(np.zeros(x.lead + (ctx.dim, ctx.dim), dtype=complex))
     if ctx.algebra.kind == "diagonal":
         d, k = ctx.d, np.arange(ctx.d)
-        out.data[moved[:, None, None] * d + k, moved[None, :, None] * d + k] += terms
+        out.data[..., moved[:, None, None] * d + k, moved[None, :, None] * d + k] += terms
     else:
-        out.blocks()[moved[:, None], moved[None, :]] += terms
+        out.blocks()[..., moved[:, None], moved[None, :], :, :] += terms
     return out
 
 
@@ -245,7 +267,8 @@ class ExpectationPair:
     xi: L2Vector
 
     def sigma(self, x: BlockMatrix) -> SpanElement:
-        """sigma_xi(x), reading the support the pair holds."""
+        """sigma_xi(x) of an operator or a stack of them, reading the
+        support the pair holds."""
         return sigma_xi(self.ctx, self.support, x)
 
     @cached_property
@@ -388,7 +411,8 @@ def random_crossed_element(ctx: CrossedContext, rng: np.random.Generator) -> Spa
 def _sandwich(
     ctx: CrossedContext, r: np.ndarray, x: BlockMatrix, s: np.ndarray
 ) -> BlockMatrix:
-    """psi(r) x psi(s) for algebra elements r and s.
+    """psi(r) x psi(s) for algebra elements r and s, or for (..., d, d)
+    stacks of them against a stack x of the same leading axes.
 
     Diagonal block (g, g) of psi(r) = theta({e: r}) is alpha_{g^-1}(r),
     taken for every window slot g in one alpha_by_perm gather, and every
@@ -398,13 +422,79 @@ def _sandwich(
     (i, j) being alpha_{g_i^-1}(r) x_ij alpha_{g_j^-1}(s): n^2 products of
     d x d blocks, not two dense (nd)^3 ones.
     """
-    pr = ctx.alpha_by_perm(ctx.inv_perm_index, r)
+    pr = ctx.alpha_by_perm(ctx.inv_perm_index, r[..., None, :, :])
     if isinstance(x, SpanElement) and x.ctx is ctx:
-        return SpanElement(ctx, pr @ x.coeffs @ s)
-    ps = ctx.alpha_by_perm(ctx.inv_perm_index, s)
+        return SpanElement(ctx, pr @ x.coeffs @ s[..., None, :, :])
+    ps = ctx.alpha_by_perm(ctx.inv_perm_index, s[..., None, :, :])
+    blocks = pr[..., :, None, :, :] @ x.blocks() @ ps[..., None, :, :, :]
+    return ctx.wrap(blocks.swapaxes(-3, -2).reshape(x.data.shape))
+
+
+def _positivity_blocks(
+    ctx: CrossedContext, apply: Callable, rng: np.random.Generator, trials: int, m: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (trials, n, md, md) dual blocks and the residuals of apply's
+    m-amplification on random PSD inputs, drawn and applied trial by
+    trial, each trial's m x m grid as one stack."""
+    n, d, dim = ctx.nwin, ctx.d, ctx.dim
+    # the classes the expectation reads, as _expected_terms tells them apart
+    classes = d if ctx.algebra.kind == "diagonal" else 1
+    coeffs = np.empty((trials, m, m, n, d, d), dtype=complex)
+    squares = np.empty((trials, m, m))
+    for t in range(trials):
+        z = random_psd(rng, m * dim, classes)
+        grid = ctx.wrap(z.reshape(m, dim, m, dim).swapaxes(1, 2))
+        with span_check(f"positivity trial {t}"):
+            coeffs[t], squares[t] = span_coefficients(ctx, apply(grid))
+    return grid_blocks(ctx, coeffs), np.sqrt(squares.sum(axis=(1, 2)))
+
+
+def _bimodularity_blocks(
+    ctx: CrossedContext, apply: Callable, rng: np.random.Generator, trials: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (trials, n, d, d) dual blocks and the residuals of
+    apply(psi(r) x psi(s)) - psi(r) apply(x) psi(s) for random algebra
+    elements r, s and operators x, each trial's two inputs applied as one
+    stack; the second sandwich is taken on the coefficient stacks of all
+    trials at once."""
     n, d = ctx.nwin, ctx.d
-    blocks = pr[:, None] @ x.blocks() @ ps[None, :]
-    return ctx.wrap(blocks.swapaxes(1, 2).reshape(n * d, n * d))
+    rs = np.empty((trials, d, d), dtype=complex)
+    ss = np.empty((trials, d, d), dtype=complex)
+    coeffs = np.empty((trials, 2, n, d, d), dtype=complex)
+    squares = np.empty((trials, 2))
+    for t in range(trials):
+        rs[t] = ctx.algebra.random_member(rng)
+        ss[t] = ctx.algebra.random_member(rng)
+        x = random_window_operator(ctx, rng)
+        inputs = ctx.wrap(np.stack([_sandwich(ctx, rs[t], x, ss[t]).data, x.data]))
+        with span_check(f"bimodularity trial {t}"):
+            coeffs[t], squares[t] = span_coefficients(ctx, apply(inputs))
+    rhs = _sandwich(ctx, rs, SpanElement(ctx, coeffs[:, 1]), ss).coeffs
+    # ||psi(r) e psi(s)|| <= ||r|| ||e||_F ||s|| for what e the span drops
+    scale = np.linalg.norm(rs, axis=(-2, -1)) * np.linalg.norm(ss, axis=(-2, -1))
+    residuals = np.sqrt(squares[:, 0]) + scale * np.sqrt(squares[:, 1])
+    return grid_blocks(ctx, (coeffs[:, 0] - rhs)[:, None, None]), residuals
+
+
+def _eigenrelation_blocks(
+    ctx: CrossedContext, apply: Callable, chi: PdFunction, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (n, n, d, d) dual blocks and the residuals of
+    apply(x_g) - chi(g) x_g over the window translates x_g = theta({g: r_g}),
+    applied as one stack."""
+    n, d = ctx.nwin, ctx.d
+    translates = np.zeros((n, n, d, d), dtype=complex)
+    for t in range(n):
+        translates[t, t] = ctx.algebra.random_member(rng)
+    chis = np.array([complex(chi(g)) for g in ctx.window])
+    with span_check(
+        lambda t: f"eigenrelation at g = {ctx.group.format_element(ctx.window[t])}"
+    ):
+        images, squares = span_coefficients(ctx, apply(SpanElement(ctx, translates)))
+    # images - chi x_g, with one temporary
+    defects = translates * -chis[:, None, None, None]
+    defects += images
+    return grid_blocks(ctx, defects[:, None, None]), np.sqrt(squares)
 
 
 def cp_check(
@@ -418,27 +508,38 @@ def cp_check(
 ) -> CpReport:
     """Positivity, bimodularity, and eigenrelation sweep for an averaged map.
 
-    Applies the amplified map entrywise to random PSD inputs of the
-    amplified size and records the worst eigenvalue.  The inputs are
-    drawn already pinched onto the classes the algebra's expectation
-    reads (random_psd; the d residues mod d for a diagonal algebra, one
-    class otherwise).  Every sigma_xi, and every convex combination or
-    negation of one, reads nothing else of its input, so the sweep is
-    the same test; a map that reads across classes sees the pinched
-    input, which is still PSD.  Bimodularity is checked against random
-    algebra sandwiches, and the eigenrelation against every window
-    translate when chi is supplied.  Every output must lie in the
-    crossed-product span: eigenvalues and norms come from its dual-group
-    blocks, one batched eigensolve per check.  A sigma_xi output is a
-    SpanElement, whose blocks are read off the stack it carries, so no
-    check builds a dense sigma(x): the bimodular sandwich psi(r) sigma(x)
-    psi(s) of one is the span element with stack alpha_{t^-1}(r) c_t s,
-    and its input psi(r) x psi(s) is formed block by block.
-    Any other output, such as a plain BlockMatrix from a stand-in map, is
-    sandwiched block by block as a dense operator and takes the dense
-    span check (NotInCrossedProductError outside the span, naming the
-    check and its trial or g first).  A failing verdict names the trial
-    of the worst eigenvalue.
+    apply maps a window operator, or a stack of them, to its image, or
+    the stack of their images, as sigma_xi does.  Each check draws its
+    inputs trial by trial, in a fixed order, calls apply once per trial
+    on that trial's stack, and keeps only the coefficient stacks of the
+    outputs (span_coefficients) in one array for all trials; the dual
+    blocks, eigensolves and norms then run once per check over it.
+
+    Positivity applies the amplified map entrywise to random PSD inputs
+    of the amplified size, one m x m stack per trial, and records the
+    worst eigenvalue.  The inputs are drawn already pinched onto the
+    classes the algebra's expectation reads (random_psd; the d residues
+    mod d for a diagonal algebra, one class otherwise).  Every sigma_xi,
+    and every convex combination or negation of one, reads nothing else
+    of its input, so the sweep is the same test; a map that reads across
+    classes sees the pinched input, which is still PSD.  Bimodularity
+    compares apply(psi(r) x psi(s)) with psi(r) apply(x) psi(s) for
+    random algebra elements r, s and operators x, the two inputs of a
+    trial stacked; the second sandwich is taken on the coefficient
+    stacks of all trials at once, alpha_{t^-1}(r) c_t s.  The
+    eigenrelation, when chi is supplied, applies the map once to the
+    stack of the n translates theta({g: r_g}), which it reads off their
+    stacks.  No check builds a dense sigma(x).
+
+    Every output must lie in the crossed-product span.  A SpanElement's
+    coefficients are taken as they are; any other output, such as a
+    plain BlockMatrix from a stand-in map, takes the dense span check
+    where it is returned (NotInCrossedProductError outside the span,
+    naming the check and its trial or g first), and its Frobenius
+    residual is carried into the norms and eigenvalues so that they stay
+    on the safe side.  A failing verdict names the first check that
+    fails and its worst witness: the trial of the worst eigenvalue, the
+    bimodularity trial or the eigenrelation g of the largest defect.
     """
     if amplification < 1:
         raise ValueError("amplification must be >= 1")
@@ -446,50 +547,30 @@ def cp_check(
         # an empty sweep would report Pass with min_eigenvalue_seen = inf
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    n = ctx.dim
-    m = amplification
-    # the classes the expectation reads, as _expected_terms tells them apart
-    classes = ctx.d if ctx.algebra.kind == "diagonal" else 1
-    blocks, residuals = empty_blocks(ctx, trials, m)
-    for t in range(trials):
-        z = random_psd(rng, m * n, classes)
-        grid = [
-            [apply(ctx.wrap(z[p * n : (p + 1) * n, q * n : (q + 1) * n])) for q in range(m)]
-            for p in range(m)
-        ]
-        with span_check(f"positivity trial {t}"):
-            blocks[t], residuals[t] = dual_blocks(ctx, grid)
-    lows = span_min_eigenvalues(blocks, residuals)
+    lows = span_min_eigenvalues(*_positivity_blocks(ctx, apply, rng, trials, amplification))
     worst = int(np.argmin(lows))
     min_eig = float(lows[worst])
 
-    blocks, residuals = empty_blocks(ctx, max(1, trials // 4))
-    for t in range(len(blocks)):
-        r = ctx.algebra.random_member(rng)
-        s = ctx.algebra.random_member(rng)
-        x = random_window_operator(ctx, rng)
-        lhs = apply(_sandwich(ctx, r, x, s))
-        rhs = _sandwich(ctx, r, apply(x), s)
-        with span_check(f"bimodularity trial {t}"):
-            blocks[t], residuals[t] = dual_blocks(ctx, lhs - rhs)
-    max_bimod = float(np.max(span_norms(blocks, residuals)))
+    bimod = span_norms(*_bimodularity_blocks(ctx, apply, rng, max(1, trials // 4)))
+    worst_bimod = int(np.argmax(bimod))
+    max_bimod = float(bimod[worst_bimod])
 
-    max_eigrel = 0.0
+    max_eigrel, worst_g = 0.0, None
     if chi is not None:
-        blocks, residuals = empty_blocks(ctx, ctx.nwin)
-        for t, g in enumerate(ctx.window):
-            r = ctx.algebra.random_member(rng)
-            xg = theta_embed(ctx, {g: r})
-            defect = apply(xg) - complex(chi(g)) * xg
-            with span_check(f"eigenrelation at g = {ctx.group.format_element(g)}"):
-                blocks[t], residuals[t] = dual_blocks(ctx, defect)
-        max_eigrel = float(np.max(span_norms(blocks, residuals)))
+        eigrel = span_norms(*_eigenrelation_blocks(ctx, apply, chi, rng))
+        worst_g = int(np.argmax(eigrel))
+        max_eigrel = float(eigrel[worst_g])
 
     verdict = "Pass"
     if not min_eig >= -tol:
         verdict = f"Fail(trial={worst}, min_eigenvalue={min_eig:.3e})"
+    elif not max_bimod <= tol:
+        verdict = f"Fail(bimodularity trial={worst_bimod}, defect={max_bimod:.3e})"
+    elif not max_eigrel <= tol:
+        g = ctx.group.format_element(ctx.window[worst_g])
+        verdict = f"Fail(eigenrelation g={g}, defect={max_eigrel:.3e})"
     return CpReport(
-        amplification_level=m,
+        amplification_level=amplification,
         trials=trials,
         min_eigenvalue_seen=float(min_eig),
         max_bimodular_defect=float(max_bimod),
@@ -571,9 +652,10 @@ def pi_projection(
 
     Identity on the crossed-product span.  Eigenvalues below the floor
     mean the windowed inversion is meaningless; that is the finite-scale
-    analogue of falling outside the domain.  coeffs, when given, is
+    analogue of falling outside the domain.  x is an operator or a stack
+    of them, as pair.sigma takes it; coeffs, when given, is
     phi_hom(pair.ctx, pair.sigma(x)), already computed by the caller.
-    The result carries its coefficient stack.
+    The result carries its coefficient stack, or the stack of them.
     """
     if coeffs is None:
         coeffs = phi_hom(pair.ctx, pair.sigma(x))
@@ -582,15 +664,16 @@ def pi_projection(
 
 def pi_amplification(
     pair: ExpectationPair, x: BlockMatrix, *, coeffs: Optional[np.ndarray] = None
-) -> float:
+) -> Union[float, np.ndarray]:
     """Window-scale domain surrogate: the largest coefficient inflation.
 
     Reports max over window g of ||coefficient of sigma(x) at g|| / chi(g);
     boundedness of the idempotent is undecidable at a finite window, so
-    the inflation factor is surfaced instead of a verdict.  coeffs is as
-    in pi_projection.
+    the inflation factor is surfaced instead of a verdict.  x and coeffs
+    are as in pi_projection: a float for one operator, an array over the
+    leading axes of a stack.
     """
     if coeffs is None:
         coeffs = phi_hom(pair.ctx, pair.sigma(x))
     norms = np.linalg.norm(coeffs, 2, axis=(-2, -1))
-    return float(np.max(norms / np.abs(_chi_divisors(pair)), initial=0.0))
+    return np.max(norms / np.abs(_chi_divisors(pair)), axis=-1, initial=0.0)

@@ -168,19 +168,19 @@ def test_pi_sweep(tmp_path):
     assert doc["max_amplification"] >= 1.0
 
 
-def test_pi_applies_sigma_three_times_per_trial(tmp_path, monkeypatch):
+def test_pi_applies_sigma_once_per_trial_and_once_per_stack(tmp_path, monkeypatch):
     calls = []
     real = sigma.sigma_xi
 
     def spy(ctx, xi, x):
-        calls.append(x)
+        calls.append(x.lead)
         return real(ctx, xi, x)
 
     monkeypatch.setattr(sigma, "sigma_xi", spy)
     code, _ = run(tmp_path, "pi", "--group", "C5", "--xi", "geometric:0.7", "--trials", "4")
     assert code == 0
-    # one for make_pair's unital check, then x, p1 and y in each trial
-    assert len(calls) == 1 + 3 * 4
+    # make_pair's unital check, x in each trial, then the stacks of p1 and y
+    assert calls == [()] * (1 + 4) + [(4,)] * 2
 
 
 @pytest.mark.parametrize(
@@ -557,6 +557,29 @@ def test_a_small_cap_bounds_the_dense_work(tmp_path, capsys, extra, code):
 
 
 @pytest.mark.parametrize(
+    "argv, trials, need",
+    [
+        # six (n d^2) stacks a pi trial: 6 x 4 = 24 entries, 11 x 24 = 264
+        (("pi", "--group", "C4", "--cap", "4"), 11, 264),
+        # an m x m positivity grid's coefficients and dual blocks:
+        # 2 x 2 x 2^2 = 16 entries a trial at --amp 2, 9 x 16 = 144
+        (("sigma", "--group", "C2", "--cap", "2"), 9, 144),
+    ],
+    ids=["pi", "sigma"],
+)
+def test_the_dense_budget_counts_every_stack_a_trial_keeps(
+    tmp_path, capsys, argv, trials, need
+):
+    code, out = run(tmp_path, *argv, "--trials", str(trials))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"--trials {trials} keep {need} dense entries" in err and "x --cap = " in err
+    assert not (out / f"{argv[0]}.json").exists()
+    # one trial fewer fits
+    assert run(tmp_path, *argv, "--trials", str(trials - 1))[0] == 0
+
+
+@pytest.mark.parametrize(
     "group, radius, n",
     [("Z", "20000", 40001), ("Z^2", "300", 180601)],
     ids=["Z", "Z^2"],
@@ -744,12 +767,15 @@ def test_a_tau_sum_missing_one_term_fails(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "call, witness",
-    [(1, "idempotency trial 0"), (5, "span-identity trial 1")],
+    "call, trial, witness",
+    [(1, 0, "idempotency trial 0"), (2, 1, "span-identity trial 1")],
     ids=["idempotency", "span-identity"],
 )
-def test_each_span_check_of_pi_names_its_trial(tmp_path, monkeypatch, capsys, call, witness):
-    # pi_projection runs three times a trial: p1, p2 = pi(p1), and pi(y)
+def test_each_span_check_of_pi_names_its_trial(
+    tmp_path, monkeypatch, capsys, call, trial, witness
+):
+    # pi_projection runs three times, each on the stack of all trials:
+    # p1, p2 = pi(p1), and pi(y); one trial of one of them leaves the span
     real = sigma.pi_projection
     calls = []
 
@@ -759,7 +785,7 @@ def test_each_span_check_of_pi_names_its_trial(tmp_path, monkeypatch, capsys, ca
         if len(calls) - 1 != call:
             return out
         bump = np.zeros_like(out.data)
-        bump[0, -1] = 1.0
+        bump[trial, 0, -1] = 1.0
         return pair.ctx.wrap(out.data + bump)
 
     monkeypatch.setattr(sigma, "pi_projection", one_off_span)

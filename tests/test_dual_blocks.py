@@ -17,7 +17,7 @@ from crossedprod.crossed import (
     BlockMatrix,
     CoeffAlgebra,
     dual_blocks,
-    empty_blocks,
+    grid_blocks,
     left_translation,
     make_context,
     op_norm,
@@ -94,10 +94,13 @@ def test_span_norm_and_min_eigenvalue_match_the_dense_ones(label, ctx, m):
     grids = [random_grid(ctx, rng, m) for _ in range(3)]
     # a Hermitian amplification too: the grid of the adjoints, transposed
     grids.append([[grids[0][p][q] + grids[0][q][p].adjoint() for q in range(m)] for p in range(m)])
-    blocks, residuals = empty_blocks(ctx, len(grids), m)
+    # the grids' coefficient stacks stacked, as cp_check keeps them
+    coeffs = [[[phi_hom(ctx, x) for x in row] for row in grid] for grid in grids]
+    blocks = grid_blocks(ctx, np.array(coeffs))
+    residuals = np.zeros(len(grids))
     for t, grid in enumerate(grids):
-        blocks[t], residuals[t] = dual_blocks(ctx, grid)
-    assert not residuals.any()
+        grid_block, residual = dual_blocks(ctx, grid)
+        assert np.array_equal(blocks[t], grid_block) and residual == 0.0
     norms = span_norms(blocks, residuals)
     lows = span_min_eigenvalues(blocks, residuals)
     for grid, norm, low in zip(grids, norms, lows):
@@ -280,6 +283,77 @@ def test_a_failing_cp_check_exits_4_through_the_cli(tmp_path, monkeypatch):
     assert doc["verdict"] == "Fail"
     assert doc["checks"]["cp"]["verdict"].startswith("Fail(trial=")
     assert "min_eigenvalue=-" in doc["checks"]["cp"]["verdict"]
+
+
+def test_half_of_sigma_fails_the_eigenrelation_at_its_worst_g():
+    """0.5 sigma is completely positive and bimodular, but sends the
+    translate theta({g: r}) to 0.5 chi(g) theta({g: r}): the verdict names
+    the g of the largest defect, found here from the dense operators."""
+    _, ctx = CONTEXTS[2]
+    pair = pair_of(ctx, 19)
+    seen = []
+
+    def halved(x):
+        seen.append(x)
+        return 0.5 * pair.sigma(x)
+
+    rep = cp_check(ctx, halved, chi=pair.chi, amplification=1, trials=4, seed=5)
+    translates = seen[-1]
+    assert translates.lead == (ctx.nwin,)
+    defects = [
+        dense_norm(0.5 * pair.sigma(x).data - complex(pair.chi(g)) * x.data)
+        for g, x in zip(ctx.window, (translates[t] for t in range(ctx.nwin)))
+    ]
+    worst = int(np.argmax(defects))
+    g = ctx.group.format_element(ctx.window[worst])
+    assert rep.verdict == f"Fail(eigenrelation g={g}, defect={rep.max_eigenrelation_defect:.3e})"
+    assert abs(rep.max_eigenrelation_defect - defects[worst]) <= REL_TOL * defects[worst]
+    assert rep.min_eigenvalue_seen >= 0 and rep.max_bimodular_defect <= 1e-12
+
+
+def test_a_map_that_is_not_bimodular_names_its_worst_trial():
+    """sigma + theta({e: 1}) is completely positive, but its bimodular
+    defect at trial t is ||1 - r_t s_t||; the draws are replayed in
+    cp_check's order to find the worst t."""
+    _, ctx = CONTEXTS[3]
+    pair = pair_of(ctx, 20)
+    unit = theta_embed(ctx, {ctx.group.identity(): ctx.algebra.identity()})
+    trials, seed = 12, 6
+    rep = cp_check(ctx, lambda x: pair.sigma(x) + unit, chi=pair.chi, amplification=1,
+                   trials=trials, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        random_psd(rng, ctx.dim)
+    defects = []
+    for _ in range(trials // 4):
+        r, s = ctx.algebra.random_member(rng), ctx.algebra.random_member(rng)
+        random_window_operator(ctx, rng)
+        defects.append(np.linalg.norm(np.eye(ctx.d) - r @ s, 2))
+    worst = int(np.argmax(defects))
+    assert rep.verdict == (
+        f"Fail(bimodularity trial={worst}, defect={rep.max_bimodular_defect:.3e})"
+    )
+    assert abs(rep.max_bimodular_defect - defects[worst]) <= REL_TOL * defects[worst]
+
+
+def test_a_failing_eigenrelation_exits_4_through_the_cli(tmp_path, monkeypatch):
+    real = sigma.make_pair
+
+    class HalvedPair(sigma.ExpectationPair):
+        def sigma(self, x):
+            return 0.5 * super().sigma(x)
+
+    def halved_pair(ctx, xi):
+        pair = real(ctx, xi)
+        return HalvedPair(pair.ctx, pair.chi, pair.xi)
+
+    monkeypatch.setattr(sigma, "make_pair", halved_pair)
+    code = main(["sigma", "--group", "C4", "--algebra", "diagonal:2", "--action", "swap",
+                 "--trials", "4", "--out", str(tmp_path)])
+    assert code == 4
+    doc = json.loads((tmp_path / "sigma.json").read_text())
+    assert doc["verdict"] == "Fail"
+    assert doc["checks"]["cp"]["verdict"].startswith("Fail(eigenrelation g=")
 
 
 def test_the_sigma_report_carries_make_pairs_unital_defect(tmp_path):

@@ -333,6 +333,53 @@ def test_sigma_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
             assert one.read_bytes() == two.read_bytes(), (argv, ext)
 
 
+# pi on the three kernels of the benchmark: translation, scalars, and the
+# largest diagonal study
+BLAS_PI_RUNS = [
+    GOLDEN_TRANSLATION[1][1],
+    GOLDEN[1][1],
+    ["pi", "--group", "C16", "--algebra", "diagonal:16", "--action", "translation",
+     "--xi", "geometric:0.591", "--seed", "776106", "--trials", "10"],
+]
+
+
+def test_pi_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """pi's products are stacked over its trials (np.matmul over a leading
+    axis), which must keep each trial's product, and so its bits, at any
+    OpenBLAS thread count."""
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-c", _RUN_STUDIES, json.dumps(BLAS_PI_RUNS)]
+        subprocess.run(argv + [str(tmp_path / threads)], env=env, check=True, timeout=300)
+    for i, argv in enumerate(BLAS_PI_RUNS):
+        for ext in ("json", "csv"):
+            one, two = (tmp_path / t / str(i) / f"pi.{ext}" for t in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), (argv, ext)
+
+
+# Scalar (full:1) sweeps pinned byte for byte: reports recorded from the
+# per-trial kernels before the sweeps were stacked over their trials.
+GOLDEN_SCALAR_SWEEPS = [
+    ("pi_c5_scalar", GOLDEN[1][1]),
+    ("sigma_c8_scalar", ["sigma", "--group", "C8", "--xi", "geometric:0.6", "--seed", "4",
+                         "--trials", "3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv", GOLDEN_SCALAR_SWEEPS, ids=[name for name, _ in GOLDEN_SCALAR_SWEEPS]
+)
+def test_scalar_sweep_report_is_byte_identical(tmp_path, name, argv):
+    """Byte for byte, except a sigma report's SIGMA_NOISE values."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    if argv[0] == "sigma":
+        assert_sigma_outputs_match(tmp_path, f"golden_{name}")
+        return
+    for ext in ("json", "csv"):
+        got = (tmp_path / f"pi.{ext}").read_bytes()
+        assert got == (DATA / f"golden_{name}.{ext}").read_bytes(), ext
+
+
 def test_pinched_translation_sweep_report_is_byte_identical(tmp_path):
     """A report recorded when cp_check drew the full Gram of each input;
     it now draws them pinched onto the 12 classes the diagonal

@@ -530,27 +530,29 @@ def test_direct_callers_still_check_the_margin():
         sigma_xi(ctx, sigma._support(ctx, wide), x)
 
 
-def off_span(x):
-    """x with one entry bumped off the consistency of its translates."""
+def off_span(x, index=...):
+    """x with one entry bumped off the consistency of its translates, in
+    the operator at index of a stack, or in every one."""
     bump = np.zeros_like(x.data)
-    bump[0, -1] = 1.0
+    bump[index][..., 0, -1] = 1.0
     return x.ctx.wrap(x.data + bump)
 
 
 @pytest.mark.parametrize(
-    "call, witness",
+    "call, index, witness",
     [
-        (1, "positivity trial 1"),
-        (4, "bimodularity trial 0"),
-        (5, "bimodularity trial 0"),
-        (8, "eigenrelation at g = {}"),
+        (1, ..., "positivity trial 1"),
+        (4, 0, "bimodularity trial 0"),
+        (4, 1, "bimodularity trial 0"),
+        (5, 2, "eigenrelation at g = {}"),
     ],
     ids=["positivity", "bimodular-lhs", "bimodular-rhs", "eigenrelation"],
 )
-def test_each_span_check_of_cp_check_names_its_witness(call, witness):
+def test_each_span_check_of_cp_check_names_its_witness(call, index, witness):
     """With trials 4 at amplification 1, the map's calls are the four
-    positivity trials, one bimodular pair and then one per window slot;
-    one output off the span fails the check that reads it, by name."""
+    positivity trials, one bimodular trial (its two inputs stacked) and
+    then one on the stack of the window translates; one output of a
+    stack off the span fails the check that reads it, by name."""
     ctx = ctx_swap(4)
     pair = make_pair(ctx, positive_xi(ctx, seed=40))
     calls = []
@@ -558,7 +560,7 @@ def test_each_span_check_of_cp_check_names_its_witness(call, witness):
     def stand_in(x):
         calls.append(x)
         out = pair.sigma(x)
-        return off_span(out) if len(calls) - 1 == call else out
+        return off_span(out, index) if len(calls) - 1 == call else out
 
     witness = witness.format(ctx.group.format_element(ctx.window[2]))
     with pytest.raises(
@@ -566,3 +568,4 @@ def test_each_span_check_of_cp_check_names_its_witness(call, witness):
         match="^" + re.escape(witness) + ": coefficient at window slot ",
     ):
         cp_check(ctx, stand_in, chi=pair.chi, amplification=1, trials=4)
+    assert [x.lead for x in calls] == ([(1, 1)] * 4 + [(2,), (ctx.nwin,)])[: call + 1]

@@ -199,13 +199,13 @@ def test_cp_check_builds_no_dense_sigma_in_positivity_or_eigenrelation(monkeypat
     trials, m = 4, 2
     rep = cp_check(ctx, apply, chi=pair.chi, amplification=m, trials=trials, seed=3)
     assert rep.verdict == "Pass" and rep.max_bimodular_defect <= 1e-12
-    # one bimodular trial between the positivity grid and the eigenrelation
-    # loop: its sandwich psi(r) sigma(x) psi(s) stays a stack as well
-    assert len(outputs) == trials * m * m + 2 + ctx.nwin
+    # one call per positivity grid, one on the stacked inputs of the one
+    # bimodular trial, whose sandwich psi(r) sigma(x) psi(s) stays a stack
+    # as well, and one on the stack of the eigenrelation translates
+    assert [x.lead for x in outputs] == [(m, m)] * trials + [(2,), (ctx.nwin,)]
     assert [x for x in outputs if was_built(x)] == []
-    # the only dense theta(c) gathered are the eigenrelation inputs, which
-    # sigma reads as dense operators
-    assert len(built) == ctx.nwin
+    # sigma reads the eigenrelation translates off their stacks too
+    assert built == []
 
 
 def test_pi_trials_build_no_dense_sigma(tmp_path, monkeypatch):
@@ -221,13 +221,14 @@ def test_pi_trials_build_no_dense_sigma(tmp_path, monkeypatch):
     argv = ["pi", "--group", "C6", "--algebra", "diagonal:6", "--action", "translation",
             "--xi", "geometric:0.6", "--seed", "5", "--trials", "3"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    # make_pair's sigma(I), then sigma of x, of p1 and of y in each trial
-    assert len(outputs) == 1 + 3 * 3
+    # make_pair's sigma(I), sigma of x in each trial, then of the stacks
+    # of p1 and of y
+    assert len(outputs) == 1 + 3 + 2
     # make_pair's unital defect reads sigma(I) - I off the stacks too
     assert [i for i, x in enumerate(outputs) if was_built(x)] == []
-    # sigma reads its two span inputs p1 and y in each trial as dense
-    # operators; the differences p2 - p1 and pi(y) - y stay stacks
-    assert len(built) == 2 * 3
+    # sigma reads its span inputs p1 and y off their stacks, and the
+    # differences p2 - p1 and pi(y) - y stay stacks
+    assert built == []
 
 
 @pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
