@@ -401,7 +401,8 @@ def cmd_sigma(args) -> Report:
     m = args.amp
     # kept per trial: cp_check's coefficient stacks and dual blocks of an
     # m x m positivity grid, or a condition (ii) sample, whose first five
-    # the tau-sum stacks
+    # the tau-sum reads; condition (ii)'s Fourier batch is transient and
+    # the size of one sample
     ctx = _build_context(args, m, lambda n, d: max(2 * n * (m * d) ** 2, (n * d) ** 2))
     xi = _parse_xi(ctx, args.xi)
     pair = sigma_mod.make_pair(ctx, xi)
@@ -415,14 +416,15 @@ def cmd_sigma(args) -> Report:
         seed=args.seed,
     )
     rng = np.random.default_rng(args.seed)
-    # the tau-sum takes the first five condition (ii) samples as one stack,
-    # drawn into it before the others are drawn
-    xs = ctx.wrap(np.empty((min(5, args.trials), ctx.dim, ctx.dim), dtype=complex))
-    for x in xs.data:
+    # every condition (ii) sample in one stack, drawn in order; the tau-sum
+    # reads the first five as a view of it before the others are drawn, so
+    # its accumulator is freed before their pages are first written
+    samples = ctx.wrap(np.empty((args.trials, ctx.dim, ctx.dim), dtype=complex))
+    for x in samples.data[:5]:
         x[...] = sigma_mod.random_window_operator(ctx, rng).data
-    tau_dev = _tau_sum_defect(ctx, pair, xs)
-    samples = [xs[t] for t in range(len(xs.data))]
-    samples += [sigma_mod.random_window_operator(ctx, rng) for _ in range(5, args.trials)]
+    tau_dev = _tau_sum_defect(ctx, pair, samples[:5])
+    for x in samples.data[5:]:
+        x[...] = sigma_mod.random_window_operator(ctx, rng).data
     cond = sigma_mod.check_condition_ii(pair, samples=samples, tol=args.tol)
     # make_pair already raised NotUnitalError above UNITAL_TOL
     unital = pair.unital_defect
@@ -494,7 +496,7 @@ def cmd_pi(args) -> Report:
     coeffs = crossed.phi_hom(ctx, crossed.SpanElement(ctx, sx))
     # p1 from those coefficients, the operators x not being kept; sigma is
     # applied to p1, so idempotency is not true by construction
-    p1 = sigma_mod.pi_projection(pair, None, coeffs=coeffs)
+    p1 = sigma_mod.pi_projection(pair, coeffs=coeffs)
     p2 = sigma_mod.pi_projection(pair, p1)
     with crossed.span_check(lambda t: f"idempotency trial {t}"):
         idems = crossed.span_norms(*crossed.dual_blocks(ctx, p2 - p1)).tolist()
@@ -503,7 +505,7 @@ def cmd_pi(args) -> Report:
         spans = crossed.span_norms(
             *crossed.dual_blocks(ctx, sigma_mod.pi_projection(pair, y) - y)
         ).tolist()
-    amps = sigma_mod.pi_amplification(pair, None, coeffs=coeffs).tolist()
+    amps = sigma_mod.pi_amplification(pair, coeffs=coeffs).tolist()
     rows = list(zip(range(args.trials), idems, spans, amps))
     worst_idem = max([0.0] + idems)
     worst_span = max([0.0] + spans)

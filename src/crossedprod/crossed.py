@@ -570,8 +570,9 @@ class SpanElement(BlockMatrix):
 
 class BlockDiagonal(BlockMatrix):
     """An operator whose off-diagonal blocks are zero by construction, held
-    as the (n, d, d) stack ``diagonal`` of its diagonal blocks, made
-    read-only.  fourier_coefficient returns it.  data, the dense
+    as the (n, d, d) stack ``diagonal`` of its diagonal blocks, or a stack
+    of such operators, diagonal (..., n, d, d); made read-only.
+    fourier_coefficient returns it.  data, the dense (..., nd, nd)
     operator, is built from the stack on first read and is read-only too.
     Arithmetic on it returns a plain BlockMatrix."""
 
@@ -582,37 +583,50 @@ class BlockDiagonal(BlockMatrix):
         ):
             object.__setattr__(self, name, value)
 
+    @property
+    def lead(self) -> Tuple[int, ...]:
+        return self.diagonal.shape[:-3]
+
     @cached_property
     def data(self) -> np.ndarray:
         n, d = len(self.window), self.block_dim
-        out = np.zeros((n * d, n * d), dtype=self.diagonal.dtype)
+        out = np.zeros(self.lead + (n * d, n * d), dtype=self.diagonal.dtype)
         slots = np.arange(n)
-        out.reshape(n, d, n, d)[slots, :, slots] = self.diagonal
+        blocks = out.reshape(self.lead + (n, d, n, d)).swapaxes(-3, -2)
+        blocks[..., slots, slots, :, :] = self.diagonal
         out.flags.writeable = False
         return out
 
+    def __getitem__(self, index) -> "BlockDiagonal":
+        return BlockDiagonal(self.window, self.block_dim, self.diagonal[index])
 
-def op_norm(x: BlockMatrix) -> float:
+
+def op_norm(x: BlockMatrix) -> Union[float, np.ndarray]:
     """Operator norm: sqrt of the top eigenvalue of x* x.
 
     For a BlockDiagonal, x* x is block diagonal with blocks b* b, so the
     top eigenvalue is the largest over its stack of diagonal blocks, taken
-    from one batched eigensolve.  A SpanElement of a finite group is
-    normed off its dual_blocks (span_norms, residual 0).  Any other x,
-    a span element on a window of an infinite group included, takes the
-    dense (nd)^2 path, even when rounding leaves it block diagonal or in
-    the span, so the path follows how x was built rather than the last
-    bits of its entries.
+    from one batched eigensolve.  A stack of them, such as the Fourier
+    coefficients of an operator at every window slot, gives the array of
+    their norms over its leading axes from that one eigensolve, each the
+    same bits as the operator's own norm; one operator gives a float.  A
+    SpanElement of a finite group is normed off its dual_blocks
+    (span_norms, residual 0).  Any other x, a span element on a window of
+    an infinite group included, takes the dense (nd)^2 path, even when
+    rounding leaves it block diagonal or in the span, so the path follows
+    how x was built rather than the last bits of its entries.  Only a
+    BlockDiagonal may be a stack.
     """
     if isinstance(x, BlockDiagonal):
         gram = x.diagonal.conj().swapaxes(-1, -2) @ x.diagonal
-        top = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
-    elif isinstance(x, SpanElement) and x.ctx.group.is_finite():
+        top = np.max(np.linalg.eigvalsh(gram)[..., -1], axis=-1)
+        norms = np.sqrt(np.maximum(top, 0.0))
+        return norms if x.lead else float(norms)
+    if isinstance(x, SpanElement) and x.ctx.group.is_finite():
         blocks, residual = dual_blocks(x.ctx, x)
         return float(span_norms(blocks[None], np.array([residual]))[0])
-    else:
-        m = x.data
-        top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+    m = x.data
+    top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
     return float(np.sqrt(max(0.0, top)))
 
 
@@ -633,23 +647,27 @@ def psi(ctx: CrossedContext, r) -> SpanElement:
 
 
 def fourier_coefficient(
-    ctx: CrossedContext, x: BlockMatrix, g: Element
+    ctx: CrossedContext, x: BlockMatrix, g: Optional[Element] = None
 ) -> BlockDiagonal:
-    """The diagonal operator Diag(L_g^* x); block (h,h) = x_{(gh, h)}.
+    """The diagonal operator Diag(L_g^* x); block (h,h) = x_{(gh, h)}, and
+    0 where g h leaves the window.
 
-    For a SpanElement theta(c) of ctx that block is alpha_{h^-1}(c_g),
-    read off the stack, and 0 for g off the window; any other x is read
-    off its dense data."""
-    row = ctx.left_index(g)
-    cols = np.flatnonzero(row >= 0)
-    out = np.zeros((ctx.nwin, ctx.d, ctx.d), dtype=complex)
-    if isinstance(x, SpanElement) and x.ctx is ctx:
-        if g in ctx.window:
-            c = x.coeffs[ctx.window.index(g)]
-            out[cols] = ctx.alpha_by_perm(ctx.inv_perm_index[cols], c)
-    else:
-        out[cols] = x.blocks()[row[cols], cols]
-    return BlockDiagonal(ctx.window, ctx.d, out)
+    With g omitted, the coefficients at every window slot g, as one
+    BlockDiagonal stack whose leading axis (n,) follows the window: one
+    gather through the rows of mul_table.  The single g is the same
+    gather through its left_index row, with that axis dropped.  The
+    blocks are read by x.entries, so for a SpanElement theta(c) block
+    (h, h) is alpha_{h^-1}(c_g), read off the stack through theta_index
+    without building the dense theta(c), and 0 for g off the window; any
+    other x is read off its dense data."""
+    row = ctx.mul_table if g is None else ctx.left_index(g)
+    n, d = ctx.nwin, ctx.d
+    k = np.arange(d)
+    rows = np.maximum(row, 0)[..., None, None] * d + k[:, None]
+    cols = np.arange(n)[:, None, None] * d + k
+    out = x.entries(rows, cols).astype(complex, copy=False)
+    out[..., row < 0, :, :] = 0.0
+    return BlockDiagonal(ctx.window, d, out)
 
 
 def reconstruct(
@@ -794,38 +812,25 @@ def _raise_outside_span(ctx: CrossedContext, defect: np.ndarray, off: np.ndarray
     raise exc
 
 
-def dual_blocks(
-    ctx: CrossedContext, x: Union[BlockMatrix, Sequence[Sequence[BlockMatrix]]]
-) -> Tuple[np.ndarray, np.ndarray]:
+def dual_blocks(ctx: CrossedContext, x: BlockMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """The dual-group blocks of a span element, and its Frobenius residual.
 
-    x is a span element, a stack of them, or an m x m grid (nested
-    sequences) of them read as their m-amplification.  Returns the
-    (..., n, md, md) blocks F_gamma (grid_blocks) over the leading axes of
-    a stack, and the (...) Frobenius norms of x - theta(c), one over the
-    whole of a grid.  The (amplified) operator is unitarily equivalent to
-    the direct sum of the blocks up to that residual, so span_norms adds
-    it and span_min_eigenvalues subtracts it.  Span elements of ctx are
-    read off their stacks, with residual exactly 0.  A stack or grid
-    holding any other operator, such as a plain BlockMatrix stand-in,
-    takes the dense span check of phi_hom in one batch and raises
-    NotInCrossedProductError outside the span (span_coefficients).
-    Raises SpecMismatchError on an infinite group.
+    x is a span element or a stack of them.  Returns the (..., n, d, d)
+    blocks F_gamma (grid_blocks) over the leading axes of a stack, and
+    the (...) Frobenius norms of x - theta(c).  The operator is unitarily
+    equivalent to the direct sum of the blocks up to that residual, so
+    span_norms adds it and span_min_eigenvalues subtracts it.  Span
+    elements of ctx are read off their stacks, with residual exactly 0.
+    Any other operator, such as a plain BlockMatrix stand-in, takes the
+    dense span check of phi_hom, a stack in one batch, and raises
+    NotInCrossedProductError outside the span (span_coefficients).  An
+    m-amplification's blocks come from grid_blocks on the (m, m) grid of
+    coefficient stacks.  Raises SpecMismatchError on an infinite group.
     """
     if not ctx.group.is_finite():
         raise SpecMismatchError("dual-group blocks need a finite group")
-    if isinstance(x, BlockMatrix):
-        coeffs, squares = span_coefficients(ctx, x)
-        return grid_blocks(ctx, coeffs[..., None, None, :, :, :]), np.sqrt(squares)
-    m = len(x)
-    flat = [xpq for row in x for xpq in row]
-    if all(isinstance(xpq, SpanElement) and xpq.ctx is ctx for xpq in flat):
-        stack = SpanElement(ctx, np.stack([xpq.coeffs for xpq in flat]))
-    else:
-        stack = ctx.wrap(np.stack([xpq.data for xpq in flat]))
-    coeffs, squares = span_coefficients(ctx, stack)
-    blocks = grid_blocks(ctx, coeffs.reshape((m, m) + coeffs.shape[1:]))
-    return blocks, math.sqrt(squares.sum())
+    coeffs, squares = span_coefficients(ctx, x)
+    return grid_blocks(ctx, coeffs[..., None, None, :, :, :]), np.sqrt(squares)
 
 
 def grid_blocks(ctx: CrossedContext, coeffs: np.ndarray) -> np.ndarray:

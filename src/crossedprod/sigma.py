@@ -582,7 +582,7 @@ def cp_check(
 
 def check_condition_ii(
     pair: ExpectationPair,
-    samples: Optional[Sequence[BlockMatrix]] = None,
+    samples: Optional[Union[BlockMatrix, Sequence[BlockMatrix]]] = None,
     trials: int = 100,
     tol: float = 1e-10,
     seed: int = 0,
@@ -592,27 +592,38 @@ def check_condition_ii(
     For every window g and each sample x, the compressed diagonal norm
     ||Diag(L_{g^-1} sigma(x))|| must stay below chi(g) ||x||; the report
     carries the worst margin (bound minus value; negative = violation).
+
+    samples is a (T, nd, nd) stack of operators, or a sequence of them,
+    stacked first as dense operators; without it, trials random window
+    operators are drawn.  sigma is applied once, to the whole stack.
+    Then, sample by sample, one fourier_coefficient call gives the
+    coefficients at every g as a stack, one op_norm on it gives their n
+    norms from one batched eigensolve, and ||x|| takes the dense
+    eigensolve.  The margins of a sample are chi(g) ||x|| - lhs over the
+    window; the witness is the first worst (sample, g) in sample-major,
+    g-minor order, and no sample after the first one whose margin fails
+    is normed.
     """
     ctx = pair.ctx
-    rng = np.random.default_rng(seed)
     if samples is None:
+        rng = np.random.default_rng(seed)
         samples = [random_window_operator(ctx, rng) for _ in range(trials)]
-    if len(samples) == 0:
+    if not isinstance(samples, BlockMatrix):
+        samples = ctx.wrap(np.stack([x.data for x in samples])) if len(samples) else None
+    if samples is None or samples.lead[0] == 0:
         # an empty sweep would report Pass with an infinite margin
         raise ConfigError("no samples: give trials >= 1 or a non-empty samples list")
     chis = pair.chi_values.real
+    sxs = pair.sigma(samples)
     margin = np.inf
     witness = None
-    for si, x in enumerate(samples):
-        sx = pair.sigma(x)
-        xnorm = op_norm(x)
-        for g, chi in zip(ctx.window, chis):
-            lhs = op_norm(fourier_coefficient(ctx, sx, g))
-            bound = float(chi) * xnorm
-            gap = bound - lhs
-            if gap < margin:
-                margin = gap
-                witness = (si, g)
+    for si in range(samples.lead[0]):
+        lhs = op_norm(fourier_coefficient(ctx, sxs[si]))
+        gaps = chis * op_norm(samples[si]) - lhs
+        gi = int(np.argmin(gaps))
+        if gaps[gi] < margin:
+            margin = float(gaps[gi])
+            witness = (si, ctx.window[gi])
         if margin < -tol:
             break
     verdict = "Pass" if margin >= -tol else "Fail"
@@ -624,7 +635,7 @@ def check_condition_ii(
         )
     return CpReport(
         amplification_level=1,
-        trials=len(samples),
+        trials=samples.lead[0],
         min_eigenvalue_seen=float("nan"),
         max_bimodular_defect=float("nan"),
         max_eigenrelation_defect=float("nan"),
@@ -645,8 +656,23 @@ def _chi_divisors(pair: ExpectationPair) -> np.ndarray:
     return pair.chi_values
 
 
+def _sigma_coeffs(
+    pair: ExpectationPair, x: Optional[BlockMatrix], coeffs: Optional[np.ndarray]
+) -> np.ndarray:
+    """coeffs, or phi_hom(pair.ctx, pair.sigma(x)) when it is None;
+    ValueError when both are None."""
+    if coeffs is not None:
+        return coeffs
+    if x is None:
+        raise ValueError("give an operator x or the coefficients of sigma(x)")
+    return phi_hom(pair.ctx, pair.sigma(x))
+
+
 def pi_projection(
-    pair: ExpectationPair, x: BlockMatrix, *, coeffs: Optional[np.ndarray] = None
+    pair: ExpectationPair,
+    x: Optional[BlockMatrix] = None,
+    *,
+    coeffs: Optional[np.ndarray] = None,
 ) -> SpanElement:
     """The idempotent: invert the eigenvalues on the coefficient series.
 
@@ -654,16 +680,19 @@ def pi_projection(
     mean the windowed inversion is meaningless; that is the finite-scale
     analogue of falling outside the domain.  x is an operator or a stack
     of them, as pair.sigma takes it; coeffs, when given, is
-    phi_hom(pair.ctx, pair.sigma(x)), already computed by the caller.
-    The result carries its coefficient stack, or the stack of them.
+    phi_hom(pair.ctx, pair.sigma(x)), already computed by the caller, and
+    x is not needed.  ValueError when neither is given.  The result
+    carries its coefficient stack, or the stack of them.
     """
-    if coeffs is None:
-        coeffs = phi_hom(pair.ctx, pair.sigma(x))
+    coeffs = _sigma_coeffs(pair, x, coeffs)
     return SpanElement(pair.ctx, coeffs / _chi_divisors(pair)[:, None, None])
 
 
 def pi_amplification(
-    pair: ExpectationPair, x: BlockMatrix, *, coeffs: Optional[np.ndarray] = None
+    pair: ExpectationPair,
+    x: Optional[BlockMatrix] = None,
+    *,
+    coeffs: Optional[np.ndarray] = None,
 ) -> Union[float, np.ndarray]:
     """Window-scale domain surrogate: the largest coefficient inflation.
 
@@ -673,7 +702,6 @@ def pi_amplification(
     are as in pi_projection: a float for one operator, an array over the
     leading axes of a stack.
     """
-    if coeffs is None:
-        coeffs = phi_hom(pair.ctx, pair.sigma(x))
+    coeffs = _sigma_coeffs(pair, x, coeffs)
     norms = np.linalg.norm(coeffs, 2, axis=(-2, -1))
     return np.max(norms / np.abs(_chi_divisors(pair)), axis=-1, initial=0.0)

@@ -779,7 +779,7 @@ def test_each_span_check_of_pi_names_its_trial(
     real = sigma.pi_projection
     calls = []
 
-    def one_off_span(pair, x, **kwargs):
+    def one_off_span(pair, x=None, **kwargs):
         calls.append(x)
         out = real(pair, x, **kwargs)
         if len(calls) - 1 != call:

@@ -1,0 +1,257 @@
+"""Condition (ii) as one program over its samples.
+
+check_condition_ii applies sigma once to the stack of its samples, then
+per sample takes every Fourier coefficient of sigma(x) in one
+fourier_coefficient call, their norms in one op_norm, and ||x|| densely.
+The references below are the per-g computations it replaced: one
+coefficient gathered slot by slot from the group arithmetic, one
+eigensolve per g, and the strict-< scan over (sample, g) in sample-major,
+g-minor order, stopping after the first sample whose margin fails.  The
+batch must agree with them bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from crossedprod import sigma
+from crossedprod.crossed import (
+    BlockDiagonal,
+    CoeffAlgebra,
+    fourier_coefficient,
+    left_translation,
+    make_context,
+    op_norm,
+    psi,
+    swap_action,
+    theta_embed,
+    translation_action,
+)
+from crossedprod.groups import Cyclic, Integers
+from crossedprod.posdef import L2Vector
+from crossedprod.sigma import (
+    ExpectationPair,
+    check_condition_ii,
+    make_pair,
+    random_crossed_element,
+    random_window_operator,
+)
+
+
+def cyclic(n, algebra=None, action=None):
+    spec = Cyclic(n)
+    return make_context(spec, algebra=algebra, action=action and action(spec))
+
+
+CONTEXTS = {
+    "C4/swap/diagonal2": lambda: cyclic(4, CoeffAlgebra.diagonal(2), swap_action),
+    "C6/full6": lambda: cyclic(6, CoeffAlgebra.full(6)),
+    "C12/translation": lambda: cyclic(12, CoeffAlgebra.diagonal(12), translation_action),
+    "C8/scalars": lambda: cyclic(8),
+    # full algebras under a non-trivial action: alpha_{h^-1} moves the
+    # entries of every block, so the blocks of one coefficient differ
+    "C4/swap/full2": lambda: cyclic(4, CoeffAlgebra.full(2), swap_action),
+    "C4/translation/full4": lambda: cyclic(4, CoeffAlgebra.full(4), translation_action),
+}
+FOURIER = ["C4/swap/diagonal2", "C6/full6", "Z-r3"]
+
+
+def context(name):
+    if name == "Z-r3":
+        return make_context(Integers(), radius=3)
+    return CONTEXTS[name]()
+
+
+def bits(a):
+    """The raw float64 words of an array, so that 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.array_equal(bits(a), bits(b))
+
+
+def pair_of(ctx, seed=0):
+    rng = np.random.default_rng(seed)
+    return make_pair(ctx, L2Vector.normalized({g: 0.2 + rng.random() for g in ctx.window}))
+
+
+def ref_fourier_stack(ctx, x, g):
+    """(n, d, d) blocks x_{(gh, h)} of Diag(L_g^* x), slot by slot."""
+    out = np.zeros((ctx.nwin, ctx.d, ctx.d), dtype=complex)
+    blocks = x.blocks()
+    idx = ctx.window.index_of
+    for j, h in enumerate(ctx.window):
+        i = idx.get(ctx.group.multiply(g, h))
+        if i is not None:
+            out[j] = blocks[i, j]
+    return out
+
+
+def ref_block_norm(stack):
+    """The norm of one block-diagonal operator from its (n, d, d) blocks."""
+    gram = stack.conj().swapaxes(-1, -2) @ stack
+    return float(np.sqrt(max(0.0, float(np.max(np.linalg.eigvalsh(gram)[:, -1])))))
+
+
+def ref_dense_norm(x):
+    m = x.data
+    return float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(m.conj().T @ m)[-1]))))
+
+
+def ref_condition_ii(pair, samples, tol=1e-10):
+    """The per-(sample, g) scan: (margin, witness, samples normed)."""
+    ctx = pair.ctx
+    margin, witness, normed = math.inf, None, 0
+    for si, x in enumerate(samples):
+        sx = pair.sigma(x)
+        xnorm = ref_dense_norm(x)
+        normed += 1
+        for g, chi in zip(ctx.window, pair.chi_values.real):
+            gap = float(chi) * xnorm - ref_block_norm(ref_fourier_stack(ctx, sx, g))
+            if gap < margin:
+                margin, witness = gap, (si, g)
+        if margin < -tol:
+            break
+    return margin, witness, normed
+
+
+def operators(ctx, rng):
+    """A dense operator, a span element and sigma of a dense operator."""
+    x = random_window_operator(ctx, rng)
+    out = [x, random_crossed_element(ctx, rng)]
+    if ctx.group.is_finite():
+        out.append(pair_of(ctx).sigma(x))
+    else:
+        out.append(theta_embed(ctx, {0: 0.5, 2: 1.5j, -3: -2.0}))
+    return out
+
+
+@pytest.mark.parametrize("name", FOURIER)
+def test_every_fourier_coefficient_in_one_call_is_the_per_g_stack(name):
+    ctx = context(name)
+    for x in operators(ctx, np.random.default_rng(1)):
+        batch = fourier_coefficient(ctx, x)
+        assert isinstance(batch, BlockDiagonal) and batch.lead == (ctx.nwin,)
+        for i, g in enumerate(ctx.window):
+            one = fourier_coefficient(ctx, x, g)
+            assert same_bits(batch.diagonal[i], one.diagonal)
+            assert same_bits(batch[i].diagonal, one.diagonal)
+            assert same_bits(batch.data[i], one.data)
+            assert same_bits(one.diagonal, ref_fourier_stack(ctx, x, g))
+
+
+@pytest.mark.parametrize("name", FOURIER)
+def test_op_norm_of_the_batch_is_each_per_g_norm(name):
+    ctx = context(name)
+    for x in operators(ctx, np.random.default_rng(2)):
+        batch = fourier_coefficient(ctx, x)
+        norms = op_norm(batch)
+        assert norms.shape == (ctx.nwin,)
+        for i, g in enumerate(ctx.window):
+            one = op_norm(fourier_coefficient(ctx, x, g))
+            assert type(one) is float
+            assert same_bits(norms[i], one)
+            assert one == ref_block_norm(fourier_coefficient(ctx, x, g).diagonal)
+
+
+def test_a_batch_of_a_span_element_builds_no_dense_matrix():
+    ctx = context("C6/full6")
+    x = random_crossed_element(ctx, np.random.default_rng(3))
+    batch = fourier_coefficient(ctx, x)
+    op_norm(batch)
+    assert "data" not in x.__dict__ and "data" not in batch.__dict__
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_the_margin_is_the_per_g_scan(name):
+    ctx = context(name)
+    pair = pair_of(ctx, 5)
+    rng = np.random.default_rng(6)
+    samples = [random_window_operator(ctx, rng) for _ in range(6)]
+    rep = check_condition_ii(pair, samples=samples)
+    margin, _, _ = ref_condition_ii(pair, samples)
+    assert rep.verdict == "Pass"
+    assert same_bits(rep.condition_ii_margin, margin)
+    # a stack of the samples is the same sweep as their list
+    stack = ctx.wrap(np.stack([x.data for x in samples]))
+    assert check_condition_ii(pair, samples=stack).to_json() == rep.to_json()
+
+
+def halved(pair):
+    """A stand-in pair whose eigenvalue function is half of pair's."""
+    return ExpectationPair(pair.ctx, chi=lambda g: 0.5 * pair.chi(g), xi=pair.xi)
+
+
+def failing_samples(ctx, rng):
+    """Random samples, then tight translates L_g psi(r) with unitary r,
+    which meet the bound of the true pair with equality and fail a halved
+    one, then random samples again."""
+    phases = np.diag(np.exp(2j * np.pi * rng.random(ctx.d)))
+    if ctx.algebra.kind == "full":
+        phases = np.linalg.qr(rng.standard_normal((ctx.d, ctx.d)))[0].astype(complex)
+    tight = [
+        ctx.wrap((left_translation(ctx, g) @ psi(ctx, phases)).data.copy())
+        for g in ctx.window[1:3]
+    ]
+    random = [random_window_operator(ctx, rng) for _ in range(5)]
+    return random[:2] + tight + random[2:]
+
+
+@pytest.mark.parametrize("name", ["C4/swap/diagonal2", "C6/full6", "C8/scalars"])
+def test_a_halved_chi_fails_with_the_per_g_witness(name, monkeypatch):
+    ctx = context(name)
+    pair = halved(pair_of(ctx, 7))
+    samples = failing_samples(ctx, np.random.default_rng(8))
+    margin, (si, g), normed = ref_condition_ii(pair, samples)
+    assert margin < 0 and si == 2 and normed == 3
+
+    dense, batches = [], []
+    real_op_norm, real_fourier = sigma.op_norm, sigma.fourier_coefficient
+
+    def counting_op_norm(x):
+        (batches if isinstance(x, BlockDiagonal) else dense).append(x)
+        return real_op_norm(x)
+
+    def counting_fourier(ctx, x, *g):
+        assert g == ()  # every g in one call
+        return real_fourier(ctx, x)
+
+    monkeypatch.setattr(sigma, "op_norm", counting_op_norm)
+    monkeypatch.setattr(sigma, "fourier_coefficient", counting_fourier)
+    rep = check_condition_ii(pair, samples=samples)
+    want = f"Fail(sample={si}, g={ctx.group.format_element(g)}, margin={margin:.3e})"
+    assert rep.verdict == want
+    assert same_bits(rep.condition_ii_margin, margin)
+    assert rep.trials == len(samples)
+    # no sample after the first failing one is normed
+    assert len(dense) == len(batches) == normed
+
+
+def test_each_sample_takes_one_batch_one_norm_and_one_dense_norm(monkeypatch):
+    ctx = context("C4/swap/diagonal2")
+    pair = pair_of(ctx, 9)
+    calls = {"sigma": [], "fourier": 0, "op_norm": 0}
+    real_sigma, real_fourier, real_op_norm = (
+        sigma.sigma_xi, sigma.fourier_coefficient, sigma.op_norm
+    )
+
+    def sigma_xi(ctx, xi, x):
+        calls["sigma"].append(x.lead)
+        return real_sigma(ctx, xi, x)
+
+    def fourier(ctx, x, *g):
+        calls["fourier"] += 1
+        return real_fourier(ctx, x, *g)
+
+    def norm(x):
+        calls["op_norm"] += 1
+        return real_op_norm(x)
+
+    monkeypatch.setattr(sigma, "sigma_xi", sigma_xi)
+    monkeypatch.setattr(sigma, "fourier_coefficient", fourier)
+    monkeypatch.setattr(sigma, "op_norm", norm)
+    rep = check_condition_ii(pair, trials=7, seed=10)
+    assert rep.verdict == "Pass" and rep.trials == 7
+    assert calls == {"sigma": [(7,)], "fourier": 7, "op_norm": 14}

@@ -270,6 +270,12 @@ def test_pi_reuses_given_sigma_coefficients():
     got = pi_projection(pair, x, coeffs=coeffs)
     assert np.array_equal(got.data, pi_projection(pair, x).data)
     assert pi_amplification(pair, x, coeffs=coeffs) == pi_amplification(pair, x)
+    # the coefficients alone are enough, and one of the two is needed
+    assert np.array_equal(pi_projection(pair, coeffs=coeffs).coeffs, got.coeffs)
+    assert pi_amplification(pair, coeffs=coeffs) == pi_amplification(pair, x)
+    for pi in (pi_projection, pi_amplification):
+        with pytest.raises(ValueError, match="an operator x or the coefficients"):
+            pi(pair)
 
 
 def test_cp_check_report():

@@ -97,23 +97,10 @@ def test_phi_hom_and_dual_blocks_read_the_stack_as_the_dense_check_does(label, c
         want, want_res = dual_blocks(ctx, dense(x))
         assert same_bits(blocks, want)
         assert res == 0.0 and want_res == 0.0
-    grid = [[xs[0], xs[1]], [xs[2], xs[3]]]
-    blocks, res = dual_blocks(ctx, grid)
-    want, want_res = dual_blocks(ctx, [[dense(x) for x in row] for row in grid])
-    assert same_bits(blocks, want) and res == want_res == 0.0
-
-
-@pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
-def test_a_grid_with_one_plain_operator_takes_the_dense_check(label, ctx, monkeypatch):
-    a, b = span_elements(ctx, np.random.default_rng(3))[:2]
-    want, _ = dual_blocks(ctx, [[dense(a), dense(b)], [dense(b), dense(a)]])
-    real, batches = crossed._phi_batch, []
-    monkeypatch.setattr(
-        crossed, "_phi_batch", lambda c, xs: batches.append(len(xs)) or real(c, xs)
-    )
-    blocks, res = dual_blocks(ctx, [[a, dense(b)], [b, a]])
-    assert batches == [4]
-    assert same_bits(blocks, want) and res == 0.0
+    stack = SpanElement(ctx, np.stack([x.coeffs for x in xs]))
+    blocks, res = dual_blocks(ctx, stack)
+    want, want_res = dual_blocks(ctx, ctx.wrap(np.stack([x.data for x in xs])))
+    assert same_bits(blocks, want) and not res.any() and not want_res.any()
 
 
 @pytest.mark.parametrize("label, ctx", CONTEXTS, ids=IDS)
@@ -280,7 +267,8 @@ def test_condition_ii_builds_no_dense_sigma(monkeypatch):
     del outputs[:]
     _, was_built = dense_builds(monkeypatch)
     rep = check_condition_ii(pair, trials=3, seed=4)
-    assert rep.verdict == "Pass" and len(outputs) == 3
+    # one sigma call, on the stack of the three samples
+    assert rep.verdict == "Pass" and len(outputs) == 1 and outputs[0].lead == (3,)
     assert not any(was_built(x) for x in outputs)
 
 
