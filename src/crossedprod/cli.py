@@ -109,8 +109,9 @@ def _int(flag: str, text: str, what: str = "integers") -> int:
         raise ConfigError(f"{flag} takes {what}, got {text.strip()!r}") from None
 
 
-def _parse_int_list(flag: str, text: str) -> List[int]:
-    """Accept '2..7' ranges and '2,3,5' lists."""
+def _parse_int_list(flag: str, text: str, cap: int) -> List[int]:
+    """Accept '2..7' ranges, each of at most cap entries, refused before it
+    is expanded, and '2,3,5' lists."""
     text = text.strip()
     out: List[int] = []
     for chunk in text.split(","):
@@ -119,6 +120,9 @@ def _parse_int_list(flag: str, text: str) -> List[int]:
             lo, hi = (_int(flag, part) for part in chunk.split("..", 1))
             if hi < lo:
                 raise ConfigError(f"reversed range {chunk!r}")
+            if hi - lo + 1 > cap:
+                over = f"has {hi - lo + 1} entries, exceeds cap {cap}"
+                raise ResourceCapError(f"{flag} range {chunk} {over}")
             out.extend(range(lo, hi + 1))
         elif chunk:
             out.append(_int(flag, chunk))
@@ -204,13 +208,18 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
             raise ConfigError(f"--xi geometric weights must be finite; {q} overflows")
         if min(weights.values()) == 0:
             raise ConfigError(f"--xi geometric weights must be positive; {q} underflows to 0")
-        return posdef.L2Vector.normalized(weights)
+        try:
+            return posdef.L2Vector.normalized(weights)
+        except OverflowError:
+            raise ConfigError(
+                f"--xi geometric squared weights must be finite; {q} overflows"
+            ) from None
     raise ConfigError(f"unknown vector recipe {text!r} (uniform, geometric:q)")
 
 
 def cmd_balls(args) -> Report:
     spec = parse_group(args.group)
-    radii = _parse_int_list("--radii", args.radii)
+    radii = _parse_int_list("--radii", args.radii, args.cap)
     for n in radii:
         if n < 0:
             raise ConfigError(f"ball radius must be >= 0, got {n}")
@@ -311,7 +320,7 @@ def cmd_psd(args) -> Report:
 def cmd_freecount(args) -> Report:
     if args.lmax < 0:
         raise ConfigError(f"--lmax must be >= 0, got {args.lmax}")
-    radii = _parse_int_list("--radii", args.radii) if args.radii else None
+    radii = _parse_int_list("--radii", args.radii, args.cap) if args.radii else None
     _check_nonnegative("--radii", radii or ())
     rows_data = freecomb.count_table(args.k, args.lmax, radii, args.cap)
     rows = [
@@ -464,18 +473,17 @@ def _tau_sum_defect(
 ) -> float:
     """The largest ||sum_u tau_u(x) - sigma(x)|| over a stack of samples.
 
-    Their tau terms are summed into one stacked accumulator, less their
-    sigma(x), gathered one sample at a time: span elements up to
-    rounding, normed off their dual blocks."""
+    Their tau terms are summed into one stacked accumulator, span elements
+    up to rounding, whose coefficient stacks, less those of sigma(x), are
+    normed off their dual blocks plus the accumulator's residuals."""
     total = ctx.wrap(np.zeros(xs.data.shape, dtype=complex))
     for u in ctx.window:
         sigma_mod.tau_u(ctx, pair.support, u, xs, out=total)
-    sx = pair.sigma(xs)
-    for t in range(len(xs.data)):
-        total.data[t] -= sx[t].data
     with crossed.span_check(lambda t: f"tau-sum of sample {t}"):
-        blocks, residuals = crossed.dual_blocks(ctx, total)
-    return float(np.max(crossed.span_norms(blocks, residuals)))
+        coeffs, squares = crossed.span_coefficients(ctx, total)
+    defects = coeffs - pair.sigma(xs).coeffs
+    blocks = crossed.grid_blocks(ctx, defects[:, None, None])
+    return float(np.max(crossed.span_norms(blocks, np.sqrt(squares))))
 
 
 def cmd_pi(args) -> Report:
@@ -492,11 +500,10 @@ def cmd_pi(args) -> Report:
     for t in range(args.trials):
         sx[t] = pair.sigma(sigma_mod.random_window_operator(ctx, rng)).coeffs
         ys[t] = sigma_mod.random_crossed_element(ctx, rng).coeffs
-    # the coefficients of sigma(x) serve both p1 and the amplification
-    coeffs = crossed.phi_hom(ctx, crossed.SpanElement(ctx, sx))
-    # p1 from those coefficients, the operators x not being kept; sigma is
+    # the coefficients of sigma(x) serve both p1 and the amplification; p1
+    # comes from them, the operators x not being kept, and sigma is
     # applied to p1, so idempotency is not true by construction
-    p1 = sigma_mod.pi_projection(pair, coeffs=coeffs)
+    p1 = sigma_mod.pi_projection(pair, coeffs=sx)
     p2 = sigma_mod.pi_projection(pair, p1)
     with crossed.span_check(lambda t: f"idempotency trial {t}"):
         idems = crossed.span_norms(*crossed.dual_blocks(ctx, p2 - p1)).tolist()
@@ -505,7 +512,7 @@ def cmd_pi(args) -> Report:
         spans = crossed.span_norms(
             *crossed.dual_blocks(ctx, sigma_mod.pi_projection(pair, y) - y)
         ).tolist()
-    amps = sigma_mod.pi_amplification(pair, coeffs=coeffs).tolist()
+    amps = sigma_mod.pi_amplification(pair, coeffs=sx).tolist()
     rows = list(zip(range(args.trials), idems, spans, amps))
     worst_idem = max([0.0] + idems)
     worst_span = max([0.0] + spans)
@@ -548,7 +555,7 @@ def _parse_coeffs(text: str) -> Dict[int, complex]:
 def cmd_cesaro(args) -> Report:
     coeffs = _parse_coeffs(args.coeffs)
     f = summation.TrigPolynomial(coeffs)
-    orders = _parse_int_list("--orders", args.orders)
+    orders = _parse_int_list("--orders", args.orders, args.cap)
     _check_nonnegative("--orders", orders)
     deg = f.degree()
     # (deg + 4) sum |c_k| bounds every number the table holds
@@ -597,7 +604,7 @@ def cmd_cesaro(args) -> Report:
 def cmd_folner(args) -> Report:
     spec = parse_group(args.group)
     t = spec.parse_element(args.t)
-    radii = _parse_int_list("--radii", args.radii)
+    radii = _parse_int_list("--radii", args.radii, args.cap)
     _check_nonnegative("--radii", radii)
     try:
         size = max(posdef.folner_size(spec, n) for n in radii)

@@ -9,6 +9,10 @@ matrix only when it is read (SpanElement), and the Fourier coefficients,
 which keep their stack of diagonal blocks and whose norm is read off it
 (BlockDiagonal).  The algebra sits in the span as psi(r) = theta({e: r}).
 
+An operator lies in the span exactly when each Fourier coefficient
+Diag(L_g^* x) is alpha-covariant along its diagonal, so the span check
+(phi_hom) reads the Fourier batch, every coefficient in one gather.
+
 On a finite group the norm and spectrum of a crossed-product span element
 are read off its coefficient stack c instead (dual_blocks): conjugating
 by diag(U_h) turns it into the group convolution with blocks U_s c_s,
@@ -288,11 +292,9 @@ class CrossedContext:
 
     @cached_property
     def inv_table(self) -> np.ndarray:
-        idx = self.window.index_of
-        return np.array(
-            [idx.get(self.group.inverse(a), -1) for a in self.window],
-            dtype=np.int64,
-        )
+        """Window index of g_j^-1: the row of the identity in column j of
+        mul_table, which every column has, balls being closed under inverses."""
+        return np.argmax(self.mul_table == 0, axis=0)
 
     @cached_property
     def rel_table(self) -> np.ndarray:
@@ -308,31 +310,15 @@ class CrossedContext:
         return [self.action.perm(g, self.d) for g in self.window]
 
     @cached_property
-    def inv_perms(self) -> List[Tuple[int, ...]]:
-        return [
-            self.action.perm(self.group.inverse(g), self.d) for g in self.window
-        ]
-
-    @cached_property
     def perm_index(self) -> np.ndarray:
         """(n, d) gather indices of alpha_g, one row per window slot g."""
         return _gather_index(self.perms)
 
     @cached_property
     def inv_perm_index(self) -> np.ndarray:
-        """(n, d) gather indices of alpha_{g^-1}, one row per window slot g."""
-        return _gather_index(self.inv_perms)
-
-    @cached_property
-    def phi_index(self) -> np.ndarray:
-        """(n, n, d, d) flat indices into a window operator's data: entry
-        (t, j) reads block (g_t g_j, g_j) through alpha_{g_j}, so column 0
-        is the coefficient stack.  Where g_t g_j leaves the window it reads
-        block (0, j), which the span checks mask."""
-        n, d = self.nwin, self.d
-        rows = np.maximum(self.mul_table, 0)[..., None] * d + self.perm_index
-        cols = np.arange(n)[:, None] * d + self.perm_index
-        return rows[..., :, None] * (n * d) + cols[:, None, :]
+        """(n, d) gather indices of alpha_{g^-1} = alpha_g^-1, one row per
+        window slot g: the permutations of perms themselves."""
+        return np.asarray(self.perms, dtype=np.int64)
 
     @cached_property
     def theta_index(self) -> np.ndarray:
@@ -659,7 +645,7 @@ def fourier_coefficient(
     blocks are read by x.entries, so for a SpanElement theta(c) block
     (h, h) is alpha_{h^-1}(c_g), read off the stack through theta_index
     without building the dense theta(c), and 0 for g off the window; any
-    other x is read off its dense data."""
+    other x is read off its dense data, as by the span check (_phi_batch)."""
     row = ctx.mul_table if g is None else ctx.left_index(g)
     n, d = ctx.nwin, ctx.d
     k = np.arange(d)
@@ -733,7 +719,7 @@ def phi_hom(ctx: CrossedContext, x: BlockMatrix) -> np.ndarray:
     Slot t holds the unique r with translate-diagonal Diag(L_{t^-1} x)
     equal to the block-diagonal embedding of r.  A SpanElement of ctx
     carries that stack, so it is read as it is.  Any other operator, such
-    as a plain BlockMatrix stand-in, is read off its dense data, and
+    as a plain BlockMatrix stand-in, is read off its Fourier batch, and
     raises when no such r exists (x is outside the crossed-product span)
     within DEFAULT_TOL.  A stack of operators gives a stack of stacks.
     """
@@ -748,11 +734,11 @@ def span_coefficients(ctx: CrossedContext, x: BlockMatrix) -> Tuple[np.ndarray, 
     a stack: (..., n, d, d) and (...) over x's leading axes.
 
     A SpanElement of ctx gives the stack it carries, with residual
-    exactly 0.  Any other operator takes the dense span check of phi_hom
-    (_phi_batch), all of a stack in one batch: coefficients read off
-    column 0, not yet compressed onto the algebra, and the squared
-    Frobenius norm of x - theta(c) over the blocks the window translates
-    reach, every block on a finite group.
+    exactly 0.  Any other operator takes the span check of phi_hom on its
+    Fourier batch (_phi_batch), all of a stack in one call: coefficients
+    read off the identity slot, not yet compressed onto the algebra, and
+    the squared Frobenius norm of x - theta(c) over the blocks the window
+    translates reach, every block on a finite group.
     """
     if isinstance(x, SpanElement) and x.ctx is ctx:
         return x.coeffs, np.zeros(x.lead)
@@ -764,16 +750,18 @@ def span_coefficients(ctx: CrossedContext, x: BlockMatrix) -> Tuple[np.ndarray, 
 def _phi_batch(ctx: CrossedContext, data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The checks of phi_hom on the k operators of a (k, nd, nd) array.
 
-    Returns their (k, n, d, d) coefficient stacks and squared residuals,
-    as span_coefficients; NotInCrossedProductError outside the span, its
+    Candidate (t, j) is alpha_{g_j}(x_{(g_t g_j, g_j)}): the Fourier batch
+    with alpha_{g_j} along its diagonal axis, 0 (masked) off the window.
+    Returns the (k, n, d, d) coefficient stacks and squared residuals, as
+    span_coefficients; NotInCrossedProductError outside the span, its
     index the first of the k that fails.  The operators are checked one
-    at a time, so that no more than one (nd)^2 candidate array is held.
+    at a time, so that one operator's candidates are held at most.
     """
     n, d = ctx.nwin, ctx.d
     coeffs = np.empty((len(data), n, d, d), dtype=complex)
     squares = np.empty(len(data))
     for k, x in enumerate(data):
-        cand = np.take(x.astype(complex, copy=False), ctx.phi_index)
+        cand = ctx.alpha_by_perm(ctx.perm_index, fourier_coefficient(ctx, ctx.wrap(x)).diagonal)
         # slot t is read off column 0 (the identity) and must agree with
         # alpha_{g_j}(x_{(t g_j, g_j)}) in every other column j
         coeffs[k] = cand[:, 0]

@@ -294,12 +294,13 @@ class ExpectationPair:
 
         I is the span element theta({e: 1}) on every window (theta is a
         gather, so on a window of an infinite group its dense data is the
-        identity too), and op_norm reads the difference off its dual-group
-        blocks on a finite group and densely on a window.
+        identity too), read off its stack by sigma; op_norm reads the
+        difference off its dual-group blocks on a finite group, densely on
+        a window.
         """
         ctx = self.ctx
         unit = theta_embed(ctx, {ctx.group.identity(): ctx.algebra.identity()})
-        return op_norm(self.sigma(ctx.identity_matrix()) - unit)
+        return op_norm(self.sigma(unit) - unit)
 
 
 def make_pair(ctx: CrossedContext, xi: L2Vector) -> ExpectationPair:
@@ -593,16 +594,16 @@ def check_condition_ii(
     ||Diag(L_{g^-1} sigma(x))|| must stay below chi(g) ||x||; the report
     carries the worst margin (bound minus value; negative = violation).
 
-    samples is a (T, nd, nd) stack of operators, or a sequence of them,
-    stacked first as dense operators; without it, trials random window
-    operators are drawn.  sigma is applied once, to the whole stack.
-    Then, sample by sample, one fourier_coefficient call gives the
-    coefficients at every g as a stack, one op_norm on it gives their n
-    norms from one batched eigensolve, and ||x|| takes the dense
-    eigensolve.  The margins of a sample are chi(g) ||x|| - lhs over the
-    window; the witness is the first worst (sample, g) in sample-major,
-    g-minor order, and no sample after the first one whose margin fails
-    is normed.
+    samples is a (T, nd, nd) stack of operators, one operator (a stack of
+    one), or a sequence of them, stacked first as dense operators; without
+    it, trials random window operators are drawn.  sigma is applied once,
+    to the whole stack.  Then, sample by sample, one fourier_coefficient
+    call gives the coefficients at every g as a stack, one op_norm on it
+    gives their n norms from one batched eigensolve, and ||x|| takes the
+    dense eigensolve.  The margins of a sample are chi(g) ||x|| - lhs over
+    the window; the witness is the first worst (sample, g) in
+    sample-major, g-minor order, and no sample after the first one whose
+    margin fails is normed.
     """
     ctx = pair.ctx
     if samples is None:
@@ -610,6 +611,8 @@ def check_condition_ii(
         samples = [random_window_operator(ctx, rng) for _ in range(trials)]
     if not isinstance(samples, BlockMatrix):
         samples = ctx.wrap(np.stack([x.data for x in samples])) if len(samples) else None
+    elif not samples.lead:
+        samples = samples[None]
     if samples is None or samples.lead[0] == 0:
         # an empty sweep would report Pass with an infinite margin
         raise ConfigError("no samples: give trials >= 1 or a non-empty samples list")

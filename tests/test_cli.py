@@ -409,6 +409,31 @@ def test_balls_reject_negative_radii_and_reversed_ranges(tmp_path, radii):
     assert not (out / "balls.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag, chunk",
+    [
+        (("balls", "--group", "C2", "--radii", "0..1000"), "--radii", "0..1000"),
+        (("freecount", "--k", "2", "--lmax", "1", "--radii", "0,3..13"), "--radii", "3..13"),
+        (("cesaro", "--orders", "5..15"), "--orders", "5..15"),
+        (("folner", "--group", "Z", "--t", "1", "--radii", "1..11"), "--radii", "1..11"),
+    ],
+    ids=["balls", "freecount", "cesaro", "folner"],
+)
+def test_a_range_longer_than_the_cap_is_refused(tmp_path, capsys, argv, flag, chunk):
+    code, out = run(tmp_path, *argv, "--cap", "10")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource cap: {flag} range {chunk} has ")
+    assert err.rstrip().endswith("exceeds cap 10")
+    assert list(out.iterdir()) == []
+
+
+def test_a_range_at_the_cap_is_expanded(tmp_path):
+    code, out = run(tmp_path, "balls", "--group", "C2", "--radii", "0..9", "--cap", "10")
+    assert code == 0
+    assert read_outputs(out, "balls")[1]["radii"] == list(range(10))
+
+
 def test_capped_balls_name_the_largest_radius(tmp_path, capsys):
     code, _ = run(tmp_path, "balls", "--group", "F2", "--radii", "0..10", "--cap", "100")
     assert code == 3
@@ -652,12 +677,16 @@ def test_sweep_argument_errors_are_config_errors(tmp_path, capsys, argv):
         (("cesaro", "--orders", "1..2", "--tol", "nan"), "--tol"),
         (("pi", "--group", "C4", "--trials", "1", "--xi", "geometric:inf"), "--xi"),
         (("pi", "--group", "C50", "--trials", "1", "--xi", "geometric:1e13"), "--xi"),
+        # each weight q^|g| is finite, the sum of their squares is not
+        (("sigma", "--group", "C16", "--trials", "1", "--xi", "geometric:1e20"), "--xi"),
+        (("pi", "--group", "C4", "--trials", "1", "--xi", "geometric:1e100"), "--xi"),
+        (("pi", "--group", "C2", "--trials", "1", "--xi", "geometric:1e155"), "--xi"),
         (("cesaro", "--coeffs", "0:nan", "--orders", "1..2"), "--coeffs"),
         (("cesaro", "--coeffs", "0:1,1:infj", "--orders", "1..2"), "--coeffs"),
     ],
     ids=[
-        "psd-tol", "sigma-tol", "pi-tol", "cesaro-tol", "xi", "xi-overflow", "coeffs",
-        "coeffs-imag",
+        "psd-tol", "sigma-tol", "pi-tol", "cesaro-tol", "xi", "xi-overflow",
+        "xi-squares-C16", "xi-squares-C4", "xi-squares-C2", "coeffs", "coeffs-imag",
     ],
 )
 def test_non_finite_floats_are_config_errors(tmp_path, capsys, argv, flag):
@@ -744,6 +773,30 @@ def test_underflowing_geometric_weights_are_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: --xi geometric weights") and "underflows to 0" in err
     assert list(out.iterdir()) == []
+
+
+def test_sigma_reads_its_tau_sum_and_unit_off_coefficient_stacks(tmp_path, monkeypatch):
+    # the tau-sum compares coefficient stacks and the unital defect applies
+    # sigma to theta({e: I}): no dense theta(sigma(x)) and no dense identity
+    calls = []
+    real_gather = crossed._theta_gather
+    real_identity = crossed.CrossedContext.identity_matrix
+
+    def gather(*args):
+        calls.append("_theta_gather")
+        return real_gather(*args)
+
+    def identity(ctx):
+        calls.append("identity_matrix")
+        return real_identity(ctx)
+
+    monkeypatch.setattr(crossed, "_theta_gather", gather)
+    monkeypatch.setattr(crossed.CrossedContext, "identity_matrix", identity)
+    for algebra, action in (("diagonal:2", "swap"), ("full:2", "trivial")):
+        code, _ = run(tmp_path, "sigma", "--group", "C4", "--algebra", algebra,
+                      "--action", action, "--trials", "5")
+        assert code == 0
+    assert calls == []
 
 
 def test_a_tau_sum_missing_one_term_fails(tmp_path, monkeypatch, capsys):

@@ -28,6 +28,7 @@ from crossedprod.crossed import (
     theta_embed,
     translation_action,
 )
+from crossedprod.errors import ConfigError
 from crossedprod.groups import Cyclic, Integers
 from crossedprod.posdef import L2Vector
 from crossedprod.sigma import (
@@ -255,3 +256,22 @@ def test_each_sample_takes_one_batch_one_norm_and_one_dense_norm(monkeypatch):
     rep = check_condition_ii(pair, trials=7, seed=10)
     assert rep.verdict == "Pass" and rep.trials == 7
     assert calls == {"sigma": [(7,)], "fourier": 7, "op_norm": 14}
+
+
+@pytest.mark.parametrize("name", ["C4/swap/diagonal2", "C6/full6"])
+def test_one_operator_is_a_stack_of_one(name):
+    ctx = context(name)
+    pair = pair_of(ctx, 11)
+    rng = np.random.default_rng(12)
+    x = random_window_operator(ctx, rng)
+    assert x.lead == ()
+    rep = check_condition_ii(pair, samples=x)
+    assert rep.trials == 1
+    assert rep.to_json() == check_condition_ii(pair, samples=[x]).to_json()
+    y = random_crossed_element(ctx, rng)
+    assert y.lead == ()
+    rep = check_condition_ii(pair, samples=y)
+    assert rep.trials == 1 and rep.verdict == "Pass"
+    # an empty stack is still no sweep
+    with pytest.raises(ConfigError, match="no samples"):
+        check_condition_ii(pair, samples=ctx.wrap(np.empty((0, ctx.dim, ctx.dim))))

@@ -24,6 +24,9 @@ from crossedprod.crossed import (
     theta_embed,
     translation_action,
     _permute,
+    _phi_batch,
+    _raise_outside_span,
+    DEFAULT_TOL,
 )
 from crossedprod.errors import (
     NotInCrossedProductError,
@@ -44,6 +47,11 @@ def ref_alpha(p, r):
     return np.asarray(r, dtype=complex)[np.ix_(pinv, pinv)]
 
 
+def ref_inv_perm(ctx, j):
+    """The permutation of alpha_{g^-1} for window slot j, from the action."""
+    return ctx.action.perm(ctx.group.inverse(ctx.window[j]), ctx.d)
+
+
 def ref_expectation(spec, x):
     x = np.asarray(x, dtype=complex)
     d = x.shape[0]
@@ -57,7 +65,7 @@ def ref_theta_embed(ctx, stack):
     oblocks = out.blocks()
     rel = ctx.rel_table
     for j in range(ctx.nwin):
-        pj = ctx.inv_perms[j]
+        pj = ref_inv_perm(ctx, j)
         for i in range(ctx.nwin):
             t = rel[i, j]
             if t >= 0:
@@ -136,7 +144,7 @@ def ref_psi(ctx, r):
     out = ctx.zero()
     blocks = out.blocks()
     for i in range(ctx.nwin):
-        blocks[i, i] = ref_alpha(ctx.inv_perms[i], r)
+        blocks[i, i] = ref_alpha(ref_inv_perm(ctx, i), r)
     return out
 
 
@@ -371,7 +379,7 @@ def test_alpha_by_perm_slot_by_slot():
     inv = ctx.alpha_by_perm(ctx.inv_perm_index, stack)
     for t in range(ctx.nwin):
         assert np.array_equal(got[t], ref_alpha(ctx.perms[t], stack[t]))
-        assert np.array_equal(inv[t], ref_alpha(ctx.inv_perms[t], stack[t]))
+        assert np.array_equal(inv[t], ref_alpha(ref_inv_perm(ctx, t), stack[t]))
         single = ctx.alpha_by_perm(ctx.perms[t], stack)
         assert np.array_equal(single[t], got[t])
 
@@ -393,6 +401,63 @@ def test_phi_hom_raises_at_the_same_first_slot(name):
         phi_hom(ctx, x)
     assert "window slot 1 inconsistent" in str(want.value)
     assert str(got.value) == str(want.value)
+
+
+def old_phi_index(ctx):
+    """(n, n, d, d) flat indices into a window operator's data: entry
+    (t, j) reads block (g_t g_j, g_j) through alpha_{g_j}, and block (0, j)
+    where g_t g_j leaves the window."""
+    n, d = ctx.nwin, ctx.d
+    rows = np.maximum(ctx.mul_table, 0)[..., None] * d + ctx.perm_index
+    cols = np.arange(n)[:, None] * d + ctx.perm_index
+    return rows[..., :, None] * (n * d) + cols[:, None, :]
+
+
+def old_phi_batch(ctx, data):
+    """The span check reading its candidates through old_phi_index, one
+    dense gather per operator, instead of the Fourier batch."""
+    n, d = ctx.nwin, ctx.d
+    coeffs = np.empty((len(data), n, d, d), dtype=complex)
+    squares = np.empty(len(data))
+    index = old_phi_index(ctx)
+    for k, x in enumerate(data):
+        cand = np.take(x.astype(complex, copy=False), index)
+        coeffs[k] = cand[:, 0]
+        cand -= coeffs[k][:, None]
+        gap = np.abs(cand)[None]
+        if not ctx.group.is_finite():
+            gap[:, ctx.mul_table < 0] = 0.0
+        off = np.zeros(n)
+        if ctx.algebra.kind == "diagonal":
+            off = np.max(np.abs(coeffs[k] * (1.0 - np.eye(d))), axis=(-2, -1))
+        if np.max(gap) > DEFAULT_TOL or not np.max(off) <= DEFAULT_TOL:
+            _raise_outside_span(ctx, np.max(gap[0], axis=(-2, -1)), off, k)
+        squares[k] = np.einsum("ktjab,ktjab->k", gap, gap)[0]
+    return coeffs, squares
+
+
+@pytest.mark.parametrize("name", ["C4-swap", "C6-full6", "Z-r3"])
+def test_phi_batch_reads_the_fourier_batch_as_the_old_gather(name):
+    ctx = finite_case(name) if name in FINITE else window_case(name)[0]
+    rng = np.random.default_rng(10)
+    # span elements with rounding-level noise: in the span, residuals > 0
+    near = np.stack([
+        ref_theta_embed(ctx, random_stack(ctx, rng)).data
+        + 1e-13 * random_operator(ctx, rng).data
+        for _ in range(3)
+    ])
+    got, want = _phi_batch(ctx, near), old_phi_batch(ctx, near)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert (got[1] > 0).all()
+    # a stand-in operator off the span, after the three that pass
+    off = np.concatenate([near, random_operator(ctx, rng).data[None], near[:1]])
+    with pytest.raises(NotInCrossedProductError) as want:
+        old_phi_batch(ctx, off)
+    with pytest.raises(NotInCrossedProductError) as got:
+        _phi_batch(ctx, off)
+    assert got.value.index == want.value.index == 3
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("coefficient at window slot 0 ")
 
 
 def test_phi_hom_reports_the_first_slot_outside_the_algebra():

@@ -3,7 +3,8 @@
 Each reference below is a loop that multiplies group elements and looks
 the product up in the window, slot by slot, the way the operator formulas
 read.  The library reads the same indices off ``CrossedContext.left_index``,
-``mul_table`` and ``rel_table``, and must agree bit for bit.
+``mul_table`` and ``rel_table``, derives ``inv_table`` from ``mul_table``
+and ``inv_perm_index`` from ``perms``, and must agree bit for bit.
 """
 
 import dataclasses
@@ -54,6 +55,20 @@ def ref_rel_table(ctx):
     return out
 
 
+def ref_inv_table(ctx):
+    idx = ctx.window.index_of
+    return np.array(
+        [idx.get(ctx.group.inverse(a), -1) for a in ctx.window], dtype=np.int64
+    )
+
+
+def ref_inv_perm_index(ctx):
+    """The gather indices of alpha_{g^-1}: the inverse of the permutation
+    of g^-1, one row per window slot g."""
+    inv_perms = [ctx.action.perm(ctx.group.inverse(g), ctx.d) for g in ctx.window]
+    return np.argsort(np.asarray(inv_perms, dtype=np.int64), axis=-1)
+
+
 def ref_left_translation(ctx, g):
     out = ctx.zero()
     blocks = out.blocks()
@@ -100,7 +115,9 @@ def ref_theta_embed_dict(ctx, coeffs):
         for j, b in enumerate(ctx.window):
             i = idx.get(ctx.group.multiply(t, b))
             if i is not None:
-                oblocks[i, j] += ctx.alpha_by_perm(ctx.inv_perms[j], r)
+                oblocks[i, j] += ctx.alpha_by_perm(
+                    ctx.action.perm(ctx.group.inverse(b), ctx.d), r
+                )
     return out
 
 
@@ -256,6 +273,9 @@ def test_tables_match_the_loops(name):
     assert ctx.mul_table.dtype == ctx.rel_table.dtype == np.int64
     assert same(ctx.mul_table, ref_mul_table(ctx))
     assert same(ctx.rel_table, ref_rel_table(ctx))
+    assert ctx.inv_table.dtype == ctx.inv_perm_index.dtype == np.int64
+    assert same(ctx.inv_table, ref_inv_table(ctx))
+    assert same(ctx.inv_perm_index, ref_inv_perm_index(ctx))
     for i, g in enumerate(ctx.window):
         assert same(ctx.left_index(g), ctx.mul_table[i])
 
