@@ -2,12 +2,14 @@
 
 A CrossedContext fixes a group, a finite window ball, a coefficient
 algebra of d x d matrices and an action by coordinate permutations; the
-algebra fixes the conditional expectation onto it.  Operators live on
-window x internal space and are stored dense (BlockMatrix), except the
-span elements, which keep their coefficient stack and build the dense
-matrix only when it is read (SpanElement), and the Fourier coefficients,
-which keep their stack of diagonal blocks and whose norm is read off it
-(BlockDiagonal).  The algebra sits in the span as psi(r) = theta({e: r}).
+algebra names the entries of a block it keeps (CoeffAlgebra.kept) and
+fixes the conditional expectation onto it.  Operators live on window x
+internal space and are stored dense (BlockMatrix), except the span
+elements, which keep their coefficient stack c, read theta(c) straight
+from it and build the dense matrix only when it is read (SpanElement),
+and the Fourier coefficients, which keep their stack of diagonal blocks
+and whose norm is read off it (BlockDiagonal).  The algebra sits in the
+span as psi(r) = theta({e: r}).
 
 An operator lies in the span exactly when each Fourier coefficient
 Diag(L_g^* x) is alpha-covariant along its diagonal, so the span check
@@ -28,7 +30,6 @@ margin; on finite groups (window = whole group) everything is exact.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -54,7 +55,8 @@ DEFAULT_TOL = 1e-10
 @dataclass(frozen=True)
 class CoeffAlgebra:
     """The coefficient algebra: diagonal or full d x d matrices.  The
-    scalars are the full 1 x 1 matrices."""
+    scalars are the full 1 x 1 matrices.  The kind decides which entries
+    of a block the algebra keeps (kept); the other methods read that."""
 
     kind: str
     internal_dim: int = 1
@@ -82,15 +84,40 @@ class CoeffAlgebra:
     def identity(self) -> np.ndarray:
         return np.eye(self.internal_dim, dtype=complex)
 
+    @cached_property
+    def kept(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only (rows, cols) of the K entries of a block the algebra
+        keeps: the diagonal, or every entry in row-major order."""
+        d = self.internal_dim
+        if self.kind == "diagonal":
+            rows = cols = np.arange(d)
+        else:
+            rows, cols = np.divmod(np.arange(d * d), d)
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
+
+    @property
+    def classes(self) -> int:
+        """The expectation reads window entry (r, c) only if r = c mod classes."""
+        return self.internal_dim if self.kind == "diagonal" else 1
+
+    def compress(self, r: np.ndarray) -> np.ndarray:
+        """A (..., d, d) stack r with its entries outside kept set to 0: r
+        itself for a full algebra, which keeps every entry."""
+        if self.kind == "full":
+            return r
+        out = np.zeros_like(r)
+        out[(...,) + self.kept] = r[(...,) + self.kept]
+        return out
+
+    def off_algebra(self, r: np.ndarray) -> np.ndarray:
+        """The largest |entry| outside kept of each d x d matrix of r."""
+        outside = ~self.compress(np.ones((self.internal_dim,) * 2, dtype=bool))
+        return np.max(np.abs(r[..., outside]), axis=-1, initial=0.0)
+
     def contains(self, r: np.ndarray, tol: float = 0.0) -> bool:
         r = np.asarray(r)
-        d = self.internal_dim
-        if r.shape != (d, d):
-            return False
-        if self.kind == "diagonal":
-            off = r - np.diag(np.diag(r))
-            return bool(np.max(np.abs(off), initial=0.0) <= tol)
-        return True
+        return r.shape == (self.internal_dim,) * 2 and bool(self.off_algebra(r) <= tol)
 
     def validate_member(self, r) -> np.ndarray:
         out = np.asarray(r, dtype=complex)
@@ -105,10 +132,7 @@ class CoeffAlgebra:
 
     def random_member(self, rng: np.random.Generator) -> np.ndarray:
         d = self.internal_dim
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        if self.kind == "diagonal":
-            m = np.diag(np.diag(m))
-        return m
+        return self.compress(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
 @dataclass(frozen=True)
@@ -178,13 +202,10 @@ class ExpectationSpec:
     among them, at d = 1), no compression.  Both are unital, idempotent,
     and bimodular over the target algebra.
 
-    The sweep kernels of sigma read from each block only what the
-    expectation keeps: the d diagonal entries for diagonal, straight from
-    the operator's data without calling apply; every entry, through
-    apply, for identity.  For diagonal, entry (r, c) of a window operator
-    is read only when r = c mod d: the classes are the d residues mod d,
-    one per diagonal position, and sigma.cp_check draws its inputs
-    pinched onto them.  identity reads every entry, as one class.
+    The sweep kernels of sigma read from each block only what
+    CoeffAlgebra.kept names, and pass the blocks through apply for a full
+    algebra only; sigma.cp_check pinches its inputs onto
+    CoeffAlgebra.classes.
     """
 
     kind: str
@@ -205,16 +226,8 @@ class ExpectationSpec:
         axes, to every matrix of an (..., d, d) stack."""
         x = np.asarray(x, dtype=complex)
         if self.kind == "diagonal":
-            return _keep_diagonal(x)
+            return CoeffAlgebra.diagonal(x.shape[-1]).compress(x)
         return x.copy()
-
-
-def _keep_diagonal(x: np.ndarray) -> np.ndarray:
-    """Zero every off-diagonal entry of each matrix in a (..., d, d) stack."""
-    out = np.zeros_like(x)
-    k = np.arange(x.shape[-1])
-    out[..., k, k] = x[..., k, k]
-    return out
 
 
 @dataclass(frozen=True)
@@ -321,22 +334,6 @@ class CrossedContext:
         return np.asarray(self.perms, dtype=np.int64)
 
     @cached_property
-    def theta_index(self) -> np.ndarray:
-        """(nd, nd) flat indices into a coefficient stack with one zero
-        appended: entry (i d + a, j d + b) of theta(c) is entry (a, b) of
-        alpha_{g_j^-1}(c at g_i g_j^-1), or the zero where g_i g_j^-1
-        leaves the window."""
-        n, d = self.nwin, self.d
-        q = self.inv_perm_index
-        inner = (q[:, :, None] * d + q[:, None, :])[None]
-        idx = np.where(
-            (self.rel_table < 0)[..., None, None],
-            n * d * d,
-            self.rel_table[..., None, None] * (d * d) + inner,
-        )
-        return idx.swapaxes(1, 2).reshape(n * d, n * d)
-
-    @cached_property
     def dual_table(self) -> np.ndarray:
         """(n, n) values conj gamma(g_s) of the characters of a finite
         abelian group, one row per character.  The character of row k is
@@ -369,9 +366,6 @@ class CrossedContext:
         return BlockMatrix(
             self.window, self.d, np.zeros((self.dim, self.dim), dtype=complex)
         )
-
-    def identity_matrix(self) -> "BlockMatrix":
-        return BlockMatrix(self.window, self.d, np.eye(self.dim, dtype=complex))
 
     def wrap(self, data: np.ndarray) -> "BlockMatrix":
         return BlockMatrix(self.window, self.d, np.asarray(data, dtype=complex))
@@ -503,7 +497,7 @@ class SpanElement(BlockMatrix):
     pi_projection, random_crossed_element and theta_embed's dict branch,
     psi's among them, return.  The element keeps c, made read-only, and
     phi_hom, dual_blocks and entries read it as it is; data, the dense
-    theta(c), is gathered on first use and read-only too.  +, - and
+    theta(c), is gathered from it on first use and read-only too.  +, - and
     scalar * with a span element of the same context act on the stacks,
     which is the dense arithmetic entry for entry, since theta is a
     gather."""
@@ -529,9 +523,9 @@ class SpanElement(BlockMatrix):
         return SpanElement(self.ctx, self.coeffs[index])
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The entries of theta(c) at rows and cols, gathered from c
-        through theta_index without building the dense operator."""
-        return _with_zero(self.coeffs)[..., self.ctx.theta_index[rows, cols]]
+        """The entries of theta(c) at rows and cols, read straight from c
+        (_theta_entries) without building the dense operator."""
+        return _theta_entries(self.ctx, self.coeffs, rows, cols)
 
     def _same_span(self, other) -> bool:
         return isinstance(other, SpanElement) and other.ctx is self.ctx
@@ -643,8 +637,8 @@ def fourier_coefficient(
     gather through the rows of mul_table.  The single g is the same
     gather through its left_index row, with that axis dropped.  The
     blocks are read by x.entries, so for a SpanElement theta(c) block
-    (h, h) is alpha_{h^-1}(c_g), read off the stack through theta_index
-    without building the dense theta(c), and 0 for g off the window; any
+    (h, h) is alpha_{h^-1}(c_g), read straight from the stack without
+    building the dense theta(c), and 0 for g off the window; any
     other x is read off its dense data, as by the span check (_phi_batch)."""
     row = ctx.mul_table if g is None else ctx.left_index(g)
     n, d = ctx.nwin, ctx.d
@@ -723,10 +717,7 @@ def phi_hom(ctx: CrossedContext, x: BlockMatrix) -> np.ndarray:
     raises when no such r exists (x is outside the crossed-product span)
     within DEFAULT_TOL.  A stack of operators gives a stack of stacks.
     """
-    coeffs = span_coefficients(ctx, x)[0]
-    if ctx.algebra.kind == "diagonal":
-        return _keep_diagonal(coeffs)
-    return coeffs
+    return ctx.algebra.compress(span_coefficients(ctx, x)[0])
 
 
 def span_coefficients(ctx: CrossedContext, x: BlockMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -769,10 +760,7 @@ def _phi_batch(ctx: CrossedContext, data: np.ndarray) -> Tuple[np.ndarray, np.nd
         gap = np.abs(cand)[None]
         if not ctx.group.is_finite():
             gap[:, ctx.mul_table < 0] = 0.0
-        # largest entry off the algebra, per coefficient
-        off = np.zeros(n)
-        if ctx.algebra.kind == "diagonal":
-            off = np.max(np.abs(coeffs[k] * (1.0 - np.eye(d))), axis=(-2, -1))
+        off = ctx.algebra.off_algebra(coeffs[k])
         if np.max(gap) > DEFAULT_TOL or not np.max(off) <= DEFAULT_TOL:
             _raise_outside_span(ctx, np.max(gap[0], axis=(-2, -1)), off, k)
         squares[k] = np.einsum("ktjab,ktjab->k", gap, gap)[0]
@@ -919,18 +907,27 @@ def theta_embed(
 
 
 def _theta_gather(ctx: CrossedContext, stack: np.ndarray) -> np.ndarray:
-    """The dense (..., nd, nd) data of theta of a (..., n, d, d) stack, in
-    one gather."""
-    return _with_zero(stack)[..., ctx.theta_index]
+    """The dense (..., nd, nd) data of theta of a (..., n, d, d) stack."""
+    k = np.arange(ctx.dim)
+    return _theta_entries(ctx, stack, k[:, None], k)
 
 
-def _with_zero(stack: np.ndarray) -> np.ndarray:
-    """A (..., n, d, d) coefficient stack flattened to (..., n d d + 1), a
-    zero appended to each: what theta_index reads."""
-    lead = stack.shape[:-3]
-    flat = np.zeros(lead + (math.prod(stack.shape[-3:]) + 1,), dtype=complex)
-    flat[..., :-1] = stack.reshape(lead + (-1,))
-    return flat
+def _theta_entries(
+    ctx: CrossedContext, stack: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """theta(c) at the broadcast index arrays rows and cols, for each c of
+    a (..., n, d, d) stack: entry (i d + a, j d + b) is
+    c[rel_table[i, j], q[j, a], q[j, b]] with q = inv_perm_index, that is
+    alpha_{g_j^-1}(c at g_i g_j^-1), or 0 where g_i g_j^-1 leaves the window."""
+    n, d = ctx.nwin, ctx.d
+    (i, a), (j, b) = np.divmod(rows, d), np.divmod(cols, d)
+    # one flat index into each c, from 1-d gathers of the small tables
+    q, rel = ctx.inv_perm_index.ravel(), ctx.rel_table.ravel()[i * n + j]
+    flat = (np.maximum(rel, 0) * d + q[j * d + a]) * d + q[j * d + b]
+    out = np.take(stack.reshape(stack.shape[:-3] + (-1,)), flat, axis=-1)
+    out = out.astype(complex, copy=False)
+    out[..., rel < 0] = 0.0
+    return out
 
 
 def hadamard_product(ctx: CrossedContext, x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:

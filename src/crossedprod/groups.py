@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,6 +75,14 @@ class GroupSpec:
         """Standard symmetric generators in the fixed enumeration order."""
         raise NotImplementedError
 
+    def iter_generators(self) -> Iterator[Element]:
+        """generating_set() built one generator at a time."""
+        return iter(self.generating_set())
+
+    def element_size(self) -> int:
+        """What an element counts against a ball's cap: its components."""
+        return 1
+
     def axes(self) -> Tuple[int, ...]:
         """The order of each abelian coordinate, 0 for a Z axis."""
         raise SpecMismatchError(f"no averaging sequence for {self.label}")
@@ -103,15 +111,17 @@ class GroupSpec:
         such generator s in ``generating_set()`` order.  The search visits
         sphere k in order and each g's generators in order, and appends h
         at exactly that first visit; by induction from {e}, every sphere
-        comes out sorted.  Raises ResourceCapError as soon as more than
-        ``cap`` elements have been seen, so the work is
+        comes out sorted.  Raises ResourceCapError once the elements seen,
+        each counted element_size() times, exceed ``cap``; the first step
+        builds the generators as it reaches them, so the work is
         O(cap * |generating set|).
         """
         too_big = f"ball of {self.label} at radius {n} exceeds cap {cap}"
-        gens = self.generating_set()
+        limit = cap // self.element_size()
+        gens = self.iter_generators()
         frontier = [self.identity()]
         seen = set(frontier)
-        if len(seen) > cap:
+        if len(seen) > limit:
             raise ResourceCapError(too_big)
         out = list(frontier)
         for _ in range(n):
@@ -121,11 +131,13 @@ class GroupSpec:
                     h = self.multiply(g, s)
                     if h not in seen:
                         seen.add(h)
-                        if len(seen) > cap:
+                        if len(seen) > limit:
                             raise ResourceCapError(too_big)
                         nxt.append(h)
             if not nxt:
                 break
+            if len(out) == 1:
+                gens = nxt  # sphere 1: each generator that adds an element, e s = s
             out.extend(nxt)
             frontier = nxt
         return out
@@ -403,13 +415,16 @@ class ProductGroup(GroupSpec):
         return a
 
     def generating_set(self):
-        gens = []
+        return tuple(self.iter_generators())
+
+    def iter_generators(self):
+        e = self.identity()
         for i, f in enumerate(self.factors):
-            for s in f.generating_set():
-                e = list(self.identity())
-                e[i] = s
-                gens.append(tuple(e))
-        return tuple(gens)
+            for s in f.iter_generators():
+                yield e[:i] + (s,) + e[i + 1 :]
+
+    def element_size(self):
+        return sum(f.element_size() for f in self.factors)
 
     def axes(self):
         return tuple(m for f in self.factors for m in f.axes())

@@ -63,7 +63,6 @@ class PdFunction:
     spec: GroupSpec
     evaluator: Callable[[Element], complex]
     support: Optional[frozenset] = None
-    label: str = ""
     radial: bool = False
 
     def __post_init__(self):
@@ -166,7 +165,6 @@ def chi_from_set(spec: GroupSpec, S: Sequence[Element]) -> PdFunction:
         spec,
         evaluate,
         support=support,
-        label=f"chi_S(|S|={size})",
         radial=_is_free_ball(spec, sset),
     )
 
@@ -208,7 +206,7 @@ def chi_from_vector(spec: GroupSpec, xi: L2Vector) -> PdFunction:
                 total += kth.conjugate() * kh
         return total
 
-    return PdFunction(spec, evaluate, support=support, label="chi_xi")
+    return PdFunction(spec, evaluate, support=support)
 
 
 def haagerup(spec: GroupSpec, eps: float) -> PdFunction:
@@ -219,7 +217,6 @@ def haagerup(spec: GroupSpec, eps: float) -> PdFunction:
         spec,
         lambda t: math.exp(-eps * spec.word_length(t)),
         support=None,
-        label=f"exp(-{eps}*l)",
         radial=True,
     )
 
@@ -237,7 +234,6 @@ def pointwise_product(f: PdFunction, g: PdFunction) -> PdFunction:
         f.spec,
         lambda t: f(t) * g(t),
         support=support,
-        label=f"({f.label})*({g.label})",
         radial=f.radial and g.radial,
     )
 
@@ -260,7 +256,6 @@ def convex_combination(terms: Sequence[Tuple[float, PdFunction]]) -> PdFunction:
         spec,
         lambda t: sum(w * f(t) for w, f in terms),
         support=support,
-        label="convex",
         radial=all(f.radial for _, f in terms),
     )
 

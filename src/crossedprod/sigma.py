@@ -107,38 +107,34 @@ def _expected_terms(
     weights: np.ndarray,
 ) -> np.ndarray:
     """weights * alpha(E(x_{(i, j)})) over the block pairs (i, j), for each
-    operator of a stack x: (..., pairs, d) or (..., pairs, d, d) over x's
-    leading axes.
+    operator of a stack x, as the flat (..., pairs, K) values at the
+    algebra's kept entries, over x's leading axes.
 
     i, j and weights broadcast against each other; pinv holds the gather
     indices of alpha, one (d,) row per pair or one for all, as in
-    alpha_by_perm.  Only the entries the expectation keeps are read, by
-    x.entries, which reads a span element's off its stack: for a
-    diagonal algebra the (..., d) diagonals, entry a of pair (i, j) being
-    entry (i d + pinv[a], j d + pinv[a]); for a full algebra, the scalars
-    (d = 1) among them, every entry, as (..., d, d) blocks compressed by
-    ExpectationSpec.apply and permuted by alpha_by_perm.
+    alpha_by_perm.  Only the kept entries are read, by x.entries, which
+    reads a span element's off its stack: entry (r, c) of pair (i, j) is
+    x's entry (i d + pinv[r], j d + pinv[c]).  A full algebra, the scalars
+    among them, reads its blocks through ExpectationSpec.apply instead.
     """
     d = ctx.d
-    if ctx.algebra.kind == "diagonal":
-        rows = (i * d)[..., None] + pinv
-        cols = (j * d)[..., None] + pinv
-        return weights[..., None] * x.entries(rows, cols)
-    k = np.arange(d)
-    rows = (i * d)[..., None, None] + k[:, None]
-    cols = (j * d)[..., None, None] + k
-    blocks = ctx.alpha_by_perm(pinv, ctx.expectation.apply(x.entries(rows, cols)))
-    return weights[..., None, None] * blocks
+    if ctx.algebra.kind == "full":
+        k = np.arange(d)
+        rows = (i * d)[..., None, None] + k[:, None]
+        cols = (j * d)[..., None, None] + k
+        blocks = ctx.alpha_by_perm(pinv, ctx.expectation.apply(x.entries(rows, cols)))
+        return weights[..., None] * blocks.reshape(blocks.shape[:-2] + (d * d,))
+    kr, kc = ctx.algebra.kept
+    rows = (i * d)[..., None] + pinv[..., kr]
+    cols = (j * d)[..., None] + pinv[..., kc]
+    return weights[..., None] * x.entries(rows, cols)
 
 
 def _as_blocks(ctx: CrossedContext, kept: np.ndarray) -> np.ndarray:
-    """The (..., d, d) blocks of sums of _expected_terms: a diagonal
-    algebra's (..., d) diagonals written onto zero blocks."""
-    if ctx.algebra.kind != "diagonal":
-        return kept
-    out = np.zeros(kept.shape + (ctx.d,), dtype=complex)
-    k = np.arange(ctx.d)
-    out[..., k, k] = kept
+    """The (..., d, d) blocks of (..., K) values at the algebra's kept
+    entries, such as sums of _expected_terms, written onto zero blocks."""
+    out = np.zeros(kept.shape[:-1] + (ctx.d, ctx.d), dtype=complex)
+    out[(...,) + ctx.algebra.kept] = kept
     return out
 
 
@@ -149,10 +145,10 @@ def sigma_coefficients(
     a stack of operators, (..., n, d, d) over its leading axes.
 
     xi is the vector or its Support on ctx's window, as an
-    ExpectationPair holds it.  Reads from x only the entries the
-    expectation keeps: the d diagonal entries of each support block for
-    a diagonal algebra, every entry of it for a full algebra, the scalars
-    among them (see _expected_terms); a span element's are read off its
+    ExpectationPair holds it.  Reads from x only the K entries of each
+    support block that the algebra keeps (CoeffAlgebra.kept; see
+    _expected_terms), sums them as flat (..., n, K) values and writes
+    those onto the blocks (_as_blocks); a span element's are read off its
     stack, so no dense theta(c) is built.  A stack is read in parts along
     its first axis of at most STACK_TERMS entries each, or of one operator.
     """
@@ -160,18 +156,18 @@ def sigma_coefficients(
     _check_margin(ctx, slots)
     rows, cols = slots[:, None], slots[None, :]
     pinv = ctx.perm_index[slots]
-    inner = (ctx.d,) if ctx.algebra.kind == "diagonal" else (ctx.d, ctx.d)
+    kept = len(ctx.algebra.kept[0])
     lead = x.lead
-    coeffs = np.zeros(lead + (ctx.nwin,) + inner, dtype=complex)
+    coeffs = np.zeros(lead + (ctx.nwin, kept), dtype=complex)
     at = (slice(None),) * len(lead) + (ctx.rel_table[rows, cols].ravel(),)
-    per_part = slots.size**2 * math.prod(inner + lead[1:])
+    per_part = slots.size**2 * kept * math.prod(lead[1:])
     step = max(1, STACK_TERMS // per_part)
     for a in range(0, lead[0], step) if lead else [None]:
         part = x if a is None else x[a : a + step]
         terms = _expected_terms(ctx, part, rows, cols, pinv, weights)
         # unbuffered and in (i, j) order, as a loop over the pairs would add
         out = coeffs if a is None else coeffs[a : a + step]
-        np.add.at(out, at, terms.reshape(part.lead + (-1,) + inner))
+        np.add.at(out, at, terms.reshape(part.lead + (-1, kept)))
     return _as_blocks(ctx, coeffs)
 
 
@@ -213,11 +209,8 @@ def tau_u(
     )
     if out is None:
         out = ctx.wrap(np.zeros(x.lead + (ctx.dim, ctx.dim), dtype=complex))
-    if ctx.algebra.kind == "diagonal":
-        d, k = ctx.d, np.arange(ctx.d)
-        out.data[..., moved[:, None, None] * d + k, moved[None, :, None] * d + k] += terms
-    else:
-        out.blocks()[..., moved[:, None], moved[None, :], :, :] += terms
+    kr, kc, d = *ctx.algebra.kept, ctx.d
+    out.data[..., moved[:, None, None] * d + kr, moved[None, :, None] * d + kc] += terms
     return out
 
 
@@ -438,12 +431,10 @@ def _positivity_blocks(
     m-amplification on random PSD inputs, drawn and applied trial by
     trial, each trial's m x m grid as one stack."""
     n, d, dim = ctx.nwin, ctx.d, ctx.dim
-    # the classes the expectation reads, as _expected_terms tells them apart
-    classes = d if ctx.algebra.kind == "diagonal" else 1
     coeffs = np.empty((trials, m, m, n, d, d), dtype=complex)
     squares = np.empty((trials, m, m))
     for t in range(trials):
-        z = random_psd(rng, m * dim, classes)
+        z = random_psd(rng, m * dim, ctx.algebra.classes)
         grid = ctx.wrap(z.reshape(m, dim, m, dim).swapaxes(1, 2))
         with span_check(f"positivity trial {t}"):
             coeffs[t], squares[t] = span_coefficients(ctx, apply(grid))

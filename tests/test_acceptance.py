@@ -176,7 +176,7 @@ def test_acceptance_04_sigma_property_suite():
         for idx, (label, ctx) in enumerate(acceptance_contexts()):
             xi = seeded_xi(ctx, 500 + idx)
             pair = make_pair(ctx, xi)
-            ident = ctx.identity_matrix()
+            ident = ctx.wrap(np.eye(ctx.dim, dtype=complex))
             assert op_norm(pair.sigma(ident) - ident) <= 1e-12, label
 
             rng = np.random.default_rng(600 + idx)

@@ -11,7 +11,7 @@ import numpy as np
 from crossedprod import __version__, crossed, posdef, sigma, summation
 from crossedprod._core import BACKEND
 from crossedprod.cli import _json_text, main
-from crossedprod.groups import ORDERING_VERSION, FreeGroup, ball, parse_group
+from crossedprod.groups import ORDERING_VERSION, FreeGroup, ProductGroup, ball, parse_group
 
 
 def run(tmp_path, *argv):
@@ -440,6 +440,17 @@ def test_capped_balls_name_the_largest_radius(tmp_path, capsys):
     assert "at radius 10 exceeds cap 100" in capsys.readouterr().err
 
 
+def test_a_small_cap_refuses_a_lattice_ball_before_its_generators(tmp_path, capsys, monkeypatch):
+    def never(self):
+        raise AssertionError("every generator was built before the cap was checked")
+
+    monkeypatch.setattr(ProductGroup, "generating_set", never)
+    code, out = run(tmp_path, "balls", "--group", "Z^2000", "--radii", "1", "--cap", "10")
+    assert code == 3
+    assert capsys.readouterr().err == "resource cap: ball of Z^2000 at radius 1 exceeds cap 10\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -545,7 +556,6 @@ def test_dense_budget_refuses_before_allocating(tmp_path, capsys, monkeypatch, a
     def refuse(*args, **kwargs):
         raise AssertionError("a dense array was allocated")
 
-    monkeypatch.setattr(crossed.CrossedContext, "identity_matrix", refuse)
     monkeypatch.setattr(sigma, "random_psd", refuse)
     code, out = run(tmp_path, *argv)
     assert code == 3
@@ -777,21 +787,15 @@ def test_underflowing_geometric_weights_are_named(tmp_path, capsys):
 
 def test_sigma_reads_its_tau_sum_and_unit_off_coefficient_stacks(tmp_path, monkeypatch):
     # the tau-sum compares coefficient stacks and the unital defect applies
-    # sigma to theta({e: I}): no dense theta(sigma(x)) and no dense identity
+    # sigma to theta({e: I}): no dense theta(sigma(x))
     calls = []
     real_gather = crossed._theta_gather
-    real_identity = crossed.CrossedContext.identity_matrix
 
     def gather(*args):
         calls.append("_theta_gather")
         return real_gather(*args)
 
-    def identity(ctx):
-        calls.append("identity_matrix")
-        return real_identity(ctx)
-
     monkeypatch.setattr(crossed, "_theta_gather", gather)
-    monkeypatch.setattr(crossed.CrossedContext, "identity_matrix", identity)
     for algebra, action in (("diagonal:2", "swap"), ("full:2", "trivial")):
         code, _ = run(tmp_path, "sigma", "--group", "C4", "--algebra", algebra,
                       "--action", action, "--trials", "5")

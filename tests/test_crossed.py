@@ -147,7 +147,7 @@ def test_diag_properties():
     dx = fourier_coefficient(ctx, x, e)
     assert np.array_equal(dx.data, ref_diag(x))
     assert np.allclose(fourier_coefficient(ctx, dx, e).data, dx.data)
-    ident = fourier_coefficient(ctx, ctx.identity_matrix(), e)
+    ident = fourier_coefficient(ctx, ctx.wrap(np.eye(ctx.dim, dtype=complex)), e)
     assert np.array_equal(ident.data, np.eye(8, dtype=complex))
     # positivity: the diagonal part of x*x stays positive semidefinite
     pos = fourier_coefficient(ctx, x.adjoint() @ x, e)
@@ -215,7 +215,7 @@ def test_reconstruction_window_exact_on_span():
 
 def test_reconstruction_requires_approximate_flag():
     ctx = make_context(Integers(), radius=3)
-    x = ctx.identity_matrix()
+    x = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     with pytest.raises(SpecMismatchError):
         reconstruct(ctx, x)
     y = reconstruct(ctx, x, approximate=True)
@@ -296,7 +296,7 @@ def test_p_seminorm_values():
     rng = np.random.default_rng(41)
     xi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     norm = float(np.linalg.norm(xi))
-    assert p_seminorm(ctx.identity_matrix(), xi) == pytest.approx(norm)
+    assert p_seminorm(ctx.wrap(np.eye(ctx.dim, dtype=complex)), xi) == pytest.approx(norm)
     for g in (1, 3):
         assert p_seminorm(left_translation(ctx, g), xi) == pytest.approx(norm)
 
@@ -362,16 +362,16 @@ def test_hadamard_product_unit():
     assert np.allclose(hadamard_product(ctx, unit, x).data, x.data)
     assert np.allclose(hadamard_product(ctx, x, unit).data, x.data)
     # the crossed-product identity instead acts as the delta series
-    y = hadamard_product(ctx, ctx.identity_matrix(), x)
+    y = hadamard_product(ctx, ctx.wrap(np.eye(ctx.dim, dtype=complex)), x)
     want = theta_embed(ctx, np.concatenate([c[:1], np.zeros((4, 1, 1))]))
     assert np.allclose(y.data, want.data)
 
 
 def test_op_norm_examples():
     ctx = ctx_scalars(4)
-    assert op_norm(ctx.identity_matrix()) == pytest.approx(1.0)
+    assert op_norm(ctx.wrap(np.eye(ctx.dim, dtype=complex))) == pytest.approx(1.0)
     assert op_norm(left_translation(ctx, 1)) == pytest.approx(1.0)
-    x = ctx.identity_matrix() * (-2.0 + 0j)
+    x = ctx.wrap(np.eye(ctx.dim, dtype=complex)) * (-2.0 + 0j)
     assert op_norm(x) == pytest.approx(2.0)
 
 
@@ -416,6 +416,42 @@ def test_algebra_validation():
     with pytest.raises(SpecMismatchError):
         CoeffAlgebra("scalars", 1)
     assert CoeffAlgebra.scalars().identity().shape == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [CoeffAlgebra.scalars(), CoeffAlgebra.diagonal(3), CoeffAlgebra.full(3)],
+    ids=["scalars", "diagonal3", "full3"],
+)
+def test_the_algebra_names_the_entries_it_keeps(algebra):
+    d, diagonal = algebra.internal_dim, algebra.kind == "diagonal"
+    rows, cols = algebra.kept
+    assert algebra.kept is algebra.kept and not rows.flags.writeable
+    if diagonal:
+        assert rows.tolist() == cols.tolist() == list(range(d))
+    else:
+        assert list(zip(rows, cols)) == [(a, b) for a in range(d) for b in range(d)]
+    assert algebra.classes == (d if diagonal else 1)
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((2, 4, d, d)) + 1j * rng.standard_normal((2, 4, d, d))
+    got = algebra.compress(stack)
+    if diagonal:
+        for i, j in np.ndindex(2, 4):
+            assert np.array_equal(got[i, j], np.diag(np.diag(stack[i, j])))
+    else:
+        assert got is stack
+    # random members draw as before: the normals, then their compression
+    m = algebra.random_member(np.random.default_rng(5))
+    draw = np.random.default_rng(5)
+    want = draw.standard_normal((d, d)) + 1j * draw.standard_normal((d, d))
+    assert np.array_equal(m, np.diag(np.diag(want)) if diagonal else want)
+    # membership looks only at the entries outside kept, which a full
+    # algebra has none of, so a non-finite entry is a member of it
+    r = np.diag(np.arange(1.0, d + 1)).astype(complex)
+    assert algebra.contains(r)
+    r[0, -1] = np.nan
+    assert algebra.contains(r) == (not diagonal)
+    assert not algebra.contains(np.eye(d + 1))
 
 
 def test_scalars_are_the_full_one_by_one_matrices():

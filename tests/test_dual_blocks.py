@@ -359,7 +359,7 @@ def test_the_sigma_report_carries_make_pairs_unital_defect(tmp_path):
     ctx = make_context(Cyclic(6), algebra=CoeffAlgebra.full(6))
     weights = {g: 0.5 ** ctx.group.word_length(g) for g in ctx.window}
     pair = make_pair(ctx, L2Vector.normalized(weights))
-    ident = ctx.identity_matrix()
+    ident = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     assert doc["checks"]["unital_defect"] == pair.unital_defect
     assert pair.unital_defect == op_norm(pair.sigma(ident) - ident)
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +352,39 @@ def test_cap_bounds_work(monkeypatch):
     with pytest.raises(ResourceCapError):
         ball(spec, 4, cap=cap)
     assert 0 < len(calls) <= (cap + 1) * len(spec.generating_set())
+
+
+@pytest.mark.parametrize("label", ["Z^3", "Z^2xC3"])
+def test_the_cap_counts_each_component_of_a_payload(label):
+    # a radius-1 ball of either holds 7 elements of 3 components each
+    spec = parse_group(label)
+    assert spec.element_size() == 3
+    assert len(ball(spec, 1, cap=21)) == 7
+    for radius, cap in ((1, 20), (0, 2)):
+        message = f"ball of {label} at radius {radius} exceeds cap {cap}"
+        with pytest.raises(ResourceCapError, match=re.escape(message)):
+            ball(spec, radius, cap=cap)
+
+
+def test_the_cap_stops_a_lattice_ball_before_it_builds_every_generator(monkeypatch):
+    def never(self):
+        raise AssertionError("every generator was built before the cap was checked")
+
+    calls = []
+    multiply = ProductGroup.multiply
+
+    def counted(self, a, b):
+        calls.append(b)
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(ProductGroup, "generating_set", never)
+    monkeypatch.setattr(ProductGroup, "multiply", counted)
+    spec = IntegerLattice(500)
+    # the cap holds two elements of 500 components, e and +e_1
+    with pytest.raises(ResourceCapError, match=r"ball of Z\^500 at radius 1 exceeds cap 1000"):
+        ball(spec, 1, cap=1000)
+    # one multiply by +e_1, one by -e_1 that goes past the cap
+    assert [b[:2] for b in calls] == [(1, 0), (-1, 0)]
 
 
 def test_product_multiply_validates_each_component_once(monkeypatch):

@@ -134,7 +134,7 @@ def test_gram_matrix_examples():
 
 def test_gram_constant_function():
     C3 = Cyclic(3)
-    one = posdef.PdFunction(C3, lambda g: 1.0, label="const")
+    one = posdef.PdFunction(C3, lambda g: 1.0)
     G = gram_matrix(one, ball(C3, 1))
     eig = sorted(np.linalg.eigvalsh(G))
     assert eig == pytest.approx([0.0, 0.0, 3.0], abs=1e-12)
@@ -155,10 +155,7 @@ def test_check_positive_definite_fails():
     # f(+-1) = -1 is not positive definite: the {e, g, g^-1} minor
     # has least eigenvalue 1 - sqrt(2)
     Z = Integers()
-    bad = posdef.PdFunction(
-        Z, lambda g: 1.0 if g == 0 else (-1.0 if g in (1, -1) else 0.0),
-        label="bad",
-    )
+    bad = posdef.PdFunction(Z, lambda g: 1.0 if g == 0 else (-1.0 if g in (1, -1) else 0.0))
     rep = check_positive_definite(bad, ball(Z, 1))
     assert rep.verdict == "Fail"
     assert rep.min_eigenvalue == pytest.approx(1 - math.sqrt(2), abs=1e-12)

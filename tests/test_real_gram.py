@@ -139,9 +139,7 @@ def test_a_radial_non_real_value_keeps_the_complex_table():
 
 def test_the_one_minus_root_two_minor_still_fails():
     Z = Integers()
-    bad = PdFunction(
-        Z, lambda g: 1.0 if g == 0 else (-1.0 if g in (1, -1) else 0.0), label="bad"
-    )
+    bad = PdFunction(Z, lambda g: 1.0 if g == 0 else (-1.0 if g in (1, -1) else 0.0))
     assert gram_matrix(bad, ball(Z, 1)).dtype == np.float64
     report = check_positive_definite(bad, ball(Z, 1))
     assert report.verdict == "Fail"

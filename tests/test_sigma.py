@@ -115,7 +115,7 @@ def test_sigma_matches_naive_evaluation(name, ctx):
 @pytest.mark.parametrize("name,ctx", CONTEXTS, ids=[c[0] for c in CONTEXTS])
 def test_pair_unital_and_eigenrelation(name, ctx):
     pair = make_pair(ctx, positive_xi(ctx, seed=3))
-    ident = ctx.identity_matrix()
+    ident = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     assert op_norm(pair.sigma(ident) - ident) <= 1e-12
     rng = np.random.default_rng(4)
     for g in ctx.window:
@@ -177,15 +177,15 @@ def test_tau_requires_finite_group():
     ctx = make_context(Integers(), radius=2)
     xi = L2Vector({0: 1.0 + 0j})
     with pytest.raises(SpecMismatchError):
-        tau_u(ctx, xi, 1, ctx.identity_matrix())
+        tau_u(ctx, xi, 1, ctx.wrap(np.eye(ctx.dim, dtype=complex)))
 
 
 def test_phi_t_on_identity():
     ctx = ctx_swap(4)
     xi = positive_xi(ctx, seed=11)
-    assert np.allclose(phi_t(ctx, xi, 0, ctx.identity_matrix()), np.eye(2))
+    assert np.allclose(phi_t(ctx, xi, 0, ctx.wrap(np.eye(ctx.dim, dtype=complex))), np.eye(2))
     for t in (1, 2, 3):
-        assert np.allclose(phi_t(ctx, xi, t, ctx.identity_matrix()), 0)
+        assert np.allclose(phi_t(ctx, xi, t, ctx.wrap(np.eye(ctx.dim, dtype=complex))), 0)
 
 
 def test_phi_t_recovers_translate_coefficient():
@@ -215,7 +215,7 @@ def test_phi_t_contraction():
 def test_phi_t_rejects_vanishing_eigenvalue():
     ctx = ctx_scalars(4)
     xi = L2Vector({0: 0.5, 1: 0.5, 2: -0.5, 3: 0.5})
-    x = ctx.identity_matrix()
+    x = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     with pytest.raises(NotInDomainError):
         phi_t(ctx, xi, 1, x)
 
@@ -363,7 +363,7 @@ def test_pi_amplification_on_span_is_max_coefficient_norm():
     x = theta_embed(ctx, coeffs)
     want = max(float(np.linalg.norm(coeffs[i], 2)) for i in range(4))
     assert pi_amplification(pair, x) == pytest.approx(want, abs=1e-10)
-    assert pi_amplification(pair, ctx.identity_matrix()) == pytest.approx(1.0)
+    assert pi_amplification(pair, ctx.wrap(np.eye(ctx.dim, dtype=complex))) == pytest.approx(1.0)
 
 
 def test_margin_mode_pair_on_integers():
@@ -371,7 +371,7 @@ def test_margin_mode_pair_on_integers():
     ctx = make_context(Integers(), radius=2)
     xi = L2Vector.normalized({0: 1.0, 1: 0.5, 2: 0.25})
     pair = make_pair(ctx, xi)
-    ident = ctx.identity_matrix()
+    ident = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     assert op_norm(pair.sigma(ident) - ident) == 0.0
     rng = np.random.default_rng(31)
     for t in (-2, -1, 0, 1, 2):
@@ -387,7 +387,7 @@ def test_margin_pair_needs_positive_eigenvalues_on_window():
     with pytest.raises(ValueError):
         make_pair(ctx, xi)
     # the raw averaged map still works there and stays unital
-    ident = ctx.identity_matrix()
+    ident = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     assert op_norm(sigma_xi(ctx, xi, ident) - ident) == 0.0
 
 
@@ -408,7 +408,7 @@ def test_margin_mode_free_group_pair():
     weights = {g: 2.0 ** -spec.word_length(g) for g in ball(spec, 1)}
     pair = make_pair(ctx, L2Vector.normalized(weights))
     assert complex(pair.chi((1,))).real == pytest.approx(0.5)
-    ident = ctx.identity_matrix()
+    ident = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     assert op_norm(pair.sigma(ident) - ident) <= 1e-15
     rep = check_condition_ii(pair, trials=20)
     assert rep.verdict == "Pass"
@@ -525,7 +525,7 @@ def test_a_pair_builds_its_support_once(monkeypatch):
 
 def test_direct_callers_still_check_the_margin():
     ctx = make_context(Integers(), radius=4)
-    x = ctx.identity_matrix()
+    x = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     outside = L2Vector.normalized({0: 1.0, 9: 1.0})
     with pytest.raises(MarginError):
         sigma_xi(ctx, outside, x)

@@ -26,6 +26,7 @@ from crossedprod.crossed import (
     _permute,
     _phi_batch,
     _raise_outside_span,
+    _theta_gather,
     DEFAULT_TOL,
 )
 from crossedprod.errors import (
@@ -458,6 +459,70 @@ def test_phi_batch_reads_the_fourier_batch_as_the_old_gather(name):
     assert got.value.index == want.value.index == 3
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("coefficient at window slot 0 ")
+    if ctx.algebra.kind == "full":
+        # a full algebra keeps every entry, a non-finite one too: the
+        # coefficient at slot 0 holds it off its diagonal, and the check
+        # does not raise
+        nan = near[:1].copy()
+        nan[0, 0, ctx.d - 1] = np.nan
+        got, want = _phi_batch(ctx, nan), old_phi_batch(ctx, nan)
+        assert np.isnan(got[0][0, 0, 0, -1]) and np.isnan(got[1][0])
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+
+
+def old_theta_index(ctx):
+    """(nd, nd) flat indices into a coefficient stack with one zero
+    appended: entry (i d + a, j d + b) of theta(c) is entry (a, b) of
+    alpha_{g_j^-1}(c at g_i g_j^-1), or the zero where g_i g_j^-1 leaves
+    the window."""
+    n, d = ctx.nwin, ctx.d
+    q = ctx.inv_perm_index
+    inner = (q[:, :, None] * d + q[:, None, :])[None]
+    idx = np.where(
+        (ctx.rel_table < 0)[..., None, None],
+        n * d * d,
+        ctx.rel_table[..., None, None] * (d * d) + inner,
+    )
+    return idx.swapaxes(1, 2).reshape(n * d, n * d)
+
+
+def old_theta_entries(ctx, stack, rows, cols):
+    """theta(c) at rows and cols through old_theta_index, reading a copy
+    of each stack flattened with one zero appended."""
+    lead = stack.shape[:-3]
+    flat = np.zeros(lead + (int(np.prod(stack.shape[-3:])) + 1,), dtype=complex)
+    flat[..., :-1] = stack.reshape(lead + (-1,))
+    return flat[..., old_theta_index(ctx)[rows, cols]]
+
+
+def same_bits(a, b):
+    """Equal shapes and raw float64 words, so that 0.0 and -0.0 differ."""
+    bits = [np.ascontiguousarray(x, dtype=complex).view(np.uint64) for x in (a, b)]
+    return a.shape == b.shape and np.array_equal(*bits)
+
+
+@pytest.mark.parametrize("name", ["C4-swap", "C6-full6", "Z-r3"])
+def test_theta_reads_its_entries_straight_from_the_stack_as_the_old_index(name):
+    ctx = finite_case(name) if name in FINITE else window_case(name)[0]
+    assert ctx.group.is_finite() or (ctx.rel_table < 0).any()
+    rng = np.random.default_rng(11)
+    stack = np.stack([random_stack(ctx, rng) for _ in range(2)])
+    stack[0, 1] *= -0.0
+    k = np.arange(ctx.dim)
+    assert same_bits(_theta_gather(ctx, stack), old_theta_entries(ctx, stack, k[:, None], k))
+    assert same_bits(_theta_gather(ctx, stack[1]), old_theta_entries(ctx, stack[1], k[:, None], k))
+    x = SpanElement(ctx, stack)
+    assert same_bits(x.data, _theta_gather(ctx, stack))
+    rows = rng.integers(0, ctx.dim, size=(3, 1, 4))
+    cols = rng.integers(0, ctx.dim, size=(5, 1))
+    got = x.entries(rows, cols)
+    assert got.shape == (2, 3, 5, 4)
+    assert same_bits(got, old_theta_entries(ctx, stack, rows, cols))
+    assert same_bits(x[1].entries(rows, cols), got[1])
+    # the broadcast gather of the Fourier batch, with g h off the window
+    rows = np.maximum(ctx.mul_table, 0)[..., None, None] * ctx.d + np.arange(ctx.d)[:, None]
+    cols = np.arange(ctx.nwin)[:, None, None] * ctx.d + np.arange(ctx.d)
+    assert same_bits(x.entries(rows, cols), old_theta_entries(ctx, stack, rows, cols))
 
 
 def test_phi_hom_reports_the_first_slot_outside_the_algebra():

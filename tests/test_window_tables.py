@@ -377,7 +377,7 @@ def test_pi_projection_reports_the_first_slot_below_the_floor():
     assert list(ctx.window) == [0, 1, 3, 2]
     low = dataclasses.replace(pair, chi=lambda g: 0.0 if g in (3, 2) else 1.0)
     with pytest.raises(NotInDomainError, match="^eigenvalue underflow at 3$"):
-        pi_projection(low, ctx.identity_matrix())
+        pi_projection(low, ctx.wrap(np.eye(ctx.dim, dtype=complex)))
 
 
 @pytest.mark.parametrize("name", NAMES)
