@@ -6,10 +6,10 @@ algebra names the entries of a block it keeps (CoeffAlgebra.kept) and
 fixes the conditional expectation onto it.  Operators live on window x
 internal space and are stored dense (BlockMatrix), except the span
 elements, which keep their coefficient stack c, read theta(c) straight
-from it and build the dense matrix only when it is read (SpanElement),
-and the Fourier coefficients, which keep their stack of diagonal blocks
-and whose norm is read off it (BlockDiagonal).  The algebra sits in the
-span as psi(r) = theta({e: r}).
+from it and build the dense matrix only when it is read (SpanElement).
+A Fourier coefficient Diag(L_g^* x) is a plain array, the (n, d, d)
+stack of its diagonal blocks, and op_norm norms it off them.  The
+algebra sits in the span as psi(r) = theta({e: r}).
 
 An operator lies in the span exactly when each Fourier coefficient
 Diag(L_g^* x) is alpha-covariant along its diagonal, so the span check
@@ -548,63 +548,27 @@ class SpanElement(BlockMatrix):
     __rmul__ = __mul__
 
 
-class BlockDiagonal(BlockMatrix):
-    """An operator whose off-diagonal blocks are zero by construction, held
-    as the (n, d, d) stack ``diagonal`` of its diagonal blocks, or a stack
-    of such operators, diagonal (..., n, d, d); made read-only.
-    fourier_coefficient returns it.  data, the dense (..., nd, nd)
-    operator, is built from the stack on first read and is read-only too.
-    Arithmetic on it returns a plain BlockMatrix."""
-
-    def __init__(self, window: Ball, block_dim: int, diagonal: np.ndarray):
-        diagonal.flags.writeable = False
-        for name, value in (
-            ("window", window), ("block_dim", block_dim), ("diagonal", diagonal)
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def lead(self) -> Tuple[int, ...]:
-        return self.diagonal.shape[:-3]
-
-    @cached_property
-    def data(self) -> np.ndarray:
-        n, d = len(self.window), self.block_dim
-        out = np.zeros(self.lead + (n * d, n * d), dtype=self.diagonal.dtype)
-        slots = np.arange(n)
-        blocks = out.reshape(self.lead + (n, d, n, d)).swapaxes(-3, -2)
-        blocks[..., slots, slots, :, :] = self.diagonal
-        out.flags.writeable = False
-        return out
-
-    def __getitem__(self, index) -> "BlockDiagonal":
-        return BlockDiagonal(self.window, self.block_dim, self.diagonal[index])
-
-
-def op_norm(x: BlockMatrix) -> Union[float, np.ndarray]:
+def op_norm(x: Union[BlockMatrix, np.ndarray]) -> Union[float, np.ndarray]:
     """Operator norm: sqrt of the top eigenvalue of x* x.
 
-    For a BlockDiagonal, x* x is block diagonal with blocks b* b, so the
-    top eigenvalue is the largest over its stack of diagonal blocks, taken
-    from one batched eigensolve.  A stack of them, such as the Fourier
-    coefficients of an operator at every window slot, gives the array of
-    their norms over its leading axes from that one eigensolve, each the
-    same bits as the operator's own norm; one operator gives a float.  A
-    SpanElement of a finite group is normed off its dual_blocks
-    (span_norms, residual 0).  Any other x, a span element on a window of
-    an infinite group included, takes the dense (nd)^2 path, even when
-    rounding leaves it block diagonal or in the span, so the path follows
-    how x was built rather than the last bits of its entries.  Only a
-    BlockDiagonal may be a stack.
+    An ndarray is read as the (..., n, d, d) diagonal blocks of a block
+    diagonal operator, or a stack of them, as fourier_coefficient returns
+    them: x* x has blocks b* b, so its norm is the largest block norm,
+    taken from one batched eigensolve (span_norms, residual 0).  A stack,
+    such as the coefficients of an operator at every window slot, gives
+    the array of its norms over the leading axes, each the same bits as
+    that operator's own norm; one (n, d, d) operator gives a float.  A
+    SpanElement of a finite group is normed off its dual_blocks.  Any
+    other x, a span element on a window of an infinite group included,
+    takes the dense (nd)^2 path, even when rounding leaves it block
+    diagonal or in the span, so the path follows how x was built rather
+    than the last bits of its entries.
     """
-    if isinstance(x, BlockDiagonal):
-        gram = x.diagonal.conj().swapaxes(-1, -2) @ x.diagonal
-        top = np.max(np.linalg.eigvalsh(gram)[..., -1], axis=-1)
-        norms = np.sqrt(np.maximum(top, 0.0))
-        return norms if x.lead else float(norms)
+    if isinstance(x, np.ndarray):
+        norms = span_norms(x, 0.0)
+        return norms if x.ndim > 3 else float(norms)
     if isinstance(x, SpanElement) and x.ctx.group.is_finite():
-        blocks, residual = dual_blocks(x.ctx, x)
-        return float(span_norms(blocks[None], np.array([residual]))[0])
+        return float(span_norms(*dual_blocks(x.ctx, x)))
     m = x.data
     top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
     return float(np.sqrt(max(0.0, top)))
@@ -628,18 +592,20 @@ def psi(ctx: CrossedContext, r) -> SpanElement:
 
 def fourier_coefficient(
     ctx: CrossedContext, x: BlockMatrix, g: Optional[Element] = None
-) -> BlockDiagonal:
-    """The diagonal operator Diag(L_g^* x); block (h,h) = x_{(gh, h)}, and
-    0 where g h leaves the window.
+) -> np.ndarray:
+    """The diagonal operator Diag(L_g^* x) as the (n, d, d) stack of its
+    diagonal blocks: block h is x_{(gh, h)}, and 0 where g h leaves the
+    window.  op_norm reads such a stack as the operator.
 
     With g omitted, the coefficients at every window slot g, as one
-    BlockDiagonal stack whose leading axis (n,) follows the window: one
-    gather through the rows of mul_table.  The single g is the same
-    gather through its left_index row, with that axis dropped.  The
-    blocks are read by x.entries, so for a SpanElement theta(c) block
-    (h, h) is alpha_{h^-1}(c_g), read straight from the stack without
-    building the dense theta(c), and 0 for g off the window; any
-    other x is read off its dense data, as by the span check (_phi_batch)."""
+    (n, n, d, d) array whose first axis follows the window: one gather
+    through the rows of mul_table.  The single g is the same gather
+    through its left_index row, with that axis dropped.  A stack x puts
+    its leading axes in front.  The blocks are read by x.entries, so for
+    a SpanElement theta(c) block h is alpha_{h^-1}(c_g), read straight
+    from the stack without building the dense theta(c), and 0 for g off
+    the window; any other x is read off its dense data, as by the span
+    check (_phi_batch).  The array is fresh and C-contiguous."""
     row = ctx.mul_table if g is None else ctx.left_index(g)
     n, d = ctx.nwin, ctx.d
     k = np.arange(d)
@@ -647,7 +613,7 @@ def fourier_coefficient(
     cols = np.arange(n)[:, None, None] * d + k
     out = x.entries(rows, cols).astype(complex, copy=False)
     out[..., row < 0, :, :] = 0.0
-    return BlockDiagonal(ctx.window, d, out)
+    return out
 
 
 def reconstruct(
@@ -741,8 +707,9 @@ def span_coefficients(ctx: CrossedContext, x: BlockMatrix) -> Tuple[np.ndarray, 
 def _phi_batch(ctx: CrossedContext, data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The checks of phi_hom on the k operators of a (k, nd, nd) array.
 
-    Candidate (t, j) is alpha_{g_j}(x_{(g_t g_j, g_j)}): the Fourier batch
-    with alpha_{g_j} along its diagonal axis, 0 (masked) off the window.
+    Candidate (t, j) is alpha_{g_j}(x_{(g_t g_j, g_j)}): block j of the
+    Fourier coefficient at slot t (fourier_coefficient's (n, n, d, d)
+    batch) under alpha_{g_j}, 0 (masked) off the window.
     Returns the (k, n, d, d) coefficient stacks and squared residuals, as
     span_coefficients; NotInCrossedProductError outside the span, its
     index the first of the k that fails.  The operators are checked one
@@ -752,7 +719,7 @@ def _phi_batch(ctx: CrossedContext, data: np.ndarray) -> Tuple[np.ndarray, np.nd
     coeffs = np.empty((len(data), n, d, d), dtype=complex)
     squares = np.empty(len(data))
     for k, x in enumerate(data):
-        cand = ctx.alpha_by_perm(ctx.perm_index, fourier_coefficient(ctx, ctx.wrap(x)).diagonal)
+        cand = ctx.alpha_by_perm(ctx.perm_index, fourier_coefficient(ctx, ctx.wrap(x)))
         # slot t is read off column 0 (the identity) and must agree with
         # alpha_{g_j}(x_{(t g_j, g_j)}) in every other column j
         coeffs[k] = cand[:, 0]
@@ -761,7 +728,8 @@ def _phi_batch(ctx: CrossedContext, data: np.ndarray) -> Tuple[np.ndarray, np.nd
         if not ctx.group.is_finite():
             gap[:, ctx.mul_table < 0] = 0.0
         off = ctx.algebra.off_algebra(coeffs[k])
-        if np.max(gap) > DEFAULT_TOL or not np.max(off) <= DEFAULT_TOL:
+        # written so that a NaN fails either test
+        if not (np.max(gap) <= DEFAULT_TOL and np.max(off) <= DEFAULT_TOL):
             _raise_outside_span(ctx, np.max(gap[0], axis=(-2, -1)), off, k)
         squares[k] = np.einsum("ktjab,ktjab->k", gap, gap)[0]
     return coeffs, squares
@@ -769,9 +737,9 @@ def _phi_batch(ctx: CrossedContext, data: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 def _raise_outside_span(ctx: CrossedContext, defect: np.ndarray, off: np.ndarray, k: int):
     """NotInCrossedProductError for operator k of a batch, at its first
-    slot whose (n,) consistency defects exceed DEFAULT_TOL or whose
-    coefficient leaves the algebra by more than DEFAULT_TOL."""
-    inconsistent = defect > DEFAULT_TOL
+    slot whose (n,) consistency defects exceed DEFAULT_TOL, or are NaN,
+    or whose coefficient leaves the algebra by more than DEFAULT_TOL."""
+    inconsistent = ~(defect <= DEFAULT_TOL)
     ti = int(np.flatnonzero(inconsistent.any(axis=-1) | ~(off <= DEFAULT_TOL))[0])
     if inconsistent[ti].any():
         j = int(np.argmax(inconsistent[ti]))

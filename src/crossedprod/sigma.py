@@ -589,12 +589,13 @@ def check_condition_ii(
     one), or a sequence of them, stacked first as dense operators; without
     it, trials random window operators are drawn.  sigma is applied once,
     to the whole stack.  Then, sample by sample, one fourier_coefficient
-    call gives the coefficients at every g as a stack, one op_norm on it
-    gives their n norms from one batched eigensolve, and ||x|| takes the
-    dense eigensolve.  The margins of a sample are chi(g) ||x|| - lhs over
-    the window; the witness is the first worst (sample, g) in
-    sample-major, g-minor order, and no sample after the first one whose
-    margin fails is normed.
+    call gives the coefficients at every g as an (n, n, d, d) array of
+    diagonal blocks, one op_norm on it gives their n norms from one
+    batched eigensolve, and ||x|| takes the dense eigensolve.  The
+    margins of a sample are chi(g) ||x|| - lhs over the window; the
+    witness is the first worst (sample, g) in sample-major, g-minor
+    order, and no sample after the first one whose margin fails is
+    normed.
     """
     ctx = pair.ctx
     if samples is None:

@@ -17,7 +17,6 @@ import pytest
 
 from crossedprod import sigma
 from crossedprod.crossed import (
-    BlockDiagonal,
     CoeffAlgebra,
     fourier_coefficient,
     left_translation,
@@ -134,13 +133,13 @@ def test_every_fourier_coefficient_in_one_call_is_the_per_g_stack(name):
     ctx = context(name)
     for x in operators(ctx, np.random.default_rng(1)):
         batch = fourier_coefficient(ctx, x)
-        assert isinstance(batch, BlockDiagonal) and batch.lead == (ctx.nwin,)
+        assert type(batch) is np.ndarray and batch.flags.c_contiguous
+        assert batch.shape == (ctx.nwin, ctx.nwin, ctx.d, ctx.d)
         for i, g in enumerate(ctx.window):
             one = fourier_coefficient(ctx, x, g)
-            assert same_bits(batch.diagonal[i], one.diagonal)
-            assert same_bits(batch[i].diagonal, one.diagonal)
-            assert same_bits(batch.data[i], one.data)
-            assert same_bits(one.diagonal, ref_fourier_stack(ctx, x, g))
+            assert type(one) is np.ndarray and one.flags.c_contiguous
+            assert same_bits(batch[i], one)
+            assert same_bits(one, ref_fourier_stack(ctx, x, g))
 
 
 @pytest.mark.parametrize("name", FOURIER)
@@ -154,15 +153,41 @@ def test_op_norm_of_the_batch_is_each_per_g_norm(name):
             one = op_norm(fourier_coefficient(ctx, x, g))
             assert type(one) is float
             assert same_bits(norms[i], one)
-            assert one == ref_block_norm(fourier_coefficient(ctx, x, g).diagonal)
+            assert one == ref_block_norm(fourier_coefficient(ctx, x, g))
+
+
+def old_block_diagonal_norm(diagonal):
+    """op_norm's branch for the deleted block-diagonal operator class,
+    read off its (..., n, d, d) stack of diagonal blocks."""
+    gram = diagonal.conj().swapaxes(-1, -2) @ diagonal
+    top = np.max(np.linalg.eigvalsh(gram)[..., -1], axis=-1)
+    norms = np.sqrt(np.maximum(top, 0.0))
+    return norms if diagonal.ndim > 3 else float(norms)
+
+
+@pytest.mark.parametrize("name", FOURIER)
+def test_op_norm_of_blocks_is_the_old_block_diagonal_norm(name):
+    ctx = context(name)
+    xs = operators(ctx, np.random.default_rng(4)) + [ctx.zero()]
+    # on the Z radius-3 window every coefficient but g = 0 has empty
+    # blocks, where g h leaves the window; the zero operator has only those
+    stack = ctx.wrap(np.stack([x.data for x in xs]))
+    for blocks in [fourier_coefficient(ctx, stack)] + [fourier_coefficient(ctx, x) for x in xs]:
+        norms = op_norm(blocks)
+        assert same_bits(norms, old_block_diagonal_norm(blocks))
+        for i in range(ctx.nwin):
+            one = blocks[..., i, :, :, :]
+            want = old_block_diagonal_norm(one)
+            got = op_norm(one)
+            assert type(got) is type(want)
+            assert same_bits(got, want)
 
 
 def test_a_batch_of_a_span_element_builds_no_dense_matrix():
     ctx = context("C6/full6")
     x = random_crossed_element(ctx, np.random.default_rng(3))
-    batch = fourier_coefficient(ctx, x)
-    op_norm(batch)
-    assert "data" not in x.__dict__ and "data" not in batch.__dict__
+    op_norm(fourier_coefficient(ctx, x))
+    assert "data" not in x.__dict__
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -212,7 +237,7 @@ def test_a_halved_chi_fails_with_the_per_g_witness(name, monkeypatch):
     real_op_norm, real_fourier = sigma.op_norm, sigma.fourier_coefficient
 
     def counting_op_norm(x):
-        (batches if isinstance(x, BlockDiagonal) else dense).append(x)
+        (batches if isinstance(x, np.ndarray) else dense).append(x)
         return real_op_norm(x)
 
     def counting_fourier(ctx, x, *g):

@@ -35,6 +35,14 @@ def ref_diag(x):
     return out
 
 
+def block_diagonal(ctx, blocks):
+    """The dense operator with the (n, d, d) blocks on its diagonal."""
+    out = ctx.zero()
+    slots = np.arange(ctx.nwin)
+    out.blocks()[slots, slots] = blocks
+    return out
+
+
 def ctx_scalars(n):
     return make_context(Cyclic(n))
 
@@ -144,16 +152,19 @@ def test_diag_properties():
     rng = np.random.default_rng(3)
     x = random_operator(ctx, rng)
     e = ctx.group.identity()
-    dx = fourier_coefficient(ctx, x, e)
+    blocks = fourier_coefficient(ctx, x, e)
+    assert blocks.shape == (ctx.nwin, ctx.d, ctx.d)
+    dx = block_diagonal(ctx, blocks)
     assert np.array_equal(dx.data, ref_diag(x))
-    assert np.allclose(fourier_coefficient(ctx, dx, e).data, dx.data)
+    assert np.allclose(fourier_coefficient(ctx, dx, e), blocks)
     ident = fourier_coefficient(ctx, ctx.wrap(np.eye(ctx.dim, dtype=complex)), e)
-    assert np.array_equal(ident.data, np.eye(8, dtype=complex))
+    assert np.array_equal(block_diagonal(ctx, ident).data, np.eye(8, dtype=complex))
     # positivity: the diagonal part of x*x stays positive semidefinite
-    pos = fourier_coefficient(ctx, x.adjoint() @ x, e)
-    eigs = np.linalg.eigvalsh((pos.data + pos.data.conj().T) / 2)
+    pos = block_diagonal(ctx, fourier_coefficient(ctx, x.adjoint() @ x, e)).data
+    eigs = np.linalg.eigvalsh((pos + pos.conj().T) / 2)
     assert eigs[0] >= -1e-10
-    assert op_norm(dx) <= op_norm(x) + 1e-12
+    assert abs(op_norm(blocks) - op_norm(dx)) <= 1e-12
+    assert op_norm(blocks) <= op_norm(x) + 1e-12
 
 
 def test_fourier_coefficient_of_translate():
@@ -164,9 +175,9 @@ def test_fourier_coefficient_of_translate():
     for g in ctx.window:
         c = fourier_coefficient(ctx, x, g)
         if g == 2:
-            assert np.allclose(c.data, psi(ctx, r).data)
+            assert np.allclose(block_diagonal(ctx, c).data, psi(ctx, r).data)
         else:
-            assert np.count_nonzero(c.data) == 0
+            assert np.count_nonzero(c) == 0
 
 
 def test_fourier_coefficient_identity_slot():
@@ -174,7 +185,7 @@ def test_fourier_coefficient_identity_slot():
     rng = np.random.default_rng(9)
     x = random_operator(ctx, rng)
     c = fourier_coefficient(ctx, x, 0)
-    assert np.allclose(c.data, ref_diag(x))
+    assert np.allclose(block_diagonal(ctx, c).data, ref_diag(x))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -520,7 +531,7 @@ def test_alpha_identity_and_composition():
 def test_cached_rows_serve_window_elements_without_multiplying(monkeypatch):
     ctx = ctx_swap(6)
     x = random_operator(ctx, np.random.default_rng(5))
-    before = {g: fourier_coefficient(ctx, x, g).data for g in ctx.window}
+    before = {g: fourier_coefficient(ctx, x, g) for g in ctx.window}
     ctx.mul_table
     calls = []
     real = Cyclic.multiply
@@ -531,7 +542,7 @@ def test_cached_rows_serve_window_elements_without_multiplying(monkeypatch):
 
     monkeypatch.setattr(Cyclic, "multiply", counted)
     for g in ctx.window:
-        assert np.array_equal(fourier_coefficient(ctx, x, g).data, before[g])
+        assert np.array_equal(fourier_coefficient(ctx, x, g), before[g])
         assert np.array_equal(ctx.left_index(g), ctx.mul_table[ctx.window.index(g)])
     assert calls == []
     # the returned row is a copy: writing to it leaves the cache alone

@@ -474,7 +474,7 @@ def test_a_non_unital_span_valued_map_is_rejected_off_its_stacks(ctx, monkeypatc
     )
     with pytest.raises(NotUnitalError, match="map is not unital: defect 1.000e"):
         make_pair(ctx, positive_xi(ctx, seed=40))
-    assert gathers == [] and ndims == [4]
+    assert gathers == [] and ndims == [3]
 
 
 def test_margin_mode_keeps_the_dense_unital_defect(monkeypatch):

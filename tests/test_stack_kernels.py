@@ -10,7 +10,6 @@ import pytest
 
 from crossedprod.crossed import (
     ActionSpec,
-    BlockDiagonal,
     BlockMatrix,
     CoeffAlgebra,
     ExpectationSpec,
@@ -459,15 +458,28 @@ def test_phi_batch_reads_the_fourier_batch_as_the_old_gather(name):
     assert got.value.index == want.value.index == 3
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("coefficient at window slot 0 ")
-    if ctx.algebra.kind == "full":
-        # a full algebra keeps every entry, a non-finite one too: the
-        # coefficient at slot 0 holds it off its diagonal, and the check
-        # does not raise
+    # a NaN in a kept entry fails the span check: at the identity slot's
+    # own block it makes coefficient 0 NaN, so every column disagrees
+    # with it
+    kept = [(0, 0)] + ([(0, ctx.d - 1)] if ctx.algebra.kind == "full" else [])
+    for a, b in kept:
         nan = near[:1].copy()
-        nan[0, 0, ctx.d - 1] = np.nan
-        got, want = _phi_batch(ctx, nan), old_phi_batch(ctx, nan)
-        assert np.isnan(got[0][0, 0, 0, -1]) and np.isnan(got[1][0])
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+        nan[0, a, b] = np.nan
+        with pytest.raises(NotInCrossedProductError) as got:
+            _phi_batch(ctx, nan)
+        assert got.value.index == 0
+        assert str(got.value) == (
+            "coefficient at window slot 0 inconsistent across the diagonal (defect nan)"
+        )
+
+
+@pytest.mark.parametrize("name", ["C4-swap", "C6-full6", "Z-r3"])
+def test_a_nan_stand_in_is_outside_the_span(name):
+    ctx = finite_case(name) if name in FINITE else window_case(name)[0]
+    x = ref_theta_embed(ctx, random_stack(ctx, np.random.default_rng(11))).data.copy()
+    x[0, 0] = np.nan
+    with pytest.raises(NotInCrossedProductError, match=r"slot 0 .*\(defect nan\)"):
+        phi_hom(ctx, ctx.wrap(x))
 
 
 def old_theta_index(ctx):
@@ -557,6 +569,14 @@ def eigvalsh_arg_ndims(monkeypatch):
     return seen
 
 
+def block_diagonal(window, d, blocks):
+    """The dense operator with the (n, d, d) blocks on its diagonal."""
+    n = len(window)
+    out = BlockMatrix(window, d, np.zeros((n * d, n * d), dtype=complex))
+    out.blocks()[np.arange(n), np.arange(n)] = blocks
+    return out
+
+
 @pytest.mark.parametrize("d", [1, 2, 6])
 def test_op_norm_block_diagonal_matches_dense(monkeypatch, d):
     rng = np.random.default_rng(d)
@@ -565,10 +585,10 @@ def test_op_norm_block_diagonal_matches_dense(monkeypatch, d):
     for _ in range(5):
         m = rng.standard_normal((n * d, n * d)) + 1j * rng.standard_normal((n * d, n * d))
         slots = np.arange(n)
-        x = BlockDiagonal(window, d, BlockMatrix(window, d, m).blocks()[slots, slots])
-        want = dense_norm(x)
+        blocks = BlockMatrix(window, d, m).blocks()[slots, slots]
+        want = dense_norm(block_diagonal(window, d, blocks))
         seen = eigvalsh_arg_ndims(monkeypatch)
-        assert abs(op_norm(x) - want) <= 1e-12
+        assert abs(op_norm(blocks) - want) <= 1e-12
         assert seen == [3]
         monkeypatch.undo()
 
@@ -579,10 +599,9 @@ def test_op_norm_fourier_coefficient_with_empty_blocks(monkeypatch):
     x = random_operator(ctx, rng)
     for g in [(1,), (1, 2), (-2, -1)]:
         coeff = fourier_coefficient(ctx, x, g)
-        blocks = coeff.blocks()
-        empty = [j for j in range(ctx.nwin) if not blocks[j, j].any()]
+        empty = [j for j in range(ctx.nwin) if not coeff[j].any()]
         assert empty  # g h leaves the window for some h
-        want = dense_norm(coeff)
+        want = dense_norm(block_diagonal(ctx.window, ctx.d, coeff))
         seen = eigvalsh_arg_ndims(monkeypatch)
         assert abs(op_norm(coeff) - want) <= 1e-12
         assert seen == [3]
@@ -599,7 +618,7 @@ def test_op_norm_path_follows_construction_not_values(monkeypatch):
     r = ctx.algebra.random_member(np.random.default_rng(13))
     for x in (psi(ctx, r) - psi(ctx, 2 * r), psi(ctx, r) - psi(ctx, r)):
         assert isinstance(x, SpanElement)
-        for y, ndims in ((x, [4]), (ctx.wrap(x.data), [2])):
+        for y, ndims in ((x, [3]), (ctx.wrap(x.data), [2])):
             seen = eigvalsh_arg_ndims(monkeypatch)
             got = op_norm(y)
             assert seen == ndims
@@ -617,7 +636,7 @@ def test_psi_is_exactly_the_block_loop_and_blockwise(monkeypatch, name, ctx, xi)
     norm = op_norm(got)
     monkeypatch.undo()
     # dual blocks on a finite group, the dense data on a window
-    assert seen == ([4] if ctx.group.is_finite() else [2])
+    assert seen == ([3] if ctx.group.is_finite() else [2])
     want = dense_norm(got)
     assert abs(norm - want) <= 1e-12 * max(1.0, want)
 

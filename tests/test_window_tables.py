@@ -82,14 +82,22 @@ def ref_left_translation(ctx, g):
 
 
 def ref_fourier_coefficient(ctx, x, g):
-    out = ctx.zero()
-    oblocks = out.blocks()
+    """The (n, d, d) diagonal blocks of Diag(L_g^* x), one at a time."""
+    out = np.zeros((ctx.nwin, ctx.d, ctx.d), dtype=complex)
     xblocks = x.blocks()
     idx = ctx.window.index_of
     for j, b in enumerate(ctx.window):
         i = idx.get(ctx.group.multiply(g, b))
         if i is not None:
-            oblocks[j, j] = xblocks[i, j]
+            out[j] = xblocks[i, j]
+    return out
+
+
+def block_diagonal(ctx, blocks):
+    """The dense operator with the (n, d, d) blocks on its diagonal."""
+    out = ctx.zero()
+    slots = np.arange(ctx.nwin)
+    out.blocks()[slots, slots] = blocks
     return out
 
 
@@ -98,11 +106,11 @@ def ref_reconstruct(ctx, x):
     oblocks = out.blocks()
     idx = ctx.window.index_of
     for g in ctx.window:
-        coeff = ref_fourier_coefficient(ctx, x, g).blocks()
+        coeff = ref_fourier_coefficient(ctx, x, g)
         for j, b in enumerate(ctx.window):
             i = idx.get(ctx.group.multiply(g, b))
             if i is not None:
-                oblocks[i, j] += coeff[j, j]
+                oblocks[i, j] += coeff[j]
     return out
 
 
@@ -289,7 +297,8 @@ def test_translations_and_coefficients_match_the_loops(name):
         assert same(fourier_coefficient(ctx, x, g), ref_fourier_coefficient(ctx, x, g))
     want = ref_reconstruct(ctx, x)
     assert same(reconstruct(ctx, x, approximate=True), want)
-    assert same(fourier_coefficient(ctx, x, ctx.group.identity()), ref_diag(x))
+    diag = fourier_coefficient(ctx, x, ctx.group.identity())
+    assert same(block_diagonal(ctx, diag), ref_diag(x))
 
 
 def test_left_translation_by_an_element_off_the_window():
