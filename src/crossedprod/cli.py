@@ -418,7 +418,7 @@ def cmd_sigma(args) -> Report:
     cp = sigma_mod.cp_check(
         ctx,
         pair.sigma,
-        chi=pair.chi,
+        chi_values=pair.chi_values,
         amplification=args.amp,
         trials=args.trials,
         tol=args.tol,
@@ -434,7 +434,7 @@ def cmd_sigma(args) -> Report:
     tau_dev = _tau_sum_defect(ctx, pair, samples[:5])
     for x in samples.data[5:]:
         x[...] = sigma_mod.random_window_operator(ctx, rng).data
-    cond = sigma_mod.check_condition_ii(pair, samples=samples, tol=args.tol)
+    cond = sigma_mod.check_condition_ii(pair, samples, tol=args.tol)
     # make_pair already raised NotUnitalError above UNITAL_TOL
     unital = pair.unital_defect
     checks = {

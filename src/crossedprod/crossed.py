@@ -196,11 +196,11 @@ def translation_action(spec: Cyclic) -> ActionSpec:
 
 @dataclass(frozen=True)
 class ExpectationSpec:
-    """Conditional expectation of the d x d matrices onto the algebra.
-
-    diagonal: keep the diagonal; identity: the full algebra (the scalars
-    among them, at d = 1), no compression.  Both are unital, idempotent,
-    and bimodular over the target algebra.
+    """Conditional expectation of the d x d matrices onto the algebra,
+    which fixes it: the entries outside CoeffAlgebra.kept are set to 0
+    (the diagonal of a diagonal algebra; nothing of a full one, the
+    scalars among them).  It is unital, idempotent, and bimodular over
+    the algebra.
 
     The sweep kernels of sigma read from each block only what
     CoeffAlgebra.kept names, and pass the blocks through apply for a full
@@ -208,26 +208,13 @@ class ExpectationSpec:
     CoeffAlgebra.classes.
     """
 
-    kind: str
-
-    # algebra kind -> the expectation onto it
-    _ONTO = {"diagonal": "diagonal", "full": "identity"}
-
-    def __post_init__(self):
-        if self.kind not in self._ONTO.values():
-            raise SpecMismatchError(f"unknown expectation kind {self.kind!r}")
-
-    @staticmethod
-    def default_for(algebra: CoeffAlgebra) -> "ExpectationSpec":
-        return ExpectationSpec(ExpectationSpec._ONTO[algebra.kind])
+    algebra: CoeffAlgebra
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the expectation to a d x d matrix or, over the last two
-        axes, to every matrix of an (..., d, d) stack."""
-        x = np.asarray(x, dtype=complex)
-        if self.kind == "diagonal":
-            return CoeffAlgebra.diagonal(x.shape[-1]).compress(x)
-        return x.copy()
+        axes, to every matrix of an (..., d, d) stack; always a fresh
+        complex array."""
+        return self.algebra.compress(np.array(x, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -265,8 +252,9 @@ class CrossedContext:
     @cached_property
     def expectation(self) -> ExpectationSpec:
         """The trace-preserving conditional expectation onto the algebra,
-        the only one for the diagonal and full algebras."""
-        return ExpectationSpec.default_for(self.algebra)
+        the only one for the diagonal and full algebras; the algebra
+        decides what it keeps."""
+        return ExpectationSpec(self.algebra)
 
     @property
     def d(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -469,16 +469,16 @@ def _bimodularity_blocks(
 
 
 def _eigenrelation_blocks(
-    ctx: CrossedContext, apply: Callable, chi: PdFunction, rng: np.random.Generator
+    ctx: CrossedContext, apply: Callable, chis: np.ndarray, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The (n, n, d, d) dual blocks and the residuals of
     apply(x_g) - chi(g) x_g over the window translates x_g = theta({g: r_g}),
-    applied as one stack."""
+    applied as one stack; chis holds chi at every window slot, as
+    ExpectationPair.chi_values does."""
     n, d = ctx.nwin, ctx.d
     translates = np.zeros((n, n, d, d), dtype=complex)
     for t in range(n):
         translates[t, t] = ctx.algebra.random_member(rng)
-    chis = np.array([complex(chi(g)) for g in ctx.window])
     with span_check(
         lambda t: f"eigenrelation at g = {ctx.group.format_element(ctx.window[t])}"
     ):
@@ -492,7 +492,7 @@ def _eigenrelation_blocks(
 def cp_check(
     ctx: CrossedContext,
     apply: Callable[[BlockMatrix], BlockMatrix],
-    chi: Optional[PdFunction] = None,
+    chi_values: Optional[np.ndarray] = None,
     amplification: int = 1,
     trials: int = 100,
     tol: float = 1e-10,
@@ -519,9 +519,10 @@ def cp_check(
     random algebra elements r, s and operators x, the two inputs of a
     trial stacked; the second sandwich is taken on the coefficient
     stacks of all trials at once, alpha_{t^-1}(r) c_t s.  The
-    eigenrelation, when chi is supplied, applies the map once to the
-    stack of the n translates theta({g: r_g}), which it reads off their
-    stacks.  No check builds a dense sigma(x).
+    eigenrelation, when chi_values (chi at every window slot, as
+    ExpectationPair.chi_values holds it) is supplied, applies the map
+    once to the stack of the n translates theta({g: r_g}), which it reads
+    off their stacks.  No check builds a dense sigma(x).
 
     Every output must lie in the crossed-product span.  A SpanElement's
     coefficients are taken as they are; any other output, such as a
@@ -548,8 +549,8 @@ def cp_check(
     max_bimod = float(bimod[worst_bimod])
 
     max_eigrel, worst_g = 0.0, None
-    if chi is not None:
-        eigrel = span_norms(*_eigenrelation_blocks(ctx, apply, chi, rng))
+    if chi_values is not None:
+        eigrel = span_norms(*_eigenrelation_blocks(ctx, apply, chi_values, rng))
         worst_g = int(np.argmax(eigrel))
         max_eigrel = float(eigrel[worst_g])
 
@@ -573,11 +574,7 @@ def cp_check(
 
 
 def check_condition_ii(
-    pair: ExpectationPair,
-    samples: Optional[Union[BlockMatrix, Sequence[BlockMatrix]]] = None,
-    trials: int = 100,
-    tol: float = 1e-10,
-    seed: int = 0,
+    pair: ExpectationPair, samples: BlockMatrix, tol: float = 1e-10
 ) -> CpReport:
     """Diagonal-compression bound sweep.
 
@@ -585,11 +582,10 @@ def check_condition_ii(
     ||Diag(L_{g^-1} sigma(x))|| must stay below chi(g) ||x||; the report
     carries the worst margin (bound minus value; negative = violation).
 
-    samples is a (T, nd, nd) stack of operators, one operator (a stack of
-    one), or a sequence of them, stacked first as dense operators; without
-    it, trials random window operators are drawn.  sigma is applied once,
-    to the whole stack.  Then, sample by sample, one fourier_coefficient
-    call gives the coefficients at every g as an (n, n, d, d) array of
+    samples is a non-empty (T, nd, nd) stack of operators; one operator
+    or an empty stack is a ConfigError.  sigma is applied once, to the
+    whole stack.  Then, sample by sample, one fourier_coefficient call
+    gives the coefficients at every g as an (n, n, d, d) array of
     diagonal blocks, one op_norm on it gives their n norms from one
     batched eigensolve, and ||x|| takes the dense eigensolve.  The
     margins of a sample are chi(g) ||x|| - lhs over the window; the
@@ -598,16 +594,12 @@ def check_condition_ii(
     normed.
     """
     ctx = pair.ctx
-    if samples is None:
-        rng = np.random.default_rng(seed)
-        samples = [random_window_operator(ctx, rng) for _ in range(trials)]
-    if not isinstance(samples, BlockMatrix):
-        samples = ctx.wrap(np.stack([x.data for x in samples])) if len(samples) else None
-    elif not samples.lead:
-        samples = samples[None]
-    if samples is None or samples.lead[0] == 0:
+    if len(samples.lead) != 1 or samples.lead[0] == 0:
         # an empty sweep would report Pass with an infinite margin
-        raise ConfigError("no samples: give trials >= 1 or a non-empty samples list")
+        raise ConfigError(
+            f"condition (ii) needs a non-empty (T, {ctx.dim}, {ctx.dim}) stack "
+            f"of samples, got shape {samples.lead + (ctx.dim, ctx.dim)}"
+        )
     chis = pair.chi_values.real
     sxs = pair.sigma(samples)
     margin = np.inf

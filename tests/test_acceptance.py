@@ -190,7 +190,7 @@ def test_acceptance_04_sigma_property_suite():
                 rep = cp_check(
                     ctx,
                     pair.sigma,
-                    chi=pair.chi,
+                    chi_values=pair.chi_values,
                     amplification=m,
                     trials=100,
                     seed=700 + idx + m,
@@ -208,7 +208,7 @@ def test_acceptance_04_sigma_property_suite():
         assert elapsed < 60.0, f"property suite took {elapsed:.1f}s"
 
 
-def test_acceptance_05_expectation_pair_definition():
+def test_acceptance_05_expectation_pair_definition(window_samples):
     with criterion(5, "expectation-pair bound, idempotent, and reassembly"):
         cases = [
             ("C5/scalars", make_context(Cyclic(5))),
@@ -223,7 +223,7 @@ def test_acceptance_05_expectation_pair_definition():
         ]
         for idx, (label, ctx) in enumerate(cases):
             pair = make_pair(ctx, seeded_xi(ctx, 900 + idx))
-            rep = check_condition_ii(pair, trials=100, seed=910 + idx)
+            rep = check_condition_ii(pair, window_samples(ctx, 100, seed=910 + idx))
             assert rep.condition_ii_margin >= -1e-10, label
 
             rng = np.random.default_rng(920 + idx)

@@ -196,13 +196,15 @@ def test_the_margin_is_the_per_g_scan(name):
     pair = pair_of(ctx, 5)
     rng = np.random.default_rng(6)
     samples = [random_window_operator(ctx, rng) for _ in range(6)]
-    rep = check_condition_ii(pair, samples=samples)
+    rep = check_condition_ii(pair, stacked(ctx, samples))
     margin, _, _ = ref_condition_ii(pair, samples)
     assert rep.verdict == "Pass"
     assert same_bits(rep.condition_ii_margin, margin)
-    # a stack of the samples is the same sweep as their list
-    stack = ctx.wrap(np.stack([x.data for x in samples]))
-    assert check_condition_ii(pair, samples=stack).to_json() == rep.to_json()
+
+
+def stacked(ctx, samples):
+    """The (T, nd, nd) stack of a list of operators."""
+    return ctx.wrap(np.stack([x.data for x in samples]))
 
 
 def halved(pair):
@@ -246,7 +248,7 @@ def test_a_halved_chi_fails_with_the_per_g_witness(name, monkeypatch):
 
     monkeypatch.setattr(sigma, "op_norm", counting_op_norm)
     monkeypatch.setattr(sigma, "fourier_coefficient", counting_fourier)
-    rep = check_condition_ii(pair, samples=samples)
+    rep = check_condition_ii(pair, stacked(ctx, samples))
     want = f"Fail(sample={si}, g={ctx.group.format_element(g)}, margin={margin:.3e})"
     assert rep.verdict == want
     assert same_bits(rep.condition_ii_margin, margin)
@@ -255,7 +257,7 @@ def test_a_halved_chi_fails_with_the_per_g_witness(name, monkeypatch):
     assert len(dense) == len(batches) == normed
 
 
-def test_each_sample_takes_one_batch_one_norm_and_one_dense_norm(monkeypatch):
+def test_each_sample_takes_one_batch_one_norm_and_one_dense_norm(monkeypatch, window_samples):
     ctx = context("C4/swap/diagonal2")
     pair = pair_of(ctx, 9)
     calls = {"sigma": [], "fourier": 0, "op_norm": 0}
@@ -278,25 +280,26 @@ def test_each_sample_takes_one_batch_one_norm_and_one_dense_norm(monkeypatch):
     monkeypatch.setattr(sigma, "sigma_xi", sigma_xi)
     monkeypatch.setattr(sigma, "fourier_coefficient", fourier)
     monkeypatch.setattr(sigma, "op_norm", norm)
-    rep = check_condition_ii(pair, trials=7, seed=10)
+    rep = check_condition_ii(pair, window_samples(ctx, 7, seed=10))
     assert rep.verdict == "Pass" and rep.trials == 7
     assert calls == {"sigma": [(7,)], "fourier": 7, "op_norm": 14}
 
 
 @pytest.mark.parametrize("name", ["C4/swap/diagonal2", "C6/full6"])
-def test_one_operator_is_a_stack_of_one(name):
+def test_one_operator_or_an_empty_stack_is_refused(name):
     ctx = context(name)
     pair = pair_of(ctx, 11)
     rng = np.random.default_rng(12)
+    want = rf"non-empty \(T, {ctx.dim}, {ctx.dim}\) stack"
     x = random_window_operator(ctx, rng)
-    assert x.lead == ()
-    rep = check_condition_ii(pair, samples=x)
-    assert rep.trials == 1
-    assert rep.to_json() == check_condition_ii(pair, samples=[x]).to_json()
     y = random_crossed_element(ctx, rng)
-    assert y.lead == ()
-    rep = check_condition_ii(pair, samples=y)
-    assert rep.trials == 1 and rep.verdict == "Pass"
-    # an empty stack is still no sweep
-    with pytest.raises(ConfigError, match="no samples"):
-        check_condition_ii(pair, samples=ctx.wrap(np.empty((0, ctx.dim, ctx.dim))))
+    for one in (x, y):
+        assert one.lead == ()
+        with pytest.raises(ConfigError, match=want):
+            check_condition_ii(pair, one)
+        # a stack of one is a sweep
+        rep = check_condition_ii(pair, one[None])
+        assert rep.trials == 1 and rep.verdict == "Pass"
+    # an empty sweep would report Pass with an infinite margin
+    with pytest.raises(ConfigError, match=want):
+        check_condition_ii(pair, ctx.wrap(np.empty((0, ctx.dim, ctx.dim), dtype=complex)))

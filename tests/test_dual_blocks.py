@@ -251,12 +251,14 @@ def test_a_failing_cp_check_names_its_worst_trial():
     def negated(x):
         return -1.0 * pair.sigma(x)
 
-    rep = cp_check(ctx, negated, chi=pair.chi, amplification=2, trials=12, seed=4)
+    rep = cp_check(ctx, negated, chi_values=pair.chi_values, amplification=2, trials=12, seed=4)
     lows = dense_trial_minima(ctx, negated, 2, 12, 4)
     worst = int(np.argmin(lows))
     assert rep.verdict == f"Fail(trial={worst}, min_eigenvalue={rep.min_eigenvalue_seen:.3e})"
     assert abs(rep.min_eigenvalue_seen - lows[worst]) <= REL_TOL * abs(lows[worst])
-    passing = cp_check(ctx, pair.sigma, chi=pair.chi, amplification=2, trials=12, seed=4)
+    passing = cp_check(
+        ctx, pair.sigma, chi_values=pair.chi_values, amplification=2, trials=12, seed=4
+    )
     assert passing.verdict == "Pass"
 
 
@@ -293,7 +295,7 @@ def test_half_of_sigma_fails_the_eigenrelation_at_its_worst_g():
         seen.append(x)
         return 0.5 * pair.sigma(x)
 
-    rep = cp_check(ctx, halved, chi=pair.chi, amplification=1, trials=4, seed=5)
+    rep = cp_check(ctx, halved, chi_values=pair.chi_values, amplification=1, trials=4, seed=5)
     translates = seen[-1]
     assert translates.lead == (ctx.nwin,)
     defects = [
@@ -315,8 +317,8 @@ def test_a_map_that_is_not_bimodular_names_its_worst_trial():
     pair = pair_of(ctx, 20)
     unit = theta_embed(ctx, {ctx.group.identity(): ctx.algebra.identity()})
     trials, seed = 12, 6
-    rep = cp_check(ctx, lambda x: pair.sigma(x) + unit, chi=pair.chi, amplification=1,
-                   trials=trials, seed=seed)
+    rep = cp_check(ctx, lambda x: pair.sigma(x) + unit, chi_values=pair.chi_values,
+                   amplification=1, trials=trials, seed=seed)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         random_psd(rng, ctx.dim)

@@ -281,7 +281,7 @@ def test_pi_reuses_given_sigma_coefficients():
 def test_cp_check_report():
     ctx = ctx_swap(4)
     pair = make_pair(ctx, positive_xi(ctx, seed=20))
-    rep = cp_check(ctx, pair.sigma, chi=pair.chi, amplification=2, trials=20)
+    rep = cp_check(ctx, pair.sigma, chi_values=pair.chi_values, amplification=2, trials=20)
     assert rep.verdict == "Pass"
     assert rep.min_eigenvalue_seen >= -1e-10
     assert rep.max_bimodular_defect <= 1e-12
@@ -303,10 +303,10 @@ def test_cp_check_amplified_levels():
         assert rep.min_eigenvalue_seen >= -1e-10
 
 
-def test_condition_ii_holds():
+def test_condition_ii_holds(window_samples):
     for _, ctx in CONTEXTS:
         pair = make_pair(ctx, positive_xi(ctx, seed=22))
-        rep = check_condition_ii(pair, trials=30)
+        rep = check_condition_ii(pair, window_samples(ctx, 30))
         assert rep.verdict == "Pass"
         assert rep.condition_ii_margin >= -1e-10
 
@@ -317,11 +317,11 @@ def test_condition_ii_tight_on_translates():
     pair = make_pair(ctx, positive_xi(ctx, seed=23))
     rng = np.random.default_rng(24)
     phases = np.exp(2j * np.pi * rng.random(4))
-    samples = [
-        left_translation(ctx, g) @ psi(ctx, np.diag(phases))
+    samples = ctx.wrap(np.stack([
+        (left_translation(ctx, g) @ psi(ctx, np.diag(phases))).data
         for g in ctx.window
-    ]
-    rep = check_condition_ii(pair, samples=samples)
+    ]))
+    rep = check_condition_ii(pair, samples)
     assert rep.verdict == "Pass"
     assert abs(rep.condition_ii_margin) <= 1e-12
 
@@ -330,11 +330,9 @@ def test_sweeps_without_trials_do_not_pass():
     ctx = ctx_scalars(3)
     pair = make_pair(ctx, uniform_xi(ctx))
     with pytest.raises(ConfigError):
-        cp_check(ctx, pair.sigma, chi=pair.chi, trials=0)
+        cp_check(ctx, pair.sigma, chi_values=pair.chi_values, trials=0)
     with pytest.raises(ConfigError):
-        check_condition_ii(pair, trials=0)
-    with pytest.raises(ConfigError):
-        check_condition_ii(pair, samples=[])
+        check_condition_ii(pair, ctx.wrap(np.empty((0, ctx.dim, ctx.dim), dtype=complex)))
 
 
 def test_pi_projection_fixes_span():
@@ -402,7 +400,7 @@ def test_margin_mode_rejects_wide_support():
         make_pair(ctx2, L2Vector.indicator(list(ball(FreeGroup(2), 1))))
 
 
-def test_margin_mode_free_group_pair():
+def test_margin_mode_free_group_pair(window_samples):
     spec = FreeGroup(2)
     ctx = make_context(spec, radius=2)
     weights = {g: 2.0 ** -spec.word_length(g) for g in ball(spec, 1)}
@@ -410,7 +408,7 @@ def test_margin_mode_free_group_pair():
     assert complex(pair.chi((1,))).real == pytest.approx(0.5)
     ident = ctx.wrap(np.eye(ctx.dim, dtype=complex))
     assert op_norm(pair.sigma(ident) - ident) <= 1e-15
-    rep = check_condition_ii(pair, trials=20)
+    rep = check_condition_ii(pair, window_samples(ctx, 20))
     assert rep.verdict == "Pass"
 
 
@@ -573,5 +571,5 @@ def test_each_span_check_of_cp_check_names_its_witness(call, index, witness):
         NotInCrossedProductError,
         match="^" + re.escape(witness) + ": coefficient at window slot ",
     ):
-        cp_check(ctx, stand_in, chi=pair.chi, amplification=1, trials=4)
+        cp_check(ctx, stand_in, chi_values=pair.chi_values, amplification=1, trials=4)
     assert [x.lead for x in calls] == ([(1, 1)] * 4 + [(2,), (ctx.nwin,)])[: call + 1]

@@ -192,7 +192,7 @@ def test_cp_check_builds_no_dense_sigma_in_positivity_or_eigenrelation(monkeypat
 
     built, was_built = dense_builds(monkeypatch)
     trials, m = 4, 2
-    rep = cp_check(ctx, apply, chi=pair.chi, amplification=m, trials=trials, seed=3)
+    rep = cp_check(ctx, apply, chi_values=pair.chi_values, amplification=m, trials=trials, seed=3)
     assert rep.verdict == "Pass" and rep.max_bimodular_defect <= 1e-12
     # one call per positivity grid, one on the stacked inputs of the one
     # bimodular trial, whose sandwich psi(r) sigma(x) psi(s) stays a stack
@@ -256,7 +256,7 @@ def test_op_norm_of_a_fourier_coefficient_builds_no_dense_matrix(label, ctx):
         assert abs(norm - want) <= 1e-12 * max(1.0, want)
 
 
-def test_condition_ii_builds_no_dense_sigma(monkeypatch):
+def test_condition_ii_builds_no_dense_sigma(monkeypatch, window_samples):
     _, ctx = CONTEXTS[1]
     outputs = []
     real_sigma_xi = sigma.sigma_xi
@@ -269,7 +269,7 @@ def test_condition_ii_builds_no_dense_sigma(monkeypatch):
     pair = pair_of(ctx, 12)
     del outputs[:]
     _, was_built = dense_builds(monkeypatch)
-    rep = check_condition_ii(pair, trials=3, seed=4)
+    rep = check_condition_ii(pair, window_samples(ctx, 3, seed=4))
     # one sigma call, on the stack of the three samples
     assert rep.verdict == "Pass" and len(outputs) == 1 and outputs[0].lead == (3,)
     assert not any(was_built(x) for x in outputs)

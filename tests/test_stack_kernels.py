@@ -52,10 +52,9 @@ def ref_inv_perm(ctx, j):
     return ctx.action.perm(ctx.group.inverse(ctx.window[j]), ctx.d)
 
 
-def ref_expectation(spec, x):
+def ref_expectation(algebra, x):
     x = np.asarray(x, dtype=complex)
-    d = x.shape[0]
-    if spec.kind == "diagonal":
+    if algebra.kind == "diagonal":
         return np.diag(np.diag(x))
     return x.copy()
 
@@ -117,7 +116,7 @@ def ref_sigma_coefficients(ctx, xi, x):
             t = rel[i, j]
             assert t >= 0
             coeffs[t] += ki.conjugate() * kj * ref_alpha(
-                ctx.perms[j], ref_expectation(ctx.expectation, xblocks[i, j])
+                ctx.perms[j], ref_expectation(ctx.algebra, xblocks[i, j])
             )
     return coeffs
 
@@ -135,7 +134,7 @@ def ref_tau_u(ctx, xi, u, x):
         for j, kj in supp:
             b = idx[ctx.group.multiply(ctx.window[j], uinv)]
             oblocks[a, b] += ki.conjugate() * kj * ref_alpha(
-                pu, ref_expectation(ctx.expectation, xblocks[i, j])
+                pu, ref_expectation(ctx.algebra, xblocks[i, j])
             )
     return out
 
@@ -364,11 +363,11 @@ def test_expectation_acts_on_the_last_two_axes(kind):
     rng = np.random.default_rng(6)
     d = 3
     stack = rng.standard_normal((4, 5, d, d)) + 1j * rng.standard_normal((4, 5, d, d))
-    spec = ExpectationSpec(kind)
-    got = spec.apply(stack)
+    algebra = {"diagonal": CoeffAlgebra.diagonal(d), "identity": CoeffAlgebra.full(d)}[kind]
+    got = ExpectationSpec(algebra).apply(stack)
     for i in range(4):
         for j in range(5):
-            assert np.array_equal(got[i, j], ref_expectation(spec, stack[i, j]))
+            assert np.array_equal(got[i, j], ref_expectation(algebra, stack[i, j]))
 
 
 def test_alpha_by_perm_slot_by_slot():
