@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -60,7 +61,6 @@ def _fmt(value) -> str:
 
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -81,6 +81,21 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
     return buf.getvalue()
+
+
+def _columns(record) -> Tuple[List[str], List]:
+    """A dataclass record as one CSV header and row: its fields in order,
+    a Fraction field f as the two columns f_num and f_den."""
+    header, row = [], []
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, Fraction):
+            header += [f"{field.name}_num", f"{field.name}_den"]
+            row += [value.numerator, value.denominator]
+        else:
+            header.append(field.name)
+            row.append(value)
+    return header, row
 
 
 def _json_default(value):
@@ -107,6 +122,13 @@ def _int(flag: str, text: str, what: str = "integers") -> int:
         return int(text)
     except ValueError:
         raise ConfigError(f"{flag} takes {what}, got {text.strip()!r}") from None
+
+
+def _float(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{flag} takes a number, got {text!r}") from None
 
 
 def _parse_int_list(flag: str, text: str, cap: int) -> List[int]:
@@ -193,12 +215,7 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
     if text == "uniform":
         return posdef.L2Vector.indicator(list(ctx.window))
     if text.startswith("geometric:"):
-        try:
-            q = float(text[len("geometric:") :])
-        except ValueError:
-            raise ConfigError(
-                f"--xi geometric:q takes a number, got {text[len('geometric:'):]!r}"
-            ) from None
+        q = _float("--xi geometric:q", text[len("geometric:") :])
         _check_finite_float("--xi geometric ratio", q)
         if not 0 < q:
             raise ConfigError("geometric ratio must be positive")
@@ -220,9 +237,7 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
 def cmd_balls(args) -> Report:
     spec = parse_group(args.group)
     radii = _parse_int_list("--radii", args.radii, args.cap)
-    for n in radii:
-        if n < 0:
-            raise ConfigError(f"ball radius must be >= 0, got {n}")
+    _check_nonnegative("--radii", radii)
     # one enumeration at the largest radius; B_n is its prefix of lengths <= n.
     # A free-group word is a reduced tuple, so its length is its word length.
     length = len if isinstance(spec, FreeGroup) else spec.word_length
@@ -242,24 +257,25 @@ def cmd_balls(args) -> Report:
 
 
 def _build_pdfunction(spec: GroupSpec, args) -> Tuple[posdef.PdFunction, dict]:
+    """The function of --set or --eps, squared pointwise under --square,
+    and the recipe the summary records (which leaves --square out)."""
     if args.set and args.eps:
         raise ConfigError("choose one of --set and --eps")
     if args.set:
         S = _parse_set(spec, args.set, args.cap)
-        return posdef.chi_from_set(spec, S), {"set": args.set, "set_size": len(S)}
-    if args.eps:
-        eps = float(args.eps)
-        if not math.isfinite(eps):
-            raise ConfigError(f"--eps must be finite, got {args.eps}")
-        return posdef.haagerup(spec, eps), {"eps": eps}
-    raise ConfigError("one of --set or --eps is required")
+        f, recipe = posdef.chi_from_set(spec, S), {"set": args.set, "set_size": len(S)}
+    elif args.eps:
+        eps = _float("--eps", args.eps)
+        _check_finite_float("--eps", eps)
+        f, recipe = posdef.haagerup(spec, eps), {"eps": eps}
+    else:
+        raise ConfigError("one of --set or --eps is required")
+    return (posdef.pointwise_product(f, f) if args.square else f), recipe
 
 
 def cmd_chi(args) -> Report:
     spec = parse_group(args.group)
     f, recipe = _build_pdfunction(spec, args)
-    if args.square:
-        f = posdef.pointwise_product(f, f)
     if args.at is not None and args.ball is not None:
         raise ConfigError("choose one of --at and --ball")
     if args.at is None and args.ball is None:
@@ -292,8 +308,6 @@ def cmd_chi(args) -> Report:
 def cmd_psd(args) -> Report:
     spec = parse_group(args.group)
     f, recipe = _build_pdfunction(spec, args)
-    if args.square:
-        f = posdef.pointwise_product(f, f)
     window = ball(spec, args.ball, args.cap)
     n = len(window)
     budget, over = _dense_budget(args.cap)
@@ -303,60 +317,28 @@ def cmd_psd(args) -> Report:
             f"entries, {over}"
         )
     report = posdef.check_positive_definite(f, window, args.tol)
-    rows = [
-        (
-            report.ball_radius,
-            report.gram_dimension,
-            report.min_eigenvalue,
-            report.tolerance,
-            report.verdict,
-        )
-    ]
+    header, row = _columns(report)
     summary = {"group": spec.label, "recipe": recipe, "report": report.to_json()}
-    header = ("ball_radius", "gram_dimension", "min_eigenvalue", "tolerance", "verdict")
-    return header, rows, summary, report.passed()
+    return header, [row], summary, report.passed()
 
 
 def cmd_freecount(args) -> Report:
-    if args.lmax < 0:
-        raise ConfigError(f"--lmax must be >= 0, got {args.lmax}")
     radii = _parse_int_list("--radii", args.radii, args.cap) if args.radii else None
     _check_nonnegative("--radii", radii or ())
-    rows_data = freecomb.count_table(args.k, args.lmax, radii, args.cap)
-    rows = [
-        (
-            r.k,
-            r.ell,
-            r.n,
-            r.closed,
-            r.brute,
-            r.ratio.numerator,
-            r.ratio.denominator,
-            r.limit.numerator,
-            r.limit.denominator,
-        )
-        for r in rows_data
-    ]
-    ok = all(r.closed == r.brute for r in rows_data)
+    # never empty: ell = 0 has a row at every radius, and radii are >= 0
+    counts = freecomb.count_table(args.k, args.lmax, radii, args.cap)
+    header = _columns(counts[0])[0]
+    rows = [_columns(r)[1] for r in counts]
+    ok = all(r.closed == r.brute for r in counts)
     summary = {"k": args.k, "lmax": args.lmax, "rows": len(rows), "all_equal": ok}
-    header = (
-        "k",
-        "ell",
-        "n",
-        "closed",
-        "brute",
-        "ratio_num",
-        "ratio_den",
-        "limit_num",
-        "limit_den",
-    )
     return header, rows, summary, ok
 
 
-def _build_context(
+def _build_pair(
     args, amp: int, per_trial: Callable[[int, int], int]
-) -> crossed.CrossedContext:
-    """The sweep context: the whole group as window, under --cap.
+) -> sigma_mod.ExpectationPair:
+    """The sweep's pair of --xi over its context, whose window is the
+    whole group, under --cap.
 
     The dense budget (_check_dense_budget) is checked first, from the
     group order n and the algebra dimension d, so a refused sweep builds
@@ -372,9 +354,22 @@ def _build_context(
         n, d = spec.order(), algebra.internal_dim
         if n <= args.cap:
             _check_dense_budget(args, n * d, amp, per_trial(n, d))
-        return crossed.make_context(spec, algebra=algebra, action=action, cap=args.cap)
+        ctx = crossed.make_context(spec, algebra=algebra, action=action, cap=args.cap)
     except SpecMismatchError as exc:
         raise ConfigError(str(exc)) from exc
+    return sigma_mod.make_pair(ctx, _parse_xi(ctx, args.xi))
+
+
+def _sweep_summary(args, pair: sigma_mod.ExpectationPair, **results) -> dict:
+    """The summary of a sweep: what it ran on, then its results."""
+    return {
+        "group": pair.ctx.group.label,
+        "algebra": args.algebra,
+        "action": args.action,
+        "xi": args.xi,
+        "seed": args.seed,
+        **results,
+    }
 
 
 # The dense budget of a sweep or a Gram, in entries per --cap element:
@@ -412,9 +407,8 @@ def cmd_sigma(args) -> Report:
     # m x m positivity grid, or a condition (ii) sample, whose first five
     # the tau-sum reads; condition (ii)'s Fourier batch is transient and
     # the size of one sample
-    ctx = _build_context(args, m, lambda n, d: max(2 * n * (m * d) ** 2, (n * d) ** 2))
-    xi = _parse_xi(ctx, args.xi)
-    pair = sigma_mod.make_pair(ctx, xi)
+    pair = _build_pair(args, m, lambda n, d: max(2 * n * (m * d) ** 2, (n * d) ** 2))
+    ctx = pair.ctx
     cp = sigma_mod.cp_check(
         ctx,
         pair.sigma,
@@ -457,15 +451,7 @@ def cmd_sigma(args) -> Report:
         ("max_eigenrelation_defect", cp.max_eigenrelation_defect),
         ("condition_ii_margin", cond.condition_ii_margin),
     ]
-    summary = {
-        "group": ctx.group.label,
-        "algebra": args.algebra,
-        "action": args.action,
-        "xi": args.xi,
-        "seed": args.seed,
-        "checks": checks,
-    }
-    return ("metric", "value"), rows, summary, ok
+    return ("metric", "value"), rows, _sweep_summary(args, pair, checks=checks), ok
 
 
 def _tau_sum_defect(
@@ -489,9 +475,8 @@ def _tau_sum_defect(
 def cmd_pi(args) -> Report:
     # kept per trial, each n d^2 entries: the stacks of sigma(x), p1,
     # sigma(p1), y and sigma(y), and the dual blocks of a defect
-    ctx = _build_context(args, 1, lambda n, d: 6 * n * d**2)
-    xi = _parse_xi(ctx, args.xi)
-    pair = sigma_mod.make_pair(ctx, xi)
+    pair = _build_pair(args, 1, lambda n, d: 6 * n * d**2)
+    ctx = pair.ctx
     rng = np.random.default_rng(args.seed)
     # per trial only the draws of x and y and one sigma(x); the rest runs
     # once over the (trials, n, d, d) stacks
@@ -516,18 +501,14 @@ def cmd_pi(args) -> Report:
     rows = list(zip(range(args.trials), idems, spans, amps))
     worst_idem = max([0.0] + idems)
     worst_span = max([0.0] + spans)
-    worst_amp = max([0.0] + amps)
     ok = worst_idem <= args.tol and worst_span <= args.tol
-    summary = {
-        "group": ctx.group.label,
-        "algebra": args.algebra,
-        "action": args.action,
-        "xi": args.xi,
-        "seed": args.seed,
-        "max_idempotency_defect": worst_idem,
-        "max_span_identity_defect": worst_span,
-        "max_amplification": worst_amp,
-    }
+    summary = _sweep_summary(
+        args,
+        pair,
+        max_idempotency_defect=worst_idem,
+        max_span_identity_defect=worst_span,
+        max_amplification=max([0.0] + amps),
+    )
     header = ("trial", "idempotency_defect", "span_identity_defect", "amplification")
     return header, rows, summary, ok
 
@@ -634,18 +615,22 @@ def cmd_folner(args) -> Report:
 
 
 def _read_config(path: str) -> List[Tuple[str, str]]:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        pairs.append((key.strip(), value.strip()))
     return pairs
 
 
@@ -762,7 +747,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _check_finite_float("--tol", tol)
         if tol is not None and tol < 0:
             raise ConfigError(f"--tol must be >= 0, got {tol}")
-        for flag, low in (("cap", 1), ("trials", 1), ("seed", 0), ("amp", 1)):
+        for flag, low in (("cap", 1), ("trials", 1), ("seed", 0), ("amp", 1), ("lmax", 0)):
             value = getattr(args, flag, None)
             if value is not None and value < low:
                 raise ConfigError(f"--{flag} must be >= {low}, got {value}")
@@ -772,6 +757,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # strict JSON leaves no CSV behind
         csv_text = _csv_text(header, rows)
         json_text = _json_text(dict(summary, command=args.command, verdict=verdict))
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out cannot make directory {args.out}: {exc.strerror}") from None
         base = os.path.join(args.out, args.command)
         _atomic_write(base + ".csv", csv_text)
         _atomic_write(base + ".json", json_text)

@@ -25,7 +25,7 @@ goes to one dense eigensolve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -125,13 +125,8 @@ class PsdReport:
         return self.verdict == "Pass"
 
     def to_json(self) -> dict:
-        return {
-            "ball_radius": self.ball_radius,
-            "gram_dimension": self.gram_dimension,
-            "min_eigenvalue": self.min_eigenvalue,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+        """The fields by name; JSON output sorts the keys."""
+        return asdict(self)
 
 
 def chi_from_set(spec: GroupSpec, S: Sequence[Element]) -> PdFunction:

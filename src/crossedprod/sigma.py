@@ -17,7 +17,7 @@ gives the idempotent pi_projection onto the crossed-product span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
@@ -342,18 +342,9 @@ class CpReport:
     verdict: str
 
     def to_json(self) -> dict:
-        def clean(v):
-            return None if isinstance(v, float) and v != v else v
-
-        return {
-            "amplification_level": self.amplification_level,
-            "trials": self.trials,
-            "min_eigenvalue_seen": clean(self.min_eigenvalue_seen),
-            "max_bimodular_defect": clean(self.max_bimodular_defect),
-            "max_eigenrelation_defect": clean(self.max_eigenrelation_defect),
-            "condition_ii_margin": clean(self.condition_ii_margin),
-            "verdict": self.verdict,
-        }
+        """The fields by name, a NaN (a metric this check leaves unmeasured)
+        as None; JSON output sorts the keys."""
+        return {k: None if v != v else v for k, v in asdict(self).items()}
 
 
 def random_psd(rng: np.random.Generator, size: int, classes: int = 1) -> np.ndarray:

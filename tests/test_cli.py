@@ -982,14 +982,54 @@ def test_folner_on_a_group_without_averaging_sets_is_a_config_error(tmp_path, ca
         ),
         (("cesaro", "--orders=-1..3"), "--orders entries must be >= 0, got -1"),
         (("chi", "--group", "Z", "--set", "3..1", "--at", "1"), "reversed range '3..1'"),
+        (("chi", "--group", "Z", "--eps", "abc", "--at", "1"), "--eps takes a number, got 'abc'"),
     ],
-    ids=["folner-radii", "cesaro-orders", "chi-set"],
+    ids=["folner-radii", "cesaro-orders", "chi-set", "chi-eps"],
 )
 def test_config_errors_name_their_flag(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, *argv)
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("balls", "--group", "Z", "--radii=-1..2"), "--radii entries must be >= 0, got -1"),
+        (("psd", "--group", "F2", "--eps", "1e400", "--ball", "1"), "--eps must be finite, got inf"),
+    ],
+    ids=["balls-radii", "psd-eps"],
+)
+def test_each_flag_kind_has_one_message(tmp_path, capsys, argv, message):
+    # balls' --radii and --eps share the checks of the other flags of their kind
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_a_config_path_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["freecount", "--config", str(tmp_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot read config file {tmp_path}: Is a directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    target = taken / "sub" if below else taken
+    code = main(["balls", "--group", "Z", "--radii", "0..2", "--out", str(target)])
+    assert code == 2
+    reason = "Not a directory" if below else "File exists"
+    err = capsys.readouterr().err
+    assert err == f"config error: --out cannot make directory {target}: {reason}\n"
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 @pytest.mark.parametrize(
