@@ -616,12 +616,16 @@ def cmd_folner(args) -> Report:
 
 def _read_config(path: str) -> List[Tuple[str, str]]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config file {path}: not UTF-8 text at byte {exc.start}"
+        ) from None
     pairs = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()

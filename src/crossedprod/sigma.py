@@ -56,6 +56,10 @@ CHI_FLOOR = 1e-14
 # complex terms), so that a stack of many operators costs no more memory
 # than applying the map to each in turn
 STACK_TERMS = 2**12
+# the most Krylov vectors of the lower bound on ||x|| by which condition
+# (ii) skips a sample, and the relative slack that widens each of its bounds
+NORM_STEPS = 10
+BOUND_SLACK = 1e-12
 
 
 class Support(NamedTuple):
@@ -564,6 +568,47 @@ def cp_check(
     )
 
 
+def _norm_lower_bounds(samples: BlockMatrix) -> np.ndarray:
+    """(T,) lower bounds on ||x|| for a (T, nd, nd) stack of operators.
+
+    Rayleigh-Ritz on a Krylov space of x*x: from one start vector v of a
+    fixed-seed generator, min(NORM_STEPS, nd) vectors v, x*x v, ... each
+    normalized (a step that reaches 0, as on a zero or low-rank sample,
+    stays 0), an orthonormal basis Q of them per sample (QR), and the top
+    eigenvalue of (xQ)*(xQ), which Courant-Fischer keeps at or below
+    ||x||^2.  x*(x v) is formed as conj((x v)* x), so no conjugate of the
+    stack is made; a stack of span elements is read off its dense data.
+    Shrunk by BOUND_SLACK, so that rounding cannot lift a bound over the
+    dense ||x||."""
+    x = samples.data
+    dim = x.shape[-1]
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    basis = np.zeros(x.shape[:1] + (min(NORM_STEPS, dim), dim), dtype=complex)
+    basis[:, 0] = start / np.linalg.norm(start)
+    for j in range(1, basis.shape[1]):
+        xv = x @ basis[:, j - 1, :, None]
+        step = (xv.swapaxes(-1, -2).conj() @ x)[:, 0].conj()
+        size = np.linalg.norm(step, axis=-1, keepdims=True)
+        np.divide(step, size, out=basis[:, j], where=size > 0)
+    q = np.linalg.qr(basis.swapaxes(-1, -2))[0]
+    xq = x @ q
+    top = np.linalg.eigvalsh(xq.conj().swapaxes(-1, -2) @ xq)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0)) * (1 - BOUND_SLACK)
+
+
+def _coefficient_upper_bounds(coeffs: np.ndarray) -> np.ndarray:
+    """(..., n) upper bounds on ||c_g|| over a (..., n, d, d) coefficient
+    stack: sqrt(max row sum * max column sum) of |c_g|, exact for a
+    diagonal block, enlarged by BOUND_SLACK.  Every automorphism alpha
+    permutes rows and columns alike, so the Fourier coefficient at g of
+    theta(c), whose blocks are alpha_{h^-1}(c_g) or 0, has norm at most
+    ||c_g||."""
+    size = np.abs(coeffs)
+    rows, cols = size.sum(axis=-1).max(axis=-1), size.sum(axis=-2).max(axis=-1)
+    return np.sqrt(rows) * np.sqrt(cols) * (1 + BOUND_SLACK)
+
+
 def check_condition_ii(
     pair: ExpectationPair, samples: BlockMatrix, tol: float = 1e-10
 ) -> CpReport:
@@ -575,14 +620,24 @@ def check_condition_ii(
 
     samples is a non-empty (T, nd, nd) stack of operators; one operator
     or an empty stack is a ConfigError.  sigma is applied once, to the
-    whole stack.  Then, sample by sample, one fourier_coefficient call
-    gives the coefficients at every g as an (n, n, d, d) array of
-    diagonal blocks, one op_norm on it gives their n norms from one
-    batched eigensolve, and ||x|| takes the dense eigensolve.  The
-    margins of a sample are chi(g) ||x|| - lhs over the window; the
-    witness is the first worst (sample, g) in sample-major, g-minor
-    order, and no sample after the first one whose margin fails is
-    normed.
+    whole stack.  The margins of a sample are chi(g) ||x|| - lhs over the
+    window; the witness is the first worst (sample, g) in sample-major,
+    g-minor order, and no sample after the first one whose margin fails
+    is normed.
+
+    Before the scan every sample is bounded: ||x|| from below by a few
+    Krylov steps over the whole stack (_norm_lower_bounds), and lhs at
+    every g from above by the size of sigma(x)'s coefficient at g
+    (_coefficient_upper_bounds); where chi(g) < 0, the Frobenius norm of
+    x, enlarged by BOUND_SLACK, bounds ||x|| from above instead.  A
+    sample whose smallest bounded margin is at or above the margin so far
+    cannot lower it under the strict-< scan, and is skipped; sample 0
+    never is.  Every other sample is normed exactly: one
+    fourier_coefficient call gives the coefficients at every g as an
+    (n, n, d, d) array of diagonal blocks, one op_norm on it gives their
+    n norms from one batched eigensolve, and ||x|| takes the dense
+    eigensolve.  So the margin, its witness and the early stop are those
+    of norming every sample, bit for bit.
     """
     ctx = pair.ctx
     if len(samples.lead) != 1 or samples.lead[0] == 0:
@@ -592,10 +647,19 @@ def check_condition_ii(
             f"of samples, got shape {samples.lead + (ctx.dim, ctx.dim)}"
         )
     chis = pair.chi_values.real
+    negative = chis < 0
     sxs = pair.sigma(samples)
+    lows = _norm_lower_bounds(samples)
+    highs = _coefficient_upper_bounds(sxs.coeffs)
     margin = np.inf
     witness = None
     for si in range(samples.lead[0]):
+        low = lows[si]
+        if negative.any():
+            frobenius = np.linalg.norm(samples.data[si]) * (1 + BOUND_SLACK)
+            low = np.where(negative, frobenius, low)
+        if si and np.min(chis * low - highs[si]) >= margin:
+            continue
         lhs = op_norm(fourier_coefficient(ctx, sxs[si]))
         gaps = chis * op_norm(samples[si]) - lhs
         gi = int(np.argmin(gaps))

@@ -1018,6 +1018,17 @@ def test_a_config_path_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfek = 2\n")
+    out = tmp_path / "out"
+    code = main(["freecount", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot read config file {cfg}: not UTF-8 text at byte 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, below):
     taken = tmp_path / "taken"

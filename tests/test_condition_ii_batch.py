@@ -1,16 +1,20 @@
 """Condition (ii) as one program over its samples.
 
-check_condition_ii applies sigma once to the stack of its samples, then
-per sample takes every Fourier coefficient of sigma(x) in one
-fourier_coefficient call, their norms in one op_norm, and ||x|| densely.
-The references below are the per-g computations it replaced: one
-coefficient gathered slot by slot from the group arithmetic, one
-eigensolve per g, and the strict-< scan over (sample, g) in sample-major,
-g-minor order, stopping after the first sample whose margin fails.  The
-batch must agree with them bit for bit.
+check_condition_ii applies sigma once to the stack of its samples, bounds
+every sample from a Krylov lower bound on ||x|| and an upper bound on each
+lhs from sigma(x)'s coefficients, and norms exactly only the samples whose
+bounded margin could lower the margin so far: every Fourier coefficient of
+sigma(x) in one fourier_coefficient call, their norms in one op_norm, and
+||x|| densely.  The references below are the per-g computations it
+replaced, and the scan that norms every sample: one coefficient gathered
+slot by slot from the group arithmetic, one eigensolve per g, and the
+strict-< scan over (sample, g) in sample-major, g-minor order, stopping
+after the first sample whose margin fails.  The skipping scan must agree
+with them bit for bit: margin, witness, verdict and trials.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,21 +104,71 @@ def ref_dense_norm(x):
     return float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(m.conj().T @ m)[-1]))))
 
 
-def ref_condition_ii(pair, samples, tol=1e-10):
-    """The per-(sample, g) scan: (margin, witness, samples normed)."""
+def ref_gaps(pair, x):
+    """chi(g) ||x|| - lhs_g at every window g, g by g."""
     ctx = pair.ctx
-    margin, witness, normed = math.inf, None, 0
+    sx = pair.sigma(x)
+    xnorm = ref_dense_norm(x)
+    return [
+        float(chi) * xnorm - ref_block_norm(ref_fourier_stack(ctx, sx, g))
+        for g, chi in zip(ctx.window, pair.chi_values.real)
+    ]
+
+
+def ref_condition_ii(pair, samples, tol=1e-10):
+    """The per-(sample, g) scan, which norms every sample until the first
+    whose margin fails: (margin, witness, samples normed, exact).
+
+    exact lists the samples that the skip rule norms: sample 0, and each
+    later one whose bounded margin min_g chi(g) L - U_g, with the
+    Frobenius norm in L's place where chi(g) < 0, lies below the margin
+    of the samples before it."""
+    ctx = pair.ctx
+    stack = stacked(ctx, samples)
+    lows = sigma._norm_lower_bounds(stack)
+    highs = sigma._coefficient_upper_bounds(pair.sigma(stack).coeffs)
+    chis = pair.chi_values.real
+    margin, witness, normed, exact = math.inf, None, 0, []
     for si, x in enumerate(samples):
-        sx = pair.sigma(x)
-        xnorm = ref_dense_norm(x)
+        frobenius = np.linalg.norm(x.data) * (1 + sigma.BOUND_SLACK)
+        floor = np.min(chis * np.where(chis < 0, frobenius, lows[si]) - highs[si])
+        if not exact or floor < margin:
+            exact.append(si)
         normed += 1
-        for g, chi in zip(ctx.window, pair.chi_values.real):
-            gap = float(chi) * xnorm - ref_block_norm(ref_fourier_stack(ctx, sx, g))
+        for g, gap in zip(ctx.window, ref_gaps(pair, x)):
             if gap < margin:
                 margin, witness = gap, (si, g)
         if margin < -tol:
             break
-    return margin, witness, normed
+    return margin, witness, normed, exact
+
+
+def verdict_of(ctx, margin, witness, tol=1e-10):
+    """The verdict check_condition_ii writes for a margin and its witness."""
+    if margin >= -tol:
+        return "Pass"
+    si, g = witness
+    return f"Fail(sample={si}, g={ctx.group.format_element(g)}, margin={margin:.3e})"
+
+
+def sample_index(stack, x):
+    """The index of the sample of stack that x views."""
+    return next(i for i, s in enumerate(stack.data) if np.shares_memory(x.data, s))
+
+
+def exact_samples(monkeypatch, pair, stack, tol=1e-10):
+    """check_condition_ii's report, and the indices of the samples of
+    stack that took the dense ||x||, in order."""
+    calls = []
+
+    def recording(x):
+        if not isinstance(x, np.ndarray):
+            calls.append(sample_index(stack, x))
+        return op_norm(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sigma, "op_norm", recording)
+        return check_condition_ii(pair, stack, tol), calls
 
 
 def operators(ctx, rng):
@@ -190,16 +244,45 @@ def test_a_batch_of_a_span_element_builds_no_dense_matrix():
     assert "data" not in x.__dict__
 
 
-@pytest.mark.parametrize("name", sorted(CONTEXTS))
-def test_the_margin_is_the_per_g_scan(name):
-    ctx = context(name)
-    pair = pair_of(ctx, 5)
-    rng = np.random.default_rng(6)
-    samples = [random_window_operator(ctx, rng) for _ in range(6)]
-    rep = check_condition_ii(pair, stacked(ctx, samples))
-    margin, _, _ = ref_condition_ii(pair, samples)
-    assert rep.verdict == "Pass"
+def sized_samples(ctx, rng, count):
+    """Random operators at random scales, so that any of them can set the
+    margin, which scales with the sample."""
+    return [random_window_operator(ctx, rng) * rng.uniform(0.25, 4.0) for _ in range(count)]
+
+
+def check_against_the_all_samples_scan(pair, samples, monkeypatch, tol=1e-10):
+    """check_condition_ii against ref_condition_ii bit for bit, its
+    exact samples included; the witness of a passing scan
+    is read off a second scan at the tol that its margin just fails.
+    Returns the number of samples it skipped."""
+    ctx, stack = pair.ctx, stacked(pair.ctx, samples)
+    margin, witness, _, want = ref_condition_ii(pair, samples, tol)
+    rep, exact = exact_samples(monkeypatch, pair, stack, tol)
     assert same_bits(rep.condition_ii_margin, margin)
+    assert rep.verdict == verdict_of(ctx, margin, witness, tol)
+    assert rep.trials == len(samples)
+    assert exact == want
+    skipped = exact[-1] + 1 - len(exact)
+    just = -np.nextafter(margin, np.inf)
+    rep = check_condition_ii(pair, stack, just)
+    assert rep.verdict == verdict_of(ctx, margin, witness, just)
+    assert same_bits(rep.condition_ii_margin, margin)
+    return skipped
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_the_margin_is_the_per_g_scan(name, monkeypatch):
+    # over 50 pairs, each with samples at random scales, so that the
+    # witness falls on any of them and later ones are skipped
+    ctx = context(name)
+    skipped = 0
+    for seed in range(50):
+        rng = np.random.default_rng(100 + seed)
+        skipped += check_against_the_all_samples_scan(
+            pair_of(ctx, seed), sized_samples(ctx, rng, 6), monkeypatch
+        )
+    if ctx.algebra.kind != "full":
+        assert skipped > 0
 
 
 def stacked(ctx, samples):
@@ -232,8 +315,11 @@ def test_a_halved_chi_fails_with_the_per_g_witness(name, monkeypatch):
     ctx = context(name)
     pair = halved(pair_of(ctx, 7))
     samples = failing_samples(ctx, np.random.default_rng(8))
-    margin, (si, g), normed = ref_condition_ii(pair, samples)
+    margin, (si, g), normed, exact = ref_condition_ii(pair, samples)
     assert margin < 0 and si == 2 and normed == 3
+    # sample 0 always, the failing sample, and nothing after it; the bound
+    # of the scalars' sample 1 lies above sample 0's margin
+    assert exact == ([0, 2] if name == "C8/scalars" else [0, 1, 2])
 
     dense, batches = [], []
     real_op_norm, real_fourier = sigma.op_norm, sigma.fourier_coefficient
@@ -248,18 +334,27 @@ def test_a_halved_chi_fails_with_the_per_g_witness(name, monkeypatch):
 
     monkeypatch.setattr(sigma, "op_norm", counting_op_norm)
     monkeypatch.setattr(sigma, "fourier_coefficient", counting_fourier)
-    rep = check_condition_ii(pair, stacked(ctx, samples))
+    stack = stacked(ctx, samples)
+    rep = check_condition_ii(pair, stack)
     want = f"Fail(sample={si}, g={ctx.group.format_element(g)}, margin={margin:.3e})"
     assert rep.verdict == want
     assert same_bits(rep.condition_ii_margin, margin)
     assert rep.trials == len(samples)
-    # no sample after the first failing one is normed
-    assert len(dense) == len(batches) == normed
+    # each exact sample takes one batch norm and one dense norm, in order
+    assert [sample_index(stack, x) for x in dense] == exact
+    assert len(batches) == len(exact)
 
 
-def test_each_sample_takes_one_batch_one_norm_and_one_dense_norm(monkeypatch, window_samples):
+def test_each_exact_sample_takes_one_batch_one_norm_and_one_dense_norm(
+    monkeypatch, window_samples
+):
     ctx = context("C4/swap/diagonal2")
     pair = pair_of(ctx, 9)
+    stack = window_samples(ctx, 7, seed=10)
+    *_, exact = ref_condition_ii(pair, [stack[i] for i in range(7)])
+    # diagonal blocks make the coefficient bound exact, and sample 0 sets
+    # a margin that no later sample can lower
+    assert exact == [0]
     calls = {"sigma": [], "fourier": 0, "op_norm": 0}
     real_sigma, real_fourier, real_op_norm = (
         sigma.sigma_xi, sigma.fourier_coefficient, sigma.op_norm
@@ -280,9 +375,9 @@ def test_each_sample_takes_one_batch_one_norm_and_one_dense_norm(monkeypatch, wi
     monkeypatch.setattr(sigma, "sigma_xi", sigma_xi)
     monkeypatch.setattr(sigma, "fourier_coefficient", fourier)
     monkeypatch.setattr(sigma, "op_norm", norm)
-    rep = check_condition_ii(pair, window_samples(ctx, 7, seed=10))
+    rep = check_condition_ii(pair, stack)
     assert rep.verdict == "Pass" and rep.trials == 7
-    assert calls == {"sigma": [(7,)], "fourier": 7, "op_norm": 14}
+    assert calls == {"sigma": [(7,)], "fourier": len(exact), "op_norm": 2 * len(exact)}
 
 
 @pytest.mark.parametrize("name", ["C4/swap/diagonal2", "C6/full6"])
@@ -303,3 +398,111 @@ def test_one_operator_or_an_empty_stack_is_refused(name):
     # an empty sweep would report Pass with an infinite margin
     with pytest.raises(ConfigError, match=want):
         check_condition_ii(pair, ctx.wrap(np.empty((0, ctx.dim, ctx.dim), dtype=complex)))
+
+
+@pytest.mark.parametrize("name", ["C4/swap/diagonal2", "C6/full6", "C8/scalars"])
+def test_a_stand_in_whose_margin_the_last_sample_sets(name, monkeypatch):
+    ctx = context(name)
+    rng = np.random.default_rng(13)
+    tight = failing_samples(ctx, rng)[2]
+    samples = [random_window_operator(ctx, rng) for _ in range(5)] + [tight]
+    for pair in (pair_of(ctx, 14), halved(pair_of(ctx, 14))):
+        _, (si, _), _, _ = ref_condition_ii(pair, samples)
+        assert si == len(samples) - 1
+        check_against_the_all_samples_scan(pair, samples, monkeypatch)
+
+
+def negated(pair):
+    """A stand-in pair whose eigenvalue function is pair's, negated at
+    every third window slot."""
+    index = pair.ctx.window.index_of
+    return ExpectationPair(
+        pair.ctx,
+        chi=lambda g: -pair.chi(g) if index[g] % 3 == 1 else pair.chi(g),
+        xi=pair.xi,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_a_chi_with_negative_entries_bounds_by_the_frobenius_norm(name, monkeypatch):
+    ctx = context(name)
+    skipped = 0
+    for seed in range(10):
+        pair = negated(pair_of(ctx, seed))
+        assert (pair.chi_values.real < 0).any()
+        samples = sized_samples(ctx, np.random.default_rng(200 + seed), 6)
+        # a loose tol lets the scan run on past its failing margins
+        skipped += check_against_the_all_samples_scan(pair, samples, monkeypatch, tol=1e6)
+        check_against_the_all_samples_scan(pair, samples, monkeypatch)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_zero_and_rank_one_samples(name, monkeypatch):
+    ctx = context(name)
+    rng = np.random.default_rng(15)
+    u = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    zero, rank_one = ctx.zero(), ctx.wrap(np.outer(u, v.conj()))
+    x, y = (random_window_operator(ctx, rng) for _ in range(2))
+    lows = sigma._norm_lower_bounds(stacked(ctx, [x, zero, rank_one, y]))
+    assert lows[1] == 0.0
+    # the first Krylov step already holds the top singular vector
+    assert ref_dense_norm(rank_one) * (1 - 1e-10) <= lows[2] <= ref_dense_norm(rank_one)
+    for samples in ([zero, x, rank_one, y], [x, zero, rank_one, y], [rank_one, zero, x]):
+        check_against_the_all_samples_scan(pair_of(ctx, 16), samples, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_the_bounds_hold_at_every_sample_and_g(name):
+    ctx = context(name)
+    for seed in range(5):
+        pair = pair_of(ctx, seed)
+        rng = np.random.default_rng(300 + seed)
+        samples = sized_samples(ctx, rng, 4) + [
+            random_crossed_element(ctx, rng), pair.sigma(random_window_operator(ctx, rng))
+        ]
+        stack = stacked(ctx, samples)
+        lows = sigma._norm_lower_bounds(stack)
+        sxs = pair.sigma(stack)
+        highs = sigma._coefficient_upper_bounds(sxs.coeffs)
+        for si, x in enumerate(samples):
+            assert lows[si] <= ref_dense_norm(x)
+            assert lows[si] <= op_norm(stack[si])
+            for gi, g in enumerate(ctx.window):
+                assert highs[si, gi] >= op_norm(fourier_coefficient(ctx, sxs[si], g))
+
+
+@pytest.mark.parametrize("name", FOURIER)
+def test_the_coefficient_bound_holds_for_any_span_element(name):
+    # on the Z radius-3 window, blocks where g h leaves the window are 0
+    ctx = context(name)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        x = random_crossed_element(ctx, rng)
+        highs = sigma._coefficient_upper_bounds(x.coeffs)
+        norms = op_norm(fourier_coefficient(ctx, x))
+        assert (highs >= norms).all()
+        if ctx.algebra.kind != "full":
+            # exact but for the slack on diagonal blocks
+            assert (highs <= norms * (1 + 1e-11)).all()
+
+
+def test_the_bounds_take_no_temporary_the_size_of_the_stack(window_samples):
+    # C16 diagonal:16 under translation, ten samples of 256 rows, as the
+    # matrix-sweep study runs it: the samples are 10 MiB, and one sample's
+    # dense norm, Fourier batch and their Grams are about 3.6 MiB
+    spec = Cyclic(16)
+    ctx = make_context(spec, algebra=CoeffAlgebra.diagonal(16), action=translation_action(spec))
+    pair = pair_of(ctx, 18)
+    stack = window_samples(ctx, 10, seed=19)
+    pair.sigma(stack[:1])
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rep = check_condition_ii(pair, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "Pass"
+    assert peak - entry < stack.data.nbytes / 2
