@@ -265,6 +265,9 @@ GOLDEN_SCALAR = [
     ("folner_z3_neg_unit", ["folner", "--group", "Z^3", "--t", "(0,0,-1)", "--radii", "1..30"]),
     ("folner_zxc3", ["folner", "--group", "ZxC3", "--t", "(-1,2)", "--radii", "1..300"]),
     ("folner_z2_wide", ["folner", "--group", "Z^2", "--t", "(3,-2)", "--radii", "1..5"]),
+    ("folner_zxc3_unordered", ["folner", "--group", "ZxC3", "--t", "(1,2)", "--radii", "7,0,3,3"]),
+    ("folner_c2xc3", ["folner", "--group", "C2xC3", "--t", "(1,2)", "--radii", "0..2"]),
+    ("folner_z2xc2_wide", ["folner", "--group", "Z^2xC2", "--t", "((6,-1),1)", "--radii", "0..7"]),
     (
         "cesaro_grid2001",
         ["cesaro", "--coeffs", "0:1,1:0.5,-1:0.5", "--orders", "5..200", "--grid", "2001"],
