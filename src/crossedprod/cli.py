@@ -588,7 +588,8 @@ def cmd_folner(args) -> Report:
     radii = _parse_int_list("--radii", args.radii, args.cap)
     _check_nonnegative("--radii", radii)
     try:
-        size = max(posdef.folner_size(spec, n) for n in radii)
+        # F_n grows with n, so the largest radius's set is the one enumerated
+        size = posdef.folner_size(spec, max(radii))
     except SpecMismatchError as exc:
         raise ConfigError(str(exc)) from exc
     if size > args.cap:

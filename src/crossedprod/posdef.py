@@ -20,6 +20,13 @@ spectrum is that of a few blocks of size at most radius + 1, each read
 off the Gram by sums over sphere and subtree index sets.  Every other
 Gram, and one whose blocks fail their dimension and Frobenius checks,
 goes to one dense eigensolve.
+
+The built-in averaging sets F_n of an amenable group are boxes: {0..n}
+per Z coordinate times every finite cyclic factor.  folner_overlap gives
+|F_n meet tF_n| / |F_n| in closed form, and folner_defects counts the
+symmetric differences of every requested radius over one enumeration of
+the largest box, so the identity overlap = 1 - defect/2 checks one
+against the other.
 """
 
 from __future__ import annotations
@@ -482,25 +489,48 @@ def folner_overlap(spec: GroupSpec, n: int, t: Element) -> Fraction:
     return Fraction(overlap, size)
 
 
-def folner_defect(spec: GroupSpec, n: int, t: Element) -> Fraction:
-    """Exact |tF_n symdiff F_n| / |F_n|, counted over enumerated elements.
+def folner_defects(spec: GroupSpec, t: Element, radii: Sequence[int]) -> List[Fraction]:
+    """Exact |tF_n symdiff F_n| / |F_n| for each n in radii, in their order,
+    counted over one enumeration of F_N for N = max(radii).
 
-    Both sets are enumerated as mixed-radix int64 codes, one digit per
-    coordinate: a Z coordinate in the radix n+1+|t_i| after an offset that
-    makes both intervals nonnegative, a C_m coordinate as (x + t_i) mod m.
-    A Z shift past the box is cut to n+1, which keeps the intervals as
-    disjoint and the radices small.
+    The boxes are nested, and v lies in F_n exactly when n >= inside(v),
+    its largest Z coordinate, and in F_n meet tF_n exactly when
+    n >= need(v), the larger of inside(v) and the Z coordinates of t^-1 v.
+    need is N+1 (never) when t^-1 v has a negative Z coordinate; a C_m
+    coordinate never limits either.  One bincount and one cumsum of each
+    give |F_n| and |F_n meet tF_n| for every n <= N, and the defect is
+    2(|F_n| - |F_n meet tF_n|) / |F_n|, since tF_n and F_n have one size.
     """
-    moved = members = np.zeros(1, dtype=np.int64)
-    for m, x in _folner_shift(spec, n, t):
+    radii = list(radii)
+    for n in radii:
+        if n < 0:
+            raise ValueError(f"index must be >= 0, got {n}")
+    top = max(radii, default=0)
+    shift = _folner_shift(spec, top, t)
+    if not radii:
+        return []
+    inside, need = _folner_levels(shift, top)
+    sizes = np.cumsum(np.bincount(inside, minlength=top + 1))
+    kept = np.cumsum(np.bincount(need, minlength=top + 1))
+    return [Fraction(2 * int(sizes[n] - kept[n]), int(sizes[n])) for n in radii]
+
+
+def _folner_levels(shift: List[Tuple[int, int]], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """inside(v) and need(v) for each element v of F_n, in mixed-radix
+    order, one (axis, coordinate of t) pair of shift per digit.
+
+    need is n+1 where it is infinite, and may exceed n elsewhere.  A Z
+    shift past the box is cut to n+1: t^-1 v then still leaves the box on
+    that axis, and the int64 arithmetic cannot overflow.
+    """
+    inside = need = np.zeros(1, dtype=np.int64)
+    for m, x in shift:
         if m:
-            radix, digits = m, np.arange(m)
-            shifted = (digits + x) % m
-        else:
-            x = max(-(n + 1), min(x, n + 1))
-            radix, digits = n + 1 + abs(x), np.arange(n + 1) - min(x, 0)
-            shifted = digits + x
-        members = np.add.outer(members * radix, digits).ravel()
-        moved = np.add.outer(moved * radix, shifted).ravel()
-    differ = len(np.setxor1d(members, moved, assume_unique=True))
-    return Fraction(differ, len(members))
+            inside, need = np.repeat(inside, m), np.repeat(need, m)
+            continue
+        digits = np.arange(n + 1)
+        back = digits - max(-(n + 1), min(x, n + 1))
+        back[back < 0] = n + 1
+        inside = np.maximum.outer(inside, digits).ravel()
+        need = np.maximum.outer(need, np.maximum(digits, back)).ravel()
+    return inside, need

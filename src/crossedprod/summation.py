@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SpecMismatchError, UndersampledGridError
 from .groups import Element, GroupSpec
-from .posdef import folner_defect, folner_overlap
+from .posdef import folner_defects, folner_overlap
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,15 @@ def folner_study(
 ) -> List[FolnerRow]:
     """Exact (defect, overlap) rows for the built-in averaging sequence.
 
-    The defect is counted over the enumerated symmetric difference and the
-    overlap comes from its closed form, so the identity value = 1 - defect/2,
-    which holds because tF_n and F_n have the same size, checks one against
-    the other.
+    The defects of all radii are counted over one enumeration of the
+    largest set, and each overlap comes from its closed form, so the
+    identity value = 1 - defect/2, which holds because tF_n and F_n have
+    the same size, checks one against the other.
     """
     spec.validate(t)
+    radii = list(radii)
+    defects = folner_defects(spec, t, radii)
     return [
-        FolnerRow(n, folner_defect(spec, n, t), folner_overlap(spec, n, t))
-        for n in radii
+        FolnerRow(n, defect, folner_overlap(spec, n, t))
+        for n, defect in zip(radii, defects)
     ]

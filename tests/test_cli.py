@@ -342,12 +342,12 @@ def test_console_entry_point_runs():
 
 
 def test_folner_mismatch_is_reported_not_raised(tmp_path, monkeypatch):
-    real = summation.folner_defect
+    real = summation.folner_defects
 
-    def off_by_one(spec, n, t):
-        return real(spec, n, t) + Fraction(1, n + 1)
+    def off_by_one(spec, t, radii):
+        return [d + Fraction(1, n + 1) for n, d in zip(radii, real(spec, t, radii))]
 
-    monkeypatch.setattr(summation, "folner_defect", off_by_one)
+    monkeypatch.setattr(summation, "folner_defects", off_by_one)
     code, out = run(
         tmp_path, "folner", "--group", "Z", "--t", "1", "--radii", "1..3"
     )
@@ -355,6 +355,51 @@ def test_folner_mismatch_is_reported_not_raised(tmp_path, monkeypatch):
     csv_text, doc = read_outputs(out, "folner")
     assert doc["verdict"] == "Fail"
     assert csv_text.splitlines()[1] == "1,3,2,1,2,Fail"
+
+
+def test_a_wrong_closed_form_overlap_is_reported_not_raised(tmp_path, monkeypatch):
+    """The mirror of the enumerated side: the identity column also fails
+    when the closed form is off."""
+    real = summation.folner_overlap
+
+    def off_by_one(spec, n, t):
+        return real(spec, n, t) + Fraction(1, n + 1)
+
+    monkeypatch.setattr(summation, "folner_overlap", off_by_one)
+    code, out = run(
+        tmp_path, "folner", "--group", "Z", "--t", "1", "--radii", "1..3"
+    )
+    assert code == 4
+    csv_text, doc = read_outputs(out, "folner")
+    assert doc["verdict"] == "Fail"
+    assert csv_text.splitlines()[1] == "1,1,1,1,1,Fail"
+
+
+def test_one_folner_run_enumerates_one_box(tmp_path, monkeypatch):
+    """Every radius's defect is read off one enumeration of the largest
+    box, whatever the order or repeats of --radii."""
+    real = posdef._folner_levels
+    boxes, sizes = [], []
+
+    def spy(shift, n):
+        inside, need = real(shift, n)
+        boxes.append(n)
+        sizes.append(len(inside))
+        return inside, need
+
+    monkeypatch.setattr(posdef, "_folner_levels", spy)
+    for group, t, radii, top in [
+        ("Z", "1", "1..40", 40),
+        ("ZxC3", "(1,2)", "7,0,3,3", 7),
+        ("Z^3", "(0,0,-1)", "1..6", 6),
+        ("C2xC3", "(1,2)", "0..2", 2),
+    ]:
+        boxes.clear()
+        sizes.clear()
+        code, _ = run(tmp_path, "folner", "--group", group, "--t", t, "--radii", radii)
+        assert code == 0
+        assert boxes == [top], (group, radii)
+        assert sizes == [posdef.folner_size(parse_group(group), top)], group
 
 
 def test_non_unital_map_is_a_check_failure(tmp_path, monkeypatch, capsys):
@@ -523,6 +568,28 @@ def test_cap_bounds_the_folner_sets(tmp_path, capsys, monkeypatch):
     assert not (out / "folner.csv").exists()
     code, _ = run(tmp_path, "folner", "--group", "ZxC3", "--t", "(1,2)", "--radii", "1..8", "--cap", "26")
     assert code == 3
+
+
+def test_cap_is_checked_once_at_the_largest_radius(tmp_path, capsys, monkeypatch):
+    sizes, studies = [], []
+    real_size = posdef.folner_size
+
+    def size_spy(spec, n):
+        sizes.append(n)
+        return real_size(spec, n)
+
+    def never(*args):
+        studies.append(args)
+        raise AssertionError("the defects ran past the cap")
+
+    monkeypatch.setattr(posdef, "folner_size", size_spy)
+    monkeypatch.setattr(summation, "folner_defects", never)
+    code, out = run(tmp_path, "folner", "--group", "Z", "--t", "1", "--radii", "5,1000000")
+    assert code == 3
+    assert "averaging set of 1000001 elements exceeds cap 1000000" in capsys.readouterr().err
+    assert sizes == [1000000]
+    assert studies == []
+    assert not (out / "folner.csv").exists()
 
 
 def test_folner_set_at_the_cap_runs(tmp_path):

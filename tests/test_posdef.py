@@ -13,7 +13,7 @@ from crossedprod.posdef import (
     chi_from_vector,
     check_positive_definite,
     convex_combination,
-    folner_defect,
+    folner_defects,
     folner_overlap,
     folner_set,
     gram_matrix,
@@ -224,8 +224,7 @@ def test_folner_overlap_values():
 
 def test_folner_defect_identity():
     Z = Integers()
-    for n in range(1, 8):
-        d = folner_defect(Z, n, 1)
+    for n, d in zip(range(1, 8), folner_defects(Z, 1, range(1, 8))):
         assert folner_overlap(Z, n, 1) == 1 - Fraction(d, 2)
 
 

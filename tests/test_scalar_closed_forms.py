@@ -1,11 +1,12 @@
 """Folner overlaps and defects, and the Cesaro grid norm, against the
 enumerations they replace.
 
-``folner_overlap`` is a closed form and ``folner_defect`` counts codes of
-the enumerated sets; both must equal the set-based counts over
-``folner_set`` as exact Fractions.  ``sup_norm_grid`` reads shared
-exponential rows; it must equal the per-point evaluation of both
-polynomials bit for bit.
+``folner_overlap`` is a closed form and ``folner_defects`` counts every
+radius's symmetric difference over one enumeration of the largest box;
+both must equal the set-based counts over ``folner_set`` as exact
+Fractions, for radii in any order, repeated or not.  ``sup_norm_grid``
+reads shared exponential rows; it must equal the per-point evaluation of
+both polynomials bit for bit.
 """
 
 import cmath
@@ -20,7 +21,7 @@ from crossedprod import summation
 from crossedprod.errors import SpecMismatchError
 from crossedprod.groups import Cyclic, IntegerLattice, Integers, parse_group
 from crossedprod.posdef import (
-    folner_defect,
+    folner_defects,
     folner_overlap,
     folner_set,
     folner_size,
@@ -49,7 +50,8 @@ def ref_sup_norm_grid(f, g, grid_points):
     return max(abs(f(i * step) - g(i * step)) for i in range(grid_points))
 
 
-# (group, shifts): zero, unit, negative and wider-than-the-box shifts
+# (group, shifts): zero, unit, negative and wider-than-the-box shifts; C1
+# and C2xC3 have no Z axis
 FOLNER_CASES = [
     ("Z", [0, 1, -1, 3, -7, 12]),
     ("Z^1", [(0,), (2,), (-5,)]),
@@ -57,37 +59,61 @@ FOLNER_CASES = [
     ("Z^3", [(0, 0, 0), (0, 1, 0), (0, 0, -1), (2, -3, 5), (-1, 1, -1)]),
     ("C1", [0]),
     ("C5", [0, 1, 2, 3, 4]),
+    ("C2xC3", [(0, 0), (1, 2), (0, 1)]),
     ("ZxC3", [(0, 0), (-1, 2), (1, 1), (5, 0), (-6, 2)]),
     ("Z^2xC2", [((0, 0), 0), ((1, -1), 1), ((3, -2), 1), ((0, 8), 0)]),
     ("C4xZ", [(0, 0), (3, -2), (1, 5), (2, -9)]),
 ]
 
+# unordered, repeated, with 0, a single radius, and none
+RADII_LISTS = [[5, 0, 3, 3, 1], [2, 2], [0], [4], [3, 0], []]
+
 
 @pytest.mark.parametrize("group, shifts", FOLNER_CASES, ids=[g for g, _ in FOLNER_CASES])
 def test_folner_closed_forms_match_the_set_counts(group, shifts):
     spec = parse_group(group)
+    top = 7 if group != "Z^3" else 5
     for t in shifts:
-        for n in range(0, 7 if group != "Z^3" else 5):
+        for n in range(0, top):
             assert folner_overlap(spec, n, t) == ref_overlap(spec, n, t), (t, n)
-            assert folner_defect(spec, n, t) == ref_defect(spec, n, t), (t, n)
+        for radii in [range(0, top)] + RADII_LISTS:
+            want = [ref_defect(spec, n, t) for n in radii]
+            assert folner_defects(spec, t, radii) == want, (t, radii)
         assert folner_size(spec, 3) == len(folner_set(spec, 3))
+
+
+def test_an_empty_radius_list_has_no_defects():
+    assert folner_defects(Integers(), 1, []) == []
+    assert folner_defects(parse_group("C2xC3"), (1, 2), range(0)) == []
 
 
 def test_wide_shifts_leave_disjoint_boxes():
     Z2 = IntegerLattice(2)
     for t in [(3, 0), (0, -3), (10**30, 0), (-(10**30), 5)]:
         assert folner_overlap(Z2, 2, t) == 0
-        assert folner_defect(Z2, 2, t) == 2
-    assert folner_defect(Integers(), 4, 2**70) == ref_defect(Integers(), 4, 2**70)
+        assert folner_defects(Z2, t, [2]) == [2]
+        # wider than F_0..F_2, narrower than F_3 and F_4 for the first two
+        radii = [4, 0, 2, 3, 1]
+        assert folner_defects(Z2, t, radii) == [ref_defect(Z2, n, t) for n in radii]
+    for t in [2**70, -(2**70)]:
+        radii = [4, 0, 2]
+        assert folner_defects(Integers(), t, radii) == [ref_defect(Integers(), n, t) for n in radii]
+        assert folner_defects(Integers(), t, radii) == [2, 2, 2]
+    Z2C2 = parse_group("Z^2xC2")
+    t = ((6, -1), 1)
+    assert folner_defects(Z2C2, t, range(8)) == [ref_defect(Z2C2, n, t) for n in range(8)]
 
 
 @pytest.mark.parametrize("group", ["F2", "ZxF2"])
 def test_free_factors_have_no_averaging_sequence(group):
     spec = parse_group(group)
     t = spec.identity()
-    for fn in (folner_overlap, folner_defect, ref_overlap, ref_defect):
+    for fn in (folner_overlap, ref_overlap, ref_defect):
         with pytest.raises(SpecMismatchError, match="no averaging sequence for F2"):
             fn(spec, 2, t)
+    for radii in ([2], [0, 3], []):
+        with pytest.raises(SpecMismatchError, match="no averaging sequence for F2"):
+            folner_defects(spec, t, radii)
     with pytest.raises(SpecMismatchError, match="no averaging sequence for F2"):
         folner_size(spec, 2)
 
@@ -96,9 +122,12 @@ def test_free_factors_have_no_averaging_sequence(group):
 def test_negative_radius_is_rejected(group):
     spec = parse_group(group)
     t = spec.identity()
-    for fn in (folner_overlap, folner_defect, ref_overlap, ref_defect):
+    for fn in (folner_overlap, ref_overlap, ref_defect):
         with pytest.raises(ValueError, match="index must be >= 0"):
             fn(spec, -1, t)
+    for radii in ([-1], [3, 0, -2], [-5, 4], [2, 2, -1]):
+        with pytest.raises(ValueError, match="index must be >= 0"):
+            folner_defects(spec, t, radii)
     with pytest.raises(ValueError, match="index must be >= 0"):
         folner_size(spec, -1)
 
@@ -107,9 +136,12 @@ def test_negative_radius_is_rejected(group):
     "spec, t", [(Cyclic(5), 7), (IntegerLattice(2), (1,)), (parse_group("ZxC3"), (1, 3))]
 )
 def test_shift_outside_the_group_is_rejected(spec, t):
-    for fn in (folner_overlap, folner_defect, ref_overlap, ref_defect):
+    for fn in (folner_overlap, ref_overlap, ref_defect):
         with pytest.raises(SpecMismatchError):
             fn(spec, 2, t)
+    for radii in ([2], [0, 4], []):
+        with pytest.raises(SpecMismatchError):
+            folner_defects(spec, t, radii)
 
 
 def _shifts(spec):
@@ -130,23 +162,28 @@ FOLNER_GROUPS = ["Z", "Z^1", "Z^2", "Z^3", "C1", "C2", "C5", "ZxC3", "Z^2xC2", "
     case=st.sampled_from(FOLNER_GROUPS)
     .map(parse_group)
     .flatmap(lambda spec: st.tuples(st.just(spec), _shifts(spec))),
-    n=st.integers(0, 4),
+    radii=st.lists(st.integers(0, 4), max_size=6),
 )
-def test_folner_property(case, n):
+def test_folner_property(case, radii):
     spec, t = case
-    overlap = folner_overlap(spec, n, t)
-    defect = folner_defect(spec, n, t)
-    assert overlap == ref_overlap(spec, n, t)
-    assert defect == ref_defect(spec, n, t)
-    assert overlap == 1 - defect / 2
+    defects = folner_defects(spec, t, radii)
+    assert len(defects) == len(radii)
+    for n, defect in zip(radii, defects):
+        overlap = folner_overlap(spec, n, t)
+        assert overlap == ref_overlap(spec, n, t)
+        assert defect == ref_defect(spec, n, t)
+        assert overlap == 1 - defect / 2
 
 
 def test_folner_study_rows_match_the_references():
     spec = parse_group("ZxC3")
     t = (-1, 2)
-    for row in summation.folner_study(spec, t, range(0, 8)):
-        assert row.defect == ref_defect(spec, row.radius, t)
-        assert row.value == ref_overlap(spec, row.radius, t)
+    for radii in (range(0, 8), [6, 0, 2, 2, 7]):
+        rows = summation.folner_study(spec, t, radii)
+        assert [row.radius for row in rows] == list(radii)
+        for row in rows:
+            assert row.defect == ref_defect(spec, row.radius, t)
+            assert row.value == ref_overlap(spec, row.radius, t)
 
 
 def _same_float(a, b):
