@@ -289,6 +289,9 @@ def test_scalar_report_is_byte_identical(tmp_path, name, argv):
 GOLDEN_FREE = [
     ("freecount_k3_l4", ["freecount", "--k", "3", "--lmax", "4", "--radii", "0..8"]),
     ("freecount_k2_l4", ["freecount", "--k", "2", "--lmax", "4", "--radii", "0..11"]),
+    # unordered and repeated radii, radius 0, and a third rank
+    ("freecount_k3_unordered", ["freecount", "--k", "3", "--lmax", "2", "--radii", "6,0,4,4"]),
+    ("freecount_k4_l2", ["freecount", "--k", "4", "--lmax", "2", "--radii", "0..5"]),
     ("balls_f2", ["balls", "--group", "F2", "--radii", "0..10"]),
 ]
 
