@@ -6,8 +6,8 @@ Words are freely reduced tuples of nonzero signed generator indices
 with respect to it.  Both kernels walk one tree, ``_levels``: the ball as
 level arrays with one numpy entry per word, its last letter and the index
 of its parent one level up.  ``free_ball_words`` builds the words as
-tuples from them; ``free_t_count`` only counts, so it keeps one numpy
-entry per word.
+tuples from them; ``free_t_count`` only counts, for many words and radii
+from one walk, so it keeps a few numpy entries per word.
 """
 
 import numpy as np
@@ -20,11 +20,21 @@ BACKEND = "pure"
 
 def _letters(k):
     # [1, -1, 2, -2, ..., k, -k] -- the fixed generator order
-    out = []
-    for i in range(1, k + 1):
-        out.append(i)
-        out.append(-i)
-    return out
+    return [sign * i for i in range(1, k + 1) for sign in (1, -1)]
+
+
+def _check_ball(k, n, cap):
+    """ValueError unless B_n of F_k is defined, ResourceCapError if over ``cap``."""
+    if not 1 <= k <= np.iinfo(np.int8).max:
+        raise ValueError(f"free rank must be in 1..127, got {k}")
+    if n < 0:
+        raise ValueError(f"radius must be >= 0, got {n}")
+    total = 0
+    for depth in range(n + 1):
+        # |S_0| = 1 and |S_j| = 2k (2k - 1)^(j - 1)
+        total += 1 if depth == 0 else 2 * k * (2 * k - 1) ** (depth - 1)
+        if total > cap:
+            raise ResourceCapError(f"ball of F_{k} at radius {n} exceeds cap {cap}")
 
 
 def _levels(k, n, cap):
@@ -33,38 +43,27 @@ def _levels(k, n, cap):
     Yields, for each length 1..n, the int8 last letters of that level's
     words and the index of each word's parent in the level before (the
     empty word at length 1).  A parent's children are consecutive and in
-    letter order.  The cap is checked before each level is built, so
-    ResourceCapError is raised as soon as the ball would exceed ``cap``
-    elements and no word past it is allocated.
+    letter order.  A ball over ``cap`` raises ResourceCapError before the
+    first level is built.
     """
-    if not 1 <= k <= np.iinfo(np.int8).max:
-        raise ValueError(f"free rank must be in 1..127, got {k}")
-    if n < 0:
-        raise ValueError(f"radius must be >= 0, got {n}")
+    _check_ball(k, n, cap)
     letters = np.array(_letters(k), dtype=np.int8)
     # allowed[v] lists the letters that may follow the letter v, so a signed
     # int8 letter indexes its own row; row 0 is never read
     allowed = np.zeros((2 * k + 1, 2 * k - 1), dtype=np.int8)
     for v in letters:
         allowed[v] = letters[letters != -v]
-    total = 0
-    for depth in range(n + 1):
-        # |S_0| = 1 and |S_j| = 2k (2k - 1)^(j - 1)
-        size = 1 if depth == 0 else 2 * k * (2 * k - 1) ** (depth - 1)
-        total += size
-        if total > cap:
-            raise ResourceCapError(f"ball of F_{k} at radius {n} exceeds cap {cap}")
-        if depth:
-            last = letters if depth == 1 else allowed[last].ravel()
-            yield last, np.repeat(np.arange(prev), size // prev)
-        prev = size
+    last = np.zeros(1, dtype=np.int8)
+    for depth in range(1, n + 1):
+        prev, last = last.size, letters if depth == 1 else allowed[last].ravel()
+        yield last, np.repeat(np.arange(prev), last.size // prev)
 
 
 def free_ball_words(k, n, cap):
     """All reduced words of length <= n in F_k, length-lex ordered.
 
-    Raises ResourceCapError as soon as the enumeration exceeds ``cap``
-    elements.
+    Raises ResourceCapError, before any word is built, when the ball
+    exceeds ``cap`` elements.
     """
     words, level = [()], [()]
     for last, parent in _levels(k, n, cap):
@@ -77,36 +76,55 @@ def free_ball_words(k, n, cap):
 
 def free_mul(a, b):
     """Product of two reduced words, freely reduced."""
-    i = len(a)
-    j = 0
-    nb = len(b)
+    i, j, nb = len(a), 0, len(b)
     while i > 0 and j < nb and a[i - 1] == -b[j]:
         i -= 1
         j += 1
     return a[:i] + b[j:]
 
 
-def free_t_count(k, t, n, cap):
-    """|{h in B_n : len(t h) <= n}| by exhaustive enumeration of B_n.
+def free_t_count(k, words, radii, cap):
+    """|{h in B_n : len(t h) <= n}| for each reduced word t of ``words`` (a
+    row each) and n of ``radii`` (in their order), from one walk of the
+    largest ball.  The radii are checked against the cap first, in order.
 
-    ``t`` must be a reduced word.  The reduced length of ``t h`` is
-    ``len(t) + len(h) - 2 j`` where ``j`` counts the letters of ``h`` that
-    cancel against the tail of ``t``.  B_n is enumerated as the level
-    arrays of ``_levels``, with one more entry per word, its ``j``: the
-    parent's, plus one when every letter before cancelled and this one
-    does too.  Each level counts its words with ``j`` large enough to
-    land in B_n.  The cap is checked before each level is built.
+    For h of length D, ``len(t h) = len(t) + D - 2 j``, where ``j`` counts
+    the letters of h that cancel against the tail of t.  A word's ``j`` is
+    its parent's, plus one when every letter before cancelled and this one
+    does too.  Past the longest word's length L no ``j`` changes, so a level
+    carries only each word's depth-L ancestor and counts the words under it.
     """
-    ell = len(t)
-    # tail[m] is the letter of t that the (m+1)'th letter of h must cancel
-    tail = [-t[ell - 1 - m] for m in range(ell)]
-    count = int(ell <= n)
-    matched = np.zeros(1, dtype=np.min_scalar_type(min(ell, n)))
-    for depth, (last, parent) in enumerate(_levels(k, n, cap), 1):
-        matched = matched[parent]
-        if depth <= ell:
-            matched += (matched == depth - 1) & (last == tail[depth - 1])
-        # the words of this level with ell + depth - 2 j <= n
-        lo = max(0, -((n - ell - depth) // 2))
-        count += int(np.count_nonzero(matched >= lo))
-    return count
+    for n in radii:
+        _check_ball(k, n, cap)
+    top = max(radii, default=0)
+    deep = min(max(map(len, words), default=0), top)
+    # tails[i][m] is the letter of words[i] that the (m+1)'th letter of h must cancel
+    tails = [[-t[len(t) - 1 - m] for m in range(len(t))] for t in words]
+    matched = [np.zeros(1, dtype=np.min_scalar_type(deep)) for _ in words]
+    # at_least[i][D, j]: the h of length D with at least j letters cancelled
+    at_least = [np.zeros((top + 1, len(t) + 2), dtype=np.int64) for t in words]
+    for table in at_least:
+        table[0, 0] = 1
+    for depth, (last, parent) in enumerate(_levels(k, top, cap), 1):
+        if depth <= deep:
+            for i, tail in enumerate(tails):
+                m = matched[i] = matched[i][parent]
+                if depth <= len(tail):
+                    m += (m == depth - 1) & (last == tail[depth - 1])
+                at_least[i][depth, :-1] = [np.count_nonzero(m >= j) for j in range(len(tail) + 1)]
+            continue
+        # the ids stay sorted, as a parent's children are consecutive, so each
+        # id's count is a run length (np.bincount is far slower on few ids)
+        ancestor = parent.astype(np.min_scalar_type(parent[-1])) if depth == deep + 1 else ancestor[parent]
+        ends = np.flatnonzero(ancestor[1:] != ancestor[:-1])
+        below = np.diff(ends, prepend=-1, append=ancestor.size - 1)
+        for m, table in zip(matched, at_least):
+            table[depth] = np.bincount(m, below, table.shape[1])[::-1].cumsum()[::-1]
+    n = np.array(radii, dtype=np.int64)[:, None]
+    depth = np.arange(top + 1)
+    rows = []
+    for t, table in zip(words, at_least):
+        # h counts when D <= n and j >= (len(t) + D - n) / 2; the last column is 0
+        fewest = np.clip((len(t) + depth - n + 1) // 2, 0, len(t) + 1)
+        rows.append([int(c) for c in table[depth, np.where(depth <= n, fewest, -1)].sum(axis=1)])
+    return rows

@@ -323,7 +323,7 @@ def cmd_psd(args) -> Report:
 
 
 def cmd_freecount(args) -> Report:
-    radii = _parse_int_list("--radii", args.radii, args.cap) if args.radii else None
+    radii = None if args.radii is None else _parse_int_list("--radii", args.radii, args.cap)
     _check_nonnegative("--radii", radii or ())
     # never empty: ell = 0 has a row at every radius, and radii are >= 0
     counts = freecomb.count_table(args.k, args.lmax, radii, args.cap)

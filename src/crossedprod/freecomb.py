@@ -23,9 +23,7 @@ from .groups import DEFAULT_ELEMENT_CAP, Element, FreeGroup, GroupSpec, ball
 
 def sphere_size(k: int, n: int) -> int:
     """Number of reduced words of length exactly n in F_k."""
-    _check_rank(k)
-    if n < 0:
-        raise ValueError(f"radius must be >= 0, got {n}")
+    _check_rank(k, radius=n)
     if n == 0:
         return 1
     return 2 * k * (2 * k - 1) ** (n - 1)
@@ -33,11 +31,8 @@ def sphere_size(k: int, n: int) -> int:
 
 def ball_size(k: int, n: int) -> int:
     """|B_n| = (k(2k-1)^n - 1)/(k-1), exact."""
-    _check_rank(k)
-    if n < 0:
-        raise ValueError(f"radius must be >= 0, got {n}")
-    num = k * (2 * k - 1) ** n - 1
-    size, rem = divmod(num, k - 1)
+    _check_rank(k, radius=n)
+    size, rem = divmod(k * (2 * k - 1) ** n - 1, k - 1)
     assert rem == 0, (k, n)
     return size
 
@@ -48,36 +43,33 @@ def t_count_closed(k: int, ell: int, n: int) -> int:
     Requires n >= 2*ell; below that the sphere-by-sphere count changes
     shape and the formula does not apply.
     """
-    _check_rank(k)
-    if ell < 0:
-        raise ValueError(f"length must be >= 0, got {ell}")
+    _check_rank(k, length=ell)
     if n < 2 * ell:
         raise ValueError(f"closed form needs n >= 2*ell, got n={n}, ell={ell}")
     if ell == 0:
         return ball_size(k, n)
     q = 2 * k - 1
     m, odd = divmod(ell, 2)
-    if odd:
-        num = 2 * q ** (n - m) - 2
-    else:
-        num = q ** (n - m + 1) + q ** (n - m) - 2
+    num = 2 * q ** (n - m) - 2 if odd else q ** (n - m + 1) + q ** (n - m) - 2
     count, rem = divmod(num, q - 1)
     assert rem == 0, (k, ell, n)
     return count
 
 
 def t_count_bruteforce(
-    k: int, t: tuple, n: int, cap: int = DEFAULT_ELEMENT_CAP
-) -> int:
-    """|T_n(t)| by exhaustive enumeration of B_n in F_k."""
+    k: int, words: Sequence[tuple], radii: Sequence[int], cap: int = DEFAULT_ELEMENT_CAP
+) -> List[List[int]]:
+    """|T_n(t)| for each t of ``words`` (a row each) and n of ``radii`` (in
+    their order), by one exhaustive enumeration of the largest ball in F_k."""
     _check_rank(k)
-    FreeGroup(k).validate(t)
-    return free_t_count(k, t, n, cap)
+    for t in words:
+        FreeGroup(k).validate(t)
+    return free_t_count(k, words, radii, cap)
 
 
 def chi_ratio(k: int, t: tuple, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Fraction:
     """Exact overlap ratio |B_n meet tB_n| / |B_n| in F_k."""
-    return Fraction(t_count_bruteforce(k, t, n, cap), ball_size(k, n))
+    return Fraction(t_count_bruteforce(k, [t], [n], cap)[0][0], ball_size(k, n))
 
 
 def chi_limit_free(k: int, ell: int) -> Fraction:
@@ -85,9 +77,7 @@ def chi_limit_free(k: int, ell: int) -> Fraction:
 
     1/q^m when ell = 2m, and 1/(k q^m) when ell = 2m + 1.
     """
-    _check_rank(k)
-    if ell < 0:
-        raise ValueError(f"length must be >= 0, got {ell}")
+    _check_rank(k, length=ell)
     q = 2 * k - 1
     m, odd = divmod(ell, 2)
     if odd:
@@ -107,8 +97,7 @@ def fin_gen_lower_bound(k: int, ell: int) -> Fraction:
         raise ValueError(f"need at least 2 symmetric generators, got {k}")
     if ell < 0:
         raise ValueError(f"length must be >= 0, got {ell}")
-    denom = sum((k - 1) ** j for j in range(ell + 1))
-    return Fraction(1, denom)
+    return Fraction(1, sum((k - 1) ** j for j in range(ell + 1)))
 
 
 def ball_overlap_count(
@@ -117,9 +106,8 @@ def ball_overlap_count(
     """|B_n meet gB_n| for any supported group, by direct enumeration."""
     spec.validate(g)
     if isinstance(spec, FreeGroup):
-        return free_t_count(spec.k, spec.inverse(g), n, cap)
-    B = ball(spec, n, cap)
-    return sum(1 for h in B if spec.word_length(spec.multiply(g, h)) <= n)
+        return free_t_count(spec.k, [spec.inverse(g)], [n], cap)[0][0]
+    return sum(1 for h in ball(spec, n, cap) if spec.word_length(spec.multiply(g, h)) <= n)
 
 
 def ball_overlap_ratio(
@@ -147,42 +135,35 @@ def representative_word(ell: int) -> tuple:
 
 
 def count_table(
-    k: int,
-    lmax: int,
-    radii: Optional[Sequence[int]] = None,
-    cap: int = DEFAULT_ELEMENT_CAP,
+    k: int, lmax: int, radii: Optional[Sequence[int]] = None, cap: int = DEFAULT_ELEMENT_CAP
 ) -> List[FreeCount]:
     """Closed-form vs brute-force |T_n(t)| rows for ell in 0..lmax.
 
     Default radii per ell: n in {2*ell .. min(2*ell + 2, 7)}.  A row needs
-    n >= 2*ell, so ell stops at half the largest radius.
+    n >= 2*ell, so ell stops at half the largest radius.  One enumeration
+    of the largest ball counts every row; the cap is checked in row order.
     """
     _check_rank(k)
     top = 7 if radii is None else max(radii, default=-1)
-    rows = []
-    for ell in range(min(lmax, top // 2) + 1):
-        t = representative_word(ell)
-        if radii is None:
-            ns = range(2 * ell, min(2 * ell + 2, top) + 1)
-        else:
-            ns = [n for n in radii if n >= 2 * ell]
-        for n in ns:
-            closed = t_count_closed(k, ell, n)
-            brute = t_count_bruteforce(k, t, n, cap)
-            rows.append(
-                FreeCount(
-                    k=k,
-                    ell=ell,
-                    n=n,
-                    closed=closed,
-                    brute=brute,
-                    ratio=Fraction(brute, ball_size(k, n)),
-                    limit=chi_limit_free(k, ell),
-                )
-            )
-    return rows
+    ells = range(min(lmax, top // 2) + 1)
+    pairs = [
+        (ell, n)
+        for ell in ells
+        for n in (range(2 * ell, min(2 * ell + 2, top) + 1) if radii is None else radii)
+        if n >= 2 * ell
+    ]
+    words = [representative_word(ell) for ell in ells]
+    brute = t_count_bruteforce(k, words, [n for _, n in pairs], cap)
+    return [
+        FreeCount(k, ell, n, t_count_closed(k, ell, n), brute[ell][i],
+                  Fraction(brute[ell][i], ball_size(k, n)), chi_limit_free(k, ell))
+        for i, (ell, n) in enumerate(pairs)
+    ]
 
 
-def _check_rank(k: int):
+def _check_rank(k: int, **lengths: int):
     if k < 2:
         raise ValueError(f"free rank must be >= 2, got {k}")
+    for name, value in lengths.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")

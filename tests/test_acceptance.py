@@ -89,7 +89,7 @@ def test_acceptance_01_free_group_counting():
                 t = freecomb.representative_word(ell)
                 for n in range(2 * ell, min(2 * ell + 2, 7) + 1):
                     closed = freecomb.t_count_closed(k, ell, n)
-                    brute = freecomb.t_count_bruteforce(k, t, n)
+                    brute = freecomb.t_count_bruteforce(k, [t], [n])[0][0]
                     assert closed == brute
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"counting took {elapsed:.1f}s"

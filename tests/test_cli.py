@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from crossedprod import __version__, crossed, posdef, sigma, summation
+from crossedprod import __version__, _core, crossed, freecomb, posdef, sigma, summation
 from crossedprod._core import BACKEND
 from crossedprod.cli import _json_text, main
 from crossedprod.groups import ORDERING_VERSION, FreeGroup, ProductGroup, ball, parse_group
@@ -963,6 +963,72 @@ def test_capped_freecount_names_the_first_radius_it_reaches(tmp_path, capsys):
     code, _ = run(tmp_path, "freecount", "--k", "2", "--lmax", "2", "--radii", "5,3", "--cap", "200")
     assert code == 3
     assert capsys.readouterr().err == "resource cap: ball of F_2 at radius 5 exceeds cap 200\n"
+
+
+def spy_levels(monkeypatch, change=lambda depth, n, last, parent: (last, parent)):
+    """Route _core._levels through change(depth, n, last, parent) and return
+    the log: one (n, levels yielded) entry per walk."""
+    walks = []
+    real = _core._levels
+
+    def spy(k, n, cap):
+        walks.append([n, 0])
+        for depth, level in enumerate(real(k, n, cap), 1):
+            walks[-1][1] += 1
+            yield change(depth, n, *level)
+
+    monkeypatch.setattr(_core, "_levels", spy)
+    return walks
+
+
+def test_freecount_walks_the_word_tree_once(tmp_path, monkeypatch):
+    walks = spy_levels(monkeypatch)
+    code, out = run(tmp_path, "freecount", "--k", "2", "--lmax", "4", "--radii", "0..11")
+    assert code == 0
+    assert walks == [[11, 11]]
+    assert read_outputs(out, "freecount")[1]["rows"] == 40
+
+
+@pytest.mark.parametrize("radii", ["0..3,9,2", "9,0..3", "0..3,2,9"])
+def test_capped_freecount_builds_no_level(tmp_path, capsys, monkeypatch, radii):
+    # |B_9(F2)| = 39365: the radius over the cap may stand anywhere
+    walks = spy_levels(monkeypatch)
+    code, out = run(tmp_path, "freecount", "--k", "2", "--radii", radii, "--cap", "1000")
+    assert code == 3
+    assert capsys.readouterr().err == "resource cap: ball of F_2 at radius 9 exceeds cap 1000\n"
+    assert sum(levels for _, levels in walks) == 0
+    assert list(out.iterdir()) == []
+
+
+def test_freecount_fails_on_a_dropped_word(tmp_path, monkeypatch):
+    # the walk loses the last word of its deepest level: every row at that
+    # radius whose count includes it goes short of the closed form
+    def drop(depth, n, last, parent):
+        return (last[:-1], parent[:-1]) if depth == n else (last, parent)
+
+    spy_levels(monkeypatch, drop)
+    code, out = run(tmp_path, "freecount", "--k", "2", "--lmax", "2", "--radii", "0..4")
+    assert code == 4
+    csv_text, doc = read_outputs(out, "freecount")
+    assert doc["all_equal"] is False and doc["verdict"] == "Fail"
+    assert "2,0,4,161,160," in csv_text
+
+
+def test_freecount_fails_on_an_off_by_one_closed_form(tmp_path, monkeypatch):
+    real = freecomb.t_count_closed
+    monkeypatch.setattr(freecomb, "t_count_closed", lambda k, ell, n: real(k, ell, n) + (n == 3))
+    code, out = run(tmp_path, "freecount", "--k", "2", "--lmax", "1", "--radii", "0..4")
+    assert code == 4
+    csv_text, doc = read_outputs(out, "freecount")
+    assert doc["all_equal"] is False and doc["verdict"] == "Fail"
+    assert "2,1,3,27,26," in csv_text
+
+
+def test_freecount_rejects_an_empty_radii_list(tmp_path, capsys):
+    code, out = run(tmp_path, "freecount", "--k", "2", "--radii", "")
+    assert code == 2
+    assert capsys.readouterr().err == "config error: empty integer list: ''\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("cap, code", [(53, 0), (52, 3)])

@@ -36,7 +36,7 @@ def test_ball_words_match_generic_search(k, n):
     ],
 )
 def test_t_count_matches_closed_form(k, t, n):
-    assert _core.free_t_count(k, t, n, 10**7) == t_count_closed(k, len(t), n)
+    assert _core.free_t_count(k, [t], [n], 10**7) == [[t_count_closed(k, len(t), n)]]
 
 
 def test_ball_words_cap_error():
@@ -79,6 +79,13 @@ def dfs_t_count(k, t, n, cap):
     return count
 
 
+def dfs_t_counts(k, words, radii, cap):
+    """Reference rows: one dfs_t_count per word and radius, radii outer, so
+    the first radius in order whose ball is over the cap raises."""
+    by_radius = [[dfs_t_count(k, t, n, cap) for t in words] for n in radii]
+    return [[counts[i] for counts in by_radius] for i in range(len(words))]
+
+
 def outcome(count, *args):
     try:
         return count(*args)
@@ -93,16 +100,21 @@ def reduced_words(draw, k, max_len):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), k=st.integers(1, 4), n=st.integers(0, 6))
-def test_t_count_matches_the_depth_first_reference(data, k, n):
-    t = data.draw(reduced_words(k, 5), label="t")
+@given(data=st.data(), k=st.integers(1, 4))
+def test_t_count_matches_the_depth_first_reference(data, k):
+    # several words, including the empty one and words longer than a radius,
+    # against unordered and repeated radii in one call
+    words = data.draw(st.lists(reduced_words(k, 5), min_size=1, max_size=3), label="words")
+    radii = data.draw(st.lists(st.integers(0, 6), max_size=4), label="radii")
     cap = data.draw(st.one_of(st.just(10**6), st.integers(1, 3000)), label="cap")
-    assert outcome(_core.free_t_count, k, t, n, cap) == outcome(dfs_t_count, k, t, n, cap)
+    got = outcome(_core.free_t_count, k, words, radii, cap)
+    assert got == outcome(dfs_t_counts, k, words, radii, cap)
 
 
 def test_t_count_checks_the_cap_before_building_a_level(monkeypatch):
-    # |B_5(F2)| = 485 and |B_6(F2)| = 1457: at cap 1456 the 972 words of
-    # length 6 must never be allocated
+    # |B_6(F2)| = 1457: at cap 1456 no level is allocated, not even the
+    # ones of the radii before 6, and the error names 6, the first radius
+    # in order over the cap
     sizes = []
     real = np.repeat
 
@@ -113,8 +125,22 @@ def test_t_count_checks_the_cap_before_building_a_level(monkeypatch):
 
     monkeypatch.setattr(np, "repeat", spy)
     with pytest.raises(ResourceCapError, match="ball of F_2 at radius 6 exceeds cap 1456"):
-        _core.free_t_count(2, (1, 2), 6, ball_size(2, 6) - 1)
-    assert sizes and max(sizes) == 324
-    sizes.clear()
-    assert _core.free_t_count(2, (1, 2), 6, ball_size(2, 6)) == t_count_closed(2, 2, 6)
+        _core.free_t_count(2, [(1, 2)], [2, 6, 3, 7], ball_size(2, 6) - 1)
+    assert sizes == []
+    assert _core.free_t_count(2, [(1, 2)], [6], ball_size(2, 6)) == [[t_count_closed(2, 2, 6)]]
     assert max(sizes) == 972
+
+
+def test_t_count_walks_the_largest_ball_once(monkeypatch):
+    walks = []
+    real = _core._levels
+
+    def spy(k, n, cap):
+        walks.append(n)
+        return real(k, n, cap)
+
+    monkeypatch.setattr(_core, "_levels", spy)
+    words = [(), (1,), (1, 2), (2, -1, 2)]
+    rows = _core.free_t_count(2, words, [6, 0, 4, 4], 10**6)
+    assert walks == [6]
+    assert rows == [[dfs_t_count(2, t, n, 10**6) for n in (6, 0, 4, 4)] for t in words]

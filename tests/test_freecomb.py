@@ -62,7 +62,7 @@ def test_t_count_frozen_values(key):
     k, ell, n = key
     t = representative_word(ell)
     assert t_count_closed(k, ell, n) == T_COUNTS[key]
-    assert t_count_bruteforce(k, t, n) == T_COUNTS[key]
+    assert t_count_bruteforce(k, [t], [n]) == [[T_COUNTS[key]]]
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -70,15 +70,19 @@ def test_t_count_frozen_values(key):
 def test_closed_form_matches_bruteforce(k, ell):
     for n in range(2 * ell, min(2 * ell + 2, 7) + 1):
         t = representative_word(ell)
-        assert t_count_closed(k, ell, n) == t_count_bruteforce(k, t, n)
+        assert [[t_count_closed(k, ell, n)]] == t_count_bruteforce(k, [t], [n])
 
 
 def test_t_count_is_word_independent():
     # count depends on t only through its length
     for t in [(1, 1), (1, 2), (2, -1), (-2, -2)]:
-        assert t_count_bruteforce(2, t, 5) == t_count_closed(2, 2, 5)
+        assert t_count_bruteforce(2, [t], [5]) == [[t_count_closed(2, 2, 5)]]
     for t in [(1, 2, 1), (1, -2, 1), (2, 1, 2)]:
-        assert t_count_bruteforce(2, t, 6) == t_count_closed(2, 3, 6)
+        assert t_count_bruteforce(2, [t], [6]) == [[t_count_closed(2, 3, 6)]]
+    # and all of them from one walk, a row each
+    words = [(1, 1), (1, 2), (2, -1), (-2, -2), (1, 2, 1), (1, -2, 1), (2, 1, 2)]
+    want = [t_count_closed(2, len(t), 6) for t in words]
+    assert t_count_bruteforce(2, words, [6]) == [[c] for c in want]
 
 
 def test_t_count_precondition():
@@ -221,4 +225,4 @@ def test_overlap_requires_supported_spec():
     # finite groups: overlap with whole group is total
     assert ball_overlap_ratio(Cyclic(5), 2, 10) == 1
     with pytest.raises(SpecMismatchError):
-        freecomb.t_count_bruteforce(2, (1, -1), 4)
+        freecomb.t_count_bruteforce(2, [(1, -1)], [4])
