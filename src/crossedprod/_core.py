@@ -89,17 +89,15 @@ def free_t_count(k, words, radii, cap):
     largest ball.  The radii are checked against the cap first, in order.
 
     For h of length D, ``len(t h) = len(t) + D - 2 j``, where ``j`` counts
-    the letters of h that cancel against the tail of t.  A word's ``j`` is
-    its parent's, plus one when every letter before cancelled and this one
-    does too.  Past the longest word's length L no ``j`` changes, so a level
-    carries only each word's depth-L ancestor and counts the words under it.
+    the letters of h that cancel against the tail of t: the parent's count,
+    plus one when all before cancelled and the D'th does too.  Past the
+    longest word's length L, a level carries only each word's depth-L
+    ancestor, whose ``j`` it keeps, and counts the words under it.
     """
     for n in radii:
         _check_ball(k, n, cap)
     top = max(radii, default=0)
     deep = min(max(map(len, words), default=0), top)
-    # tails[i][m] is the letter of words[i] that the (m+1)'th letter of h must cancel
-    tails = [[-t[len(t) - 1 - m] for m in range(len(t))] for t in words]
     matched = [np.zeros(1, dtype=np.min_scalar_type(deep)) for _ in words]
     # at_least[i][D, j]: the h of length D with at least j letters cancelled
     at_least = [np.zeros((top + 1, len(t) + 2), dtype=np.int64) for t in words]
@@ -107,17 +105,16 @@ def free_t_count(k, words, radii, cap):
         table[0, 0] = 1
     for depth, (last, parent) in enumerate(_levels(k, top, cap), 1):
         if depth <= deep:
-            for i, tail in enumerate(tails):
+            for i, t in enumerate(words):
                 m = matched[i] = matched[i][parent]
-                if depth <= len(tail):
-                    m += (m == depth - 1) & (last == tail[depth - 1])
-                at_least[i][depth, :-1] = [np.count_nonzero(m >= j) for j in range(len(tail) + 1)]
+                if depth <= len(t):
+                    m += (m == depth - 1) & (last == -t[-depth])
+                at_least[i][depth, :-1] = [np.count_nonzero(m >= j) for j in range(len(t) + 1)]
             continue
         # the ids stay sorted, as a parent's children are consecutive, so each
         # id's count is a run length (np.bincount is far slower on few ids)
         ancestor = parent.astype(np.min_scalar_type(parent[-1])) if depth == deep + 1 else ancestor[parent]
-        ends = np.flatnonzero(ancestor[1:] != ancestor[:-1])
-        below = np.diff(ends, prepend=-1, append=ancestor.size - 1)
+        below = np.diff(np.flatnonzero(ancestor[1:] != ancestor[:-1]), prepend=-1, append=ancestor.size - 1)
         for m, table in zip(matched, at_least):
             table[depth] = np.bincount(m, below, table.shape[1])[::-1].cumsum()[::-1]
     n = np.array(radii, dtype=np.int64)[:, None]

@@ -50,7 +50,10 @@ def t_count_closed(k: int, ell: int, n: int) -> int:
         return ball_size(k, n)
     q = 2 * k - 1
     m, odd = divmod(ell, 2)
-    num = 2 * q ** (n - m) - 2 if odd else q ** (n - m + 1) + q ** (n - m) - 2
+    if odd:
+        num = 2 * q ** (n - m) - 2
+    else:
+        num = q ** (n - m + 1) + q ** (n - m) - 2
     count, rem = divmod(num, q - 1)
     assert rem == 0, (k, ell, n)
     return count
@@ -97,7 +100,8 @@ def fin_gen_lower_bound(k: int, ell: int) -> Fraction:
         raise ValueError(f"need at least 2 symmetric generators, got {k}")
     if ell < 0:
         raise ValueError(f"length must be >= 0, got {ell}")
-    return Fraction(1, sum((k - 1) ** j for j in range(ell + 1)))
+    denom = sum((k - 1) ** j for j in range(ell + 1))
+    return Fraction(1, denom)
 
 
 def ball_overlap_count(
