@@ -273,6 +273,11 @@ GOLDEN_SCALAR = [
         ["cesaro", "--coeffs", "0:1,1:0.5,-1:0.5", "--orders", "5..200", "--grid", "2001"],
     ),
     ("cesaro_complex", ["cesaro", "--coeffs", "0:1,2:0.5j,-3:-0.25", "--orders", "0..40"]),
+    # unordered and repeated orders, some below the degree, complex coefficients
+    (
+        "cesaro_unordered",
+        ["cesaro", "--coeffs", "0:1,3:0.5j,-2:-0.25", "--orders", "7,0,2,2,40", "--grid", "33"],
+    ),
 ]
 
 
@@ -377,6 +382,12 @@ GOLDEN_SCALAR_SWEEPS = [
 )
 def test_scalar_sweep_report_is_byte_identical(tmp_path, name, argv):
     """Byte for byte, except a sigma report's SIGMA_NOISE values."""
+    assert_sweep_matches_golden(tmp_path, name, argv)
+
+
+def assert_sweep_matches_golden(tmp_path, name, argv):
+    """Run a sigma or pi sweep and compare it with DATA/golden_<name>: a pi
+    report byte for byte, a sigma report by assert_sigma_outputs_match."""
     assert main(argv + ["--out", str(tmp_path)]) == 0
     if argv[0] == "sigma":
         assert_sigma_outputs_match(tmp_path, f"golden_{name}")
@@ -402,3 +413,24 @@ def test_full_algebra_sweep_report_is_byte_identical(tmp_path):
     Byte for byte, except the SIGMA_NOISE values."""
     assert main(GOLDEN_SIGMA_RUNS[2][1] + ["--out", str(tmp_path)]) == 0
     assert_sigma_outputs_match(tmp_path, "golden_sigma_c6_full")
+
+
+# Sweeps recorded when every trial drew its inputs by itself and sigma was
+# applied once per trial: a long scalar pi, a pi whose trial count is no
+# multiple of a small block, and a sigma sweep of many trials.
+GOLDEN_TRIAL_SWEEPS = [
+    ("pi_c5_trials100", ["pi", "--group", "C5", "--xi", "geometric:0.7", "--trials", "100"]),
+    ("pi_c12_translation", ["pi", "--group", "C12", "--algebra", "diagonal:12", "--action",
+                            "translation", "--xi", "geometric:0.6", "--seed", "5",
+                            "--trials", "7"]),
+    ("sigma_c8_swap", ["sigma", "--group", "C8", "--algebra", "diagonal:2", "--action",
+                       "swap", "--xi", "geometric:0.6", "--seed", "7", "--trials", "37"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv", GOLDEN_TRIAL_SWEEPS, ids=[name for name, _ in GOLDEN_TRIAL_SWEEPS]
+)
+def test_trial_sweep_report_is_byte_identical(tmp_path, name, argv):
+    """Byte for byte, except a sigma report's SIGMA_NOISE values."""
+    assert_sweep_matches_golden(tmp_path, name, argv)
