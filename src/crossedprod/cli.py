@@ -406,7 +406,8 @@ def cmd_sigma(args) -> Report:
     # kept per trial: cp_check's coefficient stacks and dual blocks of an
     # m x m positivity grid, or a condition (ii) sample, whose first five
     # the tau-sum reads; condition (ii)'s Fourier batch is transient and
-    # the size of one sample
+    # the size of one sample, and cp_check's blocks of trials draw no more
+    # than it keeps
     pair = _build_pair(args, m, lambda n, d: max(2 * n * (m * d) ** 2, (n * d) ** 2))
     ctx = pair.ctx
     cp = sigma_mod.cp_check(
@@ -478,13 +479,16 @@ def cmd_pi(args) -> Report:
     pair = _build_pair(args, 1, lambda n, d: 6 * n * d**2)
     ctx = pair.ctx
     rng = np.random.default_rng(args.seed)
-    # per trial only the draws of x and y and one sigma(x); the rest runs
-    # once over the (trials, n, d, d) stacks
-    shape = (args.trials, ctx.nwin, ctx.d, ctx.d)
-    sx, ys = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for t in range(args.trials):
-        sx[t] = pair.sigma(sigma_mod.random_window_operator(ctx, rng)).coeffs
-        ys[t] = sigma_mod.random_crossed_element(ctx, rng).coeffs
+    # per block of trials one draw, each trial's x and then its y, and one
+    # sigma of the block's x; the rest runs once over the (trials, n, d, d)
+    # stacks
+    n, d, dim = ctx.nwin, ctx.d, ctx.dim
+    sx, ys = (np.empty((args.trials, n, d, d), dtype=complex) for _ in range(2))
+    for a, b in sigma_mod.trial_blocks(args.trials, dim * dim + n * d * d, 6 * n * d * d):
+        draw = rng.standard_normal((b, 2 * (dim * dim + n * d * d)))
+        x = sigma_mod.random_window_operator(ctx, draw[:, : 2 * dim * dim], (b,))
+        sx[a : a + b] = pair.sigma(x).coeffs
+        ys[a : a + b] = sigma_mod.random_crossed_element(ctx, draw[:, 2 * dim * dim :], (b,)).coeffs
     # the coefficients of sigma(x) serve both p1 and the amplification; p1
     # comes from them, the operators x not being kept, and sigma is
     # applied to p1, so idempotency is not true by construction
@@ -559,9 +563,8 @@ def cmd_cesaro(args) -> Report:
     nonneg = all(
         complex(c).imag == 0 and complex(c).real >= 0 for c in coeffs.values()
     )
-    for n in orders:
-        mean = summation.cesaro_mean(f, n)
-        err = summation.sup_norm_grid(f, mean, grid)
+    means = [summation.cesaro_mean(f, n) for n in orders]
+    for n, err in zip(orders, summation.sup_norm_grid(f, means, grid)):
         predicted = sum(
             abs(k) * abs(complex(c)) / (n + 1)
             for k, c in coeffs.items()
@@ -747,7 +750,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         argv = _expand_config(list(argv))
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse printed its usage error; --help and --version exit 0
+            if exc.code == 0:
+                raise
+            return 2
         tol = getattr(args, "tol", None)
         _check_finite_float("--tol", tol)
         if tol is not None and tol < 0:

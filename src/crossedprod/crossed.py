@@ -52,6 +52,17 @@ from .posdef import PdFunction, gram_matrix
 DEFAULT_TOL = 1e-10
 
 
+# a generator, or the normals a block of sweep trials drew in one call; the
+# generator is named as a string, so that importing does not load numpy.random
+Normals = Union["np.random.Generator", np.ndarray]
+
+
+def standard_normals(rng: Normals, shape: Tuple[int, ...]) -> np.ndarray:
+    """rng.standard_normal(shape), or drawn normals rng reshaped to shape.
+    A draw fills its output in order: one (B, ...) draw is B of the rest."""
+    return rng.reshape(shape) if isinstance(rng, np.ndarray) else rng.standard_normal(shape)
+
+
 @dataclass(frozen=True)
 class CoeffAlgebra:
     """The coefficient algebra: diagonal or full d x d matrices.  The
@@ -130,9 +141,12 @@ class CoeffAlgebra:
             )
         return out
 
-    def random_member(self, rng: np.random.Generator) -> np.ndarray:
+    def random_member(self, rng: Normals, lead: Tuple[int, ...] = ()) -> np.ndarray:
+        """A member of standard complex normals, its real parts, then its
+        imaginary parts; or a lead-shaped stack of them from one draw."""
         d = self.internal_dim
-        return self.compress(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        draw = standard_normals(rng, tuple(lead) + (2, d, d))
+        return self.compress(draw[..., 0, :, :] + 1j * draw[..., 1, :, :])
 
 
 @dataclass(frozen=True)

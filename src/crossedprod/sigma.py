@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .crossed import (
     BlockMatrix,
     CrossedContext,
+    Normals,
     SpanElement,
     fourier_coefficient,
     grid_blocks,
@@ -35,6 +36,7 @@ from .crossed import (
     span_coefficients,
     span_min_eigenvalues,
     span_norms,
+    standard_normals,
     theta_embed,
 )
 from .errors import (
@@ -56,6 +58,10 @@ CHI_FLOOR = 1e-14
 # complex terms), so that a stack of many operators costs no more memory
 # than applying the map to each in turn
 STACK_TERMS = 2**12
+# the most complex entries a sweep draws at once for a block of its trials;
+# a block also draws no more than its check keeps for all its trials, and a
+# trial that passes either bound is drawn alone
+BLOCK_TERMS = 2**12
 # the most Krylov vectors of the lower bound on ||x|| by which condition
 # (ii) skips a sample, and the relative slack that widens each of its bounds
 NORM_STEPS = 10
@@ -351,7 +357,17 @@ class CpReport:
         return {k: None if v != v else v for k, v in asdict(self).items()}
 
 
-def random_psd(rng: np.random.Generator, size: int, classes: int = 1) -> np.ndarray:
+def trial_blocks(trials: int, draws: int, kept: int) -> List[Tuple[int, int]]:
+    """(first trial, count) of each block of a sweep whose trials draw
+    `draws` complex entries and keep `kept` each: as many trials as draw at
+    most BLOCK_TERMS entries, and no more than all trials keep, or one."""
+    step = max(1, min(trials, BLOCK_TERMS // draws, trials * kept // draws))
+    return [(a, min(step, trials - a)) for a in range(0, trials, step)]
+
+
+def random_psd(
+    rng: np.random.Generator, size: int, classes: int = 1, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The Gram a* a of a (size, size) matrix a of standard complex normals,
     pinched onto `classes` residue classes.
 
@@ -360,41 +376,46 @@ def random_psd(rng: np.random.Generator, size: int, classes: int = 1) -> np.ndar
     otherwise: the sum over the classes of (a P)^* (a P), P the
     coordinate projection onto one class, so it is PSD.  One Gram per
     class costs 1/classes of the full product; classes = 1 is the full
-    Gram.  The rng draws are the same for every classes.
+    Gram.  The rng draws are the same for every classes.  out, a
+    (B, size, size) stack that is 0 off the classes, as a sweep allocates
+    it once for all its blocks, takes B Grams in its class entries from
+    one draw, as B calls would draw them, and is returned.
     """
     if classes < 1 or size % classes:
         raise SpecMismatchError(f"{size} columns do not split into {classes} classes")
     k = size // classes
-    cols = np.empty((classes, size, k), dtype=complex)
-    # the real parts, then the imaginary parts, one (size, size) draw each;
-    # column r of a draw is column r // classes of class r % classes
-    for part in (cols.real, cols.imag):
-        part[...] = np.moveaxis(
-            rng.standard_normal((size, size)).reshape(size, k, classes), 2, 0
-        )
-    z = np.zeros((size, size), dtype=complex)
-    per_class = z.reshape(k, classes, k, classes)
-    for c in range(classes):
-        per_class[:, c, :, c] = cols[c].conj().T @ cols[c]
-    return z
+    z = np.zeros((1, size, size), dtype=complex) if out is None else out
+    # per Gram, the real parts, then the imaginary parts, of a; column r of
+    # a is column r // classes of class r % classes
+    draws = rng.standard_normal((len(z), 2, size, k, classes))
+    cols = np.empty((size, k), dtype=complex)
+    for draw, gram in zip(draws, z):
+        per_class = gram.reshape(k, classes, k, classes)
+        for c in range(classes):
+            cols.real, cols.imag = draw[..., c]
+            per_class[:, c, :, c] = cols.conj().T @ cols
+    return z[0] if out is None else z
 
 
-def random_window_operator(ctx: CrossedContext, rng: np.random.Generator) -> BlockMatrix:
-    """A window operator of standard complex normals: one (nd, nd) draw for
-    the real parts, then one for the imaginary parts."""
+def random_window_operator(
+    ctx: CrossedContext, rng: Normals, lead: Tuple[int, ...] = ()
+) -> BlockMatrix:
+    """A window operator of standard complex normals, its real parts, then
+    its imaginary parts, from one (2, nd, nd) draw; or a lead-shaped stack
+    of them from one draw, as that many calls would draw them."""
     n = ctx.dim
-    data = np.empty((n, n), dtype=complex)
-    data.real = rng.standard_normal((n, n))
-    data.imag = rng.standard_normal((n, n))
+    draw = standard_normals(rng, tuple(lead) + (2, n, n))
+    data = np.empty(draw.shape[:-3] + (n, n), dtype=complex)
+    data.real, data.imag = draw[..., 0, :, :], draw[..., 1, :, :]
     return ctx.wrap(data)
 
 
-def random_crossed_element(ctx: CrossedContext, rng: np.random.Generator) -> SpanElement:
-    """A random element of the crossed-product span (via coefficients)."""
-    coeffs = np.stack([
-        ctx.algebra.random_member(rng) for _ in range(ctx.nwin)
-    ])
-    return SpanElement(ctx, coeffs)
+def random_crossed_element(
+    ctx: CrossedContext, rng: Normals, lead: Tuple[int, ...] = ()
+) -> SpanElement:
+    """A random element of the crossed-product span, one algebra member per
+    window slot, from one draw; or a lead-shaped stack of them likewise."""
+    return SpanElement(ctx, ctx.algebra.random_member(rng, tuple(lead) + (ctx.nwin,)))
 
 
 def _sandwich(
@@ -423,16 +444,19 @@ def _positivity_blocks(
     ctx: CrossedContext, apply: Callable, rng: np.random.Generator, trials: int, m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The (trials, n, md, md) dual blocks and the residuals of apply's
-    m-amplification on random PSD inputs, drawn and applied trial by
-    trial, each trial's m x m grid as one stack."""
+    m-amplification on random PSD inputs, drawn and applied block by
+    block of trials, each block's m x m grids as one stack.  One stack of
+    inputs serves every block: its entries off the classes stay 0."""
     n, d, dim = ctx.nwin, ctx.d, ctx.dim
     coeffs = np.empty((trials, m, m, n, d, d), dtype=complex)
     squares = np.empty((trials, m, m))
-    for t in range(trials):
-        z = random_psd(rng, m * dim, ctx.algebra.classes)
-        grid = ctx.wrap(z.reshape(m, dim, m, dim).swapaxes(1, 2))
-        with span_check(f"positivity trial {t}"):
-            coeffs[t], squares[t] = span_coefficients(ctx, apply(grid))
+    blocks = trial_blocks(trials, (m * dim) ** 2, 2 * n * (m * d) ** 2)
+    z = np.zeros((blocks[0][1], m * dim, m * dim), dtype=complex)
+    for a, b in blocks:
+        random_psd(rng, m * dim, ctx.algebra.classes, out=z[:b])
+        grid = ctx.wrap(z[:b].reshape(b, m, dim, m, dim).swapaxes(2, 3))
+        with span_check(lambda k: f"positivity trial {a + k // (m * m)}"):
+            coeffs[a : a + b], squares[a : a + b] = span_coefficients(ctx, apply(grid))
     return grid_blocks(ctx, coeffs), np.sqrt(squares.sum(axis=(1, 2)))
 
 
@@ -441,21 +465,24 @@ def _bimodularity_blocks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The (trials, n, d, d) dual blocks and the residuals of
     apply(psi(r) x psi(s)) - psi(r) apply(x) psi(s) for random algebra
-    elements r, s and operators x, each trial's two inputs applied as one
-    stack; the second sandwich is taken on the coefficient stacks of all
-    trials at once."""
-    n, d = ctx.nwin, ctx.d
+    elements r, s and operators x, drawn block by block of trials in one
+    call each, a trial's r, s and x in turn, and each block's two inputs a
+    trial applied as one stack; the second sandwich is taken on the
+    coefficient stacks of all trials at once."""
+    n, d, dim = ctx.nwin, ctx.d, ctx.dim
     rs = np.empty((trials, d, d), dtype=complex)
     ss = np.empty((trials, d, d), dtype=complex)
     coeffs = np.empty((trials, 2, n, d, d), dtype=complex)
     squares = np.empty((trials, 2))
-    for t in range(trials):
-        rs[t] = ctx.algebra.random_member(rng)
-        ss[t] = ctx.algebra.random_member(rng)
-        x = random_window_operator(ctx, rng)
-        inputs = ctx.wrap(np.stack([_sandwich(ctx, rs[t], x, ss[t]).data, x.data]))
-        with span_check(f"bimodularity trial {t}"):
-            coeffs[t], squares[t] = span_coefficients(ctx, apply(inputs))
+    for a, b in trial_blocks(trials, 2 * d * d + dim * dim, 3 * n * d * d):
+        draw = rng.standard_normal((b, 4 * d * d + 2 * dim * dim))
+        members = ctx.algebra.random_member(draw[:, : 4 * d * d], (b, 2))
+        rs[a : a + b], ss[a : a + b] = members[:, 0], members[:, 1]
+        x = random_window_operator(ctx, draw[:, 4 * d * d :], (b,))
+        sandwich = _sandwich(ctx, rs[a : a + b], x, ss[a : a + b])
+        inputs = ctx.wrap(np.stack([sandwich.data, x.data], axis=1))
+        with span_check(lambda k: f"bimodularity trial {a + k // 2}"):
+            coeffs[a : a + b], squares[a : a + b] = span_coefficients(ctx, apply(inputs))
     rhs = _sandwich(ctx, rs, SpanElement(ctx, coeffs[:, 1]), ss).coeffs
     # ||psi(r) e psi(s)|| <= ||r|| ||e||_F ||s|| for what e the span drops
     scale = np.linalg.norm(rs, axis=(-2, -1)) * np.linalg.norm(ss, axis=(-2, -1))
@@ -472,8 +499,7 @@ def _eigenrelation_blocks(
     ExpectationPair.chi_values does."""
     n, d = ctx.nwin, ctx.d
     translates = np.zeros((n, n, d, d), dtype=complex)
-    for t in range(n):
-        translates[t, t] = ctx.algebra.random_member(rng)
+    translates[np.arange(n), np.arange(n)] = ctx.algebra.random_member(rng, (n,))
     with span_check(
         lambda t: f"eigenrelation at g = {ctx.group.format_element(ctx.window[t])}"
     ):
@@ -497,10 +523,12 @@ def cp_check(
 
     apply maps a window operator, or a stack of them, to its image, or
     the stack of their images, as sigma_xi does.  Each check draws its
-    inputs trial by trial, in a fixed order, calls apply once per trial
-    on that trial's stack, and keeps only the coefficient stacks of the
-    outputs (span_coefficients) in one array for all trials; the dual
-    blocks, eigensolves and norms then run once per check over it.
+    inputs in blocks of trials (trial_blocks), a block in one call that
+    draws the same numbers in the same order as its trials one by one,
+    calls apply once per block on that block's stack, and keeps only the
+    coefficient stacks of the outputs (span_coefficients) in one array
+    for all trials; the dual blocks, eigensolves and norms then run once
+    per check over it.
 
     Positivity applies the amplified map entrywise to random PSD inputs
     of the amplified size, one m x m stack per trial, and records the
@@ -523,7 +551,7 @@ def cp_check(
     coefficients are taken as they are; any other output, such as a
     plain BlockMatrix from a stand-in map, takes the dense span check
     where it is returned (NotInCrossedProductError outside the span,
-    naming the check and its trial or g first), and its Frobenius
+    naming the check and its own trial or g first), and its Frobenius
     residual is carried into the norms and eigenvalues so that they stay
     on the safe side.  A failing verdict names the first check that
     fails and its worst witness: the trial of the worst eigenvalue, the

@@ -3,8 +3,8 @@
 The integer-group specialization of the coefficient-weighting maps: the
 interval indicator {0..n} produces the triangular weights
 (n+1-|k|)/(n+1), i.e. the n-th Cesaro (Fejer) mean of the Fourier series.
-Uniform convergence is witnessed on a sampling grid; amenable groups get
-exact symmetric-difference tables.
+Uniform convergence is witnessed on a sampling grid, a table of orders
+in blocks of rows; amenable groups get exact symmetric-difference tables.
 """
 
 from __future__ import annotations
@@ -13,13 +13,16 @@ import cmath
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import SpecMismatchError, UndersampledGridError
 from .groups import Element, GroupSpec
 from .posdef import folner_defects, folner_overlap
+
+# the most grid values a block of polynomials holds in each of its arrays
+GRID_TERMS = 2**13
 
 
 @dataclass(frozen=True)
@@ -65,39 +68,48 @@ def cesaro_mean(f: TrigPolynomial, n: int) -> TrigPolynomial:
     return TrigPolynomial(out)
 
 
-def sup_norm_grid(f: TrigPolynomial, g: TrigPolynomial, grid_points: int) -> float:
-    """Max of |f - g| over a uniform grid on the circle.
+def sup_norm_grid(
+    f: TrigPolynomial, g: Union[TrigPolynomial, Sequence[TrigPolynomial]], grid_points: int
+) -> Union[float, List[float]]:
+    """Max of |f - g| over a uniform grid on the circle, or a list of them,
+    one per polynomial of a sequence g.
 
     Requires at least 4*degree + 1 points; with that oversampling the
     grid value is within a factor 2 of the true sup norm for trig
     polynomials.  Each grid value equals |f(theta_i) - g(theta_i)| as the
-    polynomials' own evaluation computes it, bit for bit.
+    polynomials' own evaluation computes it, bit for bit.  f is put on the
+    grid once, and a sequence in blocks of at most GRID_TERMS values.
     """
-    deg = max(f.degree(), g.degree())
+    gs = [g] if isinstance(g, TrigPolynomial) else list(g)
+    deg = max(p.degree() for p in [f] + gs)
     if grid_points < 4 * deg + 1:
         raise UndersampledGridError(
             f"need >= {4 * deg + 1} grid points for degree {deg}, "
             f"got {grid_points}"
         )
-    f_re, f_im = _on_grid(f, grid_points)
-    g_re, g_im = _on_grid(g, grid_points)
-    return float(np.max(np.hypot(f_re - g_re, f_im - g_im)))
+    f_re, f_im = _on_grid([f], grid_points)
+    step = max(1, GRID_TERMS // grid_points)
+    errs = []
+    for a in range(0, len(gs), step):
+        g_re, g_im = _on_grid(gs[a : a + step], grid_points)
+        errs += np.max(np.hypot(f_re - g_re, f_im - g_im), axis=-1).tolist()
+    return errs[0] if isinstance(g, TrigPolynomial) else errs
 
 
-def _on_grid(p: TrigPolynomial, grid_points: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of p at the grid points.
-
-    Terms are summed in coefficient order with the complex product written
-    out in real arithmetic as CPython forms it; numpy's complex multiply
-    may round differently.
-    """
-    re = np.zeros(grid_points)
-    im = np.zeros(grid_points)
-    for k, c in p.coefficients.items():
-        c = complex(c)
-        e_re, e_im = _exp_row(k, grid_points)
-        re += c.real * e_re - c.imag * e_im
-        im += c.real * e_im + c.imag * e_re
+def _on_grid(polys: Sequence[TrigPolynomial], grid_points: int) -> Tuple[np.ndarray, ...]:
+    """Real and imaginary parts of the polynomials at the grid points, one
+    row each.  A row sums its terms in its own coefficient order, the j-th
+    terms of all rows at once, with the complex product written out in
+    real arithmetic as CPython forms it; numpy's may round differently."""
+    terms = [[(k, complex(c)) for k, c in p.coefficients.items()] for p in polys]
+    re, im = np.zeros((2, len(polys), grid_points))
+    for j in range(max(map(len, terms), default=0)):
+        rows = [r for r, t in enumerate(terms) if j < len(t)]
+        e_re, e_im = map(np.array, zip(*(_exp_row(terms[r][j][0], grid_points) for r in rows)))
+        c = np.array([terms[r][j][1] for r in rows])[:, None]
+        at = slice(None) if len(rows) == len(terms) else rows
+        re[at] += c.real * e_re - c.imag * e_im
+        im[at] += c.real * e_im + c.imag * e_re
     return re, im
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -179,8 +180,11 @@ def test_pi_applies_sigma_once_per_trial_and_once_per_stack(tmp_path, monkeypatc
     monkeypatch.setattr(sigma, "sigma_xi", spy)
     code, _ = run(tmp_path, "pi", "--group", "C5", "--xi", "geometric:0.7", "--trials", "4")
     assert code == 0
-    # make_pair's unital check, x in each trial, then the stacks of p1 and y
-    assert calls == [()] * (1 + 4) + [(4,)] * 2
+    # make_pair's unital check, the x of each trial once, in stacks of
+    # trials, then the stacks of p1 and y
+    assert calls[0] == () and calls[-2:] == [(4,)] * 2
+    assert all(len(lead) == 1 for lead in calls[1:-2])
+    assert sum(lead[0] for lead in calls[1:-2]) == 4
 
 
 @pytest.mark.parametrize(
@@ -329,6 +333,34 @@ def test_version_string(capsys):
         f"crossedprod {__version__} (ordering {ORDERING_VERSION}, "
         f"backend {BACKEND})"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["freecount", "--k", ""], "argument --k: invalid int value: ''"),
+        (["pi", "--group", "C4", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        (["nosuchcommand"], "argument command: invalid choice: 'nosuchcommand'"),
+        (["sigma"], "the following arguments are required: --group"),
+    ],
+    ids=["empty-int", "malformed-int", "unknown-command", "missing-group"],
+)
+def test_argparse_errors_return_2_in_process(tmp_path, capsys, argv, message):
+    """argparse's usage errors come back from main as exit code 2, with its
+    own message on stderr, as every other configuration error does; only
+    --help and --version still exit through SystemExit(0)."""
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: crossedprod") and f"error: {message}" in err
+    assert list(out.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: crossedprod sigma")
 
 
 def test_console_entry_point_runs():
@@ -937,17 +969,17 @@ def test_scalars_are_the_full_one_by_one_algebra(tmp_path, command):
 def test_sigma_draws_its_sweep_operators_once(tmp_path, monkeypatch):
     # the condition-(ii) sweep and the tau-sum check share one draw of
     # --trials operators; cp_check draws trials // 4 for bimodularity
-    calls = []
+    operators = []
     real = sigma.random_window_operator
 
-    def counted(ctx, rng):
-        calls.append(1)
-        return real(ctx, rng)
+    def counted(ctx, rng, lead=()):
+        operators.append(math.prod(lead))
+        return real(ctx, rng, lead)
 
     monkeypatch.setattr(sigma, "random_window_operator", counted)
     code, _ = run(tmp_path, "sigma", "--group", "C4", "--trials", "8")
     assert code == 0
-    assert len(calls) == 8 + 8 // 4
+    assert sum(operators) == 8 + 8 // 4
 
 
 def test_capped_freecount_names_the_radius_and_writes_nothing(tmp_path, capsys):

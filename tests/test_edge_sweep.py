@@ -2,15 +2,23 @@
 documented exit code, strict JSON, and both reports or neither.
 
 Hypothesis draws each flag from a pool of edge values (0, -1, huge, empty,
-a bare comma, reversed ranges, non-ASCII) or leaves it out, and runs
-cli.main in-process with --out in a fresh directory.  argparse rejects a
-malformed integer flag by raising SystemExit(2), which is the exit code the
-process would have, so it counts as one.  derandomize=True makes every run
-draw the same examples, so a failure reproduces.
+a bare comma, reversed ranges, non-ASCII, nan, inf) or leaves it out, and
+runs cli.main in-process with --out in a fresh directory.  main must return
+its exit code: a SystemExit escaping it, as argparse raises for a malformed
+flag, fails the sweep.  derandomize=True makes every run draw the same
+examples, so a failure reproduces.
 
-The pools keep each example's work small: every rank that passes is 2 or 3,
-every radius that passes is at most 9 (|B_9(F3)| = 2,929,687), and every
-range over the huge cap is refused before it is expanded.
+The pools keep each example's work small, under the huge cap too:
+- freecount: every rank that passes is 2 or 3, every radius that passes is
+  at most 9 (|B_9(F3)| = 2,929,687), and every range over the huge cap is
+  refused before it is expanded.
+- pi: groups have at most 6 elements and algebras at most 2 dimensions,
+  and a trial count that passes is at most 7; the huge count is refused by
+  the dense budget under every cap but the huge one, where its arrays are
+  too big for numpy to allocate at all.
+- cesaro: at most 6 coefficients of degree at most 3, orders of at most 56
+  entries, and a grid that passes is at most 33 points; the huge order is
+  one Fraction weight, and the huge grid and the huge range pass no cap.
 """
 
 import itertools
@@ -34,13 +42,41 @@ FREECOUNT_POOLS = {
     "--cap": ["1", "52", "53", "1000", "0", "-1", HUGE, "", ",", "٥٣"],
 }
 
+PI_POOLS = {
+    "--group": ["C1", "C2", "C3", "C4", "C5", "C6", "Z", "", "C-1"],
+    "--algebra": ["scalars", "diagonal:2", "full:2", "full:0", "x"],
+    "--trials": ["0", "-1", "1", "7", HUGE, "", "x"],
+    "--xi": [
+        "uniform", "geometric:0.7", "geometric:-0.5", "geometric:nan", "geometric:inf",
+        "geometric:", "geometric:1e308", "bogus", "",
+    ],
+    "--seed": ["0", "-1", "5", HUGE],
+    "--tol": ["0", "-1", "nan", "inf", "1e-10"],
+    "--cap": ["1", "5", "6", "1000", "0", "-1", HUGE, ""],
+}
 
-def argv_for(command, pools):
-    """Each flag of pools either left out or given one of its values."""
+CESARO_POOLS = {
+    "--coeffs": [
+        "0:1,1:0.5,-1:0.5", "0:1,3:0.5j,-2:-0.25", "0:1", "2:1e308,-2:1e308", "0:nan",
+        "1:inf", "1:-inf", "0:1e308", "x", "0:", ":1", "", ",", "1.5:1", "٣:1",
+    ],
+    "--orders": [
+        "5..50", "7,0,2,2,40", "50..5", "", ",", "0", "-1", HUGE, f"0..{HUGE}", "3..", "x",
+    ],
+    "--grid": ["0", "1", "13", "33", HUGE, "-1", "", "x"],
+    "--tol": ["0", "-1", "nan", "1e-10"],
+    "--cap": ["1", "40", "1000", "0", "-1", HUGE, ""],
+}
+
+
+def argv_for(command, pools, required=()):
+    """Each flag of pools either left out or given one of its values; a
+    required flag is always given one."""
     flags = [
-        st.one_of(st.none(), st.sampled_from(values)).map(
-            lambda value, flag=flag: [] if value is None else [f"{flag}={value}"]
-        )
+        (
+            st.sampled_from(values) if flag in required
+            else st.one_of(st.none(), st.sampled_from(values))
+        ).map(lambda value, flag=flag: [] if value is None else [f"{flag}={value}"])
         for flag, values in pools.items()
     ]
     return st.tuples(*flags).map(lambda parts: [command, *itertools.chain(*parts)])
@@ -51,22 +87,34 @@ def refuse_constant(name):
 
 
 def run_in_process(argv, out):
-    try:
-        return main(argv + ["--out", str(out)])
-    except SystemExit as exc:
-        return exc.code
+    return main(argv + ["--out", str(out)])
 
 
-@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
-@given(argv=argv_for("freecount", FREECOUNT_POOLS))
-def test_freecount_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
-    out = tmp_path_factory.mktemp("sweep")
+def assert_ends_in_a_documented_way(command, argv, out):
     code = run_in_process(argv, out)
     assert code in (0, 2, 3, 4), (argv, code)
     written = sorted(path.name for path in out.iterdir())
     # a refused run writes nothing; a run that checked writes both reports,
     # and no run leaves a temporary file behind
-    assert written == (["freecount.csv", "freecount.json"] if code in (0, 4) else []), argv
+    assert written == ([f"{command}.csv", f"{command}.json"] if code in (0, 4) else []), argv
     if written:
-        doc = json.loads((out / "freecount.json").read_text(), parse_constant=refuse_constant)
+        doc = json.loads((out / f"{command}.json").read_text(), parse_constant=refuse_constant)
         assert doc["verdict"] == ("Pass" if code == 0 else "Fail"), argv
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
+@given(argv=argv_for("freecount", FREECOUNT_POOLS))
+def test_freecount_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
+    assert_ends_in_a_documented_way("freecount", argv, tmp_path_factory.mktemp("sweep"))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
+@given(argv=argv_for("pi", PI_POOLS, required=("--group",)))
+def test_pi_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
+    assert_ends_in_a_documented_way("pi", argv, tmp_path_factory.mktemp("sweep"))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
+@given(argv=argv_for("cesaro", CESARO_POOLS))
+def test_cesaro_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
+    assert_ends_in_a_documented_way("cesaro", argv, tmp_path_factory.mktemp("sweep"))

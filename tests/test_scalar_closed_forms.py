@@ -5,8 +5,9 @@ enumerations they replace.
 radius's symmetric difference over one enumeration of the largest box;
 both must equal the set-based counts over ``folner_set`` as exact
 Fractions, for radii in any order, repeated or not.  ``sup_norm_grid``
-reads shared exponential rows; it must equal the per-point evaluation of
-both polynomials bit for bit.
+reads shared exponential rows, and sums a table of polynomials in blocks
+of rows; each value must equal the per-point evaluation of both
+polynomials bit for bit.
 """
 
 import cmath
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossedprod import summation
-from crossedprod.errors import SpecMismatchError
+from crossedprod.errors import SpecMismatchError, UndersampledGridError
 from crossedprod.groups import Cyclic, IntegerLattice, Integers, parse_group
 from crossedprod.posdef import (
     folner_defects,
@@ -215,6 +216,76 @@ def test_sup_norm_grid_of_unrelated_polynomials():
     for grid in (17, 18, 64):
         assert _same_float(sup_norm_grid(f, g, grid), ref_sup_norm_grid(f, g, grid))
         assert _same_float(sup_norm_grid(g, f, grid), ref_sup_norm_grid(g, f, grid))
+
+
+@pytest.mark.parametrize("coeffs, orders, grids", CESARO_CASES)
+@pytest.mark.parametrize("block", [1, 3, None], ids=["rows-1", "rows-3", "default"])
+def test_a_table_of_orders_is_bitwise_the_per_point_loop(monkeypatch, coeffs, orders, grids, block):
+    """One call on the means of every order, across the degree, repeated
+    and out of order, in blocks of one row, of three rows with a partial
+    last block, and at the default bound."""
+    f = TrigPolynomial(coeffs)
+    orders = orders[::-1] + orders[:2]
+    for grid in grids:
+        if grid < 4 * f.degree() + 1:
+            continue
+        if block is not None:
+            monkeypatch.setattr(summation, "GRID_TERMS", block * grid)
+        means = [cesaro_mean(f, n) for n in orders]
+        got = sup_norm_grid(f, means, grid)
+        assert isinstance(got, list) and len(got) == len(means)
+        for err, mean in zip(got, means):
+            assert _same_float(err, ref_sup_norm_grid(f, mean, grid))
+
+
+def test_a_table_of_unrelated_polynomials_is_bitwise_the_per_point_loop(monkeypatch):
+    """Rows whose keys come in different orders and numbers, the empty
+    polynomial among them, in blocks of two rows."""
+    f = TrigPolynomial({0: 0.25, 4: 1 - 2j, -1: 3})
+    gs = [
+        TrigPolynomial({1: 0.5j, -4: 2.0, 0: -0.125}),
+        TrigPolynomial({-4: 2.0, 1: 0.5j}),
+        TrigPolynomial({}),
+        TrigPolynomial({0: -0.125, 3: 1e-3 - 4j, 1: 0.5j, -2: 7, 4: -1}),
+        f,
+    ]
+    for grid in (17, 18, 64):
+        monkeypatch.setattr(summation, "GRID_TERMS", 2 * grid)
+        got = sup_norm_grid(f, gs, grid)
+        assert all(_same_float(e, ref_sup_norm_grid(f, g, grid)) for e, g in zip(got, gs))
+        assert got == [sup_norm_grid(f, g, grid) for g in gs]
+    assert sup_norm_grid(f, [], 17) == []
+
+
+def test_a_table_checks_the_grid_against_every_degree():
+    f = TrigPolynomial({0: 1.0})
+    with pytest.raises(UndersampledGridError):
+        sup_norm_grid(f, [f, TrigPolynomial({3: 1.0}), f], 12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    coeffs=st.dictionaries(
+        st.integers(-12, 12),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    ),
+    orders=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+    extra=st.integers(0, 40),
+    block=st.integers(1, 5),
+)
+def test_sup_norm_grid_table_property(coeffs, orders, extra, block):
+    f = TrigPolynomial(coeffs)
+    grid = 4 * f.degree() + 1 + extra
+    means = [cesaro_mean(f, n) for n in orders]
+    old, summation.GRID_TERMS = summation.GRID_TERMS, block * grid
+    try:
+        got = sup_norm_grid(f, means, grid)
+    finally:
+        summation.GRID_TERMS = old
+    for err, mean in zip(got, means):
+        assert _same_float(err, ref_sup_norm_grid(f, mean, grid))
 
 
 def test_exponential_rows_are_shared_across_orders(monkeypatch):

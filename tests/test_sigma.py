@@ -545,18 +545,25 @@ def off_span(x, index=...):
 @pytest.mark.parametrize(
     "call, index, witness",
     [
-        (1, ..., "positivity trial 1"),
-        (4, 0, "bimodularity trial 0"),
-        (4, 1, "bimodularity trial 0"),
-        (5, 2, "eigenrelation at g = {}"),
+        (1, ..., "positivity trial 6"),
+        (2, (0, 0), "bimodularity trial 0"),
+        (2, (0, 1), "bimodularity trial 0"),
+        (4, 2, "eigenrelation at g = {}"),
+        (0, 4, "positivity trial 4"),
+        (2, (1, 1), "bimodularity trial 1"),
     ],
-    ids=["positivity", "bimodular-lhs", "bimodular-rhs", "eigenrelation"],
+    ids=[
+        "positivity", "bimodular-lhs", "bimodular-rhs", "eigenrelation",
+        "positivity-mid-block", "bimodular-mid-block",
+    ],
 )
 def test_each_span_check_of_cp_check_names_its_witness(call, index, witness):
-    """With trials 4 at amplification 1, the map's calls are the four
-    positivity trials, one bimodular trial (its two inputs stacked) and
-    then one on the stack of the window translates; one output of a
-    stack off the span fails the check that reads it, by name."""
+    """With trials 12 at amplification 1, the map's calls are the twelve
+    positivity trials in two blocks of six, the three bimodular trials
+    (each trial's two inputs stacked) in blocks of two and one, and then
+    one on the stack of the window translates; one output of a stack off
+    the span fails the check that reads it, naming its own trial even in
+    the middle of a block."""
     ctx = ctx_swap(4)
     pair = make_pair(ctx, positive_xi(ctx, seed=40))
     calls = []
@@ -571,5 +578,8 @@ def test_each_span_check_of_cp_check_names_its_witness(call, index, witness):
         NotInCrossedProductError,
         match="^" + re.escape(witness) + ": coefficient at window slot ",
     ):
-        cp_check(ctx, stand_in, chi_values=pair.chi_values, amplification=1, trials=4)
-    assert [x.lead for x in calls] == ([(1, 1)] * 4 + [(2,), (ctx.nwin,)])[: call + 1]
+        cp_check(ctx, stand_in, chi_values=pair.chi_values, amplification=1, trials=12)
+    assert [x.lead[0] for x in calls] == [6, 6, 2, 1, ctx.nwin][: call + 1]
+    # the calls cover the trials in order, up to the one that fails
+    per_trial = [x.lead[1:] for x in calls for _ in range(x.lead[0])]
+    assert per_trial == ([(1, 1)] * 12 + [(2,)] * 3 + [()] * ctx.nwin)[: len(per_trial)]

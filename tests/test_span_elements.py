@@ -194,10 +194,14 @@ def test_cp_check_builds_no_dense_sigma_in_positivity_or_eigenrelation(monkeypat
     trials, m = 4, 2
     rep = cp_check(ctx, apply, chi_values=pair.chi_values, amplification=m, trials=trials, seed=3)
     assert rep.verdict == "Pass" and rep.max_bimodular_defect <= 1e-12
-    # one call per positivity grid, one on the stacked inputs of the one
-    # bimodular trial, whose sandwich psi(r) sigma(x) psi(s) stays a stack
-    # as well, and one on the stack of the eigenrelation translates
-    assert [x.lead for x in outputs] == [(m, m)] * trials + [(2,), (ctx.nwin,)]
+    # the positivity grids of every trial, in stacks of trials, then the
+    # stacked inputs of the one bimodular trial, whose sandwich
+    # psi(r) sigma(x) psi(s) stays a stack as well, and the stack of the
+    # eigenrelation translates
+    leads = [x.lead for x in outputs]
+    assert [lead[1:] for lead in leads[:-2]] == [(m, m)] * (len(leads) - 2)
+    assert sum(lead[0] for lead in leads[:-2]) == trials
+    assert leads[-2:] == [(1, 2), (ctx.nwin,)]
     assert [x for x in outputs if was_built(x)] == []
     # sigma reads the eigenrelation translates off their stacks too
     assert built == []
@@ -216,9 +220,10 @@ def test_pi_trials_build_no_dense_sigma(tmp_path, monkeypatch):
     argv = ["pi", "--group", "C6", "--algebra", "diagonal:6", "--action", "translation",
             "--xi", "geometric:0.6", "--seed", "5", "--trials", "3"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    # make_pair's sigma(I), sigma of x in each trial, then of the stacks
-    # of p1 and of y
-    assert len(outputs) == 1 + 3 + 2
+    # make_pair's sigma(I), sigma of the x of each trial, in stacks of
+    # trials, then of the stacks of p1 and of y
+    assert outputs[0].lead == () and [x.lead for x in outputs[-2:]] == [(3,)] * 2
+    assert sum(x.lead[0] for x in outputs[1:-2]) == 3
     # make_pair's unital defect reads sigma(I) - I off the stacks too
     assert [i for i, x in enumerate(outputs) if was_built(x)] == []
     # sigma reads its span inputs p1 and y off their stacks, and the
