@@ -298,6 +298,9 @@ GOLDEN_FREE = [
     ("freecount_k3_unordered", ["freecount", "--k", "3", "--lmax", "2", "--radii", "6,0,4,4"]),
     ("freecount_k4_l2", ["freecount", "--k", "4", "--lmax", "2", "--radii", "0..5"]),
     ("balls_f2", ["balls", "--group", "F2", "--radii", "0..10"]),
+    # rank 1, whose spheres stay at two words, and a third rank
+    ("balls_f1", ["balls", "--group", "F1", "--radii", "0..50"]),
+    ("balls_f3", ["balls", "--group", "F3", "--radii", "0..6"]),
 ]
 
 
