@@ -3,11 +3,12 @@
 Words are freely reduced tuples of nonzero signed generator indices
 (``1..k`` for generators, ``-1..-k`` for inverses).  The letter order is
 ``a1 < a1^-1 < a2 < a2^-1 < ...``, and enumeration is length-lexicographic
-with respect to it.  Both kernels walk one tree, ``_levels``: the ball as
+with respect to it.  Three kernels walk one tree, ``_levels``: the ball as
 level arrays with one numpy entry per word, its last letter and the index
 of its parent one level up.  ``free_ball_words`` builds the words as
-tuples from them; ``free_t_count`` only counts, for many words and radii
-from one walk, so it keeps a few numpy entries per word.
+tuples from them; ``free_sphere_sizes`` reads only each level's length;
+``free_t_count`` only counts, for many words and radii from one walk, so
+it keeps a few numpy entries per word.
 """
 
 import numpy as np
@@ -29,12 +30,18 @@ def _check_ball(k, n, cap):
         raise ValueError(f"free rank must be in 1..127, got {k}")
     if n < 0:
         raise ValueError(f"radius must be >= 0, got {n}")
+    too_big = f"ball of F_{k} at radius {n} exceeds cap {cap}"
+    if k == 1:
+        # |B_n| = 2n + 1 grows too slowly for the loop below to stop early
+        if 2 * n + 1 > cap:
+            raise ResourceCapError(too_big)
+        return
     total = 0
     for depth in range(n + 1):
         # |S_0| = 1 and |S_j| = 2k (2k - 1)^(j - 1)
         total += 1 if depth == 0 else 2 * k * (2 * k - 1) ** (depth - 1)
         if total > cap:
-            raise ResourceCapError(f"ball of F_{k} at radius {n} exceeds cap {cap}")
+            raise ResourceCapError(too_big)
 
 
 def _levels(k, n, cap):
@@ -72,6 +79,12 @@ def free_ball_words(k, n, cap):
         level = [level[p] + (v,) for p, v in zip(memoryview(parent), memoryview(last))]
         words.extend(level)
     return words
+
+
+def free_sphere_sizes(k, n, cap):
+    """|S_0|, ..., |S_n| of F_k, the lengths of the level arrays, with no
+    word built.  Raises ResourceCapError as ``free_ball_words`` does."""
+    return [1] + [last.size for last, _ in _levels(k, n, cap)]
 
 
 def free_mul(a, b):

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, crossed, freecomb, posdef, sigma as sigma_mod, summation
-from ._core import BACKEND
+from ._core import BACKEND, free_sphere_sizes
 from .errors import (
     ConfigError,
     CrossedProdError,
@@ -238,20 +238,26 @@ def cmd_balls(args) -> Report:
     spec = parse_group(args.group)
     radii = _parse_int_list("--radii", args.radii, args.cap)
     _check_nonnegative("--radii", radii)
-    # one enumeration at the largest radius; B_n is its prefix of lengths <= n.
-    # A free-group word is a reduced tuple, so its length is its word length.
-    length = len if isinstance(spec, FreeGroup) else spec.word_length
-    spheres = Counter(map(length, ball(spec, max(radii), args.cap)))
-    sizes = list(accumulate(spheres[n] for n in range(max(radii) + 1)))
+    top = max(radii)
+    if isinstance(spec, FreeGroup):
+        # the level sizes of the word tree; no word is built
+        spheres = free_sphere_sizes(spec.k, top, args.cap)
+    else:
+        # one enumeration at the largest radius; B_n is its prefix of lengths
+        # <= n, and a finite group's spheres past its last length are empty
+        lengths = Counter(map(spec.word_length, ball(spec, top, args.cap)))
+        spheres = [lengths[j] for j in range(max(lengths) + 1)]
+    sizes = list(accumulate(spheres))
     free = isinstance(spec, FreeGroup) and spec.k >= 2
     rows = []
     ok = True
     for n in radii:
+        size = sizes[min(n, len(sizes) - 1)]
         closed = ""
         if free:
             closed = freecomb.ball_size(spec.k, n)
-            ok = ok and closed == sizes[n]
-        rows.append((n, sizes[n], spheres[n], closed))
+            ok = ok and closed == size
+        rows.append((n, size, spheres[n] if n < len(spheres) else 0, closed))
     summary = {"group": spec.label, "ordering": ORDERING_VERSION, "radii": radii}
     return ("radius", "ball_size", "sphere_size", "closed_size"), rows, summary, ok
 

@@ -114,10 +114,14 @@ class GroupSpec:
         comes out sorted.  Raises ResourceCapError once the elements seen,
         each counted element_size() times, exceed ``cap``; the first step
         builds the generators as it reaches them, so the work is
-        O(cap * |generating set|).
+        O(cap * |generating set|).  Every sphere of an infinite group is
+        non-empty, so its B_n has more than n elements, and a radius at or
+        past that limit is refused before the search.
         """
         too_big = f"ball of {self.label} at radius {n} exceeds cap {cap}"
         limit = cap // self.element_size()
+        if not self.is_finite() and n + 1 > limit:
+            raise ResourceCapError(too_big)
         gens = self.iter_generators()
         frontier = [self.identity()]
         seen = set(frontier)

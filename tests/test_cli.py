@@ -4,15 +4,18 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from crossedprod import __version__, _core, crossed, freecomb, posdef, sigma, summation
+from crossedprod import __version__, _core, crossed, freecomb, groups, posdef, sigma, summation
 from crossedprod._core import BACKEND
 from crossedprod.cli import _json_text, main
 from crossedprod.groups import ORDERING_VERSION, FreeGroup, ProductGroup, ball, parse_group
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(tmp_path, *argv):
@@ -1106,21 +1109,83 @@ def test_memory_error_is_a_resource_exit(tmp_path, capsys, monkeypatch, exc):
 
 
 def test_balls_sphere_sizes_come_from_each_words_length(tmp_path, monkeypatch):
-    # file the length-2 word (1, 1) in place of the first length-3 word:
-    # the F2 sphere column must see it as a second word of length 2
-    real = FreeGroup._enumerate_ball
+    # file the first length-3 word, (1, 1, 1), at the end of the walk's
+    # length-2 level: the F2 sphere column must count it as a length-2 word
+    real = _core._levels
 
-    def misfiled(self, n, cap):
-        words = real(self, n, cap)
-        words[words.index((1, 1, 1))] = (1, 1)
-        return words
+    def misfiled(k, n, cap):
+        levels = list(real(k, n, cap))
+        (last2, parent2), (last3, parent3) = levels[1:3]
+        levels[1] = (np.append(last2, last3[0]), np.append(parent2, 0))
+        levels[2] = (last3[1:], parent3[1:])
+        return iter(levels)
 
-    monkeypatch.setattr(FreeGroup, "_enumerate_ball", misfiled)
+    monkeypatch.setattr(_core, "_levels", misfiled)
     code, out = run(tmp_path, "balls", "--group", "F2", "--radii", "0..3")
     assert code == 4
     csv_text, doc = read_outputs(out, "balls")
     assert csv_text.splitlines()[3:] == ["2,18,13,17", "3,53,35,53"]
     assert doc["verdict"] == "Fail"
+
+
+def test_balls_on_a_free_group_builds_no_word(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("balls built the words of a free-group ball")
+
+    monkeypatch.setattr(FreeGroup, "_enumerate_ball", refuse)
+    monkeypatch.setattr(_core, "free_ball_words", refuse)
+    monkeypatch.setattr(groups, "free_ball_words", refuse)
+    code, out = run(tmp_path, "balls", "--group", "F2", "--radii", "0..10")
+    assert code == 0
+    for ext in ("csv", "json"):
+        assert (out / f"balls.{ext}").read_bytes() == (DATA / f"golden_balls_f2.{ext}").read_bytes()
+
+
+def test_balls_on_f1_keep_two_words_a_sphere_at_a_long_radius(tmp_path):
+    code, out = run(tmp_path, "balls", "--group", "F1", "--radii", "0..2000")
+    assert code == 0
+    rows = read_outputs(out, "balls")[0].splitlines()[1:]
+    assert rows[0] == "0,1,1,"
+    assert rows[1:] == [f"{n},{2 * n + 1},2," for n in range(1, 2001)]
+
+
+@pytest.mark.parametrize(
+    "group, radii, cap, message",
+    [
+        ("F1", "0..10", "20", "ball of F_1 at radius 10 exceeds cap 20"),
+        ("F1", "3,1000000", None, "ball of F_1 at radius 1000000 exceeds cap 1000000"),
+        ("F3", "0..9", None, "ball of F_3 at radius 9 exceeds cap 1000000"),
+        ("F3", "4", "100", "ball of F_3 at radius 4 exceeds cap 100"),
+    ],
+)
+def test_balls_over_the_cap_on_a_free_group(tmp_path, capsys, group, radii, cap, message):
+    cap_flag = () if cap is None else ("--cap", cap)
+    code, out = run(tmp_path, "balls", "--group", group, "--radii", radii, *cap_flag)
+    assert code == 3
+    assert capsys.readouterr().err == f"resource cap: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "group, command", [("F1", "balls"), ("F1", "psd"), ("Z^2", "balls")]
+)
+def test_a_ball_far_over_the_cap_is_refused_at_once(tmp_path, group, command):
+    # |B_n(F1)| = 2n + 1 and |B_n(Z^2)| > n: each refusal compares its
+    # radius with the cap, not one depth or one element at a time, so it
+    # ends well inside the timeout
+    radius, cap = 10**30, 10**29
+    flags = ["--radii", str(radius)] if command == "balls" else ["--eps", "0.5", "--ball", str(radius)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossedprod.cli", command, "--group", group, *flags,
+         "--cap", str(cap), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    label = "F_1" if group == "F1" else group
+    assert proc.stderr == f"resource cap: ball of {label} at radius {radius} exceeds cap {cap}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

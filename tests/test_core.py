@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -42,6 +43,27 @@ def test_t_count_matches_closed_form(k, t, n):
 def test_ball_words_cap_error():
     with pytest.raises(ResourceCapError):
         _core.free_ball_words(3, 9, 10**4)
+
+
+# every radius whose ball has at most 10**5 words: F2 to 9, F3 to 6, F4 to 5.
+# The words of B_n(F1) hold n**2 letters, so F1 stops at 2000 here and
+# test_f1_spheres_are_pairs_up_to_the_cap covers its larger radii.
+SPHERE_CASES = [(1, n) for n in (0, 1, 2, 50, 2000)] + [
+    (k, n) for k, top in ((2, 9), (3, 6), (4, 5)) for n in range(top + 1)
+]
+
+
+@pytest.mark.parametrize("k, n", SPHERE_CASES)
+def test_sphere_sizes_count_the_ball_words_by_length(k, n):
+    lengths = Counter(map(len, _core.free_ball_words(k, n, 10**5)))
+    assert _core.free_sphere_sizes(k, n, 10**5) == [lengths[j] for j in range(n + 1)]
+
+
+def test_f1_spheres_are_pairs_up_to_the_cap():
+    # |B_n(F1)| = 2n + 1, so 10**5 admits n = 49999 and refuses n = 50000
+    assert _core.free_sphere_sizes(1, 49999, 10**5) == [1] + [2] * 49999
+    with pytest.raises(ResourceCapError, match="ball of F_1 at radius 50000 exceeds cap 100000"):
+        _core.free_sphere_sizes(1, 50000, 10**5)
 
 
 def test_word_multiplication_reduces():

@@ -19,13 +19,20 @@ The pools keep each example's work small, under the huge cap too:
 - cesaro: at most 6 coefficients of degree at most 3, orders of at most 56
   entries, and a grid that passes is at most 33 points; the huge order is
   one Fraction weight, and the huge grid and the huge range pass no cap.
+- balls: the radii are freecount's, so every radius that passes is at most
+  9.  On F_k that is level sizes only, 2,343,750 int8 letters at most
+  (S_9(F3)); on ZxF2 it is the largest search, 78,711 elements.  The huge
+  radius is refused at once under every cap: on F1 as 2n + 1 > cap, on
+  F2 and F3 within a few depths, on an infinite group as n + 1 > cap, as
+  every sphere is non-empty, and on C5 the search stops at its diameter
+  and the table stops there too.
 """
 
 import itertools
 import json
 from datetime import timedelta
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossedprod.cli import main
@@ -53,6 +60,12 @@ PI_POOLS = {
     "--seed": ["0", "-1", "5", HUGE],
     "--tol": ["0", "-1", "nan", "inf", "1e-10"],
     "--cap": ["1", "5", "6", "1000", "0", "-1", HUGE, ""],
+}
+
+BALLS_POOLS = {
+    "--group": ["F1", "F2", "F3", "Z", "Z^2", "C5", "ZxF2", "F0", "Q8", "", "é", "F٣"],
+    "--radii": FREECOUNT_POOLS["--radii"],
+    "--cap": FREECOUNT_POOLS["--cap"],
 }
 
 CESARO_POOLS = {
@@ -118,3 +131,14 @@ def test_pi_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
 @given(argv=argv_for("cesaro", CESARO_POOLS))
 def test_cesaro_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
     assert_ends_in_a_documented_way("cesaro", argv, tmp_path_factory.mktemp("sweep"))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
+@given(argv=argv_for("balls", BALLS_POOLS, required=("--group",)))
+# the huge radius on a finite group, and under the huge cap on F1 and Z^2,
+# which the draws above do not reach
+@example(argv=["balls", "--group=C5", f"--radii={HUGE}"])
+@example(argv=["balls", "--group=F1", f"--radii={HUGE}", f"--cap={HUGE}"])
+@example(argv=["balls", "--group=Z^2", f"--radii={HUGE}", f"--cap={HUGE}"])
+def test_balls_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
+    assert_ends_in_a_documented_way("balls", argv, tmp_path_factory.mktemp("sweep"))

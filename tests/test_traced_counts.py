@@ -28,7 +28,6 @@ STUDIES = {
         "sigma", "--group", "C4", "--algebra", "diagonal:2", "--action", "swap", *SWEEP
     ),
     "pi-C3": ("pi", "--group", "C3", *SWEEP),
-    "balls-F2": ("balls", "--group", "F2"),
     "freecount-k2": ("freecount", "--k", "2", "--lmax", "1"),
     "psd-F2": ("psd", "--group", "F2", "--eps", "0.5", "--ball", "2"),
 }
@@ -45,9 +44,10 @@ REQUIRED = {
     "sigma-C3-full2": ["crossed.expectation_apply.calls"] + SIGMA,
     "sigma-C4-swap": SIGMA,
     "pi-C3": ["sigma.pi_projection.calls", "sigma.pi_amplification.calls"],
-    "balls-F2": ["core.free_ball_words.calls"],
     "freecount-k2": ["core.free_t_count.calls", "freecomb.t_count_bruteforce.calls"],
-    "psd-F2": ["core.free_mul.calls", "posdef.gram_matrix.calls"],
+    # balls on F_k only reads the walk's level sizes; psd's window is the
+    # one free-group ball that is still built from words
+    "psd-F2": ["core.free_ball_words.calls", "core.free_mul.calls", "posdef.gram_matrix.calls"],
 }
 
 SCRIPT = """
