@@ -466,7 +466,18 @@ def test_eigensolver_failure_is_a_check_failure(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "group, radii",
-    [("F2", "0..6"), ("Z^2", "3,0,2"), ("ZxC3", "0..3")],
+    [
+        ("F2", "0..6"),
+        ("Z^2", "3,0,2"),
+        ("ZxC3", "0..3"),
+        ("ZxF2", "0..5"),
+        ("C4xC6", "0..9"),
+        ("F1xZ^2xC2", "0..6"),
+        ("F2xF2", "0..3"),
+        ("C1xZ", "0..4"),
+        ("C2xC2xC3", "0..6"),
+        ("Z^2xC3", "0..4"),
+    ],
 )
 def test_balls_rows_match_each_radius(tmp_path, group, radii):
     code, out = run(tmp_path, "balls", "--group", group, "--radii", radii)
@@ -518,6 +529,26 @@ def test_capped_balls_name_the_largest_radius(tmp_path, capsys):
     code, _ = run(tmp_path, "balls", "--group", "F2", "--radii", "0..10", "--cap", "100")
     assert code == 3
     assert "at radius 10 exceeds cap 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "group, radii, cap, message",
+    [
+        # infinite products: free factors, one whose own ball passes the cap
+        # first, and a nested lattice factor
+        ("ZxF2", "0..5", "100", "ball of ZxF2 at radius 5 exceeds cap 100"),
+        ("F3xZ", "0..6", "1000", "ball of F3xZ at radius 6 exceeds cap 1000"),
+        ("C2xF2", "3", "20", "ball of C2xF2 at radius 3 exceeds cap 20"),
+        ("Z^2xC3", "0..4", "50", "ball of Z^2xC3 at radius 4 exceeds cap 50"),
+        # a finite product past its diameter
+        ("C4xC6", "0..9", "10", "ball of C4xC6 at radius 9 exceeds cap 10"),
+    ],
+)
+def test_balls_over_the_cap_on_a_product(tmp_path, capsys, group, radii, cap, message):
+    code, out = run(tmp_path, "balls", "--group", group, "--radii", radii, "--cap", cap)
+    assert code == 3
+    assert capsys.readouterr().err == f"resource cap: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_a_small_cap_refuses_a_lattice_ball_before_its_generators(tmp_path, capsys, monkeypatch):

@@ -262,6 +262,11 @@ def test_golden_comparison_catches_a_moved_float():
 GOLDEN_SCALAR = [
     ("balls_z7", ["balls", "--group", "Z^7", "--radii", "0..3"]),
     ("balls_z2xc3", ["balls", "--group", "Z^2xC3", "--radii", "0..4"]),
+    # a free factor, a finite product past its diameter 5, and a nested
+    # product with an F1 and a C2 factor
+    ("balls_zxf2", ["balls", "--group", "ZxF2", "--radii", "0..5"]),
+    ("balls_c4xc6", ["balls", "--group", "C4xC6", "--radii", "0..9"]),
+    ("balls_f1xz2xc2", ["balls", "--group", "F1xZ^2xC2", "--radii", "0..6"]),
     ("folner_z3_neg_unit", ["folner", "--group", "Z^3", "--t", "(0,0,-1)", "--radii", "1..30"]),
     ("folner_zxc3", ["folner", "--group", "ZxC3", "--t", "(-1,2)", "--radii", "1..300"]),
     ("folner_z2_wide", ["folner", "--group", "Z^2", "--t", "(3,-2)", "--radii", "1..5"]),
@@ -284,7 +289,8 @@ GOLDEN_SCALAR = [
 @pytest.mark.parametrize("name, argv", GOLDEN_SCALAR, ids=[name for name, _ in GOLDEN_SCALAR])
 def test_scalar_report_is_byte_identical(tmp_path, name, argv):
     """Reports recorded from the set-based Folner counts, the per-point
-    Cesaro grid loop and the Z^d lattice that had its own group law."""
+    Cesaro grid loop, the Z^d lattice that had its own group law, and
+    product balls counted by word length over a breadth-first search."""
     assert main(argv + ["--out", str(tmp_path)]) == 0
     for ext in ("json", "csv"):
         got = (tmp_path / f"{argv[0]}.{ext}").read_bytes()
