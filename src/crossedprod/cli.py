@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import tempfile
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -28,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, crossed, freecomb, posdef, sigma as sigma_mod, summation
-from ._core import BACKEND, free_sphere_sizes
+from ._core import BACKEND
 from .errors import (
     ConfigError,
     CrossedProdError,
@@ -44,6 +43,7 @@ from .groups import (
     Integers,
     ball,
     parse_group,
+    sphere_sizes,
 )
 
 
@@ -238,15 +238,9 @@ def cmd_balls(args) -> Report:
     spec = parse_group(args.group)
     radii = _parse_int_list("--radii", args.radii, args.cap)
     _check_nonnegative("--radii", radii)
-    top = max(radii)
-    if isinstance(spec, FreeGroup):
-        # the level sizes of the word tree; no word is built
-        spheres = free_sphere_sizes(spec.k, top, args.cap)
-    else:
-        # one enumeration at the largest radius; B_n is its prefix of lengths
-        # <= n, and a finite group's spheres past its last length are empty
-        lengths = Counter(map(spec.word_length, ball(spec, top, args.cap)))
-        spheres = [lengths[j] for j in range(max(lengths) + 1)]
+    # counted, not enumerated, at the largest radius; B_n sums the spheres up
+    # to n, and a finite group's spheres past its diameter are empty
+    spheres = sphere_sizes(spec, max(radii), args.cap)
     sizes = list(accumulate(spheres))
     free = isinstance(spec, FreeGroup) and spec.k >= 2
     rows = []
@@ -314,15 +308,16 @@ def cmd_chi(args) -> Report:
 def cmd_psd(args) -> Report:
     spec = parse_group(args.group)
     f, recipe = _build_pdfunction(spec, args)
-    window = ball(spec, args.ball, args.cap)
-    n = len(window)
+    # the window's size from its spheres, so an over-budget Gram is refused
+    # before its window is built
+    n = sum(sphere_sizes(spec, args.ball, args.cap))
     budget, over = _dense_budget(args.cap)
     if n * n > budget:
         raise ResourceCapError(
             f"the Gram of the --ball {args.ball} window (n = {n}) has {n * n} "
             f"entries, {over}"
         )
-    report = posdef.check_positive_definite(f, window, args.tol)
+    report = posdef.check_positive_definite(f, ball(spec, args.ball, args.cap), args.tol)
     header, row = _columns(report)
     summary = {"group": spec.label, "recipe": recipe, "report": report.to_json()}
     return header, [row], summary, report.passed()

@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._core import _letters, free_ball_words, free_mul
+from ._core import _letters, free_ball_words, free_mul, free_sphere_sizes
 from .errors import ConfigError, ResourceCapError, SpecMismatchError
 
 Element = Union[int, tuple]
@@ -46,7 +46,8 @@ class GroupSpec:
     length for the standard symmetric generating set, and that set in the
     fixed order that orders every ball.  Balls come from the one generic
     search in ``_enumerate_ball``; only ``FreeGroup``, whose word tree
-    already emits length-lex order, overrides it.
+    already emits length-lex order, overrides it.  Sphere sizes come from
+    ``_spheres`` with no element built, under the search's cap rule.
     """
 
     label: str
@@ -146,6 +147,30 @@ class GroupSpec:
             frontier = nxt
         return out
 
+    def _sphere_sizes(self, n: int, cap: int) -> List[int]:
+        """|S_0|, ..., |S_r| from ``_spheres``, r the smaller of n and a
+        finite group's diameter, refused exactly where ``_enumerate_ball``
+        refuses: past r + 1 elements first, as every sphere up to r is
+        non-empty, then past the ball's size, each element counted
+        element_size() times."""
+        too_big = ResourceCapError(f"ball of {self.label} at radius {n} exceeds cap {cap}")
+        limit = cap // self.element_size()
+        r = min(n, self.diameter()) if self.is_finite() else n
+        if r + 1 > limit:
+            raise too_big
+        try:
+            spheres = self._spheres(r, limit)
+        except ResourceCapError:
+            raise too_big from None
+        if sum(spheres) > limit:
+            raise too_big
+        return spheres
+
+    def _spheres(self, r: int, limit: int) -> List[int]:
+        """|S_0|, ..., |S_r|, r + 1 <= limit; may raise ResourceCapError
+        once the ball is known to pass ``limit``."""
+        raise NotImplementedError
+
     def parse_element(self, text: str) -> Element:
         raise NotImplementedError
 
@@ -194,6 +219,9 @@ class Integers(GroupSpec):
 
     def generating_set(self):
         return (1, -1)
+
+    def _spheres(self, r, limit):
+        return [1] + [2] * r
 
     def axes(self):
         return (0,)
@@ -251,6 +279,10 @@ class Cyclic(GroupSpec):
         if self.n == 2:
             return (1,)
         return (1, self.n - 1)
+
+    def _spheres(self, r, limit):
+        # r <= n // 2, and at r = n / 2 the two directions meet
+        return [1] + [2] * r if 2 * r < self.n else [1] + [2] * (r - 1) + [1]
 
     def is_finite(self):
         return True
@@ -344,6 +376,10 @@ class FreeGroup(GroupSpec):
         # free_ball_words already emits length-lex order
         return free_ball_words(self.k, n, cap)
 
+    def _sphere_sizes(self, n, cap):
+        # the word tree's level sizes, refused as free_ball_words refuses
+        return free_sphere_sizes(self.k, n, cap)
+
     def parse_element(self, text):
         text = text.strip()
         if text in ("e", ""):
@@ -429,6 +465,25 @@ class ProductGroup(GroupSpec):
 
     def element_size(self):
         return sum(f.element_size() for f in self.factors)
+
+    def _spheres(self, r, limit):
+        """The l1 length's spheres, the convolution of the factors' truncated
+        at r, one factor folded in at a time.  A partial product's ball is a
+        sub-ball of the product's, so the fold stops once its running size
+        passes ``limit``; each term multiplies two non-empty spheres, so the
+        work stays within ``limit`` too."""
+        spheres = [1]
+        for f in self.factors:
+            other = f._sphere_sizes(r, limit * f.element_size())
+            out, total = [], 0
+            for j in range(min(r, len(spheres) + len(other) - 2) + 1):
+                lo, hi = max(0, j - len(other) + 1), min(j, len(spheres) - 1)
+                out.append(sum(spheres[i] * other[j - i] for i in range(lo, hi + 1)))
+                total += out[-1]
+                if total > limit:
+                    raise ResourceCapError(f"ball of {self.label} exceeds {limit} elements")
+            spheres = out
+        return spheres
 
     def axes(self):
         return tuple(m for f in self.factors for m in f.axes())
@@ -569,6 +624,15 @@ def ball(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Ball:
         raise ConfigError(f"ball radius must be >= 0, got {n}")
     elems = tuple(spec._enumerate_ball(n, cap))
     return Ball(spec, n, elems)
+
+
+def sphere_sizes(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> List[int]:
+    """|S_0|, ..., |S_n| of spec, cut at a finite group's diameter, with no
+    element built.  Refuses what ball(spec, n, cap) refuses, with its
+    message."""
+    if n < 0:
+        raise ConfigError(f"ball radius must be >= 0, got {n}")
+    return spec._sphere_sizes(n, cap)
 
 
 def sphere(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> List[Element]:

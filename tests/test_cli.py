@@ -1172,6 +1172,60 @@ def test_balls_on_a_free_group_builds_no_word(tmp_path, monkeypatch):
         assert (out / f"balls.{ext}").read_bytes() == (DATA / f"golden_balls_f2.{ext}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, group, radii",
+    [
+        ("zxf2", "ZxF2", "0..5"),
+        ("c4xc6", "C4xC6", "0..9"),
+        ("f1xz2xc2", "F1xZ^2xC2", "0..6"),
+        ("z7", "Z^7", "0..3"),
+        ("z2xc3", "Z^2xC3", "0..4"),
+    ],
+)
+def test_balls_on_a_product_enumerates_no_element(tmp_path, monkeypatch, name, group, radii):
+    def refuse(*args):
+        raise AssertionError("balls enumerated the elements of a ball")
+
+    monkeypatch.setattr(groups.GroupSpec, "_enumerate_ball", refuse)
+    for kind in (ProductGroup, groups.Integers, groups.Cyclic, FreeGroup):
+        monkeypatch.setattr(kind, "multiply", refuse)
+    code, out = run(tmp_path, "balls", "--group", group, "--radii", radii)
+    assert code == 0
+    for ext in ("csv", "json"):
+        golden = DATA / f"golden_balls_{name}.{ext}"
+        assert (out / f"balls.{ext}").read_bytes() == golden.read_bytes()
+
+
+_PSD_WITHOUT_A_WINDOW = """
+import sys
+from crossedprod import cli
+
+def refuse(*args):
+    raise AssertionError("psd enumerated its window before the Gram budget check")
+
+cli.ball = refuse
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_psd_refuses_an_over_budget_window_before_enumerating_it(tmp_path):
+    # the F1 window at radius 20000 is 40,001 words of up to 20,000 letters;
+    # its size comes from the sphere sizes, so no word of it is built
+    proc = subprocess.run(
+        [sys.executable, "-c", _PSD_WITHOUT_A_WINDOW, "psd", "--group", "F1", "--eps", "0.5",
+         "--ball", "20000", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "resource cap: the Gram of the --ball 20000 window (n = 40001) has 1600080001 "
+        "entries, over the dense budget 64 x --cap = 64000000\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_balls_on_f1_keep_two_words_a_sphere_at_a_long_radius(tmp_path):
     code, out = run(tmp_path, "balls", "--group", "F1", "--radii", "0..2000")
     assert code == 0

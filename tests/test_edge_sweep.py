@@ -20,12 +20,15 @@ The pools keep each example's work small, under the huge cap too:
   entries, and a grid that passes is at most 33 points; the huge order is
   one Fraction weight, and the huge grid and the huge range pass no cap.
 - balls: the radii are freecount's, so every radius that passes is at most
-  9.  On F_k that is level sizes only, 2,343,750 int8 letters at most
-  (S_9(F3)); on ZxF2 it is the largest search, 78,711 elements.  The huge
-  radius is refused at once under every cap: on F1 as 2n + 1 > cap, on
-  F2 and F3 within a few depths, on an infinite group as n + 1 > cap, as
-  every sphere is non-empty, and on C5 the search stops at its diameter
-  and the table stops there too.
+  9, and no ball is enumerated: the table comes from sphere sizes.  On F_k,
+  a free factor included, they are level sizes only, 2,343,750 int8
+  letters at most (S_9(F3)); on Z and C_n a list of at most 10 entries;
+  on a product, a convolution of at most 10 by 10 of its factors' sizes
+  per factor.  The huge radius is refused at once under every cap: on F1
+  as 2n + 1 > cap, on F2 and F3 within a few depths, and on any other
+  infinite group, products included, as n + 1 > cap / element size,
+  since every sphere is non-empty.  On C5 and C4xC6 the count stops at
+  the diameter, and the table stops there too.
 """
 
 import itertools
@@ -63,7 +66,10 @@ PI_POOLS = {
 }
 
 BALLS_POOLS = {
-    "--group": ["F1", "F2", "F3", "Z", "Z^2", "C5", "ZxF2", "F0", "Q8", "", "é", "F٣"],
+    "--group": [
+        "F1", "F2", "F3", "Z", "Z^2", "C5", "ZxF2", "Z^2xC3", "C4xC6", "F1xZ^2xC2", "F0", "Q8",
+        "", "é", "F٣",
+    ],
     "--radii": FREECOUNT_POOLS["--radii"],
     "--cap": FREECOUNT_POOLS["--cap"],
 }
@@ -135,10 +141,12 @@ def test_cesaro_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
 
 @settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
 @given(argv=argv_for("balls", BALLS_POOLS, required=("--group",)))
-# the huge radius on a finite group, and under the huge cap on F1 and Z^2,
-# which the draws above do not reach
+# the huge radius on finite groups, and under the huge cap on F1, Z^2 and
+# ZxF2, which the draws above do not reach
 @example(argv=["balls", "--group=C5", f"--radii={HUGE}"])
+@example(argv=["balls", "--group=C4xC6", f"--radii={HUGE}"])
 @example(argv=["balls", "--group=F1", f"--radii={HUGE}", f"--cap={HUGE}"])
 @example(argv=["balls", "--group=Z^2", f"--radii={HUGE}", f"--cap={HUGE}"])
+@example(argv=["balls", "--group=ZxF2", f"--radii={HUGE}", f"--cap={HUGE}"])
 def test_balls_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
     assert_ends_in_a_documented_way("balls", argv, tmp_path_factory.mktemp("sweep"))
