@@ -1464,3 +1464,74 @@ def test_integer_set_ranges_still_work_on_integer_groups(tmp_path, capsys, group
     code, _ = run(tmp_path, "chi", "--group", group, "--set", "0..2", "--at", "1")
     assert code == 0
     assert capsys.readouterr().out == "2/3\n"
+
+
+COMMANDS = ["balls", "chi", "psd", "freecount", "sigma", "pi", "cesaro", "folner"]
+# name -> argv whose stdout, stderr and exit code tests/data/cli_texts.json holds
+CLI_TEXTS = {
+    "help": ["--help"],
+    **{f"{command}-help": [command, "--help"] for command in COMMANDS},
+    "version": ["--version"],
+    "unknown-command": ["nosuchcommand"],
+    "no-command": [],
+    "sigma-without-group": ["sigma"],
+    "sigma-malformed-trials": ["sigma", "--trials", "x"],
+    "folner-unknown-flag": ["folner", "--group", "Z", "--t", "1", "--bogus", "1"],
+    "stray-positional": ["balls", "--group", "Z", "stray"],
+    "config-key-of-another-command": [
+        "balls", "--group", "Z", "--config", str(DATA / "cli_freecount_key.cfg"),
+    ],
+}
+
+
+def cli_text(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help and --version
+        code = exc.code
+    captured = capsys.readouterr()
+    return {"code": code, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_TEXTS))
+def test_help_version_and_usage_texts_are_unchanged(name, capsys, monkeypatch):
+    # argparse wraps help to COLUMNS; these texts were recorded at 80
+    monkeypatch.setenv("COLUMNS", "80")
+    want = json.loads((DATA / "cli_texts.json").read_text(encoding="utf-8"))[name]
+    assert cli_text(CLI_TEXTS[name], capsys) == want
+
+
+_NO_NUMPY_RANDOM = """
+import json, sys
+from crossedprod.cli import main
+
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    loaded[argv[0]] = [code, "numpy.random" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_studies_without_draws_do_not_import_numpy_random(tmp_path):
+    # importing numpy.random costs about 10 ms a process; only sigma and pi
+    # draw, so every other study must finish without it
+    studies = [
+        ["balls", "--group", "ZxF2", "--radii", "0..3"],
+        ["chi", "--group", "Z", "--set", "0..2", "--at", "1"],
+        ["psd", "--group", "F2", "--eps", "0.5", "--ball", "2"],
+        ["freecount", "--k", "2", "--lmax", "1"],
+        ["cesaro", "--orders", "5..8"],
+        ["folner", "--group", "ZxC3", "--t", "(1,2)", "--radii", "1..3"],
+    ]
+    studies = [argv + ["--out", str(tmp_path / argv[0])] for argv in studies]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RANDOM, json.dumps(studies)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        argv[0]: [0, False] for argv in studies
+    }
