@@ -15,6 +15,7 @@ import argparse
 import cmath
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -73,8 +74,6 @@ def _atomic_write(path: str, text: str):
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -106,9 +105,7 @@ def _json_default(value):
 
 def _json_text(doc: dict) -> str:
     """Strict JSON: a NaN or infinity raises ValueError."""
-    text = json.dumps(
-        doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False
-    )
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
     return text + "\n"
 
 
@@ -649,7 +646,7 @@ def _expand_config(argv: List[str]) -> List[str]:
         return argv
     out = list(argv)
     injected: List[str] = []
-    command = out[0] if out and not out[0].startswith("-") else None
+    command = _command(out)
     while "--config" in out:
         i = out.index("--config")
         if i + 1 >= len(out):
@@ -666,83 +663,84 @@ def _expand_config(argv: List[str]) -> List[str]:
     return out[:1] + injected + out[1:]
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the flags each subcommand lists after -h, in order
+_COMMON = (
+    ("--out", dict(default=".", help="output directory")),
+    ("--cap", dict(type=int, default=DEFAULT_ELEMENT_CAP)),
+)
+_GROUP = ("--group", dict(required=True))
+_FN_COMMON = _COMMON + (
+    ("--set", dict(help="'ball:R', 'a..b', or ';'-separated elements")),
+    ("--eps", dict(help="exponential decay rate")),
+    ("--square", dict(action="store_true", help="square the function")),
+    _GROUP,
+)
+_SWEEP = _COMMON + (
+    _GROUP,
+    ("--algebra", dict(default="scalars")),
+    ("--action", dict(default="trivial")),
+    ("--xi", dict(default="uniform")),
+    ("--trials", dict(type=int, default=100)),
+    ("--seed", dict(type=int, default=0)),
+    ("--tol", dict(type=float, default=1e-10)),
+)
+
+# name -> (help, flags) of each subcommand, in the order help lists them; the
+# study is the function cmd_<name>, looked up when the parser is built
+_COMMANDS = {
+    "balls": ("ball/sphere size tables", _COMMON + (_GROUP, ("--radii", dict(default="0..5")))),
+    "chi": ("evaluate a candidate function", _FN_COMMON + (
+        ("--at", dict(help="single evaluation point")),
+        ("--ball", dict(type=int, help="tabulate over this ball")),
+    )),
+    "psd": ("Gram matrix spectrum report", _FN_COMMON + (
+        ("--ball", dict(type=int, required=True)), ("--tol", dict(type=float)),
+    )),
+    "freecount": ("closed vs brute counting", _COMMON + (
+        ("--k", dict(type=int, required=True)),
+        ("--lmax", dict(type=int, default=3)), ("--radii", {}),
+    )),
+    "sigma": ("averaged-map property sweep", _SWEEP + (("--amp", dict(type=int, default=2)),)),
+    "pi": ("idempotent checks", _SWEEP),
+    "cesaro": ("uniform convergence table", _COMMON + (
+        ("--coeffs", dict(default="0:1,1:0.5,2:0.25,3:0.125,4:0.0625,5:0.03125",
+                          help="comma list k:c")),
+        ("--orders", dict(default="5..50")),
+        ("--grid", dict(type=int)),
+        ("--tol", dict(type=float, default=1e-10)),
+    )),
+    "folner": ("averaging-set defect table", _COMMON + (
+        _GROUP, ("--t", dict(required=True)), ("--radii", dict(default="1..20")),
+    )),
+}
+
+
+def _command(argv: Sequence[str]) -> Optional[str]:
+    """The subcommand argv names: its first token, unless that is a flag."""
+    return argv[0] if argv and not argv[0].startswith("-") else None
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with only the subparser of ``command`` when that
+    names a subcommand.  With no name or an unknown one it has them all, so
+    the top-level help and argparse's invalid-choice message list each."""
     parser = argparse.ArgumentParser(
-        prog="crossedprod",
-        description="finite-window crossed-product studies",
+        prog="crossedprod", description="finite-window crossed-product studies"
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"crossedprod {__version__} (ordering {ORDERING_VERSION}, backend {BACKEND})",
+    version = f"crossedprod {__version__} (ordering {ORDERING_VERSION}, backend {BACKEND})"
+    parser.add_argument("--version", action="version", version=version)
+    # the usage line lists every subcommand, also when one is built; the full
+    # build keeps argparse's default, by which its error messages name the action
+    one = command in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
-
-    p = sub.add_parser("balls", parents=[common], help="ball/sphere size tables")
-    p.add_argument("--group", required=True)
-    p.add_argument("--radii", default="0..5")
-    p.set_defaults(func=cmd_balls)
-
-    fn_common = argparse.ArgumentParser(add_help=False)
-    fn_common.add_argument("--set", help="'ball:R', 'a..b', or ';'-separated elements")
-    fn_common.add_argument("--eps", help="exponential decay rate")
-    fn_common.add_argument("--square", action="store_true", help="square the function")
-
-    p = sub.add_parser("chi", parents=[common, fn_common], help="evaluate a candidate function")
-    p.add_argument("--group", required=True)
-    p.add_argument("--at", help="single evaluation point")
-    p.add_argument("--ball", type=int, help="tabulate over this ball")
-    p.set_defaults(func=cmd_chi)
-
-    p = sub.add_parser("psd", parents=[common, fn_common], help="Gram matrix spectrum report")
-    p.add_argument("--group", required=True)
-    p.add_argument("--ball", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_psd)
-
-    p = sub.add_parser("freecount", parents=[common], help="closed vs brute counting")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lmax", type=int, default=3)
-    p.add_argument("--radii", default=None)
-    p.set_defaults(func=cmd_freecount)
-
-    sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--group", required=True)
-    sweep.add_argument("--algebra", default="scalars")
-    sweep.add_argument("--action", default="trivial")
-    sweep.add_argument("--xi", default="uniform")
-    sweep.add_argument("--trials", type=int, default=100)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("sigma", parents=[common, sweep], help="averaged-map property sweep")
-    p.add_argument("--amp", type=int, default=2)
-    p.set_defaults(func=cmd_sigma)
-
-    p = sub.add_parser("pi", parents=[common, sweep], help="idempotent checks")
-    p.set_defaults(func=cmd_pi)
-
-    p = sub.add_parser("cesaro", parents=[common], help="uniform convergence table")
-    p.add_argument(
-        "--coeffs",
-        default="0:1,1:0.5,2:0.25,3:0.125,4:0.0625,5:0.03125",
-        help="comma list k:c",
-    )
-    p.add_argument("--orders", default="5..50")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_cesaro)
-
-    p = sub.add_parser("folner", parents=[common], help="averaging-set defect table")
-    p.add_argument("--group", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--radii", default="1..20")
-    p.set_defaults(func=cmd_folner)
-
+    for name in [command] if one else _COMMANDS:
+        help_text, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -752,7 +750,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _expand_config(list(argv))
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(_command(argv)).parse_args(argv)
         except SystemExit as exc:
             # argparse printed its usage error; --help and --version exit 0
             if exc.code == 0:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 
 from crossedprod import __version__, _core, crossed, freecomb, groups, posdef, sigma, summation
 from crossedprod._core import BACKEND
-from crossedprod.cli import _json_text, main
+from crossedprod.cli import _json_text, build_parser, main
 from crossedprod.groups import ORDERING_VERSION, FreeGroup, ProductGroup, ball, parse_group
 
 DATA = Path(__file__).parent / "data"
@@ -1535,3 +1536,53 @@ def test_studies_without_draws_do_not_import_numpy_random(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         argv[0]: [0, False] for argv in studies
     }
+
+
+def subparser(parser, command):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+def action_table(parser):
+    return [
+        (a.option_strings, a.dest, a.default, a.type, a.required, a.choices, a.help, a.nargs)
+        for a in parser._actions
+    ]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_has_the_full_parsers_actions(command):
+    alone = subparser(build_parser(command), command)
+    full = subparser(build_parser(), command)
+    assert action_table(alone) == action_table(full)
+    assert alone._defaults == full._defaults
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["balls", "--group", "Z", "--radii", "0..2"], ["balls"]),
+        (["sigma"], ["sigma"]),
+        (["folner", "--group", "Z", "--t", "1", "--bogus", "1"], ["folner"]),
+        (["nosuchcommand"], COMMANDS),
+        (["--help"], COMMANDS),
+        (["--version"], COMMANDS),
+        ([], COMMANDS),
+    ],
+    ids=["balls", "sigma-usage-error", "folner-unknown-flag", "unknown", "help", "version", "none"],
+)
+def test_main_builds_only_the_named_subcommands_parser(tmp_path, capsys, monkeypatch, argv, built):
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.chdir(tmp_path)
+    try:
+        main(argv)
+    except SystemExit:  # --help and --version
+        pass
+    assert added == built
