@@ -500,6 +500,7 @@ def folner_defects(spec: GroupSpec, t: Element, radii: Sequence[int]) -> List[Fr
     coordinate never limits either.  One bincount and one cumsum of each
     give |F_n| and |F_n meet tF_n| for every n <= N, and the defect is
     2(|F_n| - |F_n meet tF_n|) / |F_n|, since tF_n and F_n have one size.
+    Past the largest level any element needs, both counts stay put.
     """
     radii = list(radii)
     for n in radii:
@@ -510,9 +511,12 @@ def folner_defects(spec: GroupSpec, t: Element, radii: Sequence[int]) -> List[Fr
     if not radii:
         return []
     inside, need = _folner_levels(shift, top)
-    sizes = np.cumsum(np.bincount(inside, minlength=top + 1))
-    kept = np.cumsum(np.bincount(need, minlength=top + 1))
-    return [Fraction(2 * int(sizes[n] - kept[n]), int(sizes[n])) for n in radii]
+    # the counts run to the largest level an element needs: N with a Z
+    # factor, 0 without one, where F_n is the whole group at every n
+    sizes = np.cumsum(np.bincount(inside))
+    kept = np.cumsum(np.bincount(need, minlength=len(sizes)))
+    at = [min(n, len(sizes) - 1) for n in radii]
+    return [Fraction(2 * int(sizes[m] - kept[m]), int(sizes[m])) for m in at]
 
 
 def _folner_levels(shift: List[Tuple[int, int]], n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -29,10 +29,17 @@ The pools keep each example's work small, under the huge cap too:
   infinite group, products included, as n + 1 > cap / element size,
   since every sphere is non-empty.  On C5 and C4xC6 the count stops at
   the diameter, and the table stops there too.
+- folner: the radii are freecount's again.  With a Z factor, every radius
+  that passes is at most 9 (10^3 elements on Z^3), and the huge radius is
+  refused under every cap, as (n + 1)^k > cap.  Without one, F_n is the
+  whole group, at most 24 elements, and the counts stop at level 0, so the
+  huge radius passes and allocates nothing in proportion to it.  Each run's
+  traced peak memory must stay under FOLNER_PEAK_BYTES.
 """
 
 import itertools
 import json
+import tracemalloc
 from datetime import timedelta
 
 from hypothesis import example, given, settings
@@ -86,6 +93,17 @@ CESARO_POOLS = {
     "--tol": ["0", "-1", "nan", "1e-10"],
     "--cap": ["1", "40", "1000", "0", "-1", HUGE, ""],
 }
+
+FOLNER_POOLS = {
+    "--group": ["Z", "Z^2", "Z^3", "ZxC3", "C5", "C4xC6", "F2", "ZxF2", "", "Q8", "é"],
+    "--t": [
+        "1", "-1", "0", "e", "4", "(1,0)", "(0,-1,1)", "(1,2)", "(-1,0)", "(3,5)", HUGE, "", "x",
+        "(1,)", "٣",
+    ],
+    "--radii": FREECOUNT_POOLS["--radii"],
+    "--cap": ["1", "5", "24", "1000", "0", "-1", HUGE, ""],
+}
+FOLNER_PEAK_BYTES = 16 * 2**20
 
 
 def argv_for(command, pools, required=()):
@@ -150,3 +168,21 @@ def test_cesaro_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
 @example(argv=["balls", "--group=ZxF2", f"--radii={HUGE}", f"--cap={HUGE}"])
 def test_balls_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
     assert_ends_in_a_documented_way("balls", argv, tmp_path_factory.mktemp("sweep"))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
+@given(argv=argv_for("folner", FOLNER_POOLS, required=("--group", "--t")))
+# a radius far past the cap on groups without a Z factor, whose averaging
+# sets stop growing at once
+@example(argv=["folner", "--group=C5", "--t=1", f"--radii={HUGE}"])
+@example(argv=["folner", "--group=C5", "--t=1", "--radii=100000000"])
+@example(argv=["folner", "--group=C4xC6", "--t=(1,5)", f"--radii=0,{HUGE}", f"--cap={HUGE}"])
+def test_folner_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("sweep")
+    tracemalloc.start()
+    try:
+        assert_ends_in_a_documented_way("folner", argv, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < FOLNER_PEAK_BYTES, (argv, peak)

@@ -88,6 +88,12 @@ def test_an_empty_radius_list_has_no_defects():
     assert folner_defects(parse_group("C2xC3"), (1, 2), range(0)) == []
 
 
+def test_radii_past_the_cap_on_a_group_without_a_z_factor():
+    # F_n is the whole group at every n, so the counts stop at level 0
+    for group, t in [("C5", 1), ("C2xC3", (1, 2))]:
+        assert folner_defects(parse_group(group), t, [10**20, 0, 10**8]) == [0, 0, 0]
+
+
 def test_wide_shifts_leave_disjoint_boxes():
     Z2 = IntegerLattice(2)
     for t in [(3, 0), (0, -3), (10**30, 0), (-(10**30), 5)]:
