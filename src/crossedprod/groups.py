@@ -384,7 +384,9 @@ class FreeGroup(GroupSpec):
         text = text.strip()
         if text in ("e", ""):
             return ()
-        word = ()
+        # a stack of the letters kept: each cancels the last when it is its
+        # inverse, so the word is reduced in one pass
+        word = []
         for ch in text:
             if "a" <= ch <= "z":
                 v = ord(ch) - ord("a") + 1
@@ -394,8 +396,11 @@ class FreeGroup(GroupSpec):
                 raise ConfigError(f"bad letter {ch!r} in word {text!r}")
             if abs(v) > self.k:
                 raise ConfigError(f"letter {ch!r} outside F{self.k}")
-            word = free_mul(word, (v,))
-        return word
+            if word and word[-1] == -v:
+                word.pop()
+            else:
+                word.append(v)
+        return tuple(word)
 
     def format_element(self, a):
         if not a:

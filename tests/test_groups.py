@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import random
 import re
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossedprod import groups
-from crossedprod._core import free_ball_words
+from crossedprod._core import free_ball_words, free_mul
 from crossedprod.errors import ConfigError, ResourceCapError, SpecMismatchError
 from crossedprod.groups import (
     Cyclic,
@@ -51,6 +53,23 @@ def test_free_multiply_examples():
     assert F2.multiply((1,), (-1,)) == ()
     assert F2.multiply((1, 2), (-2, 1)) == (1, 1)
     assert F2.multiply((1, 2), (-2, -1)) == ()
+
+
+def test_parsed_words_match_the_free_mul_fold():
+    # the letter-by-letter product is the reference for the one-pass reduction
+    rng = random.Random(7)
+    for k in (1, 2, 3):
+        spec = FreeGroup(k)
+        letters = "".join(chr(ord("a") + i) + chr(ord("A") + i) for i in range(k))
+        for length in (0, 1, 2, 5, 40, 300):
+            for _ in range(20):
+                text = "".join(rng.choice(letters) for _ in range(length))
+                # and a word that cancels to e, and one that cancels in its middle
+                back = text[: length // 2]
+                back += back[::-1].swapcase()
+                for word in (text, back, back + text):
+                    want = functools.reduce(free_mul, map(spec.parse_element, word), ())
+                    assert spec.parse_element(word) == want, word
 
 
 def test_cyclic_multiply():
