@@ -15,7 +15,6 @@ import argparse
 import cmath
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -74,6 +73,8 @@ def _atomic_write(path: str, text: str):
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -105,7 +106,9 @@ def _json_default(value):
 
 def _json_text(doc: dict) -> str:
     """Strict JSON: a NaN or infinity raises ValueError."""
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+    text = json.dumps(
+        doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False
+    )
     return text + "\n"
 
 
@@ -663,7 +666,6 @@ def _expand_config(argv: List[str]) -> List[str]:
     return out[:1] + injected + out[1:]
 
 
-# the flags each subcommand lists after -h, in order
 _COMMON = (
     ("--out", dict(default=".", help="output directory")),
     ("--cap", dict(type=int, default=DEFAULT_ELEMENT_CAP)),
@@ -685,8 +687,8 @@ _SWEEP = _COMMON + (
     ("--tol", dict(type=float, default=1e-10)),
 )
 
-# name -> (help, flags) of each subcommand, in the order help lists them; the
-# study is the function cmd_<name>, looked up when the parser is built
+# name -> (help, flags after -h) of each subcommand, both in the order help
+# lists them; the study is cmd_<name>, looked up when the parser is built
 _COMMANDS = {
     "balls": ("ball/sphere size tables", _COMMON + (_GROUP, ("--radii", dict(default="0..5")))),
     "chi": ("evaluate a candidate function", _FN_COMMON + (
@@ -729,8 +731,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     version = f"crossedprod {__version__} (ordering {ORDERING_VERSION}, backend {BACKEND})"
     parser.add_argument("--version", action="version", version=version)
-    # the usage line lists every subcommand, also when one is built; the full
-    # build keeps argparse's default, by which its error messages name the action
+    # the metavar lists every name in a lone subparser's usage line; the full
+    # build leaves it unset, or argparse's errors would say it for "command"
     one = command in _COMMANDS
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None
