@@ -500,7 +500,6 @@ def folner_defects(spec: GroupSpec, t: Element, radii: Sequence[int]) -> List[Fr
     coordinate never limits either.  One bincount and one cumsum of each
     give |F_n| and |F_n meet tF_n| for every n <= N, and the defect is
     2(|F_n| - |F_n meet tF_n|) / |F_n|, since tF_n and F_n have one size.
-    Past the largest level any element needs, both counts stay put.
     """
     radii = list(radii)
     for n in radii:
