@@ -344,8 +344,8 @@ def _build_pair(
     The dense budget (_check_dense_budget) is checked first, from the
     group order n and the algebra dimension d, so a refused sweep builds
     no context; per_trial(n, d) is the number of entries it keeps a
-    trial.  A group larger than --cap fails its window enumeration
-    instead, with the cap's own message."""
+    trial.  A group larger than --cap is refused instead, from its
+    sphere sizes and with the cap's message, before any element is built."""
     try:
         spec = parse_group(args.group)
         if not spec.is_finite():
@@ -648,21 +648,24 @@ def _expand_config(argv: List[str]) -> List[str]:
     if "--config" not in argv:
         return argv
     out = list(argv)
-    injected: List[str] = []
-    command = _command(out)
+    pairs = []
     while "--config" in out:
         i = out.index("--config")
         if i + 1 >= len(out):
             raise ConfigError("--config needs a file path")
-        for key, value in _read_config(out[i + 1]):
-            if "." in key:
-                section, _, name = key.partition(".")
-                if section != command:
-                    continue
-            else:
-                name = key
-            injected.extend([f"--{name}", value])
+        pairs.extend(_read_config(out[i + 1]))
         del out[i : i + 2]
+    # the command is read once the pairs are gone, wherever they stood
+    command = _command(out)
+    injected: List[str] = []
+    for key, value in pairs:
+        if "." in key:
+            section, _, name = key.partition(".")
+            if section != command:
+                continue
+        else:
+            name = key
+        injected.extend([f"--{name}", value])
     return out[:1] + injected + out[1:]
 
 

@@ -406,8 +406,8 @@ def make_context(
     """Assemble a context with sensible defaults.
 
     Finite groups take the whole group as window (radius ignored);
-    infinite groups require a radius.  cap bounds the window's
-    enumeration.
+    infinite groups require a radius.  A window past cap is refused from
+    its sphere sizes before any element is built.
     """
     if algebra is None:
         algebra = CoeffAlgebra.scalars()

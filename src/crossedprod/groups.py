@@ -20,13 +20,17 @@ order is the one declaration of the scheme: a1 < a1^-1 < a2 < a2^-1 < ...
 for free groups (``_core._letters``), +1 < -1 for Z, and the factors' orders
 in turn for products.  The scheme is versioned (ORDERING_VERSION) so
 serialized matrices can detect an ordering change.
+
+Every window obeys one cap rule: its size, each element counted once per
+payload component, is read off its sphere sizes, and a window past the cap
+is refused before any element is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +51,9 @@ class GroupSpec:
     fixed order that orders every ball.  Balls come from the one generic
     search in ``_enumerate_ball``; only ``FreeGroup``, whose word tree
     already emits length-lex order, overrides it.  Sphere sizes come from
-    ``_spheres`` with no element built, under the search's cap rule.
+    ``_spheres`` with no element built, and ``_sphere_sizes`` holds the one
+    cap rule: the search asks it first, so an over-cap ball is refused
+    before any element exists.
     """
 
     label: str
@@ -75,10 +81,6 @@ class GroupSpec:
     def generating_set(self) -> Tuple[Element, ...]:
         """Standard symmetric generators in the fixed enumeration order."""
         raise NotImplementedError
-
-    def iter_generators(self) -> Iterator[Element]:
-        """generating_set() built one generator at a time."""
-        return iter(self.generating_set())
 
     def element_size(self) -> int:
         """What an element counts against a ball's cap: its components."""
@@ -112,58 +114,45 @@ class GroupSpec:
         such generator s in ``generating_set()`` order.  The search visits
         sphere k in order and each g's generators in order, and appends h
         at exactly that first visit; by induction from {e}, every sphere
-        comes out sorted.  Raises ResourceCapError once the elements seen,
-        each counted element_size() times, exceed ``cap``; the first step
-        builds the generators as it reaches them, so the work is
-        O(cap * |generating set|).  Every sphere of an infinite group is
-        non-empty, so its B_n has more than n elements, and a radius at or
-        past that limit is refused before the search.
+        comes out sorted.  ``_sphere_sizes`` refuses an over-cap ball
+        before any element is built and gives the last radius r with a
+        non-empty sphere, so the search is r plain steps.  The generators
+        are built only when r >= 1: then all of them lie in the ball, and
+        the cap bounds them too.
         """
-        too_big = f"ball of {self.label} at radius {n} exceeds cap {cap}"
-        limit = cap // self.element_size()
-        if not self.is_finite() and n + 1 > limit:
-            raise ResourceCapError(too_big)
-        gens = self.iter_generators()
+        r = len(self._sphere_sizes(n, cap)) - 1
         frontier = [self.identity()]
+        if r == 0:
+            return frontier
+        gens = self.generating_set()
         seen = set(frontier)
-        if len(seen) > limit:
-            raise ResourceCapError(too_big)
         out = list(frontier)
-        for _ in range(n):
+        for _ in range(r):
             nxt = []
             for g in frontier:
                 for s in gens:
                     h = self.multiply(g, s)
                     if h not in seen:
                         seen.add(h)
-                        if len(seen) > limit:
-                            raise ResourceCapError(too_big)
                         nxt.append(h)
-            if not nxt:
-                break
-            if len(out) == 1:
-                gens = nxt  # sphere 1: each generator that adds an element, e s = s
             out.extend(nxt)
             frontier = nxt
         return out
 
     def _sphere_sizes(self, n: int, cap: int) -> List[int]:
         """|S_0|, ..., |S_r| from ``_spheres``, r the smaller of n and a
-        finite group's diameter, refused exactly where ``_enumerate_ball``
-        refuses: past r + 1 elements first, as every sphere up to r is
+        finite group's diameter: the one cap rule of every window.  It
+        refuses past r + 1 elements first, as every sphere up to r is
         non-empty, then past the ball's size, each element counted
         element_size() times."""
-        too_big = ResourceCapError(f"ball of {self.label} at radius {n} exceeds cap {cap}")
         limit = cap // self.element_size()
         r = min(n, self.diameter()) if self.is_finite() else n
-        if r + 1 > limit:
-            raise too_big
         try:
-            spheres = self._spheres(r, limit)
+            spheres = self._spheres(r, limit) if r + 1 <= limit else None
         except ResourceCapError:
-            raise too_big from None
-        if sum(spheres) > limit:
-            raise too_big
+            spheres = None
+        if spheres is None or sum(spheres) > limit:
+            raise ResourceCapError(f"ball of {self.label} at radius {n} exceeds cap {cap}")
         return spheres
 
     def _spheres(self, r: int, limit: int) -> List[int]:
@@ -460,13 +449,12 @@ class ProductGroup(GroupSpec):
         return a
 
     def generating_set(self):
-        return tuple(self.iter_generators())
-
-    def iter_generators(self):
         e = self.identity()
-        for i, f in enumerate(self.factors):
-            for s in f.iter_generators():
-                yield e[:i] + (s,) + e[i + 1 :]
+        return tuple(
+            e[:i] + (s,) + e[i + 1 :]
+            for i, f in enumerate(self.factors)
+            for s in f.generating_set()
+        )
 
     def element_size(self):
         return sum(f.element_size() for f in self.factors)

@@ -323,6 +323,17 @@ def test_config_flags_can_be_overridden(tmp_path):
     assert doc["lmax"] == 1
 
 
+@pytest.mark.parametrize("before", [True, False], ids=["before-command", "after-command"])
+def test_a_config_keeps_its_commands_keys_wherever_it_stands(tmp_path, before):
+    cfg = tmp_path / "pre.cfg"
+    cfg.write_text("balls.radii = 0..1\n")
+    config = ["--config", str(cfg)]
+    argv = config + ["balls"] if before else ["balls"] + config
+    code, out = run(tmp_path, *argv, "--group", "Z")
+    assert code == 0
+    assert read_outputs(out, "balls")[1]["radii"] == [0, 1]
+
+
 def test_missing_config_file(tmp_path):
     code = main(["freecount", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
@@ -560,6 +571,40 @@ def test_a_small_cap_refuses_a_lattice_ball_before_its_generators(tmp_path, caps
     code, out = run(tmp_path, "balls", "--group", "Z^2000", "--radii", "1", "--cap", "10")
     assert code == 3
     assert capsys.readouterr().err == "resource cap: ball of Z^2000 at radius 1 exceeds cap 10\n"
+    assert list(out.iterdir()) == []
+
+
+C2_20 = "x".join(["C2"] * 20)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sigma", "--group", C2_20), f"ball of {C2_20} at radius 20 exceeds cap 1000000"),
+        (("pi", "--group", C2_20), f"ball of {C2_20} at radius 20 exceeds cap 1000000"),
+        (
+            ("chi", "--group", "Z^2", "--set", "ball:3000", "--at", "(0,0)"),
+            "ball of Z^2 at radius 3000 exceeds cap 1000000",
+        ),
+        (
+            ("chi", "--group", "Z^3", "--ball", "200", "--eps", "0.5"),
+            "ball of Z^3 at radius 200 exceeds cap 1000000",
+        ),
+    ],
+    ids=["sigma", "pi", "chi-set", "chi-ball"],
+)
+def test_an_over_cap_window_is_refused_before_any_multiply(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # the search built a cap's worth of elements before it refused these
+    def never(self, a, b):
+        raise AssertionError("multiply ran before the window was refused")
+
+    for cls in (groups.Integers, groups.Cyclic, groups.FreeGroup, groups.ProductGroup):
+        monkeypatch.setattr(cls, "multiply", never)
+    code, out = run(tmp_path, *argv)
+    assert code == 3
+    assert capsys.readouterr().err == f"resource cap: {message}\n"
     assert list(out.iterdir()) == []
 
 

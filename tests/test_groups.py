@@ -370,7 +370,9 @@ def test_cap_bounds_work(monkeypatch):
     cap = 200
     with pytest.raises(ResourceCapError):
         ball(spec, 4, cap=cap)
-    assert 0 < len(calls) <= (cap + 1) * len(spec.generating_set())
+    # refused from the sphere sizes, before the search multiplies once
+    assert calls == []
+    assert len(ball(spec, 1, cap=cap)) == 13 and calls
 
 
 @pytest.mark.parametrize("label", ["Z^3", "Z^2xC3"])
@@ -399,11 +401,23 @@ def test_the_cap_stops_a_lattice_ball_before_it_builds_every_generator(monkeypat
     monkeypatch.setattr(ProductGroup, "generating_set", never)
     monkeypatch.setattr(ProductGroup, "multiply", counted)
     spec = IntegerLattice(500)
-    # the cap holds two elements of 500 components, e and +e_1
+    # the cap holds two elements of 500 components; the ball has 1001
     with pytest.raises(ResourceCapError, match=r"ball of Z\^500 at radius 1 exceeds cap 1000"):
         ball(spec, 1, cap=1000)
-    # one multiply by +e_1, one by -e_1 that goes past the cap
-    assert [b[:2] for b in calls] == [(1, 0), (-1, 0)]
+    assert calls == []
+
+
+def test_a_radius_zero_ball_builds_no_generator(monkeypatch):
+    # nothing bounds the 2d generators of Z^d at radius 0, where the ball
+    # is e alone; building them would cost d^2
+    def never(self):
+        raise AssertionError("generators built for a radius-0 ball")
+
+    monkeypatch.setattr(ProductGroup, "generating_set", never)
+    monkeypatch.setattr(Cyclic, "generating_set", never)
+    spec = IntegerLattice(10**5)
+    assert ball(spec, 0).elements == ((0,) * 10**5,)
+    assert groups.whole_group_ball(Cyclic(1)).elements == (0,)
 
 
 def test_product_multiply_validates_each_component_once(monkeypatch):

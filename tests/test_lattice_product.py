@@ -6,6 +6,7 @@ form must agree with it on every method the rest of the package reads.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from crossedprod.groups import (
     _narrow,
     ball,
     parse_group,
+    sphere_sizes,
 )
 
 
@@ -72,6 +74,14 @@ class RefLattice(GroupSpec):
             gens.append(tuple(e))
         return tuple(gens)
 
+    def _spheres(self, r, limit):
+        # |S_j| counts the points of l1 norm j by their k nonzero
+        # coordinates: which k, their signs, and a composition of j into k
+        return [1] + [
+            sum(2**k * comb(self.d, k) * comb(j - 1, k - 1) for k in range(1, self.d + 1))
+            for j in range(1, r + 1)
+        ]
+
 
 RADIUS = {1: 6, 2: 4, 3: 3, 4: 2}
 
@@ -82,6 +92,7 @@ def test_product_lattice_matches_the_reference(d):
     assert spec.label == ref.label == f"Z^{d}"
     assert spec.identity() == ref.identity()
     assert spec.generating_set() == ref.generating_set()
+    assert sphere_sizes(spec, RADIUS[d]) == sphere_sizes(ref, RADIUS[d])
     got = ball(spec, RADIUS[d]).elements
     assert got == ball(ref, RADIUS[d]).elements
     for a in got:
