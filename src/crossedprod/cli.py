@@ -133,7 +133,8 @@ def _float(flag: str, text: str) -> float:
 
 def _parse_int_list(flag: str, text: str, cap: int) -> List[int]:
     """Accept '2..7' ranges, each of at most cap entries, refused before it
-    is expanded, and '2,3,5' lists."""
+    is expanded, and '2,3,5' lists, of entries >= 0.  The sign is checked
+    once the whole list has parsed, so a malformed chunk is named first."""
     text = text.strip()
     out: List[int] = []
     for chunk in text.split(","):
@@ -150,13 +151,10 @@ def _parse_int_list(flag: str, text: str, cap: int) -> List[int]:
             out.append(_int(flag, chunk))
     if not out:
         raise ConfigError(f"empty integer list: {text!r}")
-    return out
-
-
-def _check_nonnegative(flag: str, values: Sequence[int]) -> None:
-    for n in values:
+    for n in out:
         if n < 0:
             raise ConfigError(f"{flag} entries must be >= 0, got {n}")
+    return out
 
 
 def _parse_set(spec: GroupSpec, text: str, cap: int):
@@ -237,7 +235,6 @@ def _parse_xi(ctx: crossed.CrossedContext, text: str) -> posdef.L2Vector:
 def cmd_balls(args) -> Report:
     spec = parse_group(args.group)
     radii = _parse_int_list("--radii", args.radii, args.cap)
-    _check_nonnegative("--radii", radii)
     # counted, not enumerated, at the largest radius; B_n sums the spheres up
     # to n, and a finite group's spheres past its diameter are empty
     spheres = sphere_sizes(spec, max(radii), args.cap)
@@ -325,7 +322,6 @@ def cmd_psd(args) -> Report:
 
 def cmd_freecount(args) -> Report:
     radii = None if args.radii is None else _parse_int_list("--radii", args.radii, args.cap)
-    _check_nonnegative("--radii", radii or ())
     # never empty: ell = 0 has a row at every radius, and radii are >= 0
     counts = freecomb.count_table(args.k, args.lmax, radii, args.cap)
     header = _columns(counts[0])[0]
@@ -542,7 +538,6 @@ def cmd_cesaro(args) -> Report:
     coeffs = _parse_coeffs(args.coeffs)
     f = summation.TrigPolynomial(coeffs)
     orders = _parse_int_list("--orders", args.orders, args.cap)
-    _check_nonnegative("--orders", orders)
     deg = f.degree()
     # (deg + 4) sum |c_k| bounds every number the table holds
     try:
@@ -590,7 +585,6 @@ def cmd_folner(args) -> Report:
     spec = parse_group(args.group)
     t = spec.parse_element(args.t)
     radii = _parse_int_list("--radii", args.radii, args.cap)
-    _check_nonnegative("--radii", radii)
     try:
         # F_n grows with n, so the largest radius's set is the one enumerated
         size = posdef.folner_size(spec, max(radii))
@@ -602,20 +596,11 @@ def cmd_folner(args) -> Report:
     rows = []
     ok = True
     for row in study:
-        identity_ok = row.value == 1 - row.defect / 2
+        identity_ok = row.chi == 1 - row.defect / 2
         ok = ok and identity_ok
-        rows.append(
-            (
-                row.radius,
-                row.defect.numerator,
-                row.defect.denominator,
-                row.value.numerator,
-                row.value.denominator,
-                "Pass" if identity_ok else "Fail",
-            )
-        )
+        rows.append(_columns(row)[1] + ["Pass" if identity_ok else "Fail"])
     summary = {"group": spec.label, "t": spec.format_element(t), "radii": radii}
-    header = ("radius", "defect_num", "defect_den", "chi_num", "chi_den", "identity")
+    header = _columns(study[0])[0] + ["identity"]
     return header, rows, summary, ok
 
 

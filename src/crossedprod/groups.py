@@ -144,11 +144,12 @@ class GroupSpec:
         finite group's diameter: the one cap rule of every window.  It
         refuses past r + 1 elements first, as every sphere up to r is
         non-empty, then past the ball's size, each element counted
-        element_size() times."""
+        element_size() times.  The radius-0 ball is {e}, with no factor
+        to fold."""
         limit = cap // self.element_size()
         r = min(n, self.diameter()) if self.is_finite() else n
         try:
-            spheres = self._spheres(r, limit) if r + 1 <= limit else None
+            spheres = None if r + 1 > limit else [1] if r == 0 else self._spheres(r, limit)
         except ResourceCapError:
             spheres = None
         if spheres is None or sum(spheres) > limit:

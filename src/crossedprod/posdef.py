@@ -459,15 +459,6 @@ def folner_set(spec: GroupSpec, n: int) -> List[Element]:
     raise SpecMismatchError(f"no averaging sequence for {spec.label}")
 
 
-def _folner_shift(spec: GroupSpec, n: int, t: Element) -> List[Tuple[int, int]]:
-    """(axis, coordinate of t) pairs for F_n and its translate tF_n: an
-    axis is 0 for a Z coordinate, which runs over {0..n}, and m for a C_m
-    factor, which F_n fills."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    return list(zip(spec.axes(), spec.coordinates(t)))
-
-
 def folner_size(spec: GroupSpec, n: int) -> int:
     """|F_n|: n + 1 per Z coordinate times the order of each cyclic factor."""
     if n < 0:
@@ -482,8 +473,10 @@ def folner_overlap(spec: GroupSpec, n: int, t: Element) -> Fraction:
     max(0, n+1-|t_i|) of its n+1 values, and a cyclic factor, which F_n
     fills, keeps all of them.
     """
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
     size = overlap = 1
-    for m, x in _folner_shift(spec, n, t):
+    for m, x in zip(spec.axes(), spec.coordinates(t)):
         size *= m or n + 1
         overlap *= m or max(0, n + 1 - abs(x))
     return Fraction(overlap, size)
@@ -506,7 +499,7 @@ def folner_defects(spec: GroupSpec, t: Element, radii: Sequence[int]) -> List[Fr
         if n < 0:
             raise ValueError(f"index must be >= 0, got {n}")
     top = max(radii, default=0)
-    shift = _folner_shift(spec, top, t)
+    shift = list(zip(spec.axes(), spec.coordinates(t)))
     if not radii:
         return []
     inside, need = _folner_levels(shift, top)

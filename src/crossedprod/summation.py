@@ -135,11 +135,11 @@ def _exp_table(grid_points: int) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
 
 @dataclass(frozen=True)
 class FolnerRow:
-    """One exact row of an amenable averaging study."""
+    """One exact row of an amenable averaging study; chi is the overlap."""
 
     radius: int
     defect: Fraction
-    value: Fraction
+    chi: Fraction
 
 
 def folner_study(
@@ -149,7 +149,7 @@ def folner_study(
 
     The defects of all radii are counted over one enumeration of the
     largest set, and each overlap comes from its closed form, so the
-    identity value = 1 - defect/2, which holds because tF_n and F_n have
+    identity chi = 1 - defect/2, which holds because tF_n and F_n have
     the same size, checks one against the other.
     """
     spec.validate(t)

@@ -352,14 +352,14 @@ def test_acceptance_09_folner_tables():
         for row, n in zip(
             summation.folner_study(Integers(), 1, range(1, 31)), range(1, 31)
         ):
-            assert row.value == Fraction(n, n + 1)
-            assert row.value == 1 - row.defect / 2
+            assert row.chi == Fraction(n, n + 1)
+            assert row.chi == 1 - row.defect / 2
         for row, n in zip(
             summation.folner_study(IntegerLattice(2), (1, 0), range(1, 21)),
             range(1, 21),
         ):
-            assert row.value == 1 - Fraction(1, n + 1)
-            assert row.value == 1 - row.defect / 2
+            assert row.chi == 1 - Fraction(1, n + 1)
+            assert row.chi == 1 - row.defect / 2
 
 
 def test_acceptance_10_overlap_lower_bound():

@@ -13,7 +13,7 @@ import numpy as np
 
 from crossedprod import __version__, _core, crossed, freecomb, groups, posdef, sigma, summation
 from crossedprod._core import BACKEND
-from crossedprod.cli import _json_text, build_parser, main
+from crossedprod.cli import _columns, _json_text, build_parser, main
 from crossedprod.groups import ORDERING_VERSION, FreeGroup, ProductGroup, ball, parse_group
 
 DATA = Path(__file__).parent / "data"
@@ -256,6 +256,34 @@ def test_folner_table(tmp_path):
     assert lines[0] == "radius,defect_num,defect_den,chi_num,chi_den,identity"
     assert lines[1] == "1,1,1,1,2,Pass"
     assert lines[2] == "2,2,3,2,3,Pass"
+
+
+F2 = FreeGroup(2)
+
+
+@pytest.mark.parametrize(
+    "argv, record, verdicts",
+    [
+        (
+            ("psd", "--group", "F2", "--eps", "0.5", "--ball", "1"),
+            lambda: posdef.check_positive_definite(posdef.haagerup(F2, 0.5), ball(F2, 1)),
+            [],
+        ),
+        (("freecount", "--k", "2", "--lmax", "1"), lambda: freecomb.count_table(2, 1)[0], []),
+        (
+            ("folner", "--group", "Z", "--t", "1", "--radii", "1"),
+            lambda: summation.folner_study(groups.Integers(), 1, [1])[0],
+            ["identity"],
+        ),
+    ],
+    ids=["psd", "freecount", "folner"],
+)
+def test_record_backed_headers_are_their_records_columns(tmp_path, argv, record, verdicts):
+    # a header listed by hand in cli.py drifts from its record's fields
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    csv_text, _ = read_outputs(out, argv[0])
+    assert csv_text.splitlines()[0].split(",") == _columns(record())[0] + verdicts
 
 
 def test_folner_lattice_element_parsing(tmp_path):
@@ -519,8 +547,10 @@ def test_balls_reject_negative_radii_and_reversed_ranges(tmp_path, radii):
         (("freecount", "--k", "2", "--lmax", "1", "--radii", "0,3..13"), "--radii", "3..13"),
         (("cesaro", "--orders", "5..15"), "--orders", "5..15"),
         (("folner", "--group", "Z", "--t", "1", "--radii", "1..11"), "--radii", "1..11"),
+        # the range is refused before the negative entry ahead of it
+        (("balls", "--group", "Z", "--radii=-1,0..2000"), "--radii", "0..2000"),
     ],
-    ids=["balls", "freecount", "cesaro", "folner"],
+    ids=["balls", "freecount", "cesaro", "folner", "negative-then-over-cap"],
 )
 def test_a_range_longer_than_the_cap_is_refused(tmp_path, capsys, argv, flag, chunk):
     code, out = run(tmp_path, *argv, "--cap", "10")
@@ -1158,8 +1188,10 @@ def test_freecount_cap_is_the_ball_size(tmp_path, capsys, cap, code):
         (("--lmax", "-1"), "config error: --lmax must be >= 0, got -1\n"),
         (("--lmax", "2", "--radii=-3..-1"), "config error: --radii entries must be >= 0, got -3\n"),
         (("--lmax", "1", "--radii", "4,-2"), "config error: --radii entries must be >= 0, got -2\n"),
+        # the sign is checked after the whole list parses
+        (("--lmax", "1", "--radii=-1,3..2"), "config error: reversed range '3..2'\n"),
     ],
-    ids=["lmax", "radii-range", "radii-list"],
+    ids=["lmax", "radii-range", "radii-list", "negative-then-reversed"],
 )
 def test_freecount_rejects_negative_lengths_and_radii(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "freecount", "--k", "2", *argv)
@@ -1342,10 +1374,11 @@ def test_folner_on_a_group_without_averaging_sets_is_a_config_error(tmp_path, ca
             "--radii entries must be >= 0, got -1",
         ),
         (("cesaro", "--orders=-1..3"), "--orders entries must be >= 0, got -1"),
+        (("cesaro", "--orders=-2,7..5"), "reversed range '7..5'"),
         (("chi", "--group", "Z", "--set", "3..1", "--at", "1"), "reversed range '3..1'"),
         (("chi", "--group", "Z", "--eps", "abc", "--at", "1"), "--eps takes a number, got 'abc'"),
     ],
-    ids=["folner-radii", "cesaro-orders", "chi-set", "chi-eps"],
+    ids=["folner-radii", "cesaro-orders", "cesaro-negative-then-reversed", "chi-set", "chi-eps"],
 )
 def test_config_errors_name_their_flag(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, *argv)

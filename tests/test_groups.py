@@ -420,6 +420,23 @@ def test_a_radius_zero_ball_builds_no_generator(monkeypatch):
     assert groups.whole_group_ball(Cyclic(1)).elements == (0,)
 
 
+def test_a_radius_zero_window_counts_no_factor_sphere(monkeypatch):
+    # the radius-0 ball is e alone; folding in each factor's spheres would
+    # cost one count per factor, 10^5 of them on Z^100000
+    def never(self, n, cap):
+        raise AssertionError(f"a factor's spheres were counted at radius {n}")
+
+    for cls in (Integers, Cyclic, FreeGroup):
+        monkeypatch.setattr(cls, "_sphere_sizes", never)
+    wide = IntegerLattice(10**5)
+    for spec, n in ((wide, 0), (parse_group("ZxC3xF2"), 0), (parse_group("C1xC1"), 5)):
+        assert groups.sphere_sizes(spec, n) == [1]
+        assert ball(spec, n).elements == (spec.identity(),)
+    message = "ball of Z^100000 at radius 0 exceeds cap 99999"
+    with pytest.raises(ResourceCapError, match=re.escape(message)):
+        groups.sphere_sizes(wide, 0, cap=10**5 - 1)
+
+
 def test_product_multiply_validates_each_component_once(monkeypatch):
     seen = []
     real = FreeGroup.validate

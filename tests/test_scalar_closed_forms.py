@@ -190,7 +190,7 @@ def test_folner_study_rows_match_the_references():
         assert [row.radius for row in rows] == list(radii)
         for row in rows:
             assert row.defect == ref_defect(spec, row.radius, t)
-            assert row.value == ref_overlap(spec, row.radius, t)
+            assert row.chi == ref_overlap(spec, row.radius, t)
 
 
 def _same_float(a, b):

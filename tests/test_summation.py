@@ -105,29 +105,29 @@ def test_sup_norm_grid_requires_oversampling():
 def test_folner_study_integers():
     rows = folner_study(Integers(), 1, range(1, 8))
     for row, n in zip(rows, range(1, 8)):
-        assert row.value == Fraction(n, n + 1)
+        assert row.chi == Fraction(n, n + 1)
         assert row.defect == Fraction(2, n + 1)
-        assert row.value == 1 - row.defect / 2
+        assert row.chi == 1 - row.defect / 2
 
 
 def test_folner_study_identity_element():
     for spec in (Integers(), IntegerLattice(2), Cyclic(5)):
         for row in folner_study(spec, spec.identity(), [1, 2, 3]):
-            assert row.value == 1
+            assert row.chi == 1
             assert row.defect == 0
 
 
 def test_folner_study_lattice():
     rows = folner_study(IntegerLattice(2), (1, 1), [1, 2, 3, 4])
     for row, n in zip(rows, [1, 2, 3, 4]):
-        assert row.value == Fraction(n, n + 1) ** 2
-    values = [r.value for r in rows]
+        assert row.chi == Fraction(n, n + 1) ** 2
+    values = [r.chi for r in rows]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_folner_row_is_plain_record():
     row = FolnerRow(3, Fraction(1, 2), Fraction(3, 4))
-    assert (row.radius, row.defect, row.value) == (3, Fraction(1, 2), Fraction(3, 4))
+    assert (row.radius, row.defect, row.chi) == (3, Fraction(1, 2), Fraction(3, 4))
 
 
 def test_cesaro_matches_block_multiplier():
