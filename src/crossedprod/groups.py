@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -205,7 +206,8 @@ class Integers(GroupSpec):
 
     def quotient_lengths(self, elements):
         x = np.array([self.validate(a) for a in elements], dtype=np.int64)
-        return _narrow(np.abs(np.subtract.outer(x, x)))
+        delta = np.subtract.outer(x, x)
+        return _narrow(np.abs(delta, out=delta))
 
     def generating_set(self):
         return (1, -1)
@@ -340,23 +342,34 @@ class FreeGroup(GroupSpec):
         """|g| + |h| - 2 lcs(g, h): the common suffix of g and h cancels in
         g h^-1 and nothing else does.  lcs is the number of suffix lengths s
         at which both words have the same suffix, found by one equality of
-        integer suffix ids per s."""
-        words = [self.validate(a) for a in elements]
-        top = max(map(len, words), default=0)
-        lens = np.array([len(w) for w in words], dtype=np.min_scalar_type(2 * top))
-        out = np.add.outer(lens, lens)
-        common = np.zeros_like(out)
-        ids: Dict[tuple, int] = {}
+        integer suffix ids per s.  The elements may be any list of words,
+        repeats included, in any order.
+
+        The id at s is the rank of the pair (id at s - 1, letter at -s),
+        read off the right-aligned letter matrix, so the loop over s does
+        no per-word Python work.  A word shorter than s takes an id of its
+        own, negative, which equals no other word's; it still equals
+        itself, so the diagonal, where g h^-1 = e, is zeroed at the end.
+        The table is symmetric, since |t^-1| = |t|."""
+        letters, lens = right_aligned_letters([self.validate(a) for a in elements])
+        n, top = letters.shape
+        width = lens.astype(np.min_scalar_type(2 * top))
+        out = np.add.outer(width, width)
+        own = -1 - np.arange(n)
+        ids = np.zeros(n, dtype=np.int64)
+        # ids lie in -n..n-1: compared in the smallest signed dtype holding
+        # them, which is several times faster than int64 at this size
+        small = np.min_scalar_type(-n)
+        eq = np.empty((n, n), dtype=bool)
         for s in range(1, top + 1):
-            suffix = np.array(
-                [ids.setdefault(w[-s:], len(ids)) if len(w) >= s else -1 for w in words],
-                dtype=np.int64,
-            )
-            eq = np.equal.outer(suffix, suffix)
-            eq &= (suffix >= 0)[:, None]
-            common += eq
-        out -= common
-        out -= common
+            pairs = ids * (2 * self.k + 1) + letters[:, top - s]
+            ids = np.where(lens >= s, np.unique(pairs, return_inverse=True)[1], own)
+            tag = ids.astype(small)
+            np.equal.outer(tag, tag, out=eq)
+            # unsigned: the diagonal may wrap here, and is overwritten below
+            out -= eq
+            out -= eq
+        np.fill_diagonal(out, 0)
         return out
 
     def generating_set(self):
@@ -400,6 +413,26 @@ class FreeGroup(GroupSpec):
             ch = chr(ord("a") + abs(v) - 1)
             out.append(ch.upper() if v < 0 else ch)
         return "".join(out)
+
+
+def right_aligned_letters(words: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """The letters of each word right-aligned in one int8 row of width the
+    longest word's length, 0 on the left of a shorter word, and the word
+    lengths.  A word ends in c exactly when its last len(c) columns equal
+    c; its letter at -s is column width - s.  The letters are laid out by
+    one scatter, with no per-word Python work beyond len."""
+    lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    top = int(lens.max()) if len(words) else 0
+    letters = np.zeros((len(words), top), dtype=np.int8)
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(words) else 0
+    # the p-th letter of the concatenation is letter p - (end - len) of its
+    # word, which sits in column top - len plus that
+    cols = top + np.arange(total) - np.repeat(ends, lens)
+    letters[np.repeat(np.arange(len(words)), lens), cols] = np.fromiter(
+        chain.from_iterable(words), dtype=np.int8, count=total
+    )
+    return letters, lens
 
 
 @dataclass(frozen=True, repr=False)

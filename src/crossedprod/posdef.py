@@ -47,6 +47,7 @@ from .groups import (
     GroupSpec,
     Integers,
     ProductGroup,
+    right_aligned_letters,
 )
 
 IDENTITY_TOL = 1e-12
@@ -295,21 +296,31 @@ def _gram_by_length(f: PdFunction, window: Ball) -> np.ndarray:
 
     f is called once per distinct length, at the first entry of that
     length in the per-entry loop's column-major order, so each entry holds
-    the value that loop would have computed there.  The table is real
-    when every value is, and the Gram is one gather ``table[lengths]``.
+    the value that loop would have computed there.  One pass takes each
+    column's largest length.  The first column holding a length is then
+    the first one, from the first whose largest reaches it, that holds it;
+    on a ball it is that first one.  There column h holds every length from
+    0 to its largest: g joins h in the ball by steps x -> s x, through e
+    along the suffixes of their least words, and each step moves |x h^-1|
+    by at most 1.  So on a ball each length reads one column, and the whole
+    table is read twice, by that pass and by the gather ``table[lengths]``,
+    whatever the number of lengths.  The length table is symmetric, so the
+    Gram is, and column j is read as the contiguous row j.  The table of
+    values is real when every value is.
     """
     spec = window.spec
     lengths = spec.quotient_lengths(window.elements)
-    values = [0j] * (int(lengths.max()) + 1)
-    for ell in range(len(values)):
-        mask = lengths == ell
-        hit = mask.any(axis=0)
-        if not hit.any():
-            continue
-        j = int(np.argmax(hit))
-        i = int(np.argmax(mask[:, j]))
-        values[ell] = f(spec.multiply(window[i], spec.inverse(window[j])))
-    return _real_if_exact(np.array(values, dtype=complex))[lengths]
+    reach = lengths.max(axis=0)
+    firsts = np.searchsorted(np.maximum.accumulate(reach), np.arange(int(reach.max()) + 1))
+    values = np.zeros(len(firsts), dtype=complex)
+    for ell, first in enumerate(firsts):
+        for j in range(first, len(window)):
+            hit = lengths[j] == ell
+            if hit.any():
+                i = int(np.argmax(hit))
+                values[ell] = f(spec.multiply(window[i], spec.inverse(window[j])))
+                break
+    return _real_if_exact(values)[lengths]
 
 
 def check_positive_definite(
@@ -319,17 +330,22 @@ def check_positive_definite(
 
     The Gram is float64 when f's values on the window are real, so the
     real symmetric eigensolver runs; otherwise it is complex128 and the
-    Hermitian one runs.  A real Gram of a radial f on a free-group ball
-    has its spectrum read off the tree blocks of _tree_spectrum, each of
-    size at most radius + 1; every other Gram, and one whose blocks fail
-    their checks, takes the dense n x n eigensolve.  Default tolerance is
-    1e-8 * max(1, spectral norm), sized for dense double-precision Gram
-    matrices up to a few thousand rows.
+    Hermitian one runs.  A real Gram of a radial f is table[lengths] over
+    a symmetric length table, so it is symmetric as built and (G + G^T) / 2
+    would be G bit for bit: it is not symmetrized, and no n x n array but
+    that Gram and, while it is built, its length table is allocated before
+    the spectrum.  Every other Gram is symmetrized in place, which costs a
+    transposed copy.  A real Gram of a radial f on
+    a free-group ball has its spectrum read off the tree blocks of
+    _tree_spectrum, each of size at most radius + 1; every other Gram, and
+    one whose blocks fail their checks, takes the dense n x n eigensolve.
+    Default tolerance is 1e-8 * max(1, spectral norm), sized for dense
+    double-precision Gram matrices up to a few thousand rows.
     """
-    # symmetrized in place: (G + G^*) / 2 with two n^2 arrays alive, not three
     herm = gram_matrix(f, window)
-    herm += herm.conj().T
-    herm /= 2.0
+    if not (f.radial and herm.dtype == np.float64):
+        herm += herm.conj().T
+        herm /= 2.0
     eigs = _tree_spectrum(f, window, herm)
     if eigs is None:
         eigs = np.linalg.eigvalsh(herm)
@@ -350,7 +366,7 @@ def _tree_spectrum(
     f: PdFunction, window: Ball, herm: np.ndarray
 ) -> Optional[np.ndarray]:
     """The spectrum, ascending and with multiplicities, of the real
-    symmetrized Gram of a radial f on a ball B_R of F_k, read off its tree
+    symmetric Gram of a radial f on a ball B_R of F_k, read off its tree
     blocks; None when f is not radial, the Gram is complex, the window is
     not B_R in length order, or the blocks fail their checks.
 
@@ -381,12 +397,9 @@ def _tree_spectrum(
     k, R, n = spec.k, window.radius, len(window)
     q = 2 * k - 1
     spheres = np.array([1] + [2 * k * q ** (j - 1) for j in range(1, R + 1)])
-    lengths = np.array([len(w) for w in window], dtype=np.int64)
+    letters, lengths = right_aligned_letters(window.elements)
     if not np.array_equal(lengths, np.repeat(np.arange(R + 1), spheres)):
         return None
-    # letters right-aligned, 0 on the left of a short word: a word ends in
-    # c exactly when its last len(c) columns equal c
-    letters = np.array([(0,) * (R - len(w)) + w for w in window], dtype=np.int64)
     blocks = [(_compress(herm, spheres), 1)]
     for p in range(R):
         mult = int(spheres[p]) * ((2 * k if p == 0 else q) - 1)

@@ -35,6 +35,15 @@ The pools keep each example's work small, under the huge cap too:
   whole group, at most 24 elements, and the counts stop at level 0, so the
   huge radius passes and allocates nothing in proportion to it.  Each run's
   traced peak memory must stay under FOLNER_PEAK_BYTES.
+- psd: every --ball that passes is at most 2, or the huge radius on C5 and
+  C4xC6, whose whole group has at most 24 elements; on any infinite group
+  the huge radius is refused from its sphere sizes before the window is
+  built, under every cap.  So n is at most 99 (ZxF2 at 2), the Gram at
+  most 99 x 99, and a set at most 29 elements (ball:2 of ZxF2; ball:HUGE
+  passes only on the finite groups, and every a..b range over the huge
+  cap is refused before it is expanded).  A set off the free-group balls
+  takes the per-entry Gram: at most 99^2 evaluations of at most 29
+  products each.
 """
 
 import itertools
@@ -104,6 +113,20 @@ FOLNER_POOLS = {
     "--cap": ["1", "5", "24", "1000", "0", "-1", HUGE, ""],
 }
 FOLNER_PEAK_BYTES = 16 * 2**20
+
+PSD_POOLS = {
+    "--group": [
+        "Z", "F1", "F2", "F3", "Z^2", "C5", "ZxC3", "ZxF2", "C4xC6", "F0", "Q8", "", "é", "F٣",
+    ],
+    "--eps": ["0.5", "0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", HUGE, "", "x"],
+    "--set": [
+        "ball:1", "ball:2", "ball:0", "ball:-1", f"ball:{HUGE}", "ball:", "ball:x", "0..3",
+        "3..0", "-2..2", f"0..{HUGE}", "0;1", "e;a;B", "(0,1);(1,2)", "", ",", "x", "٣",
+    ],
+    "--ball": ["2", "1", "0", "-1", HUGE, "", "x"],
+    "--tol": ["0", "-1", "nan", "1e-10"],
+    "--cap": ["1", "5", "40", "1000", "0", "-1", HUGE, ""],
+}
 
 
 def argv_for(command, pools, required=()):
@@ -186,3 +209,23 @@ def test_folner_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
     finally:
         tracemalloc.stop()
     assert peak < FOLNER_PEAK_BYTES, (argv, peak)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
+@given(argv=st.one_of(
+    *(
+        argv_for("psd", {k: v for k, v in PSD_POOLS.items() if k != other}, ("--group", "--ball", one))
+        for one, other in (("--eps", "--set"), ("--set", "--eps"))
+    ),
+    argv_for("psd", PSD_POOLS, required=("--group",)),
+))
+# mostly exactly one of --eps and --set, which psd needs, with --ball; then
+# every flag left out or not.  Pinned: a radius far past the cap on infinite
+# groups, and a whole finite group, under the huge cap; and a Gram of 601
+# rows on Z with 601 lengths
+@example(argv=["psd", "--group=F1", "--eps=0.5", f"--ball={HUGE}", f"--cap={HUGE}"])
+@example(argv=["psd", "--group=ZxF2", "--eps=0.5", f"--ball={HUGE}", f"--cap={HUGE}"])
+@example(argv=["psd", "--group=C4xC6", f"--set=ball:{HUGE}", f"--ball={HUGE}", f"--cap={HUGE}"])
+@example(argv=["psd", "--group=Z", "--eps=0.5", "--ball=300"])
+def test_psd_edge_values_end_in_a_documented_way(tmp_path_factory, argv):
+    assert_ends_in_a_documented_way("psd", argv, tmp_path_factory.mktemp("sweep"))

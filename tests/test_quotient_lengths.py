@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from crossedprod import posdef
 from crossedprod.errors import ResourceCapError, SpecMismatchError
 from crossedprod.groups import (
+    Ball,
     Cyclic,
     FreeGroup,
     IntegerLattice,
@@ -84,9 +85,22 @@ def test_quotient_lengths_match_the_loop(label, radius):
 
 
 def test_quotient_lengths_of_an_unordered_list():
+    # repeats, as a product's factor parts have: a word and its repeat are at
+    # distance 0, whether it is the longest word or shorter than some suffix
     spec = FreeGroup(2)
-    words = [(1, 2), (), (-2,), (2, 1, 2), (1,), (-1, 2)]
+    words = [(1, 2), (), (-2,), (2, 1, 2), (1,), (-1, 2), (2, 1, 2), (1,)]
     assert np.array_equal(spec.quotient_lengths(words), ref_lengths(spec, words))
+
+
+def test_quotient_lengths_widen_past_radius_127_on_f1():
+    # a^m is the word of m on F1, so |g h^-1| = |m_g - m_h|; past radius 127,
+    # 2 * 128 = 256 no longer fits in uint8
+    spec = FreeGroup(1)
+    window = ball(spec, 128)
+    got = spec.quotient_lengths(window.elements)
+    m = np.array([sum(w) for w in window], dtype=np.int64)
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, np.abs(np.subtract.outer(m, m)))
 
 
 def test_quotient_lengths_validate_payloads():
@@ -125,6 +139,9 @@ def test_quotient_lengths_property(spec, radius):
             radius -= 1
     got = spec.quotient_lengths(window.elements)
     assert np.array_equal(got, ref_lengths(spec, window.elements))
+    # the invariants a radial Gram rests on to skip its symmetrizing
+    assert np.array_equal(got, got.T)
+    assert not got.diagonal().any()
 
 
 def _ball_chi(label, radius):
@@ -190,6 +207,65 @@ def test_radial_gram_calls_f_once_per_length(monkeypatch):
     f = haagerup(FreeGroup(3), 0.55)
     gram_matrix(f, ball(FreeGroup(3), 2))
     assert [len(g) for g in calls] == [0, 1, 2, 3, 4]
+
+
+def test_radial_gram_on_a_window_that_is_not_a_ball():
+    # the column of aaa holds lengths 0, 4 and 5 and reaches 1 first; the
+    # first column holding 1 is that of b, at bb
+    spec = FreeGroup(2)
+    window = Ball(spec, 3, ((1, 1, 1), (2,), (2, 2), (-1,)))
+    f = haagerup(spec, 0.549306)
+    assert np.array_equal(gram_matrix(f, window), ref_gram(f, window))
+
+
+@pytest.fixture
+def table_passes(monkeypatch):
+    """The ufunc calls, comparisons and reductions among them, and the
+    numpy functions that read a whole length table of Z; a 2-D slice of it
+    counts as whole.  Results are plain arrays, so what is computed from
+    the table is not counted again."""
+    passes = []
+
+    def plain(x):
+        return x.view(np.ndarray) if isinstance(x, CountingTable) else x
+
+    def count(args):
+        if any(isinstance(x, CountingTable) and x.ndim == 2 for x in args):
+            passes.append(1)
+
+    class CountingTable(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            count(inputs)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(map(plain, kwargs["out"]))
+            return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            count(args)
+            return func(*map(plain, args), **kwargs)
+
+    real = Integers.quotient_lengths
+    monkeypatch.setattr(
+        Integers,
+        "quotient_lengths",
+        lambda self, elements: real(self, elements).view(CountingTable),
+    )
+    return passes
+
+
+def test_radial_gram_reads_its_table_a_fixed_number_of_times(table_passes):
+    # B_R(Z) has 2R + 1 distinct quotient lengths; one scan per length reads
+    # the table 2R + 1 times
+    f = haagerup(Integers(), 0.5)
+    counts = []
+    for radius in (50, 200):
+        window = ball(Integers(), radius)
+        got = gram_matrix(f, window)
+        counts.append(len(table_passes))
+        table_passes.clear()
+        if radius == 50:
+            assert np.array_equal(got, ref_gram(f, window))
+    assert counts[0] == counts[1] <= 2, counts
 
 
 def test_flags_follow_the_constructors():

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,25 @@ def test_the_tree_path_solves_no_block_larger_than_the_radius(
     assert report.verdict == "Pass"
     assert eigvalsh_sizes and max(eigvalsh_sizes) <= radius + 1
     assert len(eigvalsh_sizes) <= radius + 1
+
+
+def test_a_radial_psd_holds_its_gram_and_no_symmetrized_copy():
+    """A real radial Gram is symmetric as built, so the check does not
+    symmetrize it.  On B_4(F3), n = 937, the float64 Gram takes 8 n^2 bytes,
+    the uint8 length table n^2, and the signed index sets of the largest
+    tree block (312 rows) under 2 n^2; a symmetrized copy adds 8 n^2."""
+    spec = FreeGroup(3)
+    window = ball(spec, 4)
+    n = len(window)
+    f = haagerup(spec, 0.55)
+    check_positive_definite(f, window)
+    tracemalloc.start()
+    try:
+        check_positive_definite(f, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n * n, peak / n**2
 
 
 def shuffled_ball(spec, radius):
