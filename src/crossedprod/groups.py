@@ -76,7 +76,8 @@ class GroupSpec:
         raise NotImplementedError
 
     def quotient_lengths(self, elements: Sequence[Element]) -> np.ndarray:
-        """(n, n) table of word_length(g_i g_j^-1) in a small unsigned dtype."""
+        """(n, n) table of word_length(g_i g_j^-1) in a small unsigned dtype:
+        symmetric, as |t^-1| = |t|, with a zero diagonal."""
         raise NotImplementedError
 
     def generating_set(self) -> Tuple[Element, ...]:
@@ -349,16 +350,15 @@ class FreeGroup(GroupSpec):
         read off the right-aligned letter matrix, so the loop over s does
         no per-word Python work.  A word shorter than s takes an id of its
         own, negative, which equals no other word's; it still equals
-        itself, so the diagonal, where g h^-1 = e, is zeroed at the end.
-        The table is symmetric, since |t^-1| = |t|."""
+        itself, so the diagonal, where g h^-1 = e, is zeroed at the end."""
         letters, lens = right_aligned_letters([self.validate(a) for a in elements])
         n, top = letters.shape
         width = lens.astype(np.min_scalar_type(2 * top))
         out = np.add.outer(width, width)
         own = -1 - np.arange(n)
         ids = np.zeros(n, dtype=np.int64)
-        # ids lie in -n..n-1: compared in the smallest signed dtype holding
-        # them, which is several times faster than int64 at this size
+        # ids lie in -n..n-1, so the n^2 comparisons read them in the
+        # smallest signed dtype that holds them, not in int64
         small = np.min_scalar_type(-n)
         eq = np.empty((n, n), dtype=bool)
         for s in range(1, top + 1):
